@@ -15,26 +15,19 @@ import sys
 
 import numpy as np
 
-from .confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
-                         StepGate, TwoLevelGate, confidence_batch, default_spec,
-                         quasiconvexity_witness_search, spec_from_document,
-                         spec_to_document)
+from .confidence import default_spec, spec_from_document, spec_to_document
 from .errors import (ConfigError, DomainError, GraphFormatError,
                      GraphValidationError, ShapeError, TrainingDivergedError)
-from .experts import ExpertArch, load_expert, save_expert, forward
-from .graphs import (build_blindspot_graph, cost_estimate,
-                     generate_specialization_graph, graph_from_document,
-                     graph_to_document, khop_sizes, load_graph, save_graph,
-                     BlindspotInstance, validate_blindspot, conv_coefficients)
+from .experts import ExpertArch, load_expert, save_expert
+from .graphs import (ARCHITECTURES, BlindspotInstance, build_blindspot_graph,
+                     cost_estimate, generate_specialization_graph,
+                     graph_from_document, graph_to_document, khop_sizes,
+                     load_graph, save_graph, validate_blindspot)
 from .mixture import infer_expected, infer_stochastic, write_predictions_csv
-from .theory import (ClauseResult, SimplexGrid, SuiteReport, delta,
-                     run_theorem_suite, sample_tightness_problems,
-                     verify_binary_corollary, verify_blindspot,
-                     verify_step_tightness, verify_tightness)
-from .training import TrainConfig, train
+from .theory import SUITES, SuiteReport, run_theorem_suite
+from .training import TrainConfig, predict, train
 
-SUITES = ("all", "theorem", "tightness", "binary", "quasiconvexity",
-          "blindspot", "planted_fault")
+SUITE_CHOICES = ("all",) + tuple(SUITES)
 
 
 def _merge(args: argparse.Namespace, config: dict, key: str, default=None):
@@ -170,9 +163,7 @@ def cmd_infer(parser, args):
             spec = spec_from_document(json.load(fh))
     else:
         spec = default_spec()
-    pw = forward(weak, graph).values
-    ps = forward(strong, graph, coefficients=conv_coefficients(graph)).values
-    conf = confidence_batch(pw, spec)
+    pw, ps, conf = predict(weak, strong, spec, graph)
     pred_sto, weak_fired = infer_stochastic(pw, ps, conf, seed)
     _, pred_exp = infer_expected(pw, ps, conf)
     nodes = np.arange(graph.num_nodes)
@@ -190,116 +181,21 @@ def cmd_infer(parser, args):
     return 0
 
 
-def _quasiconvexity_rows(seed: int, trials: int, corrupt: bool) -> SuiteReport:
-    suite = SuiteReport()
-    specs = [
-        ("variance+step0", ConfidenceSpec("variance", StepGate(0.0))),
-        ("neg_entropy+step0", ConfidenceSpec("neg_entropy", StepGate(0.0))),
-        ("variance+two_level", ConfidenceSpec("variance", TwoLevelGate(0.1, 0.4))),
-        ("neg_entropy+two_level", ConfidenceSpec("neg_entropy", TwoLevelGate(0.2, 0.3))),
-        ("variance+capped", ConfidenceSpec("variance", CappedLinearGate(2.0))),
-        ("neg_entropy+capped", ConfidenceSpec("neg_entropy", CappedLinearGate(1.0))),
-    ]
-    if corrupt:
-        gate = LearnableGate.create(seed=seed, hidden=4)
-        # planted bump: confidence rises with dispersion then falls,
-        # a deliberate quasiconvexity violation
-        gate.weights[0][0].values = np.array([[1.0, 1.0, 0.0, 0.0],
-                                              [0.0, 0.0, 0.0, 0.0]])
-        gate.weights[0][1].values = np.array([-0.05, -0.15, 0.0, 0.0])
-        gate.weights[1][0].values = np.array([[20.0, 0.0], [-40.0, 0.0],
-                                              [0.0, 0.0], [0.0, 0.0]])
-        gate.weights[1][1].values = np.zeros(2)
-        specs = [("corrupted+learnable", ConfidenceSpec("variance", gate))]
-    for n in (2, 3):
-        for label, spec in specs:
-            margin = quasiconvexity_witness_search(spec, trials, seed, n=n)
-            suite.add_clause(label, ClauseResult(
-                f"quasiconvex_margin_n{n}", margin, 1e-12, margin <= 1e-12))
-    return suite
-
-
-def _tightness_rows(seed: int) -> SuiteReport:
-    suite = SuiteReport()
-    rng = np.random.default_rng(seed)
-    grid = SimplexGrid.build(2, 2000)
-    for i in range(50):
-        a1 = float(rng.uniform(0.55, 0.95))
-        alpha = np.array([a1, 1.0 - a1])
-        mu = delta(alpha) + float(rng.uniform(0.08, 1.0))
-        kind = ("variance", "neg_entropy")[i % 2]
-        suite.add_clause(f"step_tightness[{i}]",
-                         verify_step_tightness(alpha, mu, grid, kind))
-    grid5 = SimplexGrid.build(2, 5000)
-    eta = 0.05
-    problems = sample_tightness_problems(20, seed + 1, m=5000, eta=eta)
-    for i, (alpha, mu, kind) in enumerate(problems):
-        beta = 0.5 * eta / (mu - delta(alpha))
-        report = verify_tightness(alpha, mu, eta, beta, grid5, kind)
-        lo_slack = (report.mu - report.eta) - report.minimizer_loss
-        suite.add_clause(f"window_tightness[{i}]", ClauseResult(
-            "minimizer_in_loss_window", max(lo_slack, 0.0),
-            report.window_tolerance, report.in_window))
-    return suite
-
-
-def _binary_rows(seed: int) -> SuiteReport:
-    suite = SuiteReport()
-    rng = np.random.default_rng(seed)
-    grid = SimplexGrid.build(2, 2000)
-    for i in range(50):
-        k = int(round(rng.uniform(0.55, 0.95) * grid.m))
-        a1 = k / grid.m
-        mu = delta(np.array([a1, 1.0 - a1])) + float(rng.uniform(0.08, 1.0))
-        kind = ("variance", "neg_entropy")[i % 2]
-        spec = ConfidenceSpec(kind, CappedLinearGate(1.5 if kind == "variance" else 1.0))
-        for clause in verify_binary_corollary(a1, mu, grid, spec):
-            suite.add_clause(f"binary_corollary[{i}]", clause)
-    return suite
-
-
-def _blindspot_rows(seed: int) -> SuiteReport:
-    suite = SuiteReport()
-    for k in (1, 2):
-        instance = build_blindspot_graph(k, 6, seed + k)
-        report = verify_blindspot(instance, 50, seed + 10 + k)
-        suite.add_clause(f"blindspot_k{k}", ClauseResult(
-            "conv_output_gap", report.max_output_gap, 1e-9,
-            report.max_output_gap < 1e-9))
-        suite.add_clause(f"blindspot_k{k}", ClauseResult(
-            "mixture_distinguishes_roots", float(not report.distinguishes_roots),
-            0.0, report.distinguishes_roots))
-        suite.add_clause(f"blindspot_k{k}", ClauseResult(
-            "mixture_matches_strong_elsewhere",
-            float(not report.matches_strong_elsewhere), 0.0,
-            report.matches_strong_elsewhere))
-    return suite
-
-
 def cmd_verify(parser, args):
     config = _load_config(args.config)
     seed = _require_seed(parser, args, config)
     out = _outdir(args, config)
     suite_name = _merge(args, config, "suite", "all")
-    if suite_name not in SUITES:
-        parser.error(f"--suite must be one of {SUITES}")
+    if suite_name not in SUITE_CHOICES:
+        parser.error(f"--suite must be one of {SUITE_CHOICES}")
+    builders = dict(SUITES, theorem=lambda suite_seed: run_theorem_suite(
+        int(_merge(args, config, "binary-count", 200)),
+        int(_merge(args, config, "ternary-count", 20)),
+        suite_seed))
     suite = SuiteReport()
-    if suite_name in ("all", "theorem"):
-        part = run_theorem_suite(
-            int(_merge(args, config, "binary-count", 200)),
-            int(_merge(args, config, "ternary-count", 20)),
-            seed)
-        suite.rows += part.rows
-    if suite_name in ("all", "tightness"):
-        suite.rows += _tightness_rows(seed + 101).rows
-    if suite_name in ("all", "binary"):
-        suite.rows += _binary_rows(seed + 202).rows
-    if suite_name in ("all", "quasiconvexity"):
-        suite.rows += _quasiconvexity_rows(seed + 303, 10_000, corrupt=False).rows
-    if suite_name == "planted_fault":
-        suite.rows += _quasiconvexity_rows(seed + 303, 10_000, corrupt=True).rows
-    if suite_name in ("all", "blindspot"):
-        suite.rows += _blindspot_rows(seed + 404).rows
+    for name, build in builders.items():
+        if suite_name == name or (suite_name == "all" and name != "planted_fault"):
+            suite.rows += build(seed).rows
     path = os.path.join(out, "theorem_report.csv")
     suite.write_csv(path)
     failed = [row for row in suite.rows if not row[-1]]
@@ -318,7 +214,7 @@ def cmd_cost(parser, args):
     sizes = khop_sizes(graph, layers)
     header = ["architecture", "macs"] + [f"b_{i}" for i in range(layers)]
     print(",".join(header))
-    for arch in ("weak", "gcn", "gcn_skip"):
+    for arch in ARCHITECTURES:
         macs = cost_estimate(graph, f, layers, arch)
         row = [arch, f"{macs:.12g}"] + [f"{b:.12g}" for b in sizes]
         print(",".join(row))
@@ -366,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the theory verification suites")
     common(p)
-    p.add_argument("--suite", choices=SUITES)
+    p.add_argument("--suite", choices=SUITE_CHOICES)
     p.add_argument("--binary-count", type=int)
     p.add_argument("--ternary-count", type=int)
 

@@ -15,9 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .graphs import Graph, conv_coefficients
-
-KINDS = ("weak", "gcn", "gcn_skip")
+from .graphs import ARCHITECTURES, Graph, conv_coefficients
 
 
 @dataclass
@@ -62,8 +60,8 @@ class ExpertArch:
 def init_expert(arch: ExpertArch, num_features: int, num_classes: int,
                 seed: int) -> ExpertModel:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)], zero bias."""
-    if arch.kind not in KINDS:
-        raise ConfigError(f"kind must be one of {KINDS}, got {arch.kind!r}")
+    if arch.kind not in ARCHITECTURES:
+        raise ConfigError(f"kind must be one of {ARCHITECTURES}, got {arch.kind!r}")
     rng = np.random.default_rng(seed)
     dims = arch.dims(num_features, num_classes)
     layers = []
@@ -148,8 +146,9 @@ def expert_to_document(model: ExpertModel) -> dict:
 
 def expert_from_document(doc: dict) -> ExpertModel:
     kind = doc.get("kind")
-    if kind not in KINDS:
-        raise ConfigError(f"checkpoint kind must be one of {KINDS}, got {kind!r}")
+    if kind not in ARCHITECTURES:
+        raise ConfigError(
+            f"checkpoint kind must be one of {ARCHITECTURES}, got {kind!r}")
     layers = []
     for entry in doc["layers"]:
         skip = entry.get("skip_weight")

@@ -17,6 +17,8 @@ from .errors import ConfigError, GraphFormatError, GraphValidationError
 
 _DOCUMENT_KEYS = {"num_nodes", "num_classes", "features", "labels", "edges", "splits"}
 _SPLIT_KEYS = {"train", "val", "test"}
+# expert kinds, which the cost model prices as architectures
+ARCHITECTURES = ("weak", "gcn", "gcn_skip")
 
 
 @dataclass(frozen=True)
@@ -357,17 +359,23 @@ def build_blindspot_graph(k: int, f: int, seed: int) -> BlindspotInstance:
     return BlindspotInstance(graph, u, v, k, node_map)
 
 
+def _hop(graph: Graph, seen: set, frontier: set) -> set:
+    """One breadth-first hop: the unseen neighbors of frontier, which are
+    also added to seen."""
+    nxt = set()
+    for w in frontier:
+        nxt.update(int(t) for t in graph.neighbors(w))
+    nxt -= seen
+    seen |= nxt
+    return nxt
+
+
 def khop_neighborhood(graph: Graph, v: int, k: int) -> set:
     """Nodes reachable from v in at most k hops, including v."""
     seen = {v}
     frontier = {v}
     for _ in range(k):
-        nxt = set()
-        for w in frontier:
-            nxt.update(int(t) for t in graph.neighbors(w))
-        nxt -= seen
-        seen |= nxt
-        frontier = nxt
+        frontier = _hop(graph, seen, frontier)
     return seen
 
 
@@ -417,17 +425,9 @@ def khop_sizes(graph: Graph, num_layers: int):
         frontier = {v}
         totals[0] += 1
         for i in range(1, num_layers):
-            nxt = set()
-            for w in frontier:
-                nxt.update(int(t) for t in graph.neighbors(w))
-            nxt -= seen
-            seen |= nxt
-            frontier = nxt
+            frontier = _hop(graph, seen, frontier)
             totals[i] += len(seen)
     return list(totals / graph.num_nodes)
-
-
-ARCHITECTURES = ("weak", "gcn", "gcn_skip")
 
 
 def cost_estimate(graph: Graph, f: int, num_layers: int, architecture: str) -> float:

@@ -15,9 +15,8 @@ import csv
 import numpy as np
 
 from . import tensor as T
+from .confidence import SIMPLEX_TOL
 from .errors import ConfigError, DomainError
-
-SIMPLEX_TOL = 1e-9
 
 
 def _values(x) -> np.ndarray:
@@ -49,19 +48,28 @@ def cross_entropy_rows(probs, labels) -> T.Tensor:
     return -T.sum_rows(hot * T.log(p))
 
 
+def _check_inputs(p_weak, p_strong, conf):
+    _check_prob_rows(_values(p_weak), "p_weak")
+    _check_prob_rows(_values(p_strong), "p_strong")
+    _check_conf(_values(conf))
+
+
+def mixture_loss_rows(p_weak, p_strong, conf, labels) -> T.Tensor:
+    """Per-node c_v * CE(weak_v) + (1 - c_v) * CE(strong_v)."""
+    _check_inputs(p_weak, p_strong, conf)
+    c = conf if isinstance(conf, T.Tensor) else T.Tensor(conf)
+    ce_weak = cross_entropy_rows(p_weak, labels)
+    ce_strong = cross_entropy_rows(p_strong, labels)
+    return c * ce_weak + (c * (-1.0) + 1.0) * ce_strong
+
+
 def mixture_loss(p_weak, p_strong, conf, labels) -> T.Tensor:
     """mean_v [ c_v * CE(weak_v) + (1 - c_v) * CE(strong_v) ].
 
     Differentiable through every tensor argument; the weights collapse
     the loss to a single expert at c identically 0 or 1.
     """
-    _check_prob_rows(_values(p_weak), "p_weak")
-    _check_prob_rows(_values(p_strong), "p_strong")
-    _check_conf(_values(conf))
-    c = conf if isinstance(conf, T.Tensor) else T.Tensor(conf)
-    ce_weak = cross_entropy_rows(p_weak, labels)
-    ce_strong = cross_entropy_rows(p_strong, labels)
-    return T.mean_all(c * ce_weak + (c * (-1.0) + 1.0) * ce_strong)
+    return T.mean_all(mixture_loss_rows(p_weak, p_strong, conf, labels))
 
 
 def blend_rows(p_weak, p_strong, conf) -> T.Tensor:
@@ -73,12 +81,15 @@ def blend_rows(p_weak, p_strong, conf) -> T.Tensor:
     return col * pw + (col * (-1.0) + 1.0) * ps
 
 
+def blend_loss_rows(p_weak, p_strong, conf, labels) -> T.Tensor:
+    """Per-node cross-entropy of the blended prediction."""
+    _check_inputs(p_weak, p_strong, conf)
+    return cross_entropy_rows(blend_rows(p_weak, p_strong, conf), labels)
+
+
 def blend_loss(p_weak, p_strong, conf, labels) -> T.Tensor:
     """Cross-entropy of the blended prediction; <= mixture_loss pointwise."""
-    _check_prob_rows(_values(p_weak), "p_weak")
-    _check_prob_rows(_values(p_strong), "p_strong")
-    _check_conf(_values(conf))
-    return T.mean_all(cross_entropy_rows(blend_rows(p_weak, p_strong, conf), labels))
+    return T.mean_all(blend_loss_rows(p_weak, p_strong, conf, labels))
 
 
 def multi_expert_weights(confidences) -> np.ndarray:

@@ -16,13 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .confidence import (CappedLinearGate, ConfidenceSpec, StepGate,
-                         TwoLevelGate, _dispersion_rows_np, confidence_batch)
+from .confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
+                         StepGate, TwoLevelGate, _dispersion_rows_np,
+                         confidence_batch, quasiconvexity_witness_search)
 from .errors import ConfigError, DomainError
-from .experts import (ExpertArch, ExpertModel, Layer, gcn_forward, init_expert,
-                      weak_forward)
-from .graphs import BlindspotInstance, validate_blindspot
+from .experts import ExpertArch, ExpertModel, Layer, gcn_forward, init_expert
+from .graphs import (BlindspotInstance, build_blindspot_graph, conv_coefficients,
+                     validate_blindspot)
 from .mixture import infer_expected
+from .training import predict
 
 # ---- simplex grid ----
 
@@ -243,7 +245,10 @@ def verify_theorem_case(problem: GroupProblem, grid: SimplexGrid) -> CaseReport:
     k_disp = 2.0 if spec.dispersion == "variance" else 1.0 + abs(np.log(sub_floor))
     if problem.n == 2:
         # exact level set from the independent bisection oracle
-        d_level_max = _binary_levelset_dispersion(alpha[0], mu, spec.dispersion)
+        q = _branch_inverse(1.0 - alpha[0], mu)   # 1 - p on the upper branch
+        p = _branch_inverse(alpha[0], mu)         # p on the lower branch
+        level = np.array([[1.0 - q, q], [p, 1.0 - p]])
+        d_level_max = float(_dispersion_rows_np(level, spec.dispersion).max())
         upper_cap = float(spec.gate(d_level_max + k_disp * 1e-8))
     else:
         band = 4.0 * k_bound / grid.m
@@ -264,39 +269,6 @@ def verify_theorem_case(problem: GroupProblem, grid: SimplexGrid) -> CaseReport:
                      upper_gap <= 0.0),
     ]
     return report
-
-
-def _binary_levelset_dispersion(alpha1: float, mu: float, kind: str) -> float:
-    """Max dispersion over the two binary level-set points, each located
-    by bisection on the analytic loss (independent of any grid)."""
-    def loss(p):
-        return -alpha1 * np.log(p) - (1.0 - alpha1) * np.log(1.0 - p)
-
-    tiny = 1e-15
-    lo, hi = alpha1, 1.0 - tiny
-    if loss(hi) < mu:
-        p_plus = hi
-    else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if loss(mid) < mu:
-                lo = mid
-            else:
-                hi = mid
-        p_plus = 0.5 * (lo + hi)
-    lo, hi = tiny, alpha1
-    if loss(lo) < mu:
-        p_minus = lo
-    else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if loss(mid) < mu:
-                hi = mid
-            else:
-                lo = mid
-        p_minus = 0.5 * (lo + hi)
-    rows = np.array([[p_plus, 1.0 - p_plus], [p_minus, 1.0 - p_minus]])
-    return float(_dispersion_rows_np(rows, kind).max())
 
 
 def resolvable_mu_cap(alpha, m: int, steps: float = 6.0) -> float:
@@ -406,33 +378,51 @@ class BinaryBounds:
     residual: float
 
 
-def binary_loss_increasing(p: float, alpha1: float) -> float:
-    """The binary group loss restricted to its increasing branch p >= alpha1."""
+_BRANCH_FLOOR = 1e-15
+
+
+def _binary_loss(p: float, alpha1: float) -> float:
+    """The binary group loss at first coordinate p, unclamped.
+
+    Swapping alpha1 for 1 - alpha1 evaluates it at 1 - p instead.
+    """
     return float(-alpha1 * np.log(p) - (1.0 - alpha1) * np.log(1.0 - p))
+
+
+def _branch_inverse(alpha1: float, mu: float) -> float:
+    """x in [_BRANCH_FLOOR, alpha1] with _binary_loss(x, alpha1) = mu.
+
+    The loss decreases on (0, alpha1], so this solves the lower branch
+    for p directly, and the upper branch for q = 1 - p when given
+    1 - alpha1. Bisecting on the distance from the branch's endpoint
+    keeps full relative precision where p lies within 1e-9 of 1.
+    Converges to the floor when mu exceeds the loss there.
+    """
+    lo, hi = _BRANCH_FLOOR, alpha1
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _binary_loss(mid, alpha1) < mu:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def binary_bounds(alpha1: float, mu: float) -> BinaryBounds:
     """[alpha1, inverse of the increasing branch at mu) by bisection.
 
     The inverse is solved on the analytic (unclamped) loss, independent
-    of any grid, to |residual| < 1e-9.
+    of any grid; the residual is the loss minus mu at the solved point.
     """
     if not (0.5 <= alpha1 < 1.0):
         raise DomainError(f"alpha1 must be in [0.5, 1), got {alpha1}")
     gap = delta(np.array([alpha1, 1.0 - alpha1]))
     if mu <= gap:
         raise DomainError(f"corollary needs mu > delta(alpha) = {gap:.6g}, got {mu}")
-    lo, hi = alpha1, 1.0 - 1e-15
-    if binary_loss_increasing(hi, alpha1) < mu:
+    if _binary_loss(_BRANCH_FLOOR, 1.0 - alpha1) < mu:
         raise DomainError(f"mu={mu} beyond the resolvable range of the branch")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if binary_loss_increasing(mid, alpha1) < mu:
-            lo = mid
-        else:
-            hi = mid
-    upper = 0.5 * (lo + hi)
-    return BinaryBounds(alpha1, upper, binary_loss_increasing(upper, alpha1) - mu)
+    q = _branch_inverse(1.0 - alpha1, mu)
+    return BinaryBounds(alpha1, 1.0 - q, _binary_loss(q, 1.0 - alpha1) - mu)
 
 
 def verify_binary_corollary(alpha1: float, mu: float, grid: SimplexGrid,
@@ -578,21 +568,19 @@ def verify_blindspot(instance: BlindspotInstance, n_weight_draws: int,
     validate_blindspot(instance)
     g, u, v, k = instance.graph, instance.u, instance.v, instance.k
     rng = np.random.default_rng(seed)
+    coeff = conv_coefficients(g)
     worst = 0.0
-    strong = None
     for _ in range(n_weight_draws):
         strong = init_expert(ExpertArch("gcn", layers=k, hidden=max(4, g.num_features)),
                              g.num_features, g.num_classes, int(rng.integers(2 ** 31)))
         for layer in strong.layers:
             layer.bias.values = rng.uniform(-1.0, 1.0, layer.bias.shape)
-        probs = gcn_forward(strong, g, g.features).values
+        probs = gcn_forward(strong, g, g.features, coeff).values
         worst = max(worst, float(np.abs(probs[u] - probs[v]).max()))
 
     weak = build_root_separator(instance)
-    pw = weak_forward(weak, g.features).values
-    ps = gcn_forward(strong, g, g.features).values
-    spec = ConfidenceSpec("variance", StepGate(0.0))
-    conf = confidence_batch(pw, spec)
+    pw, ps, conf = predict(weak, strong, ConfidenceSpec("variance", StepGate(0.0)), g,
+                           coeff)
     _, pred = infer_expected(pw, ps, conf)
     strong_pred = ps.argmax(axis=1)
     mask = np.ones(g.num_nodes, dtype=bool)
@@ -657,3 +645,114 @@ def run_theorem_suite(binary_count: int = 200, ternary_count: int = 20,
                                            ternary_resolution):
         suite.add_case(verify_theorem_case(problem, grid3))
     return suite
+
+
+# ---- suite registry ----
+
+def tightness_suite(seed: int) -> SuiteReport:
+    """50 step-gate problems drawn from `seed`, then 20 two-level window
+    problems (eta = 0.05, resolution 5000) drawn from seed + 1."""
+    suite = SuiteReport()
+    rng = np.random.default_rng(seed)
+    grid = SimplexGrid.build(2, 2000)
+    for i in range(50):
+        a1 = float(rng.uniform(0.55, 0.95))
+        alpha = np.array([a1, 1.0 - a1])
+        mu = delta(alpha) + float(rng.uniform(0.08, 1.0))
+        kind = ("variance", "neg_entropy")[i % 2]
+        suite.add_clause(f"step_tightness[{i}]",
+                         verify_step_tightness(alpha, mu, grid, kind))
+    grid5 = SimplexGrid.build(2, 5000)
+    eta = 0.05
+    problems = sample_tightness_problems(20, seed + 1, m=5000, eta=eta)
+    for i, (alpha, mu, kind) in enumerate(problems):
+        beta = 0.5 * eta / (mu - delta(alpha))
+        report = verify_tightness(alpha, mu, eta, beta, grid5, kind)
+        suite.add_clause(f"window_tightness[{i}]", ClauseResult(
+            "beta_inside_bound", report.beta - report.beta_bound, 0.0,
+            report.beta_inside_bound))
+        lo_slack = (report.mu - report.eta) - report.minimizer_loss
+        suite.add_clause(f"window_tightness[{i}]", ClauseResult(
+            "minimizer_in_loss_window", max(lo_slack, 0.0),
+            report.window_tolerance, report.in_window))
+    return suite
+
+
+def binary_suite(seed: int) -> SuiteReport:
+    """50 binary corollary problems with alpha1 on the resolution-2000 grid."""
+    suite = SuiteReport()
+    rng = np.random.default_rng(seed)
+    grid = SimplexGrid.build(2, 2000)
+    for i in range(50):
+        k = int(round(rng.uniform(0.55, 0.95) * grid.m))
+        a1 = k / grid.m
+        mu = delta(np.array([a1, 1.0 - a1])) + float(rng.uniform(0.08, 1.0))
+        kind = ("variance", "neg_entropy")[i % 2]
+        spec = ConfidenceSpec(kind, CappedLinearGate(1.5 if kind == "variance" else 1.0))
+        for clause in verify_binary_corollary(a1, mu, grid, spec):
+            suite.add_clause(f"binary_corollary[{i}]", clause)
+    return suite
+
+
+def quasiconvexity_suite(seed: int, corrupt: bool = False) -> SuiteReport:
+    """10,000 random mixtures per spec and n in (2, 3): the six fixed
+    specs, or with `corrupt` the planted non-monotone learnable gate."""
+    specs = [
+        ("variance+step0", ConfidenceSpec("variance", StepGate(0.0))),
+        ("neg_entropy+step0", ConfidenceSpec("neg_entropy", StepGate(0.0))),
+        ("variance+two_level", ConfidenceSpec("variance", TwoLevelGate(0.1, 0.4))),
+        ("neg_entropy+two_level", ConfidenceSpec("neg_entropy", TwoLevelGate(0.2, 0.3))),
+        ("variance+capped", ConfidenceSpec("variance", CappedLinearGate(2.0))),
+        ("neg_entropy+capped", ConfidenceSpec("neg_entropy", CappedLinearGate(1.0))),
+    ]
+    if corrupt:
+        gate = LearnableGate.create(seed=seed, hidden=4)
+        # planted bump: confidence rises with dispersion then falls,
+        # a deliberate quasiconvexity violation
+        gate.weights[0][0].values = np.array([[1.0, 1.0, 0.0, 0.0],
+                                              [0.0, 0.0, 0.0, 0.0]])
+        gate.weights[0][1].values = np.array([-0.05, -0.15, 0.0, 0.0])
+        gate.weights[1][0].values = np.array([[20.0, 0.0], [-40.0, 0.0],
+                                              [0.0, 0.0], [0.0, 0.0]])
+        gate.weights[1][1].values = np.zeros(2)
+        specs = [("corrupted+learnable", ConfidenceSpec("variance", gate))]
+    suite = SuiteReport()
+    for n in (2, 3):
+        for label, spec in specs:
+            margin = quasiconvexity_witness_search(spec, 10_000, seed, n=n)
+            suite.add_clause(label, ClauseResult(
+                f"quasiconvex_margin_n{n}", margin, 1e-12, margin <= 1e-12))
+    return suite
+
+
+def blindspot_suite(seed: int) -> SuiteReport:
+    """Blindspot instances k = 1, 2 built from seed + k, with 50 weight
+    draws from seed + 10 + k."""
+    suite = SuiteReport()
+    for k in (1, 2):
+        instance = build_blindspot_graph(k, 6, seed + k)
+        report = verify_blindspot(instance, 50, seed + 10 + k)
+        suite.add_clause(f"blindspot_k{k}", ClauseResult(
+            "conv_output_gap", report.max_output_gap, 1e-9,
+            report.max_output_gap < 1e-9))
+        suite.add_clause(f"blindspot_k{k}", ClauseResult(
+            "mixture_distinguishes_roots", float(not report.distinguishes_roots),
+            0.0, report.distinguishes_roots))
+        suite.add_clause(f"blindspot_k{k}", ClauseResult(
+            "mixture_matches_strong_elsewhere",
+            float(not report.matches_strong_elsewhere), 0.0,
+            report.matches_strong_elsewhere))
+    return suite
+
+
+# suite name -> builder of the run seed. Each suite draws from its own
+# offset of that seed; "all" runs every suite but planted_fault, whose
+# clauses are meant to fail.
+SUITES = {
+    "theorem": lambda seed: run_theorem_suite(seed=seed),
+    "tightness": lambda seed: tightness_suite(seed + 101),
+    "binary": lambda seed: binary_suite(seed + 202),
+    "quasiconvexity": lambda seed: quasiconvexity_suite(seed + 303),
+    "blindspot": lambda seed: blindspot_suite(seed + 404),
+    "planted_fault": lambda seed: quasiconvexity_suite(seed + 303, corrupt=True),
+}

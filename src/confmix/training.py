@@ -22,7 +22,8 @@ from .confidence import (ConfidenceSpec, confidence_batch, confidence_rows,
 from .errors import ConfigError, DomainError, TrainingDivergedError
 from .experts import ExpertArch, ExpertModel, forward, init_expert
 from .graphs import Graph, conv_coefficients
-from .mixture import blend_loss, infer_expected, infer_stochastic, mixture_loss
+from .mixture import (blend_loss_rows, cross_entropy_rows, infer_expected,
+                      infer_stochastic, mixture_loss_rows)
 
 MODES = ("in_turn", "joint", "blend")
 PRETRAIN_CHOICES = ("none", "weak", "strong", "both")
@@ -95,11 +96,6 @@ class TrainResult:
     report: TrainReport
 
 
-def _np_ce_rows(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    picked = probs[np.arange(labels.size), labels]
-    return -np.log(np.clip(picked, T.LOG_FLOOR, 1.0))
-
-
 def _snapshot(params):
     return [p.values.copy() for p in params]
 
@@ -148,6 +144,21 @@ class _Phase:
         _restore(self.params, best)
 
 
+def _loss_rows(graph: Graph):
+    """Train ids then val ids (train again when val is empty), and the
+    positions of the train ids in that concatenation."""
+    train_ids = graph.splits["train"]
+    val_ids = graph.splits["val"] if graph.splits["val"].size else train_ids
+    return np.concatenate([train_ids, val_ids]), np.arange(train_ids.size)
+
+
+def _split_means(terms: T.Tensor, train_pos: np.ndarray):
+    """(train mean as a Tensor, val mean as a float) of per-node loss terms
+    laid out as by _loss_rows."""
+    return (T.mean_all(T.take_rows(terms, train_pos)),
+            float(terms.values[train_pos.size:].mean()))
+
+
 def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
           strong: ExpertModel | None = None) -> TrainResult:
     """Run the configured training mode; deterministic under config.seed."""
@@ -155,7 +166,6 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
     train_ids = graph.splits["train"]
     if train_ids.size == 0:
         raise ConfigError("graph has an empty train split")
-    val_ids = graph.splits["val"] if graph.splits["val"].size else train_ids
     f, n = graph.num_features, graph.num_classes
     spec = config.spec
 
@@ -169,101 +179,75 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
         _plain_ce_phase(strong, graph, config.pretrain_epochs, config.lr)
 
     coeff = conv_coefficients(graph)
-    labels = graph.labels
-    y_train, y_val = labels[train_ids], labels[val_ids]
+    # each epoch evaluates the loss terms of the train and val rows in one pass
+    rows, train_pos = _loss_rows(graph)
+    y_rows = graph.labels[rows]
     report = TrainReport()
-
-    def conf_values(weak_probs: np.ndarray) -> np.ndarray:
-        return confidence_batch(weak_probs, spec)
-
-    def val_mixture(pw, ps) -> float:
-        c = conf_values(pw[val_ids])
-        ce_w = _np_ce_rows(pw[val_ids], y_val)
-        ce_s = _np_ce_rows(ps[val_ids], y_val)
-        return float((c * ce_w + (1.0 - c) * ce_s).mean())
-
-    def val_blend(pw, ps) -> float:
-        c = conf_values(pw[val_ids])
-        q = c[:, None] * pw[val_ids] + (1.0 - c)[:, None] * ps[val_ids]
-        return float(_np_ce_rows(q, y_val).mean())
 
     gate_params = list(spec.parameters())
     weak_params = list(weak.parameters()) + gate_params
     strong_params = list(strong.parameters())
 
     def weak_turn_losses(frozen_strong_rows):
-        ps_train = frozen_strong_rows[train_ids]
+        ps_rows = frozen_strong_rows[rows]
 
         def losses():
-            pw = forward(weak, graph)
-            c = T.take_rows(confidence_rows(pw, spec), train_ids)
-            loss = mixture_loss(T.take_rows(pw, train_ids), ps_train, c, y_train)
-            return loss, val_mixture(pw.values, frozen_strong_rows)
+            pw = T.take_rows(forward(weak, graph), rows)
+            terms = mixture_loss_rows(pw, ps_rows, confidence_rows(pw, spec), y_rows)
+            return _split_means(terms, train_pos)
         return losses
 
-    def strong_turn_losses(frozen_weak_rows, frozen_conf):
-        pw_train = frozen_weak_rows[train_ids]
-        c_train = frozen_conf[train_ids]
+    def strong_turn_losses(frozen_weak_rows):
+        pw_rows = frozen_weak_rows[rows]
+        c_rows = confidence_batch(pw_rows, spec)
 
         def losses():
-            ps = forward(strong, graph, coefficients=coeff)
-            loss = mixture_loss(pw_train, T.take_rows(ps, train_ids), c_train, y_train)
-            return loss, val_mixture(frozen_weak_rows, ps.values)
+            ps = T.take_rows(forward(strong, graph, coefficients=coeff), rows)
+            return _split_means(mixture_loss_rows(pw_rows, ps, c_rows, y_rows),
+                                train_pos)
         return losses
 
-    def record_round(round_idx):
-        pw = forward(weak, graph).values
-        ps = forward(strong, graph, coefficients=coeff).values
-        c_train = conf_values(pw[train_ids])
-        counts, edges = np.histogram(c_train, bins=HIST_BINS, range=(0.0, 1.0))
+    def record_round(round_idx) -> dict:
+        pw, ps, c = predict(weak, strong, spec, graph, coeff)
+        counts, edges = np.histogram(c[train_ids], bins=HIST_BINS, range=(0.0, 1.0))
         for b in range(HIST_BINS):
             report.hist_rows.append((round_idx, float(edges[b]), float(edges[b + 1]),
                                      int(counts[b])))
-        c_all = conf_values(pw)
-        _, pred = infer_expected(pw, ps, c_all)
-        for split in ("train", "val", "test"):
-            ids = graph.splits[split]
-            if ids.size:
-                acc = float((pred[ids] == labels[ids]).mean())
-                report.accuracy_rows.append((round_idx, split, acc))
+        scores = _scores((pw, ps, c), graph, config.gate_seed)
+        for split, split_scores in scores.items():
+            report.accuracy_rows.append((round_idx, split, split_scores["expected"]))
+        return scores
 
     if config.mode == "in_turn":
         for round_idx in range(1, config.rounds + 1):
-            frozen_strong = forward(strong, graph, coefficients=coeff).values
             phase = _Phase(weak_params, config.lr, config.max_epochs, config.patience)
-            phase.run(weak_turn_losses(frozen_strong),
+            phase.run(weak_turn_losses(forward(strong, graph, coefficients=coeff).values),
                       lambda e, t, v, r=round_idx: report.loss_rows.append(
                           (r, "weak", e, t, v)))
-            frozen_weak = forward(weak, graph).values
-            frozen_conf = conf_values(frozen_weak)
             phase = _Phase(strong_params, config.lr, config.max_epochs, config.patience)
-            phase.run(strong_turn_losses(frozen_weak, frozen_conf),
+            phase.run(strong_turn_losses(forward(weak, graph).values),
                       lambda e, t, v, r=round_idx: report.loss_rows.append(
                           (r, "strong", e, t, v)))
-            record_round(round_idx)
+            scores = record_round(round_idx)
     else:
-        loss_fn = mixture_loss if config.mode == "joint" else blend_loss
-        val_fn = val_mixture if config.mode == "joint" else val_blend
+        terms_fn = mixture_loss_rows if config.mode == "joint" else blend_loss_rows
 
         def losses():
-            pw = forward(weak, graph)
-            ps = forward(strong, graph, coefficients=coeff)
-            c = T.take_rows(confidence_rows(pw, spec), train_ids)
-            loss = loss_fn(T.take_rows(pw, train_ids), T.take_rows(ps, train_ids),
-                           c, y_train)
-            return loss, val_fn(pw.values, ps.values)
+            pw = T.take_rows(forward(weak, graph), rows)
+            ps = T.take_rows(forward(strong, graph, coefficients=coeff), rows)
+            terms = terms_fn(pw, ps, confidence_rows(pw, spec), y_rows)
+            return _split_means(terms, train_pos)
 
         phase = _Phase(weak_params + strong_params, config.lr,
                        config.rounds * config.max_epochs, config.patience)
         phase.run(losses, lambda e, t, v: report.loss_rows.append(
             (1, config.mode, e, t, v)))
-        record_round(1)
+        scores = record_round(1)
 
-    for split in ("train", "val", "test"):
-        if graph.splits[split].size:
-            scores = evaluate(weak, strong, spec, graph, split, config.gate_seed)
-            report.metric_rows.append((split, "expected", scores["expected"]))
-            report.metric_rows.append((split, "stochastic", scores["stochastic"]))
+    # the last round scored the final models
+    for split, split_scores in scores.items():
+        report.metric_rows.append((split, "expected", split_scores["expected"]))
+        report.metric_rows.append((split, "stochastic", split_scores["stochastic"]))
 
     return TrainResult(weak, strong, spec, report)
 
@@ -275,14 +259,9 @@ def _plain_ce_phase(model: ExpertModel, graph: Graph, epochs: int, lr: float):
     params = list(model.parameters())
     for _ in range(epochs):
         probs = forward(model, graph, coefficients=coeff)
-        loss = T.mean_all(_ce_rows_tensor(T.take_rows(probs, train_ids), labels))
+        loss = T.mean_all(cross_entropy_rows(T.take_rows(probs, train_ids), labels))
         T.backward(loss)
         _sgd_step(params, lr)
-
-
-def _ce_rows_tensor(probs: T.Tensor, labels: np.ndarray) -> T.Tensor:
-    hot = np.eye(probs.shape[1])[labels]
-    return -T.sum_rows(hot * T.log(probs))
 
 
 def pretrain_expert(arch: ExpertArch, graph: Graph, epochs: int, lr: float,
@@ -302,6 +281,36 @@ def pretrain_expert(arch: ExpertArch, graph: Graph, epochs: int, lr: float,
     return model
 
 
+def predict(weak: ExpertModel, strong: ExpertModel, spec: ConfidenceSpec,
+            graph: Graph, coefficients: np.ndarray | None = None):
+    """(weak rows, strong rows, confidence) of every node, as arrays.
+
+    `coefficients` reuses an already built conv_coefficients(graph).
+    """
+    pw = forward(weak, graph).values
+    ps = forward(strong, graph, coefficients=coefficients).values
+    return pw, ps, confidence_batch(pw, spec)
+
+
+def _scores(predictions, graph: Graph, gate_seed: int) -> dict:
+    """evaluate's scores for every non-empty split, from predict's arrays."""
+    pw, ps, c = predictions
+    _, pred_expected = infer_expected(pw, ps, c)
+    pred_stochastic, _ = infer_stochastic(pw, ps, c, gate_seed)
+    out = {}
+    for split in ("train", "val", "test"):
+        ids = graph.splits[split]
+        if ids.size:
+            labels = graph.labels[ids]
+            counts, _ = np.histogram(c[ids], bins=HIST_BINS, range=(0.0, 1.0))
+            out[split] = {
+                "expected": float((pred_expected[ids] == labels).mean()),
+                "stochastic": float((pred_stochastic[ids] == labels).mean()),
+                "histogram": counts.tolist(),
+            }
+    return out
+
+
 def evaluate(weak: ExpertModel, strong: ExpertModel, spec: ConfidenceSpec,
              graph: Graph, split: str, gate_seed: int) -> dict:
     """Accuracy per inference mode plus the confidence histogram.
@@ -309,21 +318,9 @@ def evaluate(weak: ExpertModel, strong: ExpertModel, spec: ConfidenceSpec,
     Stochastic gating draws one variate per node in node-id order from
     gate_seed, independently of any training seed.
     """
-    ids = graph.splits[split]
-    if ids.size == 0:
+    if graph.splits[split].size == 0:
         raise ConfigError(f"split {split!r} is empty")
-    pw = forward(weak, graph).values
-    ps = forward(strong, graph, coefficients=conv_coefficients(graph)).values
-    c = confidence_batch(pw, spec)
-    labels = graph.labels
-    _, pred_expected = infer_expected(pw, ps, c)
-    pred_stochastic, _ = infer_stochastic(pw, ps, c, gate_seed)
-    counts, _ = np.histogram(c[ids], bins=HIST_BINS, range=(0.0, 1.0))
-    return {
-        "expected": float((pred_expected[ids] == labels[ids]).mean()),
-        "stochastic": float((pred_stochastic[ids] == labels[ids]).mean()),
-        "histogram": counts.tolist(),
-    }
+    return _scores(predict(weak, strong, spec, graph), graph, gate_seed)[split]
 
 
 def single_expert_baseline(arch: ExpertArch, graph: Graph, seed: int,
@@ -335,16 +332,13 @@ def single_expert_baseline(arch: ExpertArch, graph: Graph, seed: int,
     stopping rule as a turn, but plain cross-entropy all the way.
     """
     model = init_expert(arch, graph.num_features, graph.num_classes, seed)
-    train_ids = graph.splits["train"]
-    val_ids = graph.splits["val"] if graph.splits["val"].size else train_ids
     coeff = conv_coefficients(graph) if model.kind != "weak" else None
-    y_train, y_val = graph.labels[train_ids], graph.labels[val_ids]
+    rows, train_pos = _loss_rows(graph)
+    y_rows = graph.labels[rows]
 
     def losses():
-        probs = forward(model, graph, coefficients=coeff)
-        loss = T.mean_all(_ce_rows_tensor(T.take_rows(probs, train_ids), y_train))
-        val = float(_np_ce_rows(probs.values[val_ids], y_val).mean())
-        return loss, val
+        probs = T.take_rows(forward(model, graph, coefficients=coeff), rows)
+        return _split_means(cross_entropy_rows(probs, y_rows), train_pos)
 
     phase = _Phase(list(model.parameters()), lr, max_epochs, patience)
     phase.run(losses, lambda e, t, v: None)

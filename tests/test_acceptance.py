@@ -16,10 +16,9 @@ from confmix.graphs import (build_blindspot_graph, build_graph, cost_estimate,
 from confmix.mixture import (blend_loss, cross_entropy_rows, infer_stochastic,
                              mixture_loss)
 from confmix.tensor import check_gradient
-from confmix.theory import (SimplexGrid, alpha_loss_grid, delta,
-                            run_theorem_suite, sample_tightness_problems,
-                            verify_binary_corollary, verify_blindspot,
-                            verify_step_tightness, verify_tightness)
+from confmix.theory import (SimplexGrid, alpha_loss_grid, binary_suite,
+                            delta, run_theorem_suite, tightness_suite,
+                            verify_blindspot)
 from confmix.training import TrainConfig, evaluate, single_expert_baseline, train
 
 
@@ -53,47 +52,34 @@ def test_minimizer_theorem_suite():
     report("minimizer-theorem-suite", ok, detail)
 
 
-def test_tightness_constructions(grid2):
+def passed_by_label(suite, prefix: str) -> list:
+    """Per problem label starting with prefix: whether all its clauses passed."""
+    ok = {}
+    for row in suite.rows:
+        if row[4].startswith(prefix):
+            ok[row[4]] = ok.get(row[4], True) and bool(row[-1])
+    return list(ok.values())
+
+
+def test_tightness_constructions():
     """Step gate pins the minimizer on alpha (50 problems); two-level gate
     with beta inside its bound pins the loss into [mu-eta, mu) (20
     problems, eta=0.05, resolution 5000)."""
-    rng = np.random.default_rng(1)
-    step_ok = []
-    for i in range(50):
-        a1 = float(rng.uniform(0.55, 0.95))
-        alpha = np.array([a1, 1.0 - a1])
-        mu = delta(alpha) + float(rng.uniform(0.08, 1.0))
-        clause = verify_step_tightness(alpha, mu, grid2,
-                                       ("variance", "neg_entropy")[i % 2])
-        step_ok.append(clause.passed)
-    grid5 = SimplexGrid.build(2, 5000)
-    window_ok = []
-    eta = 0.05
-    for alpha, mu, kind in sample_tightness_problems(20, seed=2, m=5000,
-                                                     eta=eta):
-        beta = 0.5 * eta / (mu - delta(alpha))
-        rep = verify_tightness(alpha, mu, eta, beta, grid5, kind)
-        window_ok.append(rep.beta_inside_bound and rep.in_window)
-    ok = all(step_ok) and all(window_ok)
+    suite = tightness_suite(seed=1)
+    step_ok = passed_by_label(suite, "step_tightness")
+    window_ok = passed_by_label(suite, "window_tightness")
+    ok = all(step_ok) and all(window_ok) and len(step_ok) == 50 \
+        and len(window_ok) == 20
     report("tightness-constructions", ok,
            f"step {sum(step_ok)}/50, window {sum(window_ok)}/20")
 
 
-def test_binary_corollary(grid2):
+def test_binary_corollary():
     """50 random (alpha1, mu > delta): grid minimizer's first coordinate in
     [alpha1, branch-inverse + spacing], bisection residual < 1e-9."""
-    rng = np.random.default_rng(2)
-    results = []
-    for i in range(50):
-        k = int(round(rng.uniform(0.55, 0.95) * grid2.m))
-        a1 = k / grid2.m
-        mu = delta(np.array([a1, 1.0 - a1])) + float(rng.uniform(0.08, 1.0))
-        kind = ("variance", "neg_entropy")[i % 2]
-        spec = ConfidenceSpec(kind, CappedLinearGate(1.5 if kind == "variance"
-                                                     else 1.0))
-        clauses = verify_binary_corollary(a1, mu, grid2, spec)
-        results.append(all(c.passed for c in clauses))
-    report("binary-corollary", all(results), f"{sum(results)}/50 problems")
+    results = passed_by_label(binary_suite(seed=2), "binary_corollary")
+    ok = all(results) and len(results) == 50
+    report("binary-corollary", ok, f"{sum(results)}/50 problems")
 
 
 def test_quasiconvexity():

@@ -1,5 +1,6 @@
 """Command-line behavior: routing, determinism, exit codes, file formats."""
 
+import argparse
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from confmix import cli
 from confmix.errors import TrainingDivergedError
 from confmix.graphs import load_graph
+from confmix.theory import SUITES, SuiteReport
 
 
 def run_cli(argv):
@@ -126,6 +128,39 @@ def test_verify_planted_fault_exits_1(tmp_path):
     assert code == 1
     report = (tmp_path / "theorem_report.csv").read_text().splitlines()
     assert any(line.endswith(",0") for line in report[1:])
+
+
+def test_suite_choices_follow_registry():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert set(suite.choices) == set(SUITES) | {"all"}
+
+
+def test_verify_all_runs_every_suite_but_planted_fault(tmp_path, monkeypatch):
+    ran = []
+
+    def fake(name):
+        def build(seed):
+            ran.append(name)
+            return SuiteReport()
+        return build
+
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, fake(name))
+    monkeypatch.setattr(cli, "run_theorem_suite",
+                        lambda binary, ternary, seed: fake("theorem")(seed))
+    assert run_cli(["verify", "--suite", "all", "--seed", "0",
+                    "--out", str(tmp_path)]) == 0
+    assert sorted(ran) == sorted(set(SUITES) - {"planted_fault"})
+
+
+@pytest.mark.parametrize("seed", [13, 15])
+def test_verify_binary_seeds_near_unit_branch_inverse(tmp_path, seed):
+    # these seeds draw level sets with p within 1e-8 of 1
+    assert run_cli(["verify", "--suite", "binary", "--seed", str(seed),
+                    "--out", str(tmp_path)]) == 0
 
 
 def test_verify_blindspot_routing(tmp_path):

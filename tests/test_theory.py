@@ -10,7 +10,7 @@ from confmix.confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
 from confmix.errors import ConfigError, DomainError, GraphValidationError
 from confmix.graphs import build_blindspot_graph
 from confmix.theory import (BinaryBounds, GroupProblem, SimplexGrid, alpha_loss,
-                            binary_bounds, binary_loss_increasing, delta,
+                            binary_bounds, delta,
                             group_min, resolvable_mu_cap,
                             sample_binary_problems, sample_ternary_problems,
                             verify_binary_corollary, verify_blindspot,
@@ -169,6 +169,14 @@ def test_binary_bounds_frozen_value():
     assert abs(bounds.residual) < 1e-9
     assert np.isclose(bounds.upper, 0.9974639474888796, atol=1e-9)
     assert bounds.lower == 0.9
+
+
+def test_binary_bounds_branch_inverse_near_one():
+    # p = 0.99999999881: bisecting on p itself left a 4e-9 residual
+    alpha1, mu = 0.948, 1.0686320414702255
+    bounds = binary_bounds(alpha1, mu)
+    assert abs(bounds.residual) <= 4.5e-16
+    assert 1.0 - 1.2e-9 < bounds.upper < 1.0 - 1.1e-9
 
 
 def test_binary_bounds_window_collapses():

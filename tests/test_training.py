@@ -8,8 +8,8 @@ from confmix.confidence import ConfidenceSpec, StepGate, confidence_batch
 from confmix.errors import ConfigError, DomainError, TrainingDivergedError
 from confmix.experts import ExpertArch, forward, init_expert
 from confmix.graphs import build_graph, generate_specialization_graph
-from confmix.training import (TrainConfig, _Phase, _np_ce_rows, _sgd_step,
-                              evaluate, pretrain_expert, train)
+from confmix.training import (TrainConfig, _Phase, _sgd_step, evaluate,
+                              pretrain_expert, train)
 
 
 @pytest.fixture(scope="module")
@@ -60,13 +60,17 @@ def test_collapse_to_weak_ce_with_uniform_strong(graph):
     weak = init_expert(config.weak_arch, graph.num_features,
                        graph.num_classes, config.seed)
     tr, va = graph.splits["train"], graph.splits["val"]
+
+    def plain_ce(probs, ids):
+        picked = probs[ids, graph.labels[ids]]
+        return float(-np.log(np.clip(picked, T.LOG_FLOOR, 1.0)).mean())
+
     plain_track = []
     best, wait = np.inf, 0
     for _ in range(config.max_epochs):
         probs = forward(weak, graph)
-        plain_track.append(float(_np_ce_rows(probs.values[tr],
-                                             graph.labels[tr]).mean()))
-        val = float(_np_ce_rows(probs.values[va], graph.labels[va]).mean())
+        plain_track.append(plain_ce(probs.values, tr))
+        val = plain_ce(probs.values, va)
         if val < best - 1e-12:
             best, wait = val, 0
         else:
@@ -114,6 +118,19 @@ def test_metrics_rows_cover_splits_and_modes(graph):
     assert ("test", "expected") in seen and ("train", "stochastic") in seen
     for _, _, acc in result.report.metric_rows:
         assert 0.0 <= acc <= 1.0
+
+
+@pytest.mark.parametrize("mode", ["in_turn", "blend"])
+def test_metric_rows_equal_evaluate(graph, mode):
+    config = small_config(mode=mode)
+    result = train(config, graph)
+    expected = []
+    for split in ("train", "val", "test"):
+        scores = evaluate(result.weak, result.strong, result.spec, graph,
+                          split, config.gate_seed)
+        expected += [(split, "expected", scores["expected"]),
+                     (split, "stochastic", scores["stochastic"])]
+    assert result.report.metric_rows == expected
 
 
 def test_report_csvs_written(tmp_path, graph):
