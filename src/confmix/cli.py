@@ -12,31 +12,35 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .confidence import default_spec, spec_from_document, spec_to_document
 from .errors import (ConfigError, DomainError, GraphFormatError,
-                     GraphValidationError, ShapeError, TrainingDivergedError)
-from .experts import ExpertArch, load_expert, save_expert
+                     GraphValidationError, ShapeError, TrainingDivergedError,
+                     as_type)
+from .experts import ExpertArch, check_role, load_expert, save_expert
 from .graphs import (ARCHITECTURES, BlindspotInstance, build_blindspot_graph,
                      cost_estimate, generate_specialization_graph,
                      graph_from_document, graph_to_document, khop_sizes,
                      load_graph, save_graph, validate_blindspot)
 from .mixture import infer_expected, infer_stochastic, write_predictions_csv
 from .theory import SUITES, SuiteReport, run_theorem_suite
-from .training import TrainConfig, predict, train
+from .training import MODES, PRETRAIN_CHOICES, TrainConfig, predict, train
 
 SUITE_CHOICES = ("all",) + tuple(SUITES)
 
 
-def _merge(args: argparse.Namespace, config: dict, key: str, default=None):
+def _merge(args: argparse.Namespace, config: dict, key: str, default=None,
+           cast=None):
+    """The flag, else the config value, else `default`, cast by `cast`."""
     value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
+    if value is None:
+        value = config.get(key, default)
+    if value is None or cast is None:
         return value
-    if key in config:
-        return config[key]
-    return default
+    return as_type(value, cast, key)
 
 
 def _load_config(path):
@@ -50,10 +54,10 @@ def _load_config(path):
 
 
 def _require_seed(parser, args, config) -> int:
-    seed = _merge(args, config, "seed")
+    seed = _merge(args, config, "seed", cast=int)
     if seed is None:
         parser.error("--seed is required (flag or config)")
-    return int(seed)
+    return seed
 
 
 def _outdir(args, config) -> str:
@@ -70,15 +74,15 @@ def cmd_gen(parser, args):
     path = os.path.join(out, _merge(args, config, "name", f"{kind}.json"))
     if kind == "specialization":
         graph = generate_specialization_graph(
-            int(_merge(args, config, "n-per-group", 100)),
-            int(_merge(args, config, "features", 8)),
-            float(_merge(args, config, "noise", 0.1)),
+            _merge(args, config, "n-per-group", 100, int),
+            _merge(args, config, "features", 8, int),
+            _merge(args, config, "noise", 0.1, float),
             seed)
         save_graph(graph, path)
     elif kind == "blindspot":
         instance = build_blindspot_graph(
-            int(_merge(args, config, "k", 1)),
-            int(_merge(args, config, "features", 6)),
+            _merge(args, config, "k", 1, int),
+            _merge(args, config, "features", 6, int),
             seed)
         doc = {"u": instance.u, "v": instance.v, "k": instance.k,
                "node_map": {str(a): b for a, b in instance.node_map.items()},
@@ -102,39 +106,38 @@ def load_blindspot(path) -> BlindspotInstance:
     return instance
 
 
-def _train_config_from(args, config, seed) -> TrainConfig:
+def _train_config_from(args, config) -> TrainConfig:
+    """TrainConfig from flags and config keys (`max-epochs` for
+    max_epochs); unset values keep TrainConfig's defaults."""
+    defaults, values = TrainConfig(), {}
+    for f in fields(TrainConfig):
+        default = getattr(defaults, f.name)
+        if isinstance(default, ExpertArch):
+            doc = config.get(f.name, {})
+            if not isinstance(doc, dict):
+                raise ConfigError(f"{f.name} must be a JSON object")
+            values[f.name] = replace(default, **{
+                a.name: as_type(doc[a.name], type(getattr(default, a.name)),
+                                f"{f.name}.{a.name}")
+                for a in fields(ExpertArch) if a.name in doc})
+        elif isinstance(default, (int, float, str)):
+            values[f.name] = _merge(args, config, f.name.replace("_", "-"),
+                                    default, type(default))
     spec_doc = _merge(args, config, "confidence")
-    spec = spec_from_document(spec_doc) if spec_doc else default_spec()
-    weak_doc = config.get("weak_arch", {})
-    strong_doc = config.get("strong_arch", {})
-    return TrainConfig(
-        mode=_merge(args, config, "mode", "in_turn"),
-        rounds=int(_merge(args, config, "rounds", 5)),
-        max_epochs=int(_merge(args, config, "max-epochs", 500)),
-        lr=float(_merge(args, config, "lr", 0.5)),
-        patience=int(_merge(args, config, "patience", 20)),
-        seed=seed,
-        pretrain=_merge(args, config, "pretrain", "weak"),
-        pretrain_epochs=int(_merge(args, config, "pretrain-epochs", 100)),
-        weak_arch=ExpertArch("weak", int(weak_doc.get("layers", 1)),
-                             int(weak_doc.get("hidden", 32))),
-        strong_arch=ExpertArch(strong_doc.get("kind", "gcn"),
-                               int(strong_doc.get("layers", 2)),
-                               int(strong_doc.get("hidden", 32))),
-        spec=spec,
-        gate_seed=int(_merge(args, config, "gate-seed", 1)),
-    )
+    if spec_doc:
+        values["spec"] = spec_from_document(spec_doc)
+    return TrainConfig(**values)
 
 
 def cmd_train(parser, args):
     config = _load_config(args.config)
-    seed = _require_seed(parser, args, config)
+    _require_seed(parser, args, config)
     out = _outdir(args, config)
     data = _merge(args, config, "data")
     if data is None:
         parser.error("--data is required (flag or config)")
     graph = load_graph(data)
-    train_config = _train_config_from(args, config, seed)
+    train_config = _train_config_from(args, config)
     result = train(train_config, graph)
     save_expert(result.weak, os.path.join(out, "weak.json"))
     save_expert(result.strong, os.path.join(out, "strong.json"))
@@ -157,6 +160,8 @@ def cmd_infer(parser, args):
     graph = load_graph(data)
     weak = load_expert(weak_path)
     strong = load_expert(strong_path)
+    check_role(weak.kind, "weak")
+    check_role(strong.kind, "strong")
     spec_path = _merge(args, config, "spec")
     if spec_path:
         with open(spec_path, encoding="utf-8") as fh:
@@ -189,8 +194,8 @@ def cmd_verify(parser, args):
     if suite_name not in SUITE_CHOICES:
         parser.error(f"--suite must be one of {SUITE_CHOICES}")
     builders = dict(SUITES, theorem=lambda suite_seed: run_theorem_suite(
-        int(_merge(args, config, "binary-count", 200)),
-        int(_merge(args, config, "ternary-count", 20)),
+        _merge(args, config, "binary-count", 200, int),
+        _merge(args, config, "ternary-count", 20, int),
         suite_seed))
     suite = SuiteReport()
     for name, build in builders.items():
@@ -209,8 +214,8 @@ def cmd_cost(parser, args):
     if data is None:
         parser.error("--data is required (flag or config)")
     graph = load_graph(data)
-    f = int(_merge(args, config, "features", graph.num_features))
-    layers = int(_merge(args, config, "layers", 2))
+    f = _merge(args, config, "features", graph.num_features, int)
+    layers = _merge(args, config, "layers", 2, int)
     sizes = khop_sizes(graph, layers)
     header = ["architecture", "macs"] + [f"b_{i}" for i in range(layers)]
     print(",".join(header))
@@ -244,12 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a mixture on a graph document")
     common(p)
     p.add_argument("--data", help="graph document path")
-    p.add_argument("--mode", choices=("in_turn", "joint", "blend"))
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--rounds", type=int)
     p.add_argument("--max-epochs", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--patience", type=int)
-    p.add_argument("--pretrain", choices=("none", "weak", "strong", "both"))
+    p.add_argument("--pretrain", choices=PRETRAIN_CHOICES)
     p.add_argument("--pretrain-epochs", type=int)
     p.add_argument("--gate-seed", type=int)
 

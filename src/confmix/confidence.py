@@ -13,12 +13,13 @@ fixed shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, as_type
+from .experts import ExpertArch, ExpertModel, Layer, init_expert, weak_forward
 
 DISPERSION_KINDS = ("variance", "neg_entropy")
 SIMPLEX_TOL = 1e-9
@@ -121,36 +122,31 @@ class LearnableGate:
 
     @classmethod
     def create(cls, seed: int, hidden: int = 8, hidden_layers: int = 1):
-        rng = np.random.default_rng(seed)
-        dims = [2] + [hidden] * hidden_layers + [2]
-        weights = []
-        for f_in, f_out in zip(dims[:-1], dims[1:]):
-            bound = 1.0 / np.sqrt(f_in)
-            weights.append((
-                T.Tensor(rng.uniform(-bound, bound, (f_in, f_out)), requires_grad=True),
-                T.Tensor(np.zeros(f_out), requires_grad=True),
-            ))
-        return cls(weights)
+        """Seeded as a weak expert from the 2 dispersions to the 2-unit head."""
+        model = init_expert(ExpertArch("weak", hidden_layers + 1, hidden), 2, 2, seed)
+        return cls([(layer.weight, layer.bias) for layer in model.layers])
 
     def parameters(self):
         for w, b in self.weights:
             yield w
             yield b
 
+    def forward(self, pair: T.Tensor) -> T.Tensor:
+        """Confidence rows from an (n, 2) tensor of dispersion pairs."""
+        model = ExpertModel("weak", [Layer(w, b) for w, b in self.weights])
+        return T.sum_rows(T.matmul(weak_forward(model, pair), np.array([[1.0], [0.0]])))
+
     def __call__(self, x):
-        """Numpy forward on dispersion pairs of shape (..., 2)."""
-        h = np.asarray(x, dtype=np.float64)
-        for i, (w, b) in enumerate(self.weights):
-            h = h @ w.values + b.values
-            if i < len(self.weights) - 1:
-                h = np.maximum(h, 0.0)
-        z = h - h.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        return (e / e.sum(axis=-1, keepdims=True))[..., 0]
+        """`forward` on a constant (n, 2) array of dispersion pairs."""
+        return self.forward(T.Tensor(x)).values
 
 
 GATE_NAMES = {"step": StepGate, "two_level": TwoLevelGate,
               "capped_linear": CappedLinearGate, "learnable": LearnableGate}
+
+
+def _gate_kind(gate) -> str:
+    return next(name for name, cls in GATE_NAMES.items() if type(gate) is cls)
 
 
 @dataclass
@@ -199,26 +195,20 @@ def confidence_batch(rows: np.ndarray, spec: ConfidenceSpec) -> np.ndarray:
 def confidence_rows(rows: T.Tensor, spec: ConfidenceSpec) -> T.Tensor:
     """Differentiable per-row confidence of a probability matrix.
 
-    Step and two-level gates contribute zero gradient (piecewise
-    constant); capped_linear and the learnable gate are differentiable
-    almost everywhere.
+    Step and two-level gates are locally constant, so their confidence
+    is a constant tensor (zero gradient almost everywhere);
+    capped_linear and the learnable gate are differentiable almost
+    everywhere.
     """
     gate = spec.gate
     if isinstance(gate, LearnableGate):
-        pair = T.stack_columns([dispersion_rows(rows, "variance"),
-                                dispersion_rows(rows, "neg_entropy")])
-        h = pair
-        for i, (w, b) in enumerate(gate.weights):
-            h = T.matmul(h, w) + b
-            if i < len(gate.weights) - 1:
-                h = T.relu(h)
-        probs = T.softmax_rows(h)
-        return T.sum_rows(T.matmul(probs, np.array([[1.0], [0.0]])))
+        return gate.forward(T.stack_columns([dispersion_rows(rows, "variance"),
+                                             dispersion_rows(rows, "neg_entropy")]))
     d = dispersion_rows(rows, spec.dispersion)
     if isinstance(gate, CappedLinearGate):
         scaled = d * gate.slope
         return scaled - T.relu(scaled + (-1.0))
-    return T.piecewise_constant(d, gate)
+    return T.Tensor(gate(d.values))
 
 
 def quasiconvexity_witness_search(spec: ConfidenceSpec, trials: int, seed: int,
@@ -244,32 +234,35 @@ def quasiconvexity_witness_search(spec: ConfidenceSpec, trials: int, seed: int,
 
 def spec_to_document(spec: ConfidenceSpec) -> dict:
     gate = spec.gate
-    if isinstance(gate, StepGate):
-        g = {"kind": "step", "tau": gate.tau}
-    elif isinstance(gate, TwoLevelGate):
-        g = {"kind": "two_level", "d_max": gate.d_max, "beta": gate.beta}
-    elif isinstance(gate, CappedLinearGate):
-        g = {"kind": "capped_linear", "slope": gate.slope}
+    if isinstance(gate, LearnableGate):
+        g = {"weights": [[w.values.tolist(), b.values.tolist()] for w, b in gate.weights]}
     else:
-        g = {"kind": "learnable",
-             "weights": [[w.values.tolist(), b.values.tolist()]
-                         for w, b in gate.weights]}
-    return {"dispersion": spec.dispersion, "gate": g}
+        g = asdict(gate)
+    return {"dispersion": spec.dispersion, "gate": {"kind": _gate_kind(gate), **g}}
 
 
-def spec_from_document(doc: dict) -> ConfidenceSpec:
-    g = doc["gate"]
-    kind = g.get("kind")
-    if kind == "step":
-        gate = StepGate(float(g.get("tau", 0.0)))
-    elif kind == "two_level":
-        gate = TwoLevelGate(float(g["d_max"]), float(g["beta"]))
-    elif kind == "capped_linear":
-        gate = CappedLinearGate(float(g["slope"]))
-    elif kind == "learnable":
+def spec_from_document(doc) -> ConfidenceSpec:
+    """Inverse of spec_to_document; a malformed document is a ConfigError."""
+    g = doc.get("gate") if isinstance(doc, dict) else None
+    if not isinstance(g, dict) or "dispersion" not in doc:
+        raise ConfigError("confidence spec needs a 'dispersion' and a 'gate' object")
+    values = dict(g)
+    kind = values.pop("kind", None)
+    cls = GATE_NAMES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"gate kind must be one of {sorted(GATE_NAMES)}, got {kind!r}")
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    if not required <= set(values) <= {f.name for f in fields(cls)}:
+        raise ConfigError(f"{kind} gate takes fields {[f.name for f in fields(cls)]}, "
+                          f"{sorted(required)} required; got {sorted(values)}")
+    if cls is not LearnableGate:
+        return ConfidenceSpec(doc["dispersion"], cls(**{
+            name: as_type(value, float, f"gate {name}") for name, value in values.items()}))
+    try:
         gate = LearnableGate([(T.Tensor(w, requires_grad=True),
                                T.Tensor(b, requires_grad=True))
-                              for w, b in g["weights"]])
-    else:
-        raise ConfigError(f"gate kind must be one of {sorted(GATE_NAMES)}, got {kind!r}")
+                              for w, b in values["weights"]])
+        gate(np.zeros((1, 2)))   # a probe row checks the layer shapes
+    except (TypeError, ValueError, IndexError) as e:
+        raise ConfigError(f"learnable gate weights are malformed: {e}") from None
     return ConfidenceSpec(doc["dispersion"], gate)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `as_type`, which casts
+a value from outside the program or raises a ConfigError."""
+
+import math
 
 
 class ShapeError(ValueError):
@@ -31,3 +34,15 @@ class ConfigError(ValueError):
 
 class TrainingDivergedError(RuntimeError):
     """Training loss became non-finite; message names the epoch."""
+
+
+def as_type(value, cast, key: str):
+    """`cast(value)`, or a ConfigError naming `key` when that fails or
+    gives a non-finite float."""
+    try:
+        out = cast(value)
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan
+    if isinstance(out, float) and not math.isfinite(out):
+        raise ConfigError(f"{key} must be a finite {cast.__name__}, got {value!r}")
+    return out

@@ -17,6 +17,8 @@ from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .graphs import ARCHITECTURES, Graph, conv_coefficients
 
+ROLES = {"weak": ("weak",), "strong": ("gcn", "gcn_skip")}
+
 
 @dataclass
 class Layer:
@@ -76,23 +78,29 @@ def init_expert(arch: ExpertArch, num_features: int, num_classes: int,
     return ExpertModel(arch.kind, layers)
 
 
-def _check_width(model: ExpertModel, features):
-    width = features.shape[1]
-    expected = model.layers[0].weight.shape[0]
+def _input(model: ExpertModel, features) -> T.Tensor:
+    x = features if isinstance(features, T.Tensor) else T.Tensor(features)
+    width, expected = x.shape[1], model.layers[0].weight.shape[0]
     if width != expected:
         raise ShapeError(f"feature width {width} does not match first layer {expected}")
+    return x
+
+
+def _layers(model: ExpertModel, h: T.Tensor, coeff: T.Tensor | None = None) -> T.Tensor:
+    """relu(agg(h) @ W + b [+ h @ W_skip]) per layer, softmax after the
+    last; agg(h) is coeff @ h, or h itself without coefficients."""
+    last = len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
+        z = T.matmul(h if coeff is None else T.matmul(coeff, h), layer.weight) + layer.bias
+        if layer.skip_weight is not None:
+            z = z + T.matmul(h, layer.skip_weight)
+        h = T.softmax_rows(z) if i == last else T.relu(z)
+    return h
 
 
 def weak_forward(model: ExpertModel, features) -> T.Tensor:
     """Probability rows from self-features only; row v sees only x_v."""
-    x = features if isinstance(features, T.Tensor) else T.Tensor(features)
-    _check_width(model, x)
-    h = x
-    last = len(model.layers) - 1
-    for i, layer in enumerate(model.layers):
-        z = T.matmul(h, layer.weight) + layer.bias
-        h = T.softmax_rows(z) if i == last else T.relu(z)
-    return h
+    return _layers(model, _input(model, features))
 
 
 def gcn_forward(model: ExpertModel, graph: Graph, features,
@@ -104,19 +112,11 @@ def gcn_forward(model: ExpertModel, graph: Graph, features,
     graph coeff is the identity and this equals weak_forward.
     gcn_skip adds h @ W_skip on the pre-aggregation activations.
     """
-    x = features if isinstance(features, T.Tensor) else T.Tensor(features)
-    _check_width(model, x)
+    x = _input(model, features)
     if x.shape[0] != graph.num_nodes:
         raise ShapeError(f"features have {x.shape[0]} rows for {graph.num_nodes} nodes")
     coeff = T.Tensor(conv_coefficients(graph) if coefficients is None else coefficients)
-    h = x
-    last = len(model.layers) - 1
-    for i, layer in enumerate(model.layers):
-        z = T.matmul(T.matmul(coeff, h), layer.weight) + layer.bias
-        if layer.skip_weight is not None:
-            z = z + T.matmul(h, layer.skip_weight)
-        h = T.softmax_rows(z) if i == last else T.relu(z)
-    return h
+    return _layers(model, x, coeff)
 
 
 def forward(model: ExpertModel, graph: Graph, features=None,
@@ -144,14 +144,23 @@ def expert_to_document(model: ExpertModel) -> dict:
     return doc
 
 
+def check_role(kind: str, role: str):
+    """ConfigError unless a `kind` expert may serve in `role` ('weak' or 'strong')."""
+    if kind not in ROLES[role]:
+        raise ConfigError(f"the {role} expert must have kind in {ROLES[role]}, got {kind!r}")
+
+
 def expert_from_document(doc: dict) -> ExpertModel:
     kind = doc.get("kind")
     if kind not in ARCHITECTURES:
         raise ConfigError(
             f"checkpoint kind must be one of {ARCHITECTURES}, got {kind!r}")
     layers = []
-    for entry in doc["layers"]:
+    for i, entry in enumerate(doc["layers"]):
         skip = entry.get("skip_weight")
+        if (skip is None) == (kind == "gcn_skip"):
+            raise ConfigError(f"{kind} checkpoint layer {i} "
+                              f"{'lacks' if skip is None else 'has'} a skip_weight")
         layers.append(Layer(
             T.Tensor(entry["weight"], requires_grad=True),
             T.Tensor(entry["bias"], requires_grad=True),

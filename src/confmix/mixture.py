@@ -54,13 +54,21 @@ def _check_inputs(p_weak, p_strong, conf):
     _check_conf(_values(conf))
 
 
+def _chain_rows(prob_list, confidences, labels) -> T.Tensor:
+    """Per-node chained-gate loss, folded from the strongest expert back:
+    tail = c_m * CE_m + (1 - c_m) * tail."""
+    losses = [cross_entropy_rows(p, labels) for p in prob_list]
+    tail = losses[-1]
+    for c, loss in zip(reversed(confidences), reversed(losses[:-1])):
+        c = c if isinstance(c, T.Tensor) else T.Tensor(c)
+        tail = c * loss + (c * (-1.0) + 1.0) * tail
+    return tail
+
+
 def mixture_loss_rows(p_weak, p_strong, conf, labels) -> T.Tensor:
     """Per-node c_v * CE(weak_v) + (1 - c_v) * CE(strong_v)."""
     _check_inputs(p_weak, p_strong, conf)
-    c = conf if isinstance(conf, T.Tensor) else T.Tensor(conf)
-    ce_weak = cross_entropy_rows(p_weak, labels)
-    ce_strong = cross_entropy_rows(p_strong, labels)
-    return c * ce_weak + (c * (-1.0) + 1.0) * ce_strong
+    return _chain_rows([p_weak, p_strong], [conf], labels)
 
 
 def mixture_loss(p_weak, p_strong, conf, labels) -> T.Tensor:
@@ -124,15 +132,9 @@ def multi_expert_loss(prob_list, confidences, labels) -> T.Tensor:
             f"got {len(confidences)}")
     for m, p in enumerate(prob_list):
         _check_prob_rows(_values(p), f"expert {m}")
-    losses = [cross_entropy_rows(p, labels) for p in prob_list]
-    cs = [c if isinstance(c, T.Tensor) else T.Tensor(c) for c in confidences]
-    for c in cs:
-        _check_conf(c.values)
-    # fold the recursion from the strongest expert backwards
-    tail = losses[-1]
-    for c, loss in zip(reversed(cs), reversed(losses[:-1])):
-        tail = c * loss + (c * (-1.0) + 1.0) * tail
-    return T.mean_all(tail)
+    for c in confidences:
+        _check_conf(_values(c))
+    return T.mean_all(_chain_rows(prob_list, confidences, labels))
 
 
 def infer_stochastic(p_weak, p_strong, conf, seed: int):

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with a replayable reverse-mode tape.
+"""Dense float64 tensors with a reverse-mode tape.
 
 Sized for small perceptron stacks and graph convolutions: eager forward
 evaluation, per-primitive backward closures, and a central-difference
@@ -10,8 +10,6 @@ every loss in the package so oracle comparisons see identical values.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,13 +30,12 @@ class Tensor:
     """A dense float64 array plus an optional gradient slot.
 
     Non-leaf tensors remember the primitive that produced them (name,
-    parents, forward/backward closures); that record is what `Tape`
-    walks. Tensors are confined to one logical thread for the duration
-    of a forward/backward pass.
+    parents, backward closure); that record is what `Tape` walks.
+    Tensors are confined to one logical thread for the duration of a
+    forward/backward pass.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "_op", "_parents",
-                 "_backward", "_forward")
+    __slots__ = ("values", "requires_grad", "grad", "_op", "_parents", "_backward")
 
     # keep numpy from absorbing `ndarray <op> Tensor`; the reflected
     # operator then routes through our primitives
@@ -51,7 +48,6 @@ class Tensor:
         self._op = None
         self._parents = ()
         self._backward = None
-        self._forward = None
 
     @property
     def shape(self):
@@ -99,14 +95,13 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(values, op, parents, backward, forward) -> Tensor:
+def _make(values, op, parents, backward) -> Tensor:
     out = Tensor(values)
     if any(p.requires_grad or p._op is not None for p in parents):
         out.requires_grad = True
         out._op = op
         out._parents = tuple(parents)
         out._backward = backward
-        out._forward = forward
     return out
 
 
@@ -137,7 +132,7 @@ def add(a, b) -> Tensor:
         _accum(a, _unbroadcast(out.grad, a.shape))
         _accum(b, _unbroadcast(out.grad, b.shape))
 
-    return _make(values, "add", (a, b), backward, lambda: a.values + b.values)
+    return _make(values, "add", (a, b), backward)
 
 
 def _add_compatible(sa, sb) -> bool:
@@ -161,7 +156,7 @@ def mul(a, b) -> Tensor:
         _accum(a, _unbroadcast(out.grad * b.values, a.shape))
         _accum(b, _unbroadcast(out.grad * a.values, b.shape))
 
-    return _make(values, "mul", (a, b), backward, lambda: a.values * b.values)
+    return _make(values, "mul", (a, b), backward)
 
 
 def _mul_compatible(sa, sb) -> bool:
@@ -187,7 +182,7 @@ def matmul(a, b) -> Tensor:
         _accum(a, out.grad @ b.values.T)
         _accum(b, a.values.T @ out.grad)
 
-    return _make(values, "matmul", (a, b), backward, lambda: a.values @ b.values)
+    return _make(values, "matmul", (a, b), backward)
 
 
 def relu(a) -> Tensor:
@@ -197,7 +192,7 @@ def relu(a) -> Tensor:
     def backward(out):
         _accum(a, out.grad * (a.values > 0.0))
 
-    return _make(values, "relu", (a,), backward, lambda: np.maximum(a.values, 0.0))
+    return _make(values, "relu", (a,), backward)
 
 
 def log(a) -> Tensor:
@@ -207,37 +202,29 @@ def log(a) -> Tensor:
     simplex boundary. Gradient is zero wherever the clamp is active.
     """
     a = _coerce(a)
-
-    def fwd():
-        return np.log(np.clip(a.values, LOG_FLOOR, LOG_CEIL))
-
-    values = fwd()
+    values = np.log(np.clip(a.values, LOG_FLOOR, LOG_CEIL))
 
     def backward(out):
         inside = (a.values > LOG_FLOOR) & (a.values < LOG_CEIL)
         _accum(a, out.grad * inside / np.clip(a.values, LOG_FLOOR, LOG_CEIL))
 
-    return _make(values, "log", (a,), backward, fwd)
+    return _make(values, "log", (a,), backward)
 
 
 def softmax_rows(a) -> Tensor:
     a = _coerce(a)
     if a.values.ndim != 2:
         raise ShapeError(f"softmax_rows needs a matrix, got shape {a.shape}")
-
-    def fwd():
-        z = a.values - a.values.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-
-    values = fwd()
+    z = a.values - a.values.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    values = e / e.sum(axis=1, keepdims=True)
 
     def backward(out):
         s = out.values
         g = out.grad
         _accum(a, s * (g - (g * s).sum(axis=1, keepdims=True)))
 
-    return _make(values, "softmax_rows", (a,), backward, fwd)
+    return _make(values, "softmax_rows", (a,), backward)
 
 
 def sum_all(a) -> Tensor:
@@ -246,7 +233,7 @@ def sum_all(a) -> Tensor:
     def backward(out):
         _accum(a, np.broadcast_to(out.grad, a.shape).copy())
 
-    return _make(a.values.sum(), "sum", (a,), backward, lambda: a.values.sum())
+    return _make(a.values.sum(), "sum", (a,), backward)
 
 
 def sum_rows(a) -> Tensor:
@@ -257,8 +244,7 @@ def sum_rows(a) -> Tensor:
     def backward(out):
         _accum(a, np.broadcast_to(out.grad[:, None], a.shape).copy())
 
-    return _make(a.values.sum(axis=1), "sum_rows", (a,), backward,
-                 lambda: a.values.sum(axis=1))
+    return _make(a.values.sum(axis=1), "sum_rows", (a,), backward)
 
 
 def mean_all(a) -> Tensor:
@@ -268,7 +254,7 @@ def mean_all(a) -> Tensor:
     def backward(out):
         _accum(a, np.broadcast_to(out.grad / n, a.shape).copy())
 
-    return _make(a.values.mean(), "mean", (a,), backward, lambda: a.values.mean())
+    return _make(a.values.mean(), "mean", (a,), backward)
 
 
 def take_rows(a, index) -> Tensor:
@@ -285,23 +271,7 @@ def take_rows(a, index) -> Tensor:
         np.add.at(g, idx, out.grad)
         _accum(a, g)
 
-    return _make(a.values[idx], "take_rows", (a,), backward, lambda: a.values[idx])
-
-
-def piecewise_constant(a, fn) -> Tensor:
-    """Elementwise map with zero gradient (for step-shaped gates).
-
-    `fn` must be a pure vectorized function; its output is treated as
-    locally constant by the reverse pass, the correct derivative almost
-    everywhere for piecewise-constant maps.
-    """
-    a = _coerce(a)
-
-    def backward(out):
-        _accum(a, np.zeros_like(a.values))
-
-    return _make(np.asarray(fn(a.values), dtype=np.float64), "piecewise_constant",
-                 (a,), backward, lambda: np.asarray(fn(a.values), dtype=np.float64))
+    return _make(a.values[idx], "take_rows", (a,), backward)
 
 
 def stack_columns(parts) -> Tensor:
@@ -313,31 +283,21 @@ def stack_columns(parts) -> Tensor:
     if any(p.shape != (n,) for p in parts):
         raise ShapeError(f"stack_columns: lengths differ, {[p.shape for p in parts]}")
 
-    def fwd():
-        return np.stack([p.values for p in parts], axis=1)
-
     def backward(out):
         for j, p in enumerate(parts):
             _accum(p, out.grad[:, j])
 
-    return _make(fwd(), "stack_columns", tuple(parts), backward, fwd)
+    return _make(np.stack([p.values for p in parts], axis=1), "stack_columns",
+                 tuple(parts), backward)
 
 
 # ---- tape ----
 
-@dataclass(frozen=True)
-class TapeRecord:
-    op: str
-    input_ids: tuple
-    output_id: int
-    node: Tensor
-
-
 class Tape:
-    """Topologically ordered record of the primitives behind one output.
+    """The non-leaf tensors behind one output, in topological order.
 
-    Every input id precedes its consumer; `replay` re-executes the
-    forward closures in order and confirms bit-identical outputs.
+    Every node comes after the nodes it consumes, so the reverse pass
+    runs the backward closures from the end of `records`.
     """
 
     def __init__(self, records):
@@ -357,48 +317,31 @@ class Tape:
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
-        return cls(TapeRecord(n._op, tuple(id(p) for p in n._parents), id(n), n)
-                   for n in order)
+        return cls(order)
 
     def leaves(self):
-        recorded = {r.output_id for r in self.records}
-        out, seen = [], set()
-        for r in self.records:
-            for p in r.node._parents:
-                if id(p) not in recorded and id(p) not in seen:
-                    seen.add(id(p))
-                    out.append(p)
-        return out
+        """The tensors the records consume but do not hold, each once."""
+        recorded = {id(node) for node in self.records}
+        return list({id(p): p for node in self.records for p in node._parents
+                     if id(p) not in recorded}.values())
 
     def backward(self, out: Tensor):
         if out.values.size != 1:
             raise ContractError(f"backward needs a scalar output, got shape {out.shape}")
-        for rec in self.records:
-            rec.node.grad = None
+        for node in self.records:
+            node.grad = None
         for leaf in self.leaves():
             leaf.grad = None
         out.grad = np.ones_like(out.values)
-        for rec in reversed(self.records):
-            rec.node._backward(rec.node)
-
-    def replay(self) -> bool:
-        for rec in self.records:
-            fresh = rec.node._forward()
-            if not np.array_equal(np.asarray(fresh), rec.node.values):
-                return False
-        return True
+        for node in reversed(self.records):
+            node._backward(node)
 
 
 def backward(out: Tensor):
     """Populate grad slots of every leaf the scalar `out` depends on."""
     out = _coerce(out)
-    if out._op is None:
-        if not out.requires_grad:
-            raise TapeStateError("output is detached from any recorded tape")
-        if out.values.size != 1:
-            raise ContractError(f"backward needs a scalar output, got shape {out.shape}")
-        out.grad = np.ones_like(out.values)
-        return
+    if out._op is None and not out.requires_grad:
+        raise TapeStateError("output is detached from any recorded tape")
     Tape.from_output(out).backward(out)
 
 

@@ -11,13 +11,13 @@ actually explored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
-                         StepGate, TwoLevelGate, _dispersion_rows_np,
+                         StepGate, TwoLevelGate, _dispersion_rows_np, _gate_kind,
                          confidence_batch, quasiconvexity_witness_search)
 from .errors import ConfigError, DomainError
 from .experts import ExpertArch, ExpertModel, Layer, gcn_forward, init_expert
@@ -161,15 +161,10 @@ class CaseReport:
 
 def spec_label(spec: ConfidenceSpec) -> str:
     gate = spec.gate
-    if isinstance(gate, StepGate):
-        g = f"step(tau={gate.tau:g})"
-    elif isinstance(gate, TwoLevelGate):
-        g = f"two_level(d_max={gate.d_max:g},beta={gate.beta:g})"
-    elif isinstance(gate, CappedLinearGate):
-        g = f"capped_linear(slope={gate.slope:g})"
-    else:
-        g = "learnable"
-    return f"{spec.dispersion}+{g}"
+    if isinstance(gate, LearnableGate):
+        return f"{spec.dispersion}+learnable"
+    args = ",".join(f"{name}={value:g}" for name, value in asdict(gate).items())
+    return f"{spec.dispersion}+{_gate_kind(gate)}({args})"
 
 
 def _grad_bound(alpha: np.ndarray, sub_points: np.ndarray, m: int) -> float:

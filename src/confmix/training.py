@@ -20,7 +20,7 @@ from . import tensor as T
 from .confidence import (ConfidenceSpec, confidence_batch, confidence_rows,
                          default_spec)
 from .errors import ConfigError, DomainError, TrainingDivergedError
-from .experts import ExpertArch, ExpertModel, forward, init_expert
+from .experts import ExpertArch, ExpertModel, check_role, forward, init_expert
 from .graphs import Graph, conv_coefficients
 from .mixture import (blend_loss_rows, cross_entropy_rows, infer_expected,
                       infer_stochastic, mixture_loss_rows)
@@ -57,10 +57,8 @@ class TrainConfig:
             raise ConfigError(f"learning rate must be > 0, got {self.lr}")
         if self.pretrain_epochs < 0:
             raise ConfigError("pretrain_epochs must be >= 0")
-        if self.weak_arch.kind != "weak":
-            raise ConfigError("weak expert must have kind 'weak'")
-        if self.strong_arch.kind not in ("gcn", "gcn_skip"):
-            raise ConfigError("strong expert must be a graph convolution")
+        check_role(self.weak_arch.kind, "weak")
+        check_role(self.strong_arch.kind, "strong")
 
 
 @dataclass

@@ -1,12 +1,19 @@
 """Command-line behavior: routing, determinism, exit codes, file formats."""
 
 import argparse
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from confmix import cli
+from confmix.confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
+                                StepGate, TwoLevelGate, spec_to_document)
 from confmix.errors import TrainingDivergedError
+from confmix.experts import ExpertArch, expert_to_document, init_expert
 from confmix.graphs import load_graph
 from confmix.theory import SUITES, SuiteReport
 
@@ -194,11 +201,87 @@ def test_cost_edgeless_equality(tmp_path, capsys):
     assert table["gcn"] == table["weak"]
 
 
-def test_bad_graph_document_exits_2(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    assert run_cli(["train", "--data", str(path), "--seed", "1",
-                    "--out", str(tmp_path)]) == 2
+@pytest.fixture(scope="module")
+def checkpoints(small_graph_path):
+    """Untrained weak, gcn and gcn_skip checkpoint documents for the small graph."""
+    graph = load_graph(small_graph_path)
+    return {kind: expert_to_document(init_expert(
+                ExpertArch(kind, layers, 4), graph.num_features, graph.num_classes, 0))
+            for kind, layers in (("weak", 1), ("gcn", 2), ("gcn_skip", 2))}
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+def _skip_from(doc, source):
+    """`doc` with each layer's skip_weight copied from `source`, or removed."""
+    doc = copy.deepcopy(doc)
+    for layer in doc["layers"]:
+        layer.pop("skip_weight", None)
+        if source:
+            layer["skip_weight"] = layer[source]
+    return doc
+
+
+TRAIN = ("train", "--data", "DATA", "--seed", "1")
+
+
+def _cli(*argv, config=None):
+    """argv with DATA standing for the graph path, plus a --config file."""
+    return lambda tmp, data, ckpt: [data if a == "DATA" else a for a in argv] + (
+        [] if config is None else ["--config", _write(tmp, "run.json", config)])
+
+
+def _spec(gate, dispersion="variance"):
+    doc = {"gate": gate} if dispersion is None else {"dispersion": dispersion, "gate": gate}
+    return _cli(*TRAIN, config={"confidence": doc})
+
+
+def _infer(weak, strong):
+    return lambda tmp, data, ckpt: [
+        "infer", "--data", data, "--seed", "1",
+        "--weak", _write(tmp, "weak.json", weak(ckpt)),
+        "--strong", _write(tmp, "strong.json", strong(ckpt))]
+
+
+BAD_INPUTS = {
+    "bad_graph_document": lambda tmp, data, ckpt: [
+        "train", "--data", _write(tmp, "bad.json", "{not json"), "--seed", "1"],
+    "spec_missing_dispersion": _spec({"kind": "step", "tau": 0.1}, dispersion=None),
+    "spec_missing_gate": _cli(*TRAIN, config={"confidence": {"dispersion": "variance"}}),
+    "spec_unknown_gate_kind": _spec({"kind": "sigmoid"}),
+    "spec_missing_gate_field": _spec({"kind": "capped_linear"}),
+    "spec_non_numeric_field": _spec({"kind": "capped_linear", "slope": "abc"}),
+    "spec_non_finite_field": _spec({"kind": "step", "tau": float("inf")}),
+    "spec_unknown_gate_field": _spec({"kind": "step", "tau": 0.1, "beta": 0.5}),
+    "spec_learnable_bad_weights": _spec({"kind": "learnable", "weights": [[[1.0], [0.0]]]}),
+    "config_rounds_not_int": _cli(*TRAIN, config={"rounds": "x"}),
+    "config_lr_not_float": _cli(*TRAIN, config={"lr": [0.5]}),
+    "config_arch_not_object": _cli(*TRAIN, config={"strong_arch": "gcn"}),
+    "config_arch_layers_not_int": _cli(*TRAIN, config={"weak_arch": {"layers": "one"}}),
+    "config_seed_not_int": _cli("gen", config={"seed": "seven"}),
+    "gen_size_not_int": _cli("gen", "--seed", "1", config={"n-per-group": "x"}),
+    "verify_count_not_int": _cli("verify", "--suite", "theorem", "--seed", "1",
+                                 config={"binary-count": "x"}),
+    "cost_layers_not_int": _cli("cost", "--data", "DATA", config={"layers": "two"}),
+    "infer_roles_swapped": _infer(lambda c: c["gcn"], lambda c: c["weak"]),
+    "infer_gcn_skip_without_skip": _infer(lambda c: c["weak"],
+                                          lambda c: _skip_from(c["gcn_skip"], None)),
+    "infer_gcn_with_skip": _infer(lambda c: c["weak"],
+                                  lambda c: _skip_from(c["gcn"], "weight")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2(case, tmp_path, small_graph_path, checkpoints, capsys):
+    argv = BAD_INPUTS[case](tmp_path, str(small_graph_path), checkpoints)
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_training_failure_exits_3(tmp_path, small_graph_path, monkeypatch):
@@ -213,3 +296,49 @@ def test_unknown_suite_exits_2(tmp_path):
         run_cli(["verify", "--suite", "everything", "--seed", "1",
                  "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+VALID_SPECS = [
+    spec_to_document(ConfidenceSpec("variance", StepGate(0.05))),
+    spec_to_document(ConfidenceSpec("neg_entropy", TwoLevelGate(0.1, 0.4))),
+    spec_to_document(ConfidenceSpec("variance", CappedLinearGate(2.0))),
+    spec_to_document(ConfidenceSpec("variance", LearnableGate.create(3, hidden=4))),
+]
+
+
+@st.composite
+def mutated_specs(draw):
+    """A valid spec document with one key dropped, retyped or added, at
+    the top level or inside the gate."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_SPECS)))
+    target = draw(st.sampled_from([doc, doc["gate"]]))
+    op = draw(st.sampled_from(["drop", "retype", "add"]))
+    if op == "add":
+        target[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+    else:
+        key = draw(st.sampled_from(sorted(target)))
+        if op == "drop":
+            del target[key]
+        else:
+            target[key] = draw(JSON_VALUES)
+    return doc
+
+
+@given(doc=mutated_specs())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_spec_exits_0_or_2(doc, tmp_path, small_graph_path, checkpoints):
+    argv = _infer(lambda c: c["weak"], lambda c: c["gcn"])(
+        tmp_path, str(small_graph_path), checkpoints)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(argv + ["--spec", _write(tmp_path, "spec.json", doc),
+                               "--out", str(tmp_path)])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("error: ")

@@ -146,16 +146,17 @@ def test_forward_deterministic_bit_identical():
     assert np.array_equal(run(), run())
 
 
-def test_tape_topological_order_and_replay():
+def test_tape_topological_order():
     x = T.Tensor([[0.3, 0.7]], requires_grad=True)
     y = T.sum_all(T.log(T.softmax_rows(x)) * np.array([[1.0, 2.0]]))
     tape = T.Tape.from_output(y)
+    assert [node._op for node in tape.records] == ["softmax_rows", "log", "mul", "sum"]
+    assert tape.records[-1] is y
+    recorded = {id(node) for node in tape.records}
     seen = set()
-    for record in tape.records:
-        assert all(i in seen or i not in {r.output_id for r in tape.records}
-                   for i in record.input_ids)
-        seen.add(record.output_id)
-    assert tape.replay()
+    for node in tape.records:
+        assert all(id(p) in seen or id(p) not in recorded for p in node._parents)
+        seen.add(id(node))
 
 
 def test_backward_non_scalar_rejected():
