@@ -88,8 +88,7 @@ def cmd_gen(parser, args):
                "node_map": {str(a): b for a, b in instance.node_map.items()},
                "graph": graph_to_document(instance.graph)}
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
     else:
         parser.error(f"unknown generator kind {kind!r}")
     print(path)
@@ -142,8 +141,7 @@ def cmd_train(parser, args):
     save_expert(result.weak, os.path.join(out, "weak.json"))
     save_expert(result.strong, os.path.join(out, "strong.json"))
     with open(os.path.join(out, "confidence.json"), "w", encoding="utf-8") as fh:
-        json.dump(spec_to_document(result.spec), fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(spec_to_document(result.spec), separators=(",", ":")) + "\n")
     result.report.write_csvs(out)
     return 0
 
@@ -160,8 +158,11 @@ def cmd_infer(parser, args):
     graph = load_graph(data)
     weak = load_expert(weak_path)
     strong = load_expert(strong_path)
-    check_role(weak.kind, "weak")
-    check_role(strong.kind, "strong")
+    for model, role in ((weak, "weak"), (strong, "strong")):
+        check_role(model.kind, role)
+        if model.dims[-1] != graph.num_classes:
+            raise ConfigError(f"the {role} expert gives {model.dims[-1]} classes, "
+                              f"the graph has {graph.num_classes}")
     spec_path = _merge(args, config, "spec")
     if spec_path:
         with open(spec_path, encoding="utf-8") as fh:
@@ -291,7 +292,8 @@ def main(argv=None) -> int:
         print(f"training failed: {e}", file=sys.stderr)
         return 3
     except (ConfigError, DomainError, ShapeError, GraphFormatError,
-            GraphValidationError, FileNotFoundError, json.JSONDecodeError) as e:
+            GraphValidationError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

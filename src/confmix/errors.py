@@ -37,12 +37,15 @@ class TrainingDivergedError(RuntimeError):
 
 
 def as_type(value, cast, key: str):
-    """`cast(value)`, or a ConfigError naming `key` when that fails or
-    gives a non-finite float."""
+    """`cast(value)`, or a ConfigError naming `key` when that fails, gives
+    a non-finite float, or casts a bool or a fractional number to int."""
     try:
         out = cast(value)
     except (TypeError, ValueError, OverflowError):
         out = math.nan
-    if isinstance(out, float) and not math.isfinite(out):
-        raise ConfigError(f"{key} must be a finite {cast.__name__}, got {value!r}")
+    lossy = cast is int and (isinstance(value, bool)
+                             or isinstance(value, float) and out != value)
+    if lossy or isinstance(out, float) and not math.isfinite(out):
+        what = "an integer" if cast is int else f"a finite {cast.__name__}"
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
     return out

@@ -104,18 +104,22 @@ def weak_forward(model: ExpertModel, features) -> T.Tensor:
 
 
 def gcn_forward(model: ExpertModel, graph: Graph, features,
-                coefficients: np.ndarray | None = None) -> T.Tensor:
+                coefficients: T.Tensor | np.ndarray | None = None) -> T.Tensor:
     """Probability rows from the L-hop neighborhood of each node.
 
     Layer op: softmax/relu(coeff @ h @ W + b), with coeff the
     symmetric-normalized closed-neighborhood matrix. On an edgeless
     graph coeff is the identity and this equals weak_forward.
     gcn_skip adds h @ W_skip on the pre-aggregation activations.
+    `coefficients` reuses conv_coefficients(graph); a Tensor is used
+    as-is, so callers that loop wrap the matrix once.
     """
     x = _input(model, features)
     if x.shape[0] != graph.num_nodes:
         raise ShapeError(f"features have {x.shape[0]} rows for {graph.num_nodes} nodes")
-    coeff = T.Tensor(conv_coefficients(graph) if coefficients is None else coefficients)
+    if coefficients is None:
+        coefficients = conv_coefficients(graph)
+    coeff = coefficients if isinstance(coefficients, T.Tensor) else T.Tensor(coefficients)
     return _layers(model, x, coeff)
 
 
@@ -150,29 +154,62 @@ def check_role(kind: str, role: str):
         raise ConfigError(f"the {role} expert must have kind in {ROLES[role]}, got {kind!r}")
 
 
+def _checkpoint_array(value, ndim: int, what: str) -> T.Tensor:
+    """A trainable tensor from a non-empty vector (ndim 1) or rectangular
+    matrix (ndim 2) of JSON numbers, or a ConfigError naming `what`."""
+    rows = value if ndim == 2 else [value]
+    ok = isinstance(rows, list) and rows and all(
+        isinstance(row, list) and row and len(row) == len(rows[0])
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
+        for row in rows)
+    if ok:
+        try:
+            return T.Tensor(value, requires_grad=True)
+        except OverflowError:   # an integer beyond the float range
+            pass
+    shape = "vector" if ndim == 1 else "rectangular matrix"
+    raise ConfigError(f"checkpoint {what} must be a non-empty {shape} of numbers")
+
+
 def expert_from_document(doc: dict) -> ExpertModel:
+    """The expert a checkpoint document describes; ConfigError for any
+    document that is not one, including layers whose dims do not chain."""
+    if not isinstance(doc, dict):
+        raise ConfigError("checkpoint must be a JSON object")
     kind = doc.get("kind")
     if kind not in ARCHITECTURES:
         raise ConfigError(
             f"checkpoint kind must be one of {ARCHITECTURES}, got {kind!r}")
+    entries = doc.get("layers")
+    if not (isinstance(entries, list) and entries
+            and all(isinstance(e, dict) for e in entries)):
+        raise ConfigError("checkpoint layers must be a non-empty list of objects")
     layers = []
-    for i, entry in enumerate(doc["layers"]):
+    for i, entry in enumerate(entries):
         skip = entry.get("skip_weight")
         if (skip is None) == (kind == "gcn_skip"):
             raise ConfigError(f"{kind} checkpoint layer {i} "
                               f"{'lacks' if skip is None else 'has'} a skip_weight")
-        layers.append(Layer(
-            T.Tensor(entry["weight"], requires_grad=True),
-            T.Tensor(entry["bias"], requires_grad=True),
-            None if skip is None else T.Tensor(skip, requires_grad=True),
-        ))
+        weight = _checkpoint_array(entry.get("weight"), 2, f"layer {i} weight")
+        bias = _checkpoint_array(entry.get("bias"), 1, f"layer {i} bias")
+        if skip is not None:
+            skip = _checkpoint_array(skip, 2, f"layer {i} skip_weight")
+        if bias.shape != weight.shape[1:]:
+            raise ConfigError(f"checkpoint layer {i} has {bias.shape[0]} biases for "
+                              f"{weight.shape[1]} weight columns")
+        if skip is not None and skip.shape != weight.shape:
+            raise ConfigError(f"checkpoint layer {i} skip_weight is {skip.shape}, "
+                              f"its weight {weight.shape}")
+        if layers and layers[-1].weight.shape[1] != weight.shape[0]:
+            raise ConfigError(f"checkpoint layer {i} takes {weight.shape[0]} inputs, "
+                              f"layer {i - 1} gives {layers[-1].weight.shape[1]}")
+        layers.append(Layer(weight, bias, skip))
     return ExpertModel(kind, layers)
 
 
 def save_expert(model: ExpertModel, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(expert_to_document(model), fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(expert_to_document(model), separators=(",", ":")) + "\n")
 
 
 def load_expert(path) -> ExpertModel:

@@ -162,8 +162,9 @@ def graph_to_document(graph: Graph) -> dict:
 
 def save_graph(graph: Graph, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_document(graph), fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+        # dumps, not dump: dump streams through the pure-Python encoder
+        fh.write(json.dumps(graph_to_document(graph), separators=(",", ":"),
+                            sort_keys=True) + "\n")
 
 
 # ---- synthetic generators ----
@@ -269,13 +270,12 @@ def conv_coefficients(graph: Graph) -> np.ndarray:
     for w' == w; zero elsewhere.
     """
     n = graph.num_nodes
-    deg = graph.degrees.astype(np.float64)
+    deg = graph.degrees
+    inv = 1.0 / np.sqrt(deg.astype(np.float64) + 1.0)
     coeff = np.zeros((n, n))
-    inv = 1.0 / np.sqrt(deg + 1.0)
-    for w in range(n):
-        coeff[w, w] = inv[w] * inv[w]
-        nbrs = graph.neighbors(w)
-        coeff[w, nbrs] = inv[w] * inv[nbrs]
+    coeff[np.arange(n), np.arange(n)] = inv * inv
+    rows = np.repeat(np.arange(n), deg)
+    coeff[rows, graph.indices] = inv[rows] * inv[graph.indices]
     return coeff
 
 

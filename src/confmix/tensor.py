@@ -4,6 +4,11 @@ Sized for small perceptron stacks and graph convolutions: eager forward
 evaluation, per-primitive backward closures, and a central-difference
 oracle (`check_gradient`) that stays independent of the reverse pass.
 
+`Tensor(...)` rejects NaN/Inf when it is built; primitive outputs are
+not scanned again. A tensor that neither requires a gradient nor was
+produced from one that does is a constant: the reverse pass computes,
+allocates and stores nothing for it.
+
 Every log argument is clamped to [LOG_FLOOR, 1] so cross-entropy style
 losses stay finite at the simplex boundary; the same floor is used by
 every loss in the package so oracle comparisons see identical values.
@@ -95,20 +100,30 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _needs_grad(t: Tensor) -> bool:
+    return t.requires_grad or t._op is not None
+
+
 def _make(values, op, parents, backward) -> Tensor:
-    out = Tensor(values)
-    if any(p.requires_grad or p._op is not None for p in parents):
-        out.requires_grad = True
-        out._op = op
-        out._parents = tuple(parents)
-        out._backward = backward
+    # a primitive's output is computed from checked operands, so it skips
+    # __init__'s finiteness scan; non-finite values surface at the loss
+    out = Tensor.__new__(Tensor)
+    out.values, out.grad = values, None
+    out.requires_grad = any(_needs_grad(p) for p in parents)
+    out._op, out._parents, out._backward = (
+        (op, tuple(parents), backward) if out.requires_grad else (None, (), None))
     return out
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    if not _needs_grad(t):
+        return
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        # a new array: g may be another node's grad or a view of one.
+        # Adding 0.0 turns -0.0 into 0.0, as accumulating onto zeros does.
+        t.grad = g + 0.0
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -129,8 +144,10 @@ def add(a, b) -> Tensor:
     values = a.values + b.values
 
     def backward(out):
-        _accum(a, _unbroadcast(out.grad, a.shape))
-        _accum(b, _unbroadcast(out.grad, b.shape))
+        if _needs_grad(a):
+            _accum(a, _unbroadcast(out.grad, a.shape))
+        if _needs_grad(b):
+            _accum(b, _unbroadcast(out.grad, b.shape))
 
     return _make(values, "add", (a, b), backward)
 
@@ -153,8 +170,10 @@ def mul(a, b) -> Tensor:
     values = a.values * b.values
 
     def backward(out):
-        _accum(a, _unbroadcast(out.grad * b.values, a.shape))
-        _accum(b, _unbroadcast(out.grad * a.values, b.shape))
+        if _needs_grad(a):
+            _accum(a, _unbroadcast(out.grad * b.values, a.shape))
+        if _needs_grad(b):
+            _accum(b, _unbroadcast(out.grad * a.values, b.shape))
 
     return _make(values, "mul", (a, b), backward)
 
@@ -179,8 +198,11 @@ def matmul(a, b) -> Tensor:
     values = a.values @ b.values
 
     def backward(out):
-        _accum(a, out.grad @ b.values.T)
-        _accum(b, a.values.T @ out.grad)
+        # a constant operand, such as the coefficient matrix, costs no product
+        if _needs_grad(a):
+            _accum(a, out.grad @ b.values.T)
+        if _needs_grad(b):
+            _accum(b, a.values.T @ out.grad)
 
     return _make(values, "matmul", (a, b), backward)
 
@@ -227,22 +249,13 @@ def softmax_rows(a) -> Tensor:
     return _make(values, "softmax_rows", (a,), backward)
 
 
-def sum_all(a) -> Tensor:
-    a = _coerce(a)
-
-    def backward(out):
-        _accum(a, np.broadcast_to(out.grad, a.shape).copy())
-
-    return _make(a.values.sum(), "sum", (a,), backward)
-
-
 def sum_rows(a) -> Tensor:
     a = _coerce(a)
     if a.values.ndim != 2:
         raise ShapeError(f"sum_rows needs a matrix, got shape {a.shape}")
 
     def backward(out):
-        _accum(a, np.broadcast_to(out.grad[:, None], a.shape).copy())
+        _accum(a, np.broadcast_to(out.grad[:, None], a.shape))
 
     return _make(a.values.sum(axis=1), "sum_rows", (a,), backward)
 
@@ -252,9 +265,9 @@ def mean_all(a) -> Tensor:
     n = a.values.size
 
     def backward(out):
-        _accum(a, np.broadcast_to(out.grad / n, a.shape).copy())
+        _accum(a, np.broadcast_to(out.grad / n, a.shape))
 
-    return _make(a.values.mean(), "mean", (a,), backward)
+    return _make(np.asarray(a.values.mean()), "mean", (a,), backward)
 
 
 def take_rows(a, index) -> Tensor:

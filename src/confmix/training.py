@@ -176,7 +176,7 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
     if config.pretrain in ("strong", "both"):
         _plain_ce_phase(strong, graph, config.pretrain_epochs, config.lr)
 
-    coeff = conv_coefficients(graph)
+    coeff = T.Tensor(conv_coefficients(graph))
     # each epoch evaluates the loss terms of the train and val rows in one pass
     rows, train_pos = _loss_rows(graph)
     y_rows = graph.labels[rows]
@@ -253,7 +253,7 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
 def _plain_ce_phase(model: ExpertModel, graph: Graph, epochs: int, lr: float):
     train_ids = graph.splits["train"]
     labels = graph.labels[train_ids]
-    coeff = conv_coefficients(graph) if model.kind != "weak" else None
+    coeff = T.Tensor(conv_coefficients(graph)) if model.kind != "weak" else None
     params = list(model.parameters())
     for _ in range(epochs):
         probs = forward(model, graph, coefficients=coeff)
@@ -280,13 +280,20 @@ def pretrain_expert(arch: ExpertArch, graph: Graph, epochs: int, lr: float,
 
 
 def predict(weak: ExpertModel, strong: ExpertModel, spec: ConfidenceSpec,
-            graph: Graph, coefficients: np.ndarray | None = None):
+            graph: Graph, coefficients: T.Tensor | np.ndarray | None = None):
     """(weak rows, strong rows, confidence) of every node, as arrays.
 
     `coefficients` reuses an already built conv_coefficients(graph).
+    DomainError when either expert's rows are not finite, as from a
+    checkpoint whose weights overflow.
     """
-    pw = forward(weak, graph).values
-    ps = forward(strong, graph, coefficients=coefficients).values
+    # the check below reports an overflow; numpy's warnings would repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        pw = forward(weak, graph).values
+        ps = forward(strong, graph, coefficients=coefficients).values
+    for role, rows in (("weak", pw), ("strong", ps)):
+        if not np.all(np.isfinite(rows)):
+            raise DomainError(f"the {role} expert's predictions are not finite")
     return pw, ps, confidence_batch(pw, spec)
 
 
@@ -330,7 +337,7 @@ def single_expert_baseline(arch: ExpertArch, graph: Graph, seed: int,
     stopping rule as a turn, but plain cross-entropy all the way.
     """
     model = init_expert(arch, graph.num_features, graph.num_classes, seed)
-    coeff = conv_coefficients(graph) if model.kind != "weak" else None
+    coeff = T.Tensor(conv_coefficients(graph)) if model.kind != "weak" else None
     rows, train_pos = _loss_rows(graph)
     y_rows = graph.labels[rows]
 

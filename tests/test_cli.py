@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from confmix import cli
 from confmix.confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
                                 StepGate, TwoLevelGate, spec_to_document)
-from confmix.errors import TrainingDivergedError
+from confmix.errors import TrainingDivergedError, as_type
 from confmix.experts import ExpertArch, expert_to_document, init_expert
 from confmix.graphs import load_graph
 from confmix.theory import SUITES, SuiteReport
@@ -207,12 +207,17 @@ def checkpoints(small_graph_path):
     graph = load_graph(small_graph_path)
     return {kind: expert_to_document(init_expert(
                 ExpertArch(kind, layers, 4), graph.num_features, graph.num_classes, 0))
-            for kind, layers in (("weak", 1), ("gcn", 2), ("gcn_skip", 2))}
+            for kind, layers in (("weak", 1), ("gcn", 2), ("gcn_skip", 2))} | {
+        "weak_3_classes": expert_to_document(init_expert(
+            ExpertArch("weak", 1), graph.num_features, 3, 0))}
 
 
 def _write(tmp_path, name, doc):
     path = tmp_path / name
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -247,6 +252,31 @@ def _infer(weak, strong):
         "--strong", _write(tmp, "strong.json", strong(ckpt))]
 
 
+def _weak_layer(**entry):
+    """The weak checkpoint with its layer's keys replaced by `entry`."""
+    def edit(ckpt):
+        doc = copy.deepcopy(ckpt["weak"])
+        doc["layers"][0].update(entry)
+        return doc
+    return _infer(edit, lambda c: c["gcn"])
+
+
+def _scaled(doc, value):
+    """`doc` with every weight and bias entry set to `value`."""
+    doc = copy.deepcopy(doc)
+    for layer in doc["layers"]:
+        layer["weight"] = [[value] * len(row) for row in layer["weight"]]
+        layer["bias"] = [value] * len(layer["bias"])
+    return doc
+
+
+def _unchained(doc):
+    """A two-layer `doc` whose second layer takes one input too many."""
+    doc = copy.deepcopy(doc)
+    doc["layers"][1]["weight"].append(doc["layers"][1]["weight"][0])
+    return doc
+
+
 BAD_INPUTS = {
     "bad_graph_document": lambda tmp, data, ckpt: [
         "train", "--data", _write(tmp, "bad.json", "{not json"), "--seed", "1"],
@@ -272,6 +302,27 @@ BAD_INPUTS = {
                                           lambda c: _skip_from(c["gcn_skip"], None)),
     "infer_gcn_with_skip": _infer(lambda c: c["weak"],
                                   lambda c: _skip_from(c["gcn"], "weight")),
+    "infer_overflowing_weights": _infer(lambda c: _scaled(c["weak"], 1e300),
+                                        lambda c: _scaled(c["gcn"], 1e300)),
+    "infer_output_width": _infer(lambda c: c["weak_3_classes"], lambda c: c["gcn"]),
+    "train_data_is_directory": lambda tmp, data, ckpt: [
+        "train", "--data", str(tmp), "--seed", "1"],
+    "graph_not_utf8": lambda tmp, data, ckpt: [
+        "train", "--data", _write(tmp, "bad.json", b"\xff\xfe{}"), "--seed", "1"],
+    "checkpoint_not_utf8": _infer(lambda c: b"\xff\xfe{}", lambda c: c["gcn"]),
+    "checkpoint_list": _infer(lambda c: [c["weak"]], lambda c: c["gcn"]),
+    "checkpoint_without_layers": _infer(lambda c: {"kind": "weak"}, lambda c: c["gcn"]),
+    "checkpoint_empty_layers": _infer(lambda c: {"kind": "weak", "layers": []},
+                                      lambda c: c["gcn"]),
+    "checkpoint_layer_not_object": _infer(lambda c: {"kind": "weak", "layers": [[1.0]]},
+                                          lambda c: c["gcn"]),
+    "checkpoint_ragged_weight": _weak_layer(weight=[[1.0, 2.0], [3.0]]),
+    "checkpoint_string_weight": _weak_layer(weight=[["1.0", 2.0]] * 4),
+    "checkpoint_bias_length": _weak_layer(bias=[0.0, 0.0, 0.0]),
+    "checkpoint_dims_do_not_chain": _infer(lambda c: c["weak"],
+                                           lambda c: _unchained(c["gcn"])),
+    "config_rounds_fractional": _cli(*TRAIN, config={"rounds": 1.9}),
+    "config_rounds_bool": _cli(*TRAIN, config={"rounds": True}),
 }
 
 
@@ -284,11 +335,24 @@ def test_bad_input_exits_2(case, tmp_path, small_graph_path, checkpoints, capsys
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_integral_float_casts_to_int():
+    value = as_type(2.0, int, "rounds")
+    assert value == 2 and type(value) is int
+
+
 def test_training_failure_exits_3(tmp_path, small_graph_path, monkeypatch):
     def explode(config, graph):
         raise TrainingDivergedError("loss diverged at epoch 4")
     monkeypatch.setattr(cli, "train", explode)
     assert run_cli(train_args(small_graph_path, tmp_path)) == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_training_exits_3(tmp_path, small_graph_path, capsys):
+    # primitive outputs are not scanned, so the non-finite values reach the loss
+    argv = train_args(small_graph_path, tmp_path, ["--lr", "1e300", "--pretrain", "none"])
+    assert run_cli(argv) == 3
+    assert "loss diverged at epoch" in capsys.readouterr().err
 
 
 def test_unknown_suite_exits_2(tmp_path):
@@ -311,12 +375,8 @@ VALID_SPECS = [
 ]
 
 
-@st.composite
-def mutated_specs(draw):
-    """A valid spec document with one key dropped, retyped or added, at
-    the top level or inside the gate."""
-    doc = copy.deepcopy(draw(st.sampled_from(VALID_SPECS)))
-    target = draw(st.sampled_from([doc, doc["gate"]]))
+def _mutate(draw, target):
+    """Drop, retype or add one key of the dict `target`, in place."""
     op = draw(st.sampled_from(["drop", "retype", "add"]))
     if op == "add":
         target[draw(st.text(max_size=6))] = draw(JSON_VALUES)
@@ -326,6 +386,23 @@ def mutated_specs(draw):
             del target[key]
         else:
             target[key] = draw(JSON_VALUES)
+
+
+def _assert_exits_0_or_2(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("error: ")
+
+
+@st.composite
+def mutated_specs(draw):
+    """A valid spec document with one key dropped, retyped or added, at
+    the top level or inside the gate."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_SPECS)))
+    _mutate(draw, draw(st.sampled_from([doc, doc["gate"]])))
     return doc
 
 
@@ -335,10 +412,28 @@ def mutated_specs(draw):
 def test_mutated_spec_exits_0_or_2(doc, tmp_path, small_graph_path, checkpoints):
     argv = _infer(lambda c: c["weak"], lambda c: c["gcn"])(
         tmp_path, str(small_graph_path), checkpoints)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = run_cli(argv + ["--spec", _write(tmp_path, "spec.json", doc),
-                               "--out", str(tmp_path)])
-    assert code in (0, 2)
-    assert "Traceback" not in err.getvalue()
-    assert (code == 2) == err.getvalue().startswith("error: ")
+    _assert_exits_0_or_2(argv + ["--spec", _write(tmp_path, "spec.json", doc),
+                                 "--out", str(tmp_path)])
+
+
+@st.composite
+def mutated_checkpoints(draw, checkpoints):
+    """(role, document): one of `checkpoints` for its role, with one key
+    dropped, retyped or added, at the top level or inside one layer."""
+    role, kind = draw(st.sampled_from(
+        [("weak", "weak"), ("strong", "gcn"), ("strong", "gcn_skip")]))
+    doc = copy.deepcopy(checkpoints[kind])
+    _mutate(draw, draw(st.sampled_from([doc] + doc["layers"])))
+    return role, doc
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_checkpoint_exits_0_or_2(data, tmp_path, small_graph_path, checkpoints):
+    role, doc = data.draw(mutated_checkpoints(checkpoints))
+    weak = doc if role == "weak" else checkpoints["weak"]
+    strong = doc if role == "strong" else checkpoints["gcn"]
+    argv = _infer(lambda c: weak, lambda c: strong)(
+        tmp_path, str(small_graph_path), checkpoints)
+    _assert_exits_0_or_2(argv + ["--out", str(tmp_path)])

@@ -7,7 +7,7 @@ from confmix.errors import ShapeError
 from confmix.experts import (ExpertArch, expert_from_document,
                              expert_to_document, gcn_forward, init_expert,
                              load_expert, save_expert, weak_forward)
-from confmix.graphs import build_graph, build_blindspot_graph
+from confmix.graphs import build_blindspot_graph, build_graph, conv_coefficients
 from confmix import tensor as T
 
 
@@ -165,3 +165,21 @@ def test_init_bound_scale():
     model = init_expert(ExpertArch("weak", 2, 64), 16, 4, seed=18)
     first = model.layers[0].weight.values
     assert np.abs(first).max() <= 1.0 / np.sqrt(16)
+
+
+def test_gcn_backward_gives_constants_no_gradient():
+    rng = np.random.default_rng(5)
+    g = build_graph(5, 2, rng.standard_normal((5, 3)), [0, 1, 0, 1, 1],
+                    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
+                    {"train": [0, 1, 2], "val": [3], "test": [4]})
+    model = init_expert(ExpertArch("gcn_skip", 2, 4), 3, 2, seed=6)
+    coeff, feats = T.Tensor(conv_coefficients(g)), T.Tensor(g.features)
+    mask = rng.uniform(-1.0, 1.0, (5, 2))
+
+    def fn(params):
+        return T.mean_all(T.log(gcn_forward(model, g, feats, coeff)) * mask)
+
+    params = list(model.parameters())
+    assert T.check_gradient(fn, params, 1e-5) < 1e-4
+    assert coeff.grad is None and feats.grad is None
+    assert all(p.grad is not None for p in params)

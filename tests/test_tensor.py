@@ -8,6 +8,11 @@ from confmix import tensor as T
 from confmix.errors import ContractError, DomainError, ShapeError, TapeStateError
 
 
+def total(t):
+    """Sum of every entry: the engine's mean times the entry count."""
+    return T.mean_all(t) * t.size
+
+
 def test_matmul_identity_column():
     out = T.matmul(T.Tensor([[1., 2.], [3., 4.]]), T.Tensor([[1.], [0.]]))
     assert np.array_equal(out.values, [[1.], [3.]])
@@ -25,28 +30,28 @@ def test_relu_definition():
 
 def test_square_derivative():
     x = T.Tensor([3.0], requires_grad=True)
-    T.backward(T.sum_all(x * x))
+    T.backward(total(x * x))
     assert np.allclose(x.grad, [6.0])
 
 
 def test_softmax_gradient_matches_frozen_value():
     # d(softmax(z)_0)/dz at z=[0,0]: frozen from a central difference run
     z = T.Tensor([[0., 0.]], requires_grad=True)
-    picked = T.sum_all(T.mul(T.softmax_rows(z), np.array([[1.0, 0.0]])))
+    picked = total(T.mul(T.softmax_rows(z), np.array([[1.0, 0.0]])))
     T.backward(picked)
     assert np.allclose(z.grad, [[0.25, -0.25]], atol=1e-12)
 
 
 def test_neg_log_derivative():
     p = T.Tensor([0.5], requires_grad=True)
-    T.backward(T.sum_all(-T.log(p)))
+    T.backward(total(-T.log(p)))
     assert np.allclose(p.grad, [-2.0])
 
 
 def test_check_gradient_quadratic():
     def quad(inputs):
         (v,) = inputs
-        return T.sum_all(v * v)
+        return total(v * v)
     v = T.Tensor(np.linspace(-1.5, 2.0, 7), requires_grad=True)
     assert T.check_gradient(quad, [v], 1e-6) < 1e-7
 
@@ -56,7 +61,7 @@ def test_check_gradient_constant_expression():
 
     def fn(inputs):
         (v,) = inputs
-        return T.sum_all(v * 0.0) + T.sum_all(const)
+        return total(v * 0.0) + total(const)
     v = T.Tensor([3.0, 4.0], requires_grad=True)
     assert T.check_gradient(fn, [v], 1e-5) == 0.0
 
@@ -64,17 +69,17 @@ def test_check_gradient_constant_expression():
 def test_check_gradient_step_contract():
     v = T.Tensor([1.0], requires_grad=True)
     with pytest.raises(ContractError):
-        T.check_gradient(lambda ins: T.sum_all(ins[0]), [v], 1e-2)
+        T.check_gradient(lambda ins: total(ins[0]), [v], 1e-2)
 
 
 PRIMITIVE_CASES = [
-    ("add", lambda a, b: T.sum_all(a + b), 2, (-2.0, 2.0)),
-    ("mul", lambda a, b: T.sum_all(a * b), 2, (-2.0, 2.0)),
-    ("matmul", lambda a, b: T.sum_all(T.matmul(a, b)), 2, (-2.0, 2.0)),
-    ("relu", lambda a: T.sum_all(T.relu(a)), 1, (-2.0, 2.0)),
-    ("log", lambda a: T.sum_all(T.log(a)), 1, (0.01, 0.99)),
-    ("softmax", lambda a: T.sum_all(T.mul(T.softmax_rows(a), MASK)), 1, (-2.0, 2.0)),
-    ("sum_rows", lambda a: T.sum_all(
+    ("add", lambda a, b: total(a + b), 2, (-2.0, 2.0)),
+    ("mul", lambda a, b: total(a * b), 2, (-2.0, 2.0)),
+    ("matmul", lambda a, b: total(T.matmul(a, b)), 2, (-2.0, 2.0)),
+    ("relu", lambda a: total(T.relu(a)), 1, (-2.0, 2.0)),
+    ("log", lambda a: total(T.log(a)), 1, (0.01, 0.99)),
+    ("softmax", lambda a: total(T.mul(T.softmax_rows(a), MASK)), 1, (-2.0, 2.0)),
+    ("sum_rows", lambda a: total(
         T.mul(T.stack_columns([T.sum_rows(a)]), COL)), 1, (-2.0, 2.0)),
     ("mean", lambda a: T.mean_all(a * a), 1, (-2.0, 2.0)),
 ]
@@ -148,9 +153,9 @@ def test_forward_deterministic_bit_identical():
 
 def test_tape_topological_order():
     x = T.Tensor([[0.3, 0.7]], requires_grad=True)
-    y = T.sum_all(T.log(T.softmax_rows(x)) * np.array([[1.0, 2.0]]))
+    y = T.mean_all(T.log(T.softmax_rows(x)) * np.array([[1.0, 2.0]]))
     tape = T.Tape.from_output(y)
-    assert [node._op for node in tape.records] == ["softmax_rows", "log", "mul", "sum"]
+    assert [node._op for node in tape.records] == ["softmax_rows", "log", "mul", "mean"]
     assert tape.records[-1] is y
     recorded = {id(node) for node in tape.records}
     seen = set()
@@ -172,9 +177,9 @@ def test_backward_detached_rejected():
 
 def test_backward_zeroes_previous_grads():
     x = T.Tensor([2.0], requires_grad=True)
-    T.backward(T.sum_all(x * x))
+    T.backward(total(x * x))
     first = x.grad.copy()
-    T.backward(T.sum_all(x * x))
+    T.backward(total(x * x))
     assert np.array_equal(x.grad, first)
 
 
@@ -204,8 +209,42 @@ def test_log_clamps_at_floor_and_one():
 def test_take_rows_gather_and_scatter():
     x = T.Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
     picked = T.take_rows(x, [2, 0, 2])
-    T.backward(T.sum_all(picked))
+    T.backward(total(picked))
     expected = np.zeros((4, 3))
     expected[2] = 2.0
     expected[0] = 1.0
     assert np.array_equal(x.grad, expected)
+
+
+def test_shared_operand_gets_both_contributions_without_aliasing():
+    weights = np.array([[1.0, 2.0], [3.0, 4.0]])
+    x = T.Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+    doubled = x + x
+    T.backward(total(doubled * weights))
+    assert np.array_equal(x.grad, 2.0 * weights)
+    assert np.array_equal(doubled.grad, weights)
+    # a non-leaf node consumed twice
+    x = T.Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+    h = T.relu(x)
+    out = h * weights + h
+    T.backward(total(out))
+    assert np.array_equal(h.grad, weights + 1.0)
+    assert np.array_equal(out.grad, np.ones((2, 2)))
+
+
+MIXED_CASES = {
+    "matmul": (lambda c, v: total(T.matmul(c, v)), lambda c, v: total(T.matmul(v, c))),
+    "mul": (lambda c, v: total(c * v * v), lambda c, v: total(v * c)),
+    "take_rows": (lambda c, v: total(T.take_rows(c, [2, 0, 2]) * T.take_rows(v, [1, 1, 0])),
+                  lambda c, v: total(T.take_rows(T.matmul(c, v), [0, 2]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_CASES))
+def test_check_gradient_mixed_constant_and_variable_operands(name):
+    rng = np.random.default_rng(len(name))
+    for builder in MIXED_CASES[name]:
+        const = T.Tensor(rng.uniform(-2.0, 2.0, (3, 3)))
+        var = T.Tensor(rng.uniform(-2.0, 2.0, (3, 3)), requires_grad=True)
+        assert T.check_gradient(lambda ins: builder(const, ins[0]), [var], 1e-5) < 1e-4
+        assert const.grad is None and var.grad is not None

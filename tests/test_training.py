@@ -219,7 +219,7 @@ def test_divergence_guards():
     phase = _Phase(params, lr=0.1, max_epochs=5, patience=3)
 
     def nan_losses():
-        return T.sum_all(params[0] * params[0]), float("nan")
+        return T.mean_all(params[0] * params[0]), float("nan")
     with pytest.raises(TrainingDivergedError) as err:
         phase.run(nan_losses, lambda *a: None)
     assert "epoch 0" in str(err.value)
