@@ -21,10 +21,9 @@ from .errors import (ConfigError, DomainError, GraphFormatError,
                      GraphValidationError, ShapeError, TrainingDivergedError,
                      as_type)
 from .experts import ExpertArch, check_role, load_expert, save_expert
-from .graphs import (ARCHITECTURES, BlindspotInstance, build_blindspot_graph,
-                     cost_estimate, generate_specialization_graph,
-                     graph_from_document, graph_to_document, khop_sizes,
-                     load_graph, save_graph, validate_blindspot)
+from .graphs import (ARCHITECTURES, build_blindspot_graph, cost_estimate,
+                     generate_specialization_graph, graph_to_document, khop_sizes,
+                     load_graph, save_graph)
 from .mixture import infer_expected, infer_stochastic, write_predictions_csv
 from .theory import SUITES, SuiteReport, run_theorem_suite
 from .training import MODES, PRETRAIN_CHOICES, TrainConfig, predict, train
@@ -93,16 +92,6 @@ def cmd_gen(parser, args):
         parser.error(f"unknown generator kind {kind!r}")
     print(path)
     return 0
-
-
-def load_blindspot(path) -> BlindspotInstance:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    instance = BlindspotInstance(
-        graph_from_document(doc["graph"]), int(doc["u"]), int(doc["v"]),
-        int(doc["k"]), {int(a): int(b) for a, b in doc["node_map"].items()})
-    validate_blindspot(instance)
-    return instance
 
 
 def _train_config_from(args, config) -> TrainConfig:

@@ -9,6 +9,7 @@ analytically from degrees.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,72 +43,68 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
+    def edge_arrays(self):
+        """(lo, hi): each undirected edge once, lo < hi, in sorted order."""
+        rows = np.repeat(np.arange(self.num_nodes), self.degrees)
+        upper = rows < self.indices
+        return rows[upper], self.indices[upper]
+
     def edge_list(self):
         """Each undirected edge once, as (lo, hi) pairs sorted."""
-        out = []
-        for v in range(self.num_nodes):
-            for w in self.neighbors(v):
-                if v < w:
-                    out.append((v, int(w)))
-        return out
+        lo, hi = self.edge_arrays()
+        return list(zip(lo.tolist(), hi.tolist()))
 
 
 def build_graph(num_nodes, num_classes, features, labels, edges, splits) -> Graph:
     """Validate parts, symmetrize and deduplicate edges, freeze a Graph."""
+    n = operator.index(num_nodes)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if features.ndim != 2 or features.shape[0] != num_nodes:
+    if features.ndim != 2 or features.shape[0] != n:
         raise GraphValidationError(
-            f"features must be {num_nodes} rows, got shape {features.shape}")
+            f"features must be {n} rows, got shape {features.shape}")
     if not np.all(np.isfinite(features)):
         raise GraphValidationError("features contain non-finite values")
-    if labels.shape != (num_nodes,):
-        raise GraphValidationError(f"labels must have length {num_nodes}")
+    if labels.shape != (n,):
+        raise GraphValidationError(f"labels must have length {n}")
     bad = np.nonzero((labels < 0) | (labels >= num_classes))[0]
     if bad.size:
         raise GraphValidationError(
             f"label {labels[bad[0]]} at node {bad[0]} outside [0, {num_classes})")
 
-    seen = set()
-    for k, (a, b) in enumerate(edges):
-        a, b = int(a), int(b)
-        if not (0 <= a < num_nodes and 0 <= b < num_nodes):
-            raise GraphValidationError(f"edge #{k} = ({a}, {b}) has endpoint >= {num_nodes}")
-        if a == b:
-            raise GraphValidationError(f"edge #{k} = ({a}, {b}) is a self-loop")
-        seen.add((min(a, b), max(a, b)))
+    # an empty list would read as shape (0,), not as zero pairs
+    edges = np.asarray(edges if len(edges) else np.zeros((0, 2)), dtype=np.int64)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise GraphValidationError("edges must be a list of [a, b] pairs")
+    outside = ((edges < 0) | (edges >= n)).any(axis=1)
+    bad = outside | (edges[:, 0] == edges[:, 1])
+    if bad.any():
+        k = int(np.argmax(bad))
+        problem = f"has endpoint >= {n}" if outside[k] else "is a self-loop"
+        raise GraphValidationError(f"edge #{k} = ({edges[k, 0]}, {edges[k, 1]}) {problem}")
+    # both orientations of every edge as row * n + col keys: sorted and
+    # deduplicated, they are the CSR entries in order
+    a, b = edges.T
+    keys = np.sort(np.concatenate([a * n + b, b * n + a]))
+    rows, indices = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
 
-    adj = [[] for _ in range(num_nodes)]
-    for a, b in seen:
-        adj[a].append(b)
-        adj[b].append(a)
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    chunks = []
-    for v in range(num_nodes):
-        nbrs = np.sort(np.asarray(adj[v], dtype=np.int64))
-        chunks.append(nbrs)
-        indptr[v + 1] = indptr[v] + nbrs.size
-    indices = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-
-    clean_splits = {}
-    claimed = set()
+    clean_splits = {name: np.zeros(0, dtype=np.int64) for name in _SPLIT_KEYS}
     for name in sorted(splits):
         if name not in _SPLIT_KEYS:
             raise GraphValidationError(f"unknown split name {name!r}")
-        ids = np.asarray(sorted(int(i) for i in splits[name]), dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= num_nodes):
-            raise GraphValidationError(f"split {name!r} has node id outside [0, {num_nodes})")
-        overlap = claimed.intersection(ids.tolist())
-        if overlap:
-            raise GraphValidationError(
-                f"node {min(overlap)} appears in more than one split")
-        claimed.update(ids.tolist())
-        clean_splits[name] = ids
-    for name in _SPLIT_KEYS:
-        clean_splits.setdefault(name, np.zeros(0, dtype=np.int64))
+        ids = np.asarray(splits[name], dtype=np.int64)
+        if ids.ndim != 1:
+            raise GraphValidationError(f"split {name!r} must be a list of node ids")
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise GraphValidationError(f"split {name!r} has node id outside [0, {n})")
+        clean_splits[name] = np.sort(ids)
+    claims = sum(np.bincount(ids, minlength=n) > 0 for ids in clean_splits.values())
+    if (claims > 1).any():
+        raise GraphValidationError(
+            f"node {np.argmax(claims > 1)} appears in more than one split")
 
-    return Graph(int(num_nodes), int(num_classes), features, labels,
-                 indptr, indices, clean_splits)
+    return Graph(n, int(num_classes), features, labels, indptr, indices, clean_splits)
 
 
 def load_graph(path) -> Graph:
@@ -130,10 +127,9 @@ def graph_from_document(doc) -> Graph:
     if missing:
         raise GraphValidationError(f"missing document keys: {sorted(missing)}")
     feats = doc["features"]
-    try:
-        widths = {len(row) for row in feats}
-    except TypeError as e:
-        raise GraphValidationError("features must be an array of rows") from e
+    if not isinstance(feats, list) or not all(isinstance(row, list) for row in feats):
+        raise GraphValidationError("features must be an array of rows")
+    widths = {len(row) for row in feats}
     if len(widths) > 1:
         ragged = next(i for i, row in enumerate(feats) if len(row) != len(feats[0]))
         raise GraphValidationError(f"feature row {ragged} has ragged width")
@@ -143,7 +139,7 @@ def graph_from_document(doc) -> Graph:
     try:
         return build_graph(doc["num_nodes"], doc["num_classes"], feats,
                            doc["labels"], doc["edges"], splits)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         if isinstance(e, GraphValidationError):
             raise
         raise GraphValidationError(f"malformed record in document: {e}") from e
@@ -153,10 +149,10 @@ def graph_to_document(graph: Graph) -> dict:
     return {
         "num_nodes": graph.num_nodes,
         "num_classes": graph.num_classes,
-        "features": [[float(x) for x in row] for row in graph.features],
-        "labels": [int(y) for y in graph.labels],
-        "edges": [[a, b] for a, b in graph.edge_list()],
-        "splits": {k: [int(i) for i in graph.splits[k]] for k in ("train", "val", "test")},
+        "features": graph.features.tolist(),
+        "labels": graph.labels.tolist(),
+        "edges": np.stack(graph.edge_arrays(), axis=1).tolist(),
+        "splits": {k: graph.splits[k].tolist() for k in ("train", "val", "test")},
     }
 
 
@@ -228,7 +224,7 @@ def generate_specialization_graph(n_per_group: int, f: int, noise: float,
             splits["val"] += cell[n_train:n_train + n_val].tolist()
             splits["test"] += cell[n_train + n_val:].tolist()
 
-    return build_graph(n, 2, features, labels, sorted(edges), splits)
+    return build_graph(n, 2, features, labels, list(edges), splits)
 
 
 def specialization_groups(graph: Graph):
@@ -239,14 +235,12 @@ def specialization_groups(graph: Graph):
 
 def homophily_ratio(graph: Graph, nodes=None) -> float:
     """Fraction of edge endpoints (within `nodes`, if given) sharing the class."""
-    keep = None if nodes is None else set(int(v) for v in nodes)
-    same = total = 0
-    for a, b in graph.edge_list():
-        if keep is not None and (a not in keep or b not in keep):
-            continue
-        total += 1
-        same += graph.labels[a] == graph.labels[b]
-    return same / total if total else float("nan")
+    lo, hi = graph.edge_arrays()
+    if nodes is not None:
+        inside = np.isin(lo, nodes) & np.isin(hi, nodes)
+        lo, hi = lo[inside], hi[inside]
+    return np.count_nonzero(graph.labels[lo] == graph.labels[hi]) / lo.size \
+        if lo.size else float("nan")
 
 
 @dataclass(frozen=True)
@@ -386,13 +380,15 @@ def validate_blindspot(instance: BlindspotInstance, tol: float = 1e-10):
     hood_v = khop_neighborhood(g, v, k)
     if hood_u & hood_v:
         raise GraphValidationError("k-hop neighborhoods of u and v overlap")
-    fmap = instance.node_map
-    edge_set = set(g.edge_list())
-    for a, b in g.edge_list():
-        if a in fmap and b in fmap:
-            img = (min(fmap[a], fmap[b]), max(fmap[a], fmap[b]))
-            if img not in edge_set:
-                raise GraphValidationError(f"mapping breaks edge ({a}, {b})")
+    n = g.num_nodes
+    image = np.full(n, -1)
+    image[list(instance.node_map)] = list(instance.node_map.values())
+    lo, hi = g.edge_arrays()
+    a, b = np.sort([image[lo], image[hi]], axis=0)
+    broken = (a >= 0) & ((b >= n) | ~np.isin(a * n + b, lo * n + hi))
+    if broken.any():
+        k = int(np.argmax(broken))
+        raise GraphValidationError(f"mapping breaks edge ({lo[k]}, {hi[k]})")
     if np.array_equal(g.features[u], g.features[v]):
         raise GraphValidationError("u and v must have distinct features")
     gap = blindspot_cancellation_gap(instance)

@@ -14,7 +14,8 @@ from confmix.confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
                                 StepGate, TwoLevelGate, spec_to_document)
 from confmix.errors import TrainingDivergedError, as_type
 from confmix.experts import ExpertArch, expert_to_document, init_expert
-from confmix.graphs import load_graph
+from confmix.graphs import (BlindspotInstance, graph_from_document, load_graph,
+                            validate_blindspot)
 from confmix.theory import SUITES, SuiteReport
 
 
@@ -34,7 +35,11 @@ def test_gen_blindspot_roundtrip(tmp_path):
     out = str(tmp_path)
     assert run_cli(["gen", "--kind", "blindspot", "--k", "2", "--seed", "3",
                     "--out", out]) == 0
-    instance = cli.load_blindspot(tmp_path / "blindspot.json")
+    doc = json.loads((tmp_path / "blindspot.json").read_text())
+    instance = BlindspotInstance(
+        graph_from_document(doc["graph"]), doc["u"], doc["v"], doc["k"],
+        {int(a): b for a, b in doc["node_map"].items()})
+    validate_blindspot(instance)
     assert instance.k == 2
 
 
@@ -277,6 +282,32 @@ def _unchained(doc):
     return doc
 
 
+GRAPH_COMMANDS = {
+    "cost": _cli("cost", "--data", "DATA"),
+    "train": _cli(*TRAIN),
+    "infer": _infer(lambda c: c["weak"], lambda c: c["gcn"]),
+}
+
+
+def _on_graph(command, edit):
+    """`command` run on the small graph's document after `edit` changed it."""
+    def argv(tmp, data, ckpt):
+        with open(data, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        return GRAPH_COMMANDS[command](tmp, _write(tmp, "graph.json", doc), ckpt)
+    return argv
+
+
+def _set(*path, value):
+    """An edit that sets the entry at `path` of a document to `value`."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
 BAD_INPUTS = {
     "bad_graph_document": lambda tmp, data, ckpt: [
         "train", "--data", _write(tmp, "bad.json", "{not json"), "--seed", "1"],
@@ -323,6 +354,12 @@ BAD_INPUTS = {
                                            lambda c: _unchained(c["gcn"])),
     "config_rounds_fractional": _cli(*TRAIN, config={"rounds": 1.9}),
     "config_rounds_bool": _cli(*TRAIN, config={"rounds": True}),
+    "graph_edge_endpoint_overflow": _on_graph("cost", _set("edges", 0, 1, value=1e30)),
+} | {
+    f"graph_{name}_overflow_{command}": _on_graph(command, edit)
+    for name, edit in (("label", _set("labels", 0, value=1e30)),
+                       ("split_id", _set("splits", "train", value=[1e308])))
+    for command in GRAPH_COMMANDS
 }
 
 
@@ -436,4 +473,43 @@ def test_mutated_checkpoint_exits_0_or_2(data, tmp_path, small_graph_path, check
     strong = doc if role == "strong" else checkpoints["gcn"]
     argv = _infer(lambda c: weak, lambda c: strong)(
         tmp_path, str(small_graph_path), checkpoints)
+    _assert_exits_0_or_2(argv + ["--out", str(tmp_path)])
+
+
+@pytest.fixture(scope="module")
+def small_graph_doc(small_graph_path):
+    with open(small_graph_path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+ENTRY_VALUES = st.one_of(
+    JSON_VALUES, st.sampled_from([[0, 1, 2], [[0, 1]], True, 1.5, "3", None, 1e30]))
+
+
+@st.composite
+def mutated_graphs(draw, doc):
+    """A valid graph document with one top-level key dropped, retyped or
+    added, or one edge, endpoint, label, split id or feature entry replaced."""
+    doc = copy.deepcopy(doc)
+    target = draw(st.sampled_from(["top", "edges", "edge", "labels", "split", "features"]))
+    if target == "top":
+        _mutate(draw, doc)
+        return doc
+    entries = {
+        "edges": lambda: doc["edges"],
+        "edge": lambda: draw(st.sampled_from(doc["edges"])),
+        "labels": lambda: doc["labels"],
+        "split": lambda: doc["splits"][draw(st.sampled_from(sorted(doc["splits"])))],
+        "features": lambda: draw(st.sampled_from(doc["features"])),
+    }[target]()
+    entries[draw(st.integers(0, len(entries) - 1))] = draw(ENTRY_VALUES)
+    return doc
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_graph_exits_0_or_2(data, tmp_path, small_graph_doc, checkpoints):
+    doc = data.draw(mutated_graphs(small_graph_doc))
+    argv = GRAPH_COMMANDS["infer"](tmp_path, _write(tmp_path, "graph.json", doc), checkpoints)
     _assert_exits_0_or_2(argv + ["--out", str(tmp_path)])

@@ -1,14 +1,18 @@
 """Graph storage, interchange format, generators, cost model."""
 
+import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confmix.errors import (ConfigError, GraphFormatError, GraphValidationError)
 from confmix.graphs import (blindspot_cancellation_gap, build_blindspot_graph,
                             build_graph, cost_estimate,
-                            generate_specialization_graph, graph_to_document,
+                            generate_specialization_graph, graph_from_document,
+                            graph_to_document,
                             homophily_ratio, khop_neighborhood, khop_sizes,
                             load_graph, save_graph, specialization_groups,
                             validate_blindspot)
@@ -56,6 +60,63 @@ def test_edge_endpoint_out_of_range(tmp_path):
     with pytest.raises(GraphValidationError) as err:
         load_graph(path)
     assert "(0, 5)" in str(err.value)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([[0, 1], [1, 1], [0, 1], [0, 5]], "edge #1 = (1, 1) is a self-loop"),
+    ([[0, 1], [0, 5], [0, 1], [1, 1]], "edge #1 = (0, 5) has endpoint >= 2"),
+    ([[0, 1], [-1, -1]], "edge #1 = (-1, -1) has endpoint >= 2"),
+])
+def test_first_offending_edge_named(tmp_path, edges, message):
+    with pytest.raises(GraphValidationError) as err:
+        load_graph(write_doc(tmp_path, tiny_graph(edges=edges)))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("edges", [[[0, 1, 1]], [[[0, 1]]], [[0], [1]], [[]], [[0, None]],
+                                   [[0, 1e30]]])
+def test_malformed_edges_rejected(edges):
+    with pytest.raises(GraphValidationError):
+        graph_from_document(tiny_graph(edges=edges))
+
+
+def test_split_overlap_names_lowest_node():
+    doc = tiny_graph(num_nodes=4, features=[[0.0]] * 4, labels=[0, 1, 0, 1],
+                     edges=[], splits={"train": [3, 2, 1, 1], "val": [3], "test": [2]})
+    with pytest.raises(GraphValidationError) as err:
+        graph_from_document(doc)
+    assert str(err.value) == "node 2 appears in more than one split"
+    doc["splits"] = {"train": [3, 1, 1], "val": [], "test": [2]}
+    assert graph_from_document(doc).splits["train"].tolist() == [1, 1, 3]
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges) on n <= 12 nodes with duplicates, both orientations and
+    isolated nodes among the draws."""
+    n = draw(st.integers(0, 12))
+    if n < 2:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, max_size=20))
+    flipped = [(b, a) for a, b in draw(st.lists(st.sampled_from(edges), max_size=5))] \
+        if edges else []
+    return n, draw(st.permutations(edges + flipped + edges[:draw(st.integers(0, 3))]))
+
+
+@given(case=edge_lists())
+@settings(max_examples=200, deadline=None)
+def test_csr_matches_python_reference(case):
+    n, edges = case
+    g = build_graph(n, 1, np.zeros((n, 1)), [0] * n, edges, {})
+    undirected = sorted({(min(a, b), max(a, b)) for a, b in edges})
+    nbrs = [sorted([b for a, b in undirected if a == v] + [a for a, b in undirected if b == v])
+            for v in range(n)]
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    assert g.indptr.tolist() == [0] + list(itertools.accumulate(len(x) for x in nbrs))
+    assert g.indices.tolist() == [w for x in nbrs for w in x]
+    assert g.edge_list() == undirected
 
 
 def test_self_loop_rejected(tmp_path):
@@ -173,6 +234,16 @@ def test_blindspot_mapping_is_structural_isomorphism():
     v_side = edges - u_side
     assert mapped == v_side
     assert fmap[instance.u] == instance.v
+
+
+def test_blindspot_broken_mapping_rejected():
+    instance = build_blindspot_graph(2, 4, seed=6)
+    fmap = dict(instance.node_map)
+    # root and its solved child swap images: the root's edge to its next
+    # child (node 2) maps onto two siblings, which share no edge
+    fmap[0], fmap[1] = fmap[1], fmap[0]
+    with pytest.raises(GraphValidationError, match=r"mapping breaks edge \(0, 2\)"):
+        validate_blindspot(dataclasses.replace(instance, node_map=fmap))
 
 
 def test_blindspot_roots_distinct():
