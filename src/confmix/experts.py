@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .graphs import ARCHITECTURES, Graph, conv_coefficients
+from .graphs import ARCHITECTURES, Graph
 
 ROLES = {"weak": ("weak",), "strong": ("gcn", "gcn_skip")}
 
@@ -103,33 +103,24 @@ def weak_forward(model: ExpertModel, features) -> T.Tensor:
     return _layers(model, _input(model, features))
 
 
-def gcn_forward(model: ExpertModel, graph: Graph, features,
-                coefficients: T.Tensor | np.ndarray | None = None) -> T.Tensor:
+def gcn_forward(model: ExpertModel, graph: Graph, features) -> T.Tensor:
     """Probability rows from the L-hop neighborhood of each node.
 
-    Layer op: softmax/relu(coeff @ h @ W + b), with coeff the
-    symmetric-normalized closed-neighborhood matrix. On an edgeless
-    graph coeff is the identity and this equals weak_forward.
+    Layer op: softmax/relu(A @ h @ W + b) with A = graph.coefficients; on
+    an edgeless graph A is the identity and this equals weak_forward.
     gcn_skip adds h @ W_skip on the pre-aggregation activations.
-    `coefficients` reuses conv_coefficients(graph); a Tensor is used
-    as-is, so callers that loop wrap the matrix once.
     """
     x = _input(model, features)
     if x.shape[0] != graph.num_nodes:
         raise ShapeError(f"features have {x.shape[0]} rows for {graph.num_nodes} nodes")
-    if coefficients is None:
-        coefficients = conv_coefficients(graph)
-    coeff = coefficients if isinstance(coefficients, T.Tensor) else T.Tensor(coefficients)
-    return _layers(model, x, coeff)
+    return _layers(model, x, graph.coefficients)
 
 
-def forward(model: ExpertModel, graph: Graph, features=None,
-            coefficients=None) -> T.Tensor:
-    """Dispatch on model.kind; features default to the graph's."""
-    feats = graph.features if features is None else features
+def forward(model: ExpertModel, graph: Graph) -> T.Tensor:
+    """Probability rows of every node of `graph`, dispatched on model.kind."""
     if model.kind == "weak":
-        return weak_forward(model, feats)
-    return gcn_forward(model, graph, feats, coefficients)
+        return weak_forward(model, graph.features)
+    return gcn_forward(model, graph, graph.features)
 
 
 # ---- checkpointing ----

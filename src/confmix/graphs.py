@@ -2,18 +2,21 @@
 
 Graphs are undirected, unweighted, immutable after construction. The
 adjacency is compressed-sparse (indptr/indices over sorted neighbor
-lists) with no stored self-loops; the convolution adds the self term
-analytically from degrees.
+lists, read-only) with no stored self-loops; the convolution adds the
+self term analytically from degrees. Each graph builds its convolution
+operator on first use and keeps it.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
+from . import tensor as T
 from .errors import ConfigError, GraphFormatError, GraphValidationError
 
 _DOCUMENT_KEYS = {"num_nodes", "num_classes", "features", "labels", "edges", "splits"}
@@ -40,6 +43,11 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
+    @cached_property
+    def coefficients(self) -> T.Tensor:
+        """conv_coefficients(self) as a constant tensor, built on first use."""
+        return T.Tensor(conv_coefficients(self))
+
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
@@ -55,11 +63,28 @@ class Graph:
         return list(zip(lo.tolist(), hi.tolist()))
 
 
+def _integers(values, ndim: int, what: str) -> np.ndarray:
+    """`values` as an int64 array of `ndim` dimensions, or a
+    GraphValidationError naming `what`. As in errors.as_type, an integral
+    float such as 2.0 reads as its integer; a bool or a string does not."""
+    arr = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        out = arr.astype(np.int64) if arr.dtype.kind in "iuf" else arr
+    # numpy reads [0, true] as int64, so a bool among numbers needs a scan
+    items = chain.from_iterable(values) if ndim == 2 else values if ndim else ()
+    if (arr.ndim != ndim or out.dtype != np.int64 or not np.array_equal(out, arr)
+            or not isinstance(values, np.ndarray) and bool in set(map(type, items))):
+        shape = ("an integer", "a list of integers", "a list of integer lists")[ndim]
+        raise GraphValidationError(f"{what} must be {shape}")
+    return out
+
+
 def build_graph(num_nodes, num_classes, features, labels, edges, splits) -> Graph:
     """Validate parts, symmetrize and deduplicate edges, freeze a Graph."""
-    n = operator.index(num_nodes)
+    n = int(_integers(num_nodes, 0, "num_nodes"))
+    num_classes = int(_integers(num_classes, 0, "num_classes"))
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integers(labels, 1, "labels")
     if features.ndim != 2 or features.shape[0] != n:
         raise GraphValidationError(
             f"features must be {n} rows, got shape {features.shape}")
@@ -73,8 +98,8 @@ def build_graph(num_nodes, num_classes, features, labels, edges, splits) -> Grap
             f"label {labels[bad[0]]} at node {bad[0]} outside [0, {num_classes})")
 
     # an empty list would read as shape (0,), not as zero pairs
-    edges = np.asarray(edges if len(edges) else np.zeros((0, 2)), dtype=np.int64)
-    if edges.ndim != 2 or edges.shape[1] != 2:
+    edges = _integers(edges if len(edges) else np.zeros((0, 2)), 2, "edges")
+    if edges.shape[1] != 2:
         raise GraphValidationError("edges must be a list of [a, b] pairs")
     outside = ((edges < 0) | (edges >= n)).any(axis=1)
     bad = outside | (edges[:, 0] == edges[:, 1])
@@ -88,14 +113,14 @@ def build_graph(num_nodes, num_classes, features, labels, edges, splits) -> Grap
     keys = np.sort(np.concatenate([a * n + b, b * n + a]))
     rows, indices = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    # read-only, so the operator a Graph caches cannot go stale
+    indptr.flags.writeable = indices.flags.writeable = False
 
     clean_splits = {name: np.zeros(0, dtype=np.int64) for name in _SPLIT_KEYS}
     for name in sorted(splits):
         if name not in _SPLIT_KEYS:
             raise GraphValidationError(f"unknown split name {name!r}")
-        ids = np.asarray(splits[name], dtype=np.int64)
-        if ids.ndim != 1:
-            raise GraphValidationError(f"split {name!r} must be a list of node ids")
+        ids = _integers(splits[name], 1, f"split {name!r}")
         if ids.size and (ids.min() < 0 or ids.max() >= n):
             raise GraphValidationError(f"split {name!r} has node id outside [0, {n})")
         clean_splits[name] = np.sort(ids)
@@ -104,7 +129,7 @@ def build_graph(num_nodes, num_classes, features, labels, edges, splits) -> Grap
         raise GraphValidationError(
             f"node {np.argmax(claims > 1)} appears in more than one split")
 
-    return Graph(n, int(num_classes), features, labels, indptr, indices, clean_splits)
+    return Graph(n, num_classes, features, labels, indptr, indices, clean_splits)
 
 
 def load_graph(path) -> Graph:
@@ -199,20 +224,20 @@ def generate_specialization_graph(n_per_group: int, f: int, noise: float,
     features[group_b] = rng.standard_normal((n_per_group, f))
 
     degree_a, degree_b, p_same = min(20, n_per_group - 1), 8, 0.95
-    edges = set()
-    for a in group_a:
-        others = np.delete(group_a, a)
-        for t in rng.choice(others, size=degree_a, replace=False):
-            edges.add((min(int(a), int(t)), max(int(a), int(t))))
+    # edges as drawn: build_graph symmetrizes and deduplicates
+    targets = [rng.choice(np.delete(group_a, a), size=degree_a, replace=False)
+               for a in group_a]
     same_class = {c: group_b[labels[group_b] == c] for c in (0, 1)}
     for b in group_b:
         for _ in range(degree_b):
             pool = same_class[labels[b]] if rng.random() < p_same \
                 else same_class[1 - labels[b]]
-            t = int(rng.choice(pool))
+            t = rng.choice(pool)
             while t == b:
-                t = int(rng.choice(pool))
-            edges.add((min(int(b), t), max(int(b), t)))
+                t = rng.choice(pool)
+            targets.append([t])
+    sources = np.concatenate([np.repeat(group_a, degree_a), np.repeat(group_b, degree_b)])
+    edges = np.stack([sources, np.concatenate(targets)], axis=1)
 
     splits = {"train": [], "val": [], "test": []}
     for group in (group_a, group_b):
@@ -224,7 +249,7 @@ def generate_specialization_graph(n_per_group: int, f: int, noise: float,
             splits["val"] += cell[n_train:n_train + n_val].tolist()
             splits["test"] += cell[n_train + n_val:].tolist()
 
-    return build_graph(n, 2, features, labels, list(edges), splits)
+    return build_graph(n, 2, features, labels, edges, splits)
 
 
 def specialization_groups(graph: Graph):
@@ -399,14 +424,9 @@ def validate_blindspot(instance: BlindspotInstance, tol: float = 1e-10):
 def blindspot_cancellation_gap(instance: BlindspotInstance) -> float:
     """Max infinity-norm of the normalized closed-neighborhood sums."""
     g, k = instance.graph, instance.k
-    coeff = conv_coefficients(g)
-    required = set()
-    for root in (instance.u, instance.v):
-        required |= khop_neighborhood(g, root, k - 1)
-    worst = 0.0
-    for w in required:
-        worst = max(worst, float(np.abs(coeff[w] @ g.features).max()))
-    return worst
+    required = sorted(khop_neighborhood(g, instance.u, k - 1)
+                      | khop_neighborhood(g, instance.v, k - 1))
+    return float(np.abs(g.coefficients.values[required] @ g.features).max())
 
 
 # ---- neighborhood statistics and cost model ----

@@ -43,9 +43,8 @@ def _one_hot(labels: np.ndarray, n: int) -> np.ndarray:
 
 def cross_entropy_rows(probs, labels) -> T.Tensor:
     """Per-row -log p[label], with the package-wide clamp floor."""
-    p = probs if isinstance(probs, T.Tensor) else T.Tensor(probs)
-    hot = _one_hot(labels, p.shape[1])
-    return -T.sum_rows(hot * T.log(p))
+    hot = _one_hot(labels, np.shape(probs)[1])
+    return -T.sum_rows(hot * T.log(probs))
 
 
 def _check_inputs(p_weak, p_strong, conf):
@@ -60,7 +59,6 @@ def _chain_rows(prob_list, confidences, labels) -> T.Tensor:
     losses = [cross_entropy_rows(p, labels) for p in prob_list]
     tail = losses[-1]
     for c, loss in zip(reversed(confidences), reversed(losses[:-1])):
-        c = c if isinstance(c, T.Tensor) else T.Tensor(c)
         tail = c * loss + (c * (-1.0) + 1.0) * tail
     return tail
 
@@ -82,11 +80,8 @@ def mixture_loss(p_weak, p_strong, conf, labels) -> T.Tensor:
 
 def blend_rows(p_weak, p_strong, conf) -> T.Tensor:
     """Per-node convex blend c*p + (1-c)*p'; rows stay on the simplex."""
-    pw = p_weak if isinstance(p_weak, T.Tensor) else T.Tensor(p_weak)
-    ps = p_strong if isinstance(p_strong, T.Tensor) else T.Tensor(p_strong)
-    c = conf if isinstance(conf, T.Tensor) else T.Tensor(conf)
-    col = T.stack_columns([c])
-    return col * pw + (col * (-1.0) + 1.0) * ps
+    col = T.stack_columns([conf])
+    return col * p_weak + (col * (-1.0) + 1.0) * p_strong
 
 
 def blend_loss_rows(p_weak, p_strong, conf, labels) -> T.Tensor:

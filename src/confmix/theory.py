@@ -21,8 +21,7 @@ from .confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
                          confidence_batch, quasiconvexity_witness_search)
 from .errors import ConfigError, DomainError
 from .experts import ExpertArch, ExpertModel, Layer, gcn_forward, init_expert
-from .graphs import (BlindspotInstance, build_blindspot_graph, conv_coefficients,
-                     validate_blindspot)
+from .graphs import BlindspotInstance, build_blindspot_graph, validate_blindspot
 from .mixture import infer_expected
 from .training import predict
 
@@ -563,19 +562,17 @@ def verify_blindspot(instance: BlindspotInstance, n_weight_draws: int,
     validate_blindspot(instance)
     g, u, v, k = instance.graph, instance.u, instance.v, instance.k
     rng = np.random.default_rng(seed)
-    coeff = conv_coefficients(g)
     worst = 0.0
     for _ in range(n_weight_draws):
         strong = init_expert(ExpertArch("gcn", layers=k, hidden=max(4, g.num_features)),
                              g.num_features, g.num_classes, int(rng.integers(2 ** 31)))
         for layer in strong.layers:
             layer.bias.values = rng.uniform(-1.0, 1.0, layer.bias.shape)
-        probs = gcn_forward(strong, g, g.features, coeff).values
+        probs = gcn_forward(strong, g, g.features).values
         worst = max(worst, float(np.abs(probs[u] - probs[v]).max()))
 
     weak = build_root_separator(instance)
-    pw, ps, conf = predict(weak, strong, ConfidenceSpec("variance", StepGate(0.0)), g,
-                           coeff)
+    pw, ps, conf = predict(weak, strong, ConfidenceSpec("variance", StepGate(0.0)), g)
     _, pred = infer_expected(pw, ps, conf)
     strong_pred = ps.argmax(axis=1)
     mask = np.ones(g.num_nodes, dtype=bool)

@@ -21,7 +21,7 @@ from .confidence import (ConfidenceSpec, confidence_batch, confidence_rows,
                          default_spec)
 from .errors import ConfigError, DomainError, TrainingDivergedError
 from .experts import ExpertArch, ExpertModel, check_role, forward, init_expert
-from .graphs import Graph, conv_coefficients
+from .graphs import Graph
 from .mixture import (blend_loss_rows, cross_entropy_rows, infer_expected,
                       infer_stochastic, mixture_loss_rows)
 
@@ -176,7 +176,6 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
     if config.pretrain in ("strong", "both"):
         _plain_ce_phase(strong, graph, config.pretrain_epochs, config.lr)
 
-    coeff = T.Tensor(conv_coefficients(graph))
     # each epoch evaluates the loss terms of the train and val rows in one pass
     rows, train_pos = _loss_rows(graph)
     y_rows = graph.labels[rows]
@@ -200,13 +199,13 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
         c_rows = confidence_batch(pw_rows, spec)
 
         def losses():
-            ps = T.take_rows(forward(strong, graph, coefficients=coeff), rows)
+            ps = T.take_rows(forward(strong, graph), rows)
             return _split_means(mixture_loss_rows(pw_rows, ps, c_rows, y_rows),
                                 train_pos)
         return losses
 
     def record_round(round_idx) -> dict:
-        pw, ps, c = predict(weak, strong, spec, graph, coeff)
+        pw, ps, c = predict(weak, strong, spec, graph)
         counts, edges = np.histogram(c[train_ids], bins=HIST_BINS, range=(0.0, 1.0))
         for b in range(HIST_BINS):
             report.hist_rows.append((round_idx, float(edges[b]), float(edges[b + 1]),
@@ -219,7 +218,7 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
     if config.mode == "in_turn":
         for round_idx in range(1, config.rounds + 1):
             phase = _Phase(weak_params, config.lr, config.max_epochs, config.patience)
-            phase.run(weak_turn_losses(forward(strong, graph, coefficients=coeff).values),
+            phase.run(weak_turn_losses(forward(strong, graph).values),
                       lambda e, t, v, r=round_idx: report.loss_rows.append(
                           (r, "weak", e, t, v)))
             phase = _Phase(strong_params, config.lr, config.max_epochs, config.patience)
@@ -232,7 +231,7 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
 
         def losses():
             pw = T.take_rows(forward(weak, graph), rows)
-            ps = T.take_rows(forward(strong, graph, coefficients=coeff), rows)
+            ps = T.take_rows(forward(strong, graph), rows)
             terms = terms_fn(pw, ps, confidence_rows(pw, spec), y_rows)
             return _split_means(terms, train_pos)
 
@@ -253,10 +252,9 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
 def _plain_ce_phase(model: ExpertModel, graph: Graph, epochs: int, lr: float):
     train_ids = graph.splits["train"]
     labels = graph.labels[train_ids]
-    coeff = T.Tensor(conv_coefficients(graph)) if model.kind != "weak" else None
     params = list(model.parameters())
     for _ in range(epochs):
-        probs = forward(model, graph, coefficients=coeff)
+        probs = forward(model, graph)
         loss = T.mean_all(cross_entropy_rows(T.take_rows(probs, train_ids), labels))
         T.backward(loss)
         _sgd_step(params, lr)
@@ -280,17 +278,16 @@ def pretrain_expert(arch: ExpertArch, graph: Graph, epochs: int, lr: float,
 
 
 def predict(weak: ExpertModel, strong: ExpertModel, spec: ConfidenceSpec,
-            graph: Graph, coefficients: T.Tensor | np.ndarray | None = None):
+            graph: Graph):
     """(weak rows, strong rows, confidence) of every node, as arrays.
 
-    `coefficients` reuses an already built conv_coefficients(graph).
     DomainError when either expert's rows are not finite, as from a
     checkpoint whose weights overflow.
     """
     # the check below reports an overflow; numpy's warnings would repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         pw = forward(weak, graph).values
-        ps = forward(strong, graph, coefficients=coefficients).values
+        ps = forward(strong, graph).values
     for role, rows in (("weak", pw), ("strong", ps)):
         if not np.all(np.isfinite(rows)):
             raise DomainError(f"the {role} expert's predictions are not finite")
@@ -337,12 +334,11 @@ def single_expert_baseline(arch: ExpertArch, graph: Graph, seed: int,
     stopping rule as a turn, but plain cross-entropy all the way.
     """
     model = init_expert(arch, graph.num_features, graph.num_classes, seed)
-    coeff = T.Tensor(conv_coefficients(graph)) if model.kind != "weak" else None
     rows, train_pos = _loss_rows(graph)
     y_rows = graph.labels[rows]
 
     def losses():
-        probs = T.take_rows(forward(model, graph, coefficients=coeff), rows)
+        probs = T.take_rows(forward(model, graph), rows)
         return _split_means(cross_entropy_rows(probs, y_rows), train_pos)
 
     phase = _Phase(list(model.parameters()), lr, max_epochs, patience)

@@ -355,6 +355,12 @@ BAD_INPUTS = {
     "config_rounds_fractional": _cli(*TRAIN, config={"rounds": 1.9}),
     "config_rounds_bool": _cli(*TRAIN, config={"rounds": True}),
     "graph_edge_endpoint_overflow": _on_graph("cost", _set("edges", 0, 1, value=1e30)),
+    # each of these reads as a valid integer under numpy's int64 cast:
+    # edge 0 is (0, 1) and node 1 comes first in the train split
+    "graph_label_fractional": _on_graph("train", _set("labels", 0, value=1.5)),
+    "graph_edge_endpoint_bool": _on_graph("train", _set("edges", 0, 1, value=True)),
+    "graph_split_id_string": _on_graph("train", _set("splits", "train", 0, value="1")),
+    "graph_num_classes_fractional": _on_graph("train", _set("num_classes", value=2.5)),
 } | {
     f"graph_{name}_overflow_{command}": _on_graph(command, edit)
     for name, edit in (("label", _set("labels", 0, value=1e30)),

@@ -80,6 +80,36 @@ def test_malformed_edges_rejected(edges):
         graph_from_document(tiny_graph(edges=edges))
 
 
+def test_integral_floats_read_as_integers():
+    g = graph_from_document(tiny_graph(
+        num_nodes=2.0, num_classes=2.0, labels=[0.0, 1.0], edges=[[0.0, 1.0]],
+        splits={"train": [0.0], "val": [], "test": [1.0]}))
+    assert (g.num_nodes, g.num_classes) == (2, 2) and type(g.num_classes) is int
+    assert g.labels.dtype == np.int64 and g.labels.tolist() == [0, 1]
+    assert g.edge_list() == [(0, 1)] and g.splits["test"].tolist() == [1]
+
+
+@pytest.mark.parametrize("override", [
+    {"labels": [0, 1.5]}, {"labels": [0, True]}, {"labels": [0, "1"]},
+    {"edges": [[0, True]]}, {"edges": [[0.0, 0.5]]},
+    {"splits": {"train": ["0"], "val": [], "test": [1]}},
+    {"splits": {"train": [0], "val": [], "test": [True]}},
+    {"num_classes": 2.5}, {"num_classes": True}, {"num_nodes": "2"},
+], ids=["label_fraction", "label_bool", "label_string", "endpoint_bool",
+        "endpoint_fraction", "split_id_string", "split_id_bool",
+        "num_classes_fraction", "num_classes_bool", "num_nodes_string"])
+def test_non_integers_rejected(override):
+    with pytest.raises(GraphValidationError, match="integer"):
+        graph_from_document(tiny_graph(**override))
+
+
+def test_csr_arrays_read_only():
+    g = graph_from_document(tiny_graph())
+    for arr in (g.indptr, g.indices):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
 def test_split_overlap_names_lowest_node():
     doc = tiny_graph(num_nodes=4, features=[[0.0]] * 4, labels=[0, 1, 0, 1],
                      edges=[], splits={"train": [3, 2, 1, 1], "val": [3], "test": [2]})

@@ -81,6 +81,12 @@ def test_off_simplex_rejected():
     with pytest.raises(DomainError):
         mixture_loss(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]),
                      np.array([1.5]), np.array([0]))
+    pw, nan = np.array([[0.5, 0.5]]), np.array([np.nan])
+    for loss in (mixture_loss, blend_loss):
+        with pytest.raises(DomainError):
+            loss(pw, pw, nan, np.array([0]))
+    with pytest.raises(DomainError):
+        multi_expert_loss([pw, pw], [nan], np.array([0]))
 
 
 def test_multi_expert_reduces_to_two_expert():

@@ -7,6 +7,7 @@ from confmix import tensor as T
 from confmix.confidence import ConfidenceSpec, StepGate, confidence_batch
 from confmix.errors import ConfigError, DomainError, TrainingDivergedError
 from confmix.experts import ExpertArch, forward, init_expert
+from confmix import graphs
 from confmix.graphs import build_graph, generate_specialization_graph
 from confmix.training import (TrainConfig, _Phase, _sgd_step, evaluate,
                               pretrain_expert, train)
@@ -266,3 +267,19 @@ def test_gradient_correctness_of_training_objectives():
             ps = forward(strong, g)
             return loss_fn(pw, ps, confidence_rows(pw, spec), g.labels)
         assert check_gradient(fn, params, 1e-5) < 1e-4
+
+
+def test_operator_built_once_per_graph(monkeypatch):
+    g = generate_specialization_graph(20, 4, 0.1, seed=5)
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return build(graph)
+
+    build = graphs.conv_coefficients
+    monkeypatch.setattr(graphs, "conv_coefficients", counted)
+    result = train(small_config(rounds=1, max_epochs=5, pretrain="both",
+                                pretrain_epochs=3), g)
+    evaluate(result.weak, result.strong, result.spec, g, "test", gate_seed=1)
+    assert len(calls) == 1 and calls[0] is g
