@@ -33,13 +33,15 @@ SUITE_CHOICES = ("all",) + tuple(SUITES)
 
 def _merge(args: argparse.Namespace, config: dict, key: str, default=None,
            cast=None):
-    """The flag, else the config value, else `default`, cast by `cast`."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is None:
-        value = config.get(key, default)
-    if value is None or cast is None:
-        return value
-    return as_type(value, cast, key)
+    """The flag, else the config value (null is unset), else `default`,
+    cast by `as_type` to `cast`, else to the type of `default`, else to
+    `str`."""
+    if cast is None:
+        cast = str if default is None else type(default)
+    for value in (getattr(args, key.replace("-", "_"), None), config.get(key), default):
+        if value is not None:
+            return as_type(value, cast, key)
+    return None
 
 
 def _load_config(path):
@@ -52,10 +54,17 @@ def _load_config(path):
     return doc
 
 
+def _required(parser, args, config, key: str, cast=str):
+    value = _merge(args, config, key, cast=cast)
+    if value is None:
+        parser.error(f"--{key} is required (flag or config)")
+    return value
+
+
 def _require_seed(parser, args, config) -> int:
-    seed = _merge(args, config, "seed", cast=int)
-    if seed is None:
-        parser.error("--seed is required (flag or config)")
+    seed = _required(parser, args, config, "seed", int)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return seed
 
 
@@ -65,23 +74,22 @@ def _outdir(args, config) -> str:
     return out
 
 
-def cmd_gen(parser, args):
-    config = _load_config(args.config)
+def cmd_gen(parser, args, config):
     seed = _require_seed(parser, args, config)
     out = _outdir(args, config)
     kind = _merge(args, config, "kind", "specialization")
     path = os.path.join(out, _merge(args, config, "name", f"{kind}.json"))
     if kind == "specialization":
         graph = generate_specialization_graph(
-            _merge(args, config, "n-per-group", 100, int),
-            _merge(args, config, "features", 8, int),
-            _merge(args, config, "noise", 0.1, float),
+            _merge(args, config, "n-per-group", 100),
+            _merge(args, config, "features", 8),
+            _merge(args, config, "noise", 0.1),
             seed)
         save_graph(graph, path)
     elif kind == "blindspot":
         instance = build_blindspot_graph(
-            _merge(args, config, "k", 1, int),
-            _merge(args, config, "features", 6, int),
+            _merge(args, config, "k", 1),
+            _merge(args, config, "features", 6),
             seed)
         doc = {"u": instance.u, "v": instance.v, "k": instance.k,
                "node_map": {str(a): b for a, b in instance.node_map.items()},
@@ -89,42 +97,41 @@ def cmd_gen(parser, args):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
     else:
-        parser.error(f"unknown generator kind {kind!r}")
+        raise ConfigError(f"kind must be specialization or blindspot, got {kind!r}")
     print(path)
     return 0
+
+
+def _scalar_fields() -> dict:
+    """TrainConfig's int, float and str fields and their defaults: the
+    train flags, and the config keys besides the architectures and spec."""
+    return {name: default for name, default in vars(TrainConfig()).items()
+            if isinstance(default, (int, float, str))}
 
 
 def _train_config_from(args, config) -> TrainConfig:
     """TrainConfig from flags and config keys (`max-epochs` for
     max_epochs); unset values keep TrainConfig's defaults."""
-    defaults, values = TrainConfig(), {}
-    for f in fields(TrainConfig):
-        default = getattr(defaults, f.name)
+    values = {name: _merge(args, config, name.replace("_", "-"), default)
+              for name, default in _scalar_fields().items()}
+    for name, default in vars(TrainConfig()).items():
         if isinstance(default, ExpertArch):
-            doc = config.get(f.name, {})
+            doc = config.get(name, {})
             if not isinstance(doc, dict):
-                raise ConfigError(f"{f.name} must be a JSON object")
-            values[f.name] = replace(default, **{
+                raise ConfigError(f"{name} must be a JSON object")
+            values[name] = replace(default, **{
                 a.name: as_type(doc[a.name], type(getattr(default, a.name)),
-                                f"{f.name}.{a.name}")
+                                f"{name}.{a.name}")
                 for a in fields(ExpertArch) if a.name in doc})
-        elif isinstance(default, (int, float, str)):
-            values[f.name] = _merge(args, config, f.name.replace("_", "-"),
-                                    default, type(default))
-    spec_doc = _merge(args, config, "confidence")
-    if spec_doc:
-        values["spec"] = spec_from_document(spec_doc)
+    if config.get("confidence") is not None:
+        values["spec"] = spec_from_document(config["confidence"])
     return TrainConfig(**values)
 
 
-def cmd_train(parser, args):
-    config = _load_config(args.config)
+def cmd_train(parser, args, config):
     _require_seed(parser, args, config)
     out = _outdir(args, config)
-    data = _merge(args, config, "data")
-    if data is None:
-        parser.error("--data is required (flag or config)")
-    graph = load_graph(data)
+    graph = load_graph(_required(parser, args, config, "data"))
     train_config = _train_config_from(args, config)
     result = train(train_config, graph)
     save_expert(result.weak, os.path.join(out, "weak.json"))
@@ -135,18 +142,12 @@ def cmd_train(parser, args):
     return 0
 
 
-def cmd_infer(parser, args):
-    config = _load_config(args.config)
+def cmd_infer(parser, args, config):
     seed = _require_seed(parser, args, config)
     out = _outdir(args, config)
-    data = _merge(args, config, "data")
-    weak_path = _merge(args, config, "weak")
-    strong_path = _merge(args, config, "strong")
-    if data is None or weak_path is None or strong_path is None:
-        parser.error("--data, --weak and --strong are required")
-    graph = load_graph(data)
-    weak = load_expert(weak_path)
-    strong = load_expert(strong_path)
+    graph = load_graph(_required(parser, args, config, "data"))
+    weak = load_expert(_required(parser, args, config, "weak"))
+    strong = load_expert(_required(parser, args, config, "strong"))
     for model, role in ((weak, "weak"), (strong, "strong")):
         check_role(model.kind, role)
         if model.dims[-1] != graph.num_classes:
@@ -176,16 +177,15 @@ def cmd_infer(parser, args):
     return 0
 
 
-def cmd_verify(parser, args):
-    config = _load_config(args.config)
+def cmd_verify(parser, args, config):
     seed = _require_seed(parser, args, config)
     out = _outdir(args, config)
     suite_name = _merge(args, config, "suite", "all")
     if suite_name not in SUITE_CHOICES:
-        parser.error(f"--suite must be one of {SUITE_CHOICES}")
+        raise ConfigError(f"suite must be one of {SUITE_CHOICES}, got {suite_name!r}")
     builders = dict(SUITES, theorem=lambda suite_seed: run_theorem_suite(
-        _merge(args, config, "binary-count", 200, int),
-        _merge(args, config, "ternary-count", 20, int),
+        _merge(args, config, "binary-count", 200),
+        _merge(args, config, "ternary-count", 20),
         suite_seed))
     suite = SuiteReport()
     for name, build in builders.items():
@@ -198,14 +198,10 @@ def cmd_verify(parser, args):
     return 1 if failed else 0
 
 
-def cmd_cost(parser, args):
-    config = _load_config(args.config)
-    data = _merge(args, config, "data")
-    if data is None:
-        parser.error("--data is required (flag or config)")
-    graph = load_graph(data)
-    f = _merge(args, config, "features", graph.num_features, int)
-    layers = _merge(args, config, "layers", 2, int)
+def cmd_cost(parser, args, config):
+    graph = load_graph(_required(parser, args, config, "data"))
+    f = _merge(args, config, "features", graph.num_features)
+    layers = _merge(args, config, "layers", 2)
     sizes = khop_sizes(graph, layers)
     header = ["architecture", "macs"] + [f"b_{i}" for i in range(layers)]
     print(",".join(header))
@@ -224,29 +220,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config with per-command defaults")
-        p.add_argument("--seed", type=int, help="run seed (required)")
+        p.add_argument("--seed", help="run seed (required)")
         p.add_argument("--out", help="output directory (default .)")
 
     p = sub.add_parser("gen", help="generate a synthetic graph document")
     common(p)
     p.add_argument("--kind", choices=("specialization", "blindspot"))
     p.add_argument("--name", help="output file name")
-    p.add_argument("--n-per-group", type=int)
-    p.add_argument("--features", type=int)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--k", type=int, help="blindspot hop radius")
+    for name in ("--n-per-group", "--features", "--noise"):
+        p.add_argument(name)
+    p.add_argument("--k", help="blindspot hop radius")
 
     p = sub.add_parser("train", help="train a mixture on a graph document")
     common(p)
     p.add_argument("--data", help="graph document path")
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--pretrain", choices=PRETRAIN_CHOICES)
-    p.add_argument("--pretrain-epochs", type=int)
-    p.add_argument("--gate-seed", type=int)
+    choices = {"mode": MODES, "pretrain": PRETRAIN_CHOICES}
+    for name in _scalar_fields():
+        if name != "seed":
+            p.add_argument("--" + name.replace("_", "-"), choices=choices.get(name))
 
     p = sub.add_parser("infer", help="run both inference modes from checkpoints")
     common(p)
@@ -258,14 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the theory verification suites")
     common(p)
     p.add_argument("--suite", choices=SUITE_CHOICES)
-    p.add_argument("--binary-count", type=int)
-    p.add_argument("--ternary-count", type=int)
+    p.add_argument("--binary-count")
+    p.add_argument("--ternary-count")
 
     p = sub.add_parser("cost", help="inference cost table for a graph")
     common(p)
     p.add_argument("--data")
-    p.add_argument("--features", type=int)
-    p.add_argument("--layers", type=int)
+    p.add_argument("--features")
+    p.add_argument("--layers")
 
     return parser
 
@@ -276,7 +267,7 @@ def main(argv=None) -> int:
     handlers = {"gen": cmd_gen, "train": cmd_train, "infer": cmd_infer,
                 "verify": cmd_verify, "cost": cmd_cost}
     try:
-        return handlers[args.command](parser, args)
+        return handlers[args.command](parser, args, _load_config(args.config))
     except TrainingDivergedError as e:
         print(f"training failed: {e}", file=sys.stderr)
         return 3

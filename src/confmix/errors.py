@@ -38,14 +38,15 @@ class TrainingDivergedError(RuntimeError):
 
 def as_type(value, cast, key: str):
     """`cast(value)`, or a ConfigError naming `key` when that fails, gives
-    a non-finite float, or casts a bool or a fractional number to int."""
+    a non-finite float, casts a bool or a fractional number to int, a bool
+    to float, or anything but a str to str."""
     try:
         out = cast(value)
     except (TypeError, ValueError, OverflowError):
         out = math.nan
-    lossy = cast is int and (isinstance(value, bool)
-                             or isinstance(value, float) and out != value)
+    lossy = (isinstance(value, bool) or cast is str and not isinstance(value, str)
+             or cast is int and isinstance(value, float) and out != value)
     if lossy or isinstance(out, float) and not math.isfinite(out):
-        what = "an integer" if cast is int else f"a finite {cast.__name__}"
+        what = {int: "an integer", str: "a string"}.get(cast, f"a finite {cast.__name__}")
         raise ConfigError(f"{key} must be {what}, got {value!r}")
     return out

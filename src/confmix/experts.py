@@ -56,6 +56,8 @@ class ExpertArch:
     def dims(self, num_features: int, num_classes: int):
         if self.layers < 1:
             raise ConfigError(f"layers must be >= 1, got {self.layers}")
+        if self.layers > 1 and self.hidden < 1:
+            raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
         return [num_features] + [self.hidden] * (self.layers - 1) + [num_classes]
 
 

@@ -628,6 +628,9 @@ class SuiteReport:
 def run_theorem_suite(binary_count: int = 200, ternary_count: int = 20,
                       seed: int = 0, binary_resolution: int = 2000,
                       ternary_resolution: int = 300) -> SuiteReport:
+    if min(binary_count, ternary_count) < 0:
+        raise ConfigError(f"counts must be >= 0, got {binary_count} binary, "
+                          f"{ternary_count} ternary")
     suite = SuiteReport()
     grid2 = SimplexGrid.build(2, binary_resolution)
     for problem in sample_binary_problems(binary_count, seed, binary_resolution):

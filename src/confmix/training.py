@@ -55,8 +55,8 @@ class TrainConfig:
             raise ConfigError("rounds, max_epochs and patience must be positive")
         if self.lr <= 0:
             raise ConfigError(f"learning rate must be > 0, got {self.lr}")
-        if self.pretrain_epochs < 0:
-            raise ConfigError("pretrain_epochs must be >= 0")
+        if min(self.pretrain_epochs, self.seed, self.gate_seed) < 0:
+            raise ConfigError("pretrain_epochs, seed and gate_seed must be >= 0")
         check_role(self.weak_arch.kind, "weak")
         check_role(self.strong_arch.kind, "strong")
 
@@ -185,8 +185,9 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
     weak_params = list(weak.parameters()) + gate_params
     strong_params = list(strong.parameters())
 
+    # a turn's frozen rows and confidences are constants: wrap them once
     def weak_turn_losses(frozen_strong_rows):
-        ps_rows = frozen_strong_rows[rows]
+        ps_rows = T.Tensor(frozen_strong_rows[rows])
 
         def losses():
             pw = T.take_rows(forward(weak, graph), rows)
@@ -196,7 +197,7 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
 
     def strong_turn_losses(frozen_weak_rows):
         pw_rows = frozen_weak_rows[rows]
-        c_rows = confidence_batch(pw_rows, spec)
+        pw_rows, c_rows = T.Tensor(pw_rows), T.Tensor(confidence_batch(pw_rows, spec))
 
         def losses():
             ps = T.take_rows(forward(strong, graph), rows)
@@ -205,12 +206,12 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
         return losses
 
     def record_round(round_idx) -> dict:
-        pw, ps, c = predict(weak, strong, spec, graph)
-        counts, edges = np.histogram(c[train_ids], bins=HIST_BINS, range=(0.0, 1.0))
-        for b in range(HIST_BINS):
+        scores = _scores(predict(weak, strong, spec, graph), graph, config.gate_seed)
+        # np.histogram's edges over range (0, 1)
+        edges = np.linspace(0.0, 1.0, HIST_BINS + 1)
+        for b, count in enumerate(scores["train"]["histogram"]):
             report.hist_rows.append((round_idx, float(edges[b]), float(edges[b + 1]),
-                                     int(counts[b])))
-        scores = _scores((pw, ps, c), graph, config.gate_seed)
+                                     count))
         for split, split_scores in scores.items():
             report.accuracy_rows.append((round_idx, split, split_scores["expected"]))
         return scores

@@ -5,6 +5,7 @@ import contextlib
 import copy
 import io
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -17,6 +18,7 @@ from confmix.experts import ExpertArch, expert_to_document, init_expert
 from confmix.graphs import (BlindspotInstance, graph_from_document, load_graph,
                             validate_blindspot)
 from confmix.theory import SUITES, SuiteReport
+from confmix.training import TrainConfig
 
 
 def run_cli(argv):
@@ -354,6 +356,26 @@ BAD_INPUTS = {
                                            lambda c: _unchained(c["gcn"])),
     "config_rounds_fractional": _cli(*TRAIN, config={"rounds": 1.9}),
     "config_rounds_bool": _cli(*TRAIN, config={"rounds": True}),
+    # flags and config values share one cast
+    "flag_seed_not_int": _cli("gen", "--seed", "x"),
+    "flag_lr_not_float": _cli(*TRAIN, "--lr", "abc"),
+    "config_lr_bool": _cli(*TRAIN, config={"lr": True}),
+    "config_data_not_str": _cli("train", "--seed", "1", config={"data": ["a"]}),
+    "config_name_not_str": _cli("gen", "--seed", "1", config={"name": 5}),
+    "config_kind_not_str": _cli("gen", "--seed", "1", config={"kind": ["a"]}),
+    "config_suite_unknown": _cli("verify", "--seed", "1", config={"suite": "everything"}),
+    "config_confidence_empty_list": _cli(*TRAIN, config={"confidence": []}),
+    # seeds and counts are >= 0, hidden widths >= 1
+    "seed_negative_gen": _cli("gen", "--seed", "-1"),
+    "seed_negative_train": _cli("train", "--data", "DATA", "--seed", "-1"),
+    "seed_negative_infer": lambda tmp, data, ckpt: _infer(
+        lambda c: c["weak"], lambda c: c["gcn"])(tmp, data, ckpt) + ["--seed", "-1"],
+    "seed_negative_verify": _cli("verify", "--suite", "theorem", "--seed", "-1"),
+    "gate_seed_negative": _cli(*TRAIN, "--gate-seed", "-3"),
+    "config_arch_hidden_zero": _cli(*TRAIN, config={"strong_arch": {"hidden": 0}}),
+    "config_arch_hidden_negative": _cli(*TRAIN, config={"strong_arch": {"hidden": -2}}),
+    "verify_count_negative": _cli("verify", "--suite", "theorem", "--seed", "1",
+                                  "--binary-count", "-5"),
     "graph_edge_endpoint_overflow": _on_graph("cost", _set("edges", 0, 1, value=1e30)),
     # each of these reads as a valid integer under numpy's int64 cast:
     # edge 0 is (0, 1) and node 1 comes first in the train split
@@ -376,6 +398,33 @@ def test_bad_input_exits_2(case, tmp_path, small_graph_path, checkpoints, capsys
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key, value", [("out", 5), ("data", 0)])
+def test_path_config_value_not_str_exits_2(key, value, tmp_path, monkeypatch, capsys):
+    # no --out flag, which would shadow the config's out; and a data of 0
+    # must not open file descriptor 0
+    monkeypatch.chdir(tmp_path)
+    config = _write(tmp_path, "run.json", {"data": "graph.json", key: value})
+    assert run_cli(["train", "--seed", "1", "--config", config]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be a string, got {value!r}\n"
+
+
+def test_train_flags_follow_train_config():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices["train"]._actions} - {"help"}
+    scalars = {f.name for f in fields(TrainConfig) if f.type in ("int", "float", "str")}
+    assert dests == scalars | {"config", "seed", "out", "data"}
+
+
+def test_flag_and_config_value_give_one_error_line(tmp_path, capsys):
+    config = _write(tmp_path, "run.json", {"seed": "x"})
+    errors = []
+    for argv in (["--seed", "x"], ["--config", config]):
+        assert run_cli(["gen", *argv, "--out", str(tmp_path)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "error: seed must be an integer, got 'x'\n"
 
 
 def test_integral_float_casts_to_int():
@@ -418,17 +467,17 @@ VALID_SPECS = [
 ]
 
 
-def _mutate(draw, target):
+def _mutate(draw, target, values=JSON_VALUES):
     """Drop, retype or add one key of the dict `target`, in place."""
     op = draw(st.sampled_from(["drop", "retype", "add"]))
     if op == "add":
-        target[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+        target[draw(st.text(max_size=6))] = draw(values)
     else:
         key = draw(st.sampled_from(sorted(target)))
         if op == "drop":
             del target[key]
         else:
-            target[key] = draw(JSON_VALUES)
+            target[key] = draw(values)
 
 
 def _assert_exits_0_or_2(argv):
@@ -519,3 +568,43 @@ def test_mutated_graph_exits_0_or_2(data, tmp_path, small_graph_doc, checkpoints
     doc = data.draw(mutated_graphs(small_graph_doc))
     argv = GRAPH_COMMANDS["infer"](tmp_path, _write(tmp_path, "graph.json", doc), checkpoints)
     _assert_exits_0_or_2(argv + ["--out", str(tmp_path)])
+
+
+# a fixed set, so that no retyped count or width makes a run grow
+CONFIG_VALUES = st.sampled_from([None, True, "x", [1], {}, -1, 0, 1.5, 2.0])
+
+
+def _valid_train_config(data):
+    """A small train config that holds every key train reads."""
+    return {"seed": 3, "data": data, "out": "run", "mode": "in_turn", "rounds": 1,
+            "max-epochs": 2, "lr": 0.5, "patience": 2, "pretrain": "weak",
+            "pretrain-epochs": 2, "gate-seed": 1,
+            "weak_arch": {"kind": "weak", "layers": 1, "hidden": 4},
+            "strong_arch": {"kind": "gcn", "layers": 2, "hidden": 4},
+            "confidence": VALID_SPECS[0]}
+
+
+@st.composite
+def mutated_configs(draw, data):
+    """A valid train config with one key dropped, retyped or added, at the
+    top level or inside an architecture or the confidence spec."""
+    doc = copy.deepcopy(_valid_train_config(data))
+    targets = [doc, doc["weak_arch"], doc["strong_arch"], doc["confidence"]]
+    _mutate(draw, draw(st.sampled_from(targets)), CONFIG_VALUES)
+    return doc
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_config_exits_0_or_2(data, tmp_path, small_graph_path, monkeypatch):
+    doc = data.draw(mutated_configs(str(small_graph_path)))
+    monkeypatch.chdir(tmp_path)  # relative and default --out land here
+    argv = ["train", "--config", _write(tmp_path, "run.json", doc)]
+    if doc.get("seed") is None or doc.get("data") is None:
+        # a required value that is missing is argparse's usage error
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            run_cli(argv)
+        assert exc.value.code == 2
+    else:
+        _assert_exits_0_or_2(argv)
