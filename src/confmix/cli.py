@@ -9,14 +9,14 @@ over config values. Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .confidence import default_spec, spec_from_document, spec_to_document
+from .documents import read_json, write_json
 from .errors import (ConfigError, DomainError, GraphFormatError,
                      GraphValidationError, ShapeError, TrainingDivergedError,
                      as_type)
@@ -45,24 +45,21 @@ def _merge(args: argparse.Namespace, config: dict, key: str, default=None,
 
 
 def _load_config(path):
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = {} if path is None else read_json(path, "config", ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
     return doc
 
 
-def _required(parser, args, config, key: str, cast=str):
+def _required(args, config, key: str, cast=str):
     value = _merge(args, config, key, cast=cast)
     if value is None:
-        parser.error(f"--{key} is required (flag or config)")
+        raise ConfigError(f"--{key} is required (flag or config)")
     return value
 
 
-def _require_seed(parser, args, config) -> int:
-    seed = _required(parser, args, config, "seed", int)
+def _require_seed(args, config) -> int:
+    seed = _required(args, config, "seed", int)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     return seed
@@ -74,8 +71,8 @@ def _outdir(args, config) -> str:
     return out
 
 
-def cmd_gen(parser, args, config):
-    seed = _require_seed(parser, args, config)
+def cmd_gen(args, config):
+    seed = _require_seed(args, config)
     out = _outdir(args, config)
     kind = _merge(args, config, "kind", "specialization")
     path = os.path.join(out, _merge(args, config, "name", f"{kind}.json"))
@@ -94,8 +91,7 @@ def cmd_gen(parser, args, config):
         doc = {"u": instance.u, "v": instance.v, "k": instance.k,
                "node_map": {str(a): b for a, b in instance.node_map.items()},
                "graph": graph_to_document(instance.graph)}
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
+        write_json(path, doc, sort_keys=True)
     else:
         raise ConfigError(f"kind must be specialization or blindspot, got {kind!r}")
     print(path)
@@ -117,48 +113,45 @@ def _train_config_from(args, config) -> TrainConfig:
     for name, default in vars(TrainConfig()).items():
         if isinstance(default, ExpertArch):
             doc = config.get(name, {})
-            if not isinstance(doc, dict):
-                raise ConfigError(f"{name} must be a JSON object")
+            if not isinstance(doc, dict) or not set(doc) <= set(vars(default)):
+                raise ConfigError(f"{name} must be a JSON object with keys in "
+                                  f"{list(vars(default))}, got {doc!r}")
             values[name] = replace(default, **{
-                a.name: as_type(doc[a.name], type(getattr(default, a.name)),
-                                f"{name}.{a.name}")
-                for a in fields(ExpertArch) if a.name in doc})
+                key: as_type(value, type(getattr(default, key)), f"{name}.{key}")
+                for key, value in doc.items()})
     if config.get("confidence") is not None:
         values["spec"] = spec_from_document(config["confidence"])
     return TrainConfig(**values)
 
 
-def cmd_train(parser, args, config):
-    _require_seed(parser, args, config)
+def cmd_train(args, config):
+    _require_seed(args, config)
     out = _outdir(args, config)
-    graph = load_graph(_required(parser, args, config, "data"))
+    graph = load_graph(_required(args, config, "data"))
     train_config = _train_config_from(args, config)
     result = train(train_config, graph)
     save_expert(result.weak, os.path.join(out, "weak.json"))
     save_expert(result.strong, os.path.join(out, "strong.json"))
-    with open(os.path.join(out, "confidence.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(spec_to_document(result.spec), separators=(",", ":")) + "\n")
+    write_json(os.path.join(out, "confidence.json"), spec_to_document(result.spec),
+               sort_keys=False)
     result.report.write_csvs(out)
     return 0
 
 
-def cmd_infer(parser, args, config):
-    seed = _require_seed(parser, args, config)
+def cmd_infer(args, config):
+    seed = _require_seed(args, config)
     out = _outdir(args, config)
-    graph = load_graph(_required(parser, args, config, "data"))
-    weak = load_expert(_required(parser, args, config, "weak"))
-    strong = load_expert(_required(parser, args, config, "strong"))
+    graph = load_graph(_required(args, config, "data"))
+    weak = load_expert(_required(args, config, "weak"))
+    strong = load_expert(_required(args, config, "strong"))
     for model, role in ((weak, "weak"), (strong, "strong")):
         check_role(model.kind, role)
         if model.dims[-1] != graph.num_classes:
             raise ConfigError(f"the {role} expert gives {model.dims[-1]} classes, "
                               f"the graph has {graph.num_classes}")
     spec_path = _merge(args, config, "spec")
-    if spec_path:
-        with open(spec_path, encoding="utf-8") as fh:
-            spec = spec_from_document(json.load(fh))
-    else:
-        spec = default_spec()
+    spec = (spec_from_document(read_json(spec_path, "confidence spec", ConfigError))
+            if spec_path else default_spec())
     pw, ps, conf = predict(weak, strong, spec, graph)
     pred_sto, weak_fired = infer_stochastic(pw, ps, conf, seed)
     _, pred_exp = infer_expected(pw, ps, conf)
@@ -177,8 +170,8 @@ def cmd_infer(parser, args, config):
     return 0
 
 
-def cmd_verify(parser, args, config):
-    seed = _require_seed(parser, args, config)
+def cmd_verify(args, config):
+    seed = _require_seed(args, config)
     out = _outdir(args, config)
     suite_name = _merge(args, config, "suite", "all")
     if suite_name not in SUITE_CHOICES:
@@ -198,8 +191,8 @@ def cmd_verify(parser, args, config):
     return 1 if failed else 0
 
 
-def cmd_cost(parser, args, config):
-    graph = load_graph(_required(parser, args, config, "data"))
+def cmd_cost(args, config):
+    graph = load_graph(_required(args, config, "data"))
     f = _merge(args, config, "features", graph.num_features)
     layers = _merge(args, config, "layers", 2)
     sizes = khop_sizes(graph, layers)
@@ -262,18 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {"gen": cmd_gen, "train": cmd_train, "infer": cmd_infer,
                 "verify": cmd_verify, "cost": cmd_cost}
     try:
-        return handlers[args.command](parser, args, _load_config(args.config))
+        return handlers[args.command](args, _load_config(args.config))
     except TrainingDivergedError as e:
         print(f"training failed: {e}", file=sys.stderr)
         return 3
     except (ConfigError, DomainError, ShapeError, GraphFormatError,
-            GraphValidationError, OSError, UnicodeDecodeError,
-            json.JSONDecodeError) as e:
+            GraphValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DomainError, as_type
-from .experts import ExpertArch, ExpertModel, Layer, init_expert, weak_forward
+from .experts import (ExpertArch, ExpertModel, Layer, expert_from_document,
+                      init_expert, weak_forward)
 
 DISPERSION_KINDS = ("variance", "neg_entropy")
 SIMPLEX_TOL = 1e-9
@@ -121,9 +122,9 @@ class LearnableGate:
     weights: list = field(default_factory=list)   # list of (W Tensor, b Tensor)
 
     @classmethod
-    def create(cls, seed: int, hidden: int = 8, hidden_layers: int = 1):
-        """Seeded as a weak expert from the 2 dispersions to the 2-unit head."""
-        model = init_expert(ExpertArch("weak", hidden_layers + 1, hidden), 2, 2, seed)
+    def create(cls, seed: int, hidden: int = 8):
+        """Seeded as a weak expert: 2 dispersions, one hidden layer, 2 units."""
+        model = init_expert(ExpertArch("weak", 2, hidden), 2, 2, seed)
         return cls([(layer.weight, layer.bias) for layer in model.layers])
 
     def parameters(self):
@@ -258,11 +259,15 @@ def spec_from_document(doc) -> ConfidenceSpec:
     if cls is not LearnableGate:
         return ConfidenceSpec(doc["dispersion"], cls(**{
             name: as_type(value, float, f"gate {name}") for name, value in values.items()}))
-    try:
-        gate = LearnableGate([(T.Tensor(w, requires_grad=True),
-                               T.Tensor(b, requires_grad=True))
-                              for w, b in values["weights"]])
-        gate(np.zeros((1, 2)))   # a probe row checks the layer shapes
-    except (TypeError, ValueError, IndexError) as e:
-        raise ConfigError(f"learnable gate weights are malformed: {e}") from None
+    pairs = values["weights"]
+    if not (isinstance(pairs, list)
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in pairs)):
+        raise ConfigError("learnable gate weights must be a list of [weight, bias] pairs")
+    model = expert_from_document(
+        {"kind": "weak", "layers": [{"weight": w, "bias": b} for w, b in pairs]},
+        "learnable gate")
+    if model.dims[0] != 2 or model.dims[-1] != 2:
+        raise ConfigError(f"learnable gate layers must map 2 dispersions to 2 units, "
+                          f"got dims {model.dims}")
+    gate = LearnableGate([(layer.weight, layer.bias) for layer in model.layers])
     return ConfidenceSpec(doc["dispersion"], gate)

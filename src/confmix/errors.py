@@ -1,7 +1,11 @@
-"""Exception types shared across the package, and `as_type`, which casts
-a value from outside the program or raises a ConfigError."""
+"""Exception types shared across the package; `as_type`, which casts a
+value from outside the program or raises a ConfigError; and `as_array`,
+which reads a numeric array from a document by the same rule."""
 
 import math
+from itertools import chain
+
+import numpy as np
 
 
 class ShapeError(ValueError):
@@ -50,3 +54,37 @@ def as_type(value, cast, key: str):
         what = {int: "an integer", str: "a string"}.get(cast, f"a finite {cast.__name__}")
         raise ConfigError(f"{key} must be {what}, got {value!r}")
     return out
+
+
+_SHAPES = {int: ("an integer", "a list of integers", "a list of integer lists"),
+           float: ("a finite number", "a list of finite numbers",
+                   "a list of finite-number lists")}
+
+
+def as_array(values, dtype, ndim: int, what: str, error) -> np.ndarray:
+    """`values` as an int64 (`dtype` int) or float64 (`dtype` float) array
+    of `ndim` dimensions, or one `error` naming `what` (and the first
+    ragged row). As in as_type, a bool is not a number, a fraction is not
+    an integer (2.0 reads as 2) and every value is finite; a string is
+    not a number either, since only flags arrive as text."""
+    try:
+        arr = np.asarray(values)
+        if isinstance(values, list) and arr.ndim == ndim:
+            # numpy reads [0, true] as numbers and [2**70] as objects, so
+            # a list's leaves are checked one by one
+            leaves = chain.from_iterable(values) if ndim == 2 else values
+            numbers = set(map(type, leaves)) <= {int, float}
+        else:
+            numbers = arr.dtype.kind in "iuf"
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = arr.astype(np.int64 if dtype is int else np.float64)
+        if numbers and arr.ndim == ndim and (
+                np.array_equal(out, arr) if dtype is int else np.isfinite(out).all()):
+            return out
+    except (TypeError, ValueError, OverflowError):   # ragged rows, huge ints
+        pass
+    if ndim == 2 and isinstance(values, list) and all(isinstance(r, list) for r in values):
+        ragged = next((i for i, r in enumerate(values) if len(r) != len(values[0])), None)
+        if ragged is not None:
+            raise error(f"{what} row {ragged} has ragged width")
+    raise error(f"{what} must be {_SHAPES[dtype][ndim]}")

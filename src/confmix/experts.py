@@ -8,13 +8,13 @@ edges); the skip variant adds an extra per-layer self transform.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .documents import read_json, write_json
+from .errors import ConfigError, ShapeError, as_array
 from .graphs import ARCHITECTURES, Graph
 
 ROLES = {"weak": ("weak",), "strong": ("gcn", "gcn_skip")}
@@ -130,13 +130,9 @@ def forward(model: ExpertModel, graph: Graph) -> T.Tensor:
 def expert_to_document(model: ExpertModel) -> dict:
     doc = {"kind": model.kind, "dims": model.dims, "layers": []}
     for layer in model.layers:
-        entry = {
-            "weight": [[float(x) for x in row] for row in layer.weight.values],
-            "bias": [float(x) for x in layer.bias.values],
-        }
+        entry = {"weight": layer.weight.values.tolist(), "bias": layer.bias.values.tolist()}
         if layer.skip_weight is not None:
-            entry["skip_weight"] = [[float(x) for x in row]
-                                    for row in layer.skip_weight.values]
+            entry["skip_weight"] = layer.skip_weight.values.tolist()
         doc["layers"].append(entry)
     return doc
 
@@ -147,64 +143,48 @@ def check_role(kind: str, role: str):
         raise ConfigError(f"the {role} expert must have kind in {ROLES[role]}, got {kind!r}")
 
 
-def _checkpoint_array(value, ndim: int, what: str) -> T.Tensor:
-    """A trainable tensor from a non-empty vector (ndim 1) or rectangular
-    matrix (ndim 2) of JSON numbers, or a ConfigError naming `what`."""
-    rows = value if ndim == 2 else [value]
-    ok = isinstance(rows, list) and rows and all(
-        isinstance(row, list) and row and len(row) == len(rows[0])
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
-        for row in rows)
-    if ok:
-        try:
-            return T.Tensor(value, requires_grad=True)
-        except OverflowError:   # an integer beyond the float range
-            pass
-    shape = "vector" if ndim == 1 else "rectangular matrix"
-    raise ConfigError(f"checkpoint {what} must be a non-empty {shape} of numbers")
-
-
-def expert_from_document(doc: dict) -> ExpertModel:
-    """The expert a checkpoint document describes; ConfigError for any
-    document that is not one, including layers whose dims do not chain."""
+def expert_from_document(doc: dict, what: str = "checkpoint") -> ExpertModel:
+    """The expert a `what` document describes; ConfigError naming `what`
+    for any document that is not one, including layers whose dims do not
+    chain."""
     if not isinstance(doc, dict):
-        raise ConfigError("checkpoint must be a JSON object")
+        raise ConfigError(f"{what} must be a JSON object")
     kind = doc.get("kind")
     if kind not in ARCHITECTURES:
-        raise ConfigError(
-            f"checkpoint kind must be one of {ARCHITECTURES}, got {kind!r}")
+        raise ConfigError(f"{what} kind must be one of {ARCHITECTURES}, got {kind!r}")
     entries = doc.get("layers")
     if not (isinstance(entries, list) and entries
             and all(isinstance(e, dict) for e in entries)):
-        raise ConfigError("checkpoint layers must be a non-empty list of objects")
+        raise ConfigError(f"{what} layers must be a non-empty list of objects")
     layers = []
     for i, entry in enumerate(entries):
         skip = entry.get("skip_weight")
         if (skip is None) == (kind == "gcn_skip"):
-            raise ConfigError(f"{kind} checkpoint layer {i} "
+            raise ConfigError(f"{kind} {what} layer {i} "
                               f"{'lacks' if skip is None else 'has'} a skip_weight")
-        weight = _checkpoint_array(entry.get("weight"), 2, f"layer {i} weight")
-        bias = _checkpoint_array(entry.get("bias"), 1, f"layer {i} bias")
+
+        def parameter(key, ndim):
+            return T.Tensor(as_array(entry.get(key), float, ndim, f"{what} layer {i} {key}",
+                                     ConfigError), requires_grad=True)
+        weight, bias = parameter("weight", 2), parameter("bias", 1)
         if skip is not None:
-            skip = _checkpoint_array(skip, 2, f"layer {i} skip_weight")
+            skip = parameter("skip_weight", 2)
         if bias.shape != weight.shape[1:]:
-            raise ConfigError(f"checkpoint layer {i} has {bias.shape[0]} biases for "
+            raise ConfigError(f"{what} layer {i} has {bias.shape[0]} biases for "
                               f"{weight.shape[1]} weight columns")
         if skip is not None and skip.shape != weight.shape:
-            raise ConfigError(f"checkpoint layer {i} skip_weight is {skip.shape}, "
+            raise ConfigError(f"{what} layer {i} skip_weight is {skip.shape}, "
                               f"its weight {weight.shape}")
         if layers and layers[-1].weight.shape[1] != weight.shape[0]:
-            raise ConfigError(f"checkpoint layer {i} takes {weight.shape[0]} inputs, "
+            raise ConfigError(f"{what} layer {i} takes {weight.shape[0]} inputs, "
                               f"layer {i - 1} gives {layers[-1].weight.shape[1]}")
         layers.append(Layer(weight, bias, skip))
     return ExpertModel(kind, layers)
 
 
 def save_expert(model: ExpertModel, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(expert_to_document(model), separators=(",", ":")) + "\n")
+    write_json(path, expert_to_document(model), sort_keys=False)
 
 
 def load_expert(path) -> ExpertModel:
-    with open(path, encoding="utf-8") as fh:
-        return expert_from_document(json.load(fh))
+    return expert_from_document(read_json(path, "checkpoint", ConfigError))

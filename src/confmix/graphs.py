@@ -9,15 +9,14 @@ operator on first use and keeps it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, GraphFormatError, GraphValidationError
+from .documents import read_json, write_json
+from .errors import ConfigError, GraphFormatError, GraphValidationError, as_array
 
 _DOCUMENT_KEYS = {"num_nodes", "num_classes", "features", "labels", "edges", "splits"}
 _SPLIT_KEYS = {"train", "val", "test"}
@@ -63,33 +62,15 @@ class Graph:
         return list(zip(lo.tolist(), hi.tolist()))
 
 
-def _integers(values, ndim: int, what: str) -> np.ndarray:
-    """`values` as an int64 array of `ndim` dimensions, or a
-    GraphValidationError naming `what`. As in errors.as_type, an integral
-    float such as 2.0 reads as its integer; a bool or a string does not."""
-    arr = np.asarray(values)
-    with np.errstate(invalid="ignore"):
-        out = arr.astype(np.int64) if arr.dtype.kind in "iuf" else arr
-    # numpy reads [0, true] as int64, so a bool among numbers needs a scan
-    items = chain.from_iterable(values) if ndim == 2 else values if ndim else ()
-    if (arr.ndim != ndim or out.dtype != np.int64 or not np.array_equal(out, arr)
-            or not isinstance(values, np.ndarray) and bool in set(map(type, items))):
-        shape = ("an integer", "a list of integers", "a list of integer lists")[ndim]
-        raise GraphValidationError(f"{what} must be {shape}")
-    return out
-
-
 def build_graph(num_nodes, num_classes, features, labels, edges, splits) -> Graph:
     """Validate parts, symmetrize and deduplicate edges, freeze a Graph."""
-    n = int(_integers(num_nodes, 0, "num_nodes"))
-    num_classes = int(_integers(num_classes, 0, "num_classes"))
-    features = np.asarray(features, dtype=np.float64)
-    labels = _integers(labels, 1, "labels")
-    if features.ndim != 2 or features.shape[0] != n:
+    n = int(as_array(num_nodes, int, 0, "num_nodes", GraphValidationError))
+    num_classes = int(as_array(num_classes, int, 0, "num_classes", GraphValidationError))
+    features = as_array(features, float, 2, "features", GraphValidationError)
+    labels = as_array(labels, int, 1, "labels", GraphValidationError)
+    if features.shape[0] != n:
         raise GraphValidationError(
             f"features must be {n} rows, got shape {features.shape}")
-    if not np.all(np.isfinite(features)):
-        raise GraphValidationError("features contain non-finite values")
     if labels.shape != (n,):
         raise GraphValidationError(f"labels must have length {n}")
     bad = np.nonzero((labels < 0) | (labels >= num_classes))[0]
@@ -98,7 +79,8 @@ def build_graph(num_nodes, num_classes, features, labels, edges, splits) -> Grap
             f"label {labels[bad[0]]} at node {bad[0]} outside [0, {num_classes})")
 
     # an empty list would read as shape (0,), not as zero pairs
-    edges = _integers(edges if len(edges) else np.zeros((0, 2)), 2, "edges")
+    edges = as_array(np.zeros((0, 2)) if isinstance(edges, list) and not edges else edges,
+                     int, 2, "edges", GraphValidationError)
     if edges.shape[1] != 2:
         raise GraphValidationError("edges must be a list of [a, b] pairs")
     outside = ((edges < 0) | (edges >= n)).any(axis=1)
@@ -120,7 +102,7 @@ def build_graph(num_nodes, num_classes, features, labels, edges, splits) -> Grap
     for name in sorted(splits):
         if name not in _SPLIT_KEYS:
             raise GraphValidationError(f"unknown split name {name!r}")
-        ids = _integers(splits[name], 1, f"split {name!r}")
+        ids = as_array(splits[name], int, 1, f"split {name!r}", GraphValidationError)
         if ids.size and (ids.min() < 0 or ids.max() >= n):
             raise GraphValidationError(f"split {name!r} has node id outside [0, {n})")
         clean_splits[name] = np.sort(ids)
@@ -133,13 +115,7 @@ def build_graph(num_nodes, num_classes, features, labels, edges, splits) -> Grap
 
 
 def load_graph(path) -> Graph:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except json.JSONDecodeError as e:
-        raise GraphFormatError(f"malformed graph document at byte {e.pos}: {e.msg}") from e
-    return graph_from_document(doc)
+    return graph_from_document(read_json(path, "graph", GraphFormatError))
 
 
 def graph_from_document(doc) -> Graph:
@@ -151,23 +127,11 @@ def graph_from_document(doc) -> Graph:
     missing = _DOCUMENT_KEYS - set(doc)
     if missing:
         raise GraphValidationError(f"missing document keys: {sorted(missing)}")
-    feats = doc["features"]
-    if not isinstance(feats, list) or not all(isinstance(row, list) for row in feats):
-        raise GraphValidationError("features must be an array of rows")
-    widths = {len(row) for row in feats}
-    if len(widths) > 1:
-        ragged = next(i for i, row in enumerate(feats) if len(row) != len(feats[0]))
-        raise GraphValidationError(f"feature row {ragged} has ragged width")
     splits = doc["splits"]
     if not isinstance(splits, dict) or set(splits) != _SPLIT_KEYS:
         raise GraphValidationError("splits must be an object with train/val/test")
-    try:
-        return build_graph(doc["num_nodes"], doc["num_classes"], feats,
-                           doc["labels"], doc["edges"], splits)
-    except (TypeError, ValueError, OverflowError) as e:
-        if isinstance(e, GraphValidationError):
-            raise
-        raise GraphValidationError(f"malformed record in document: {e}") from e
+    return build_graph(doc["num_nodes"], doc["num_classes"], doc["features"],
+                       doc["labels"], doc["edges"], splits)
 
 
 def graph_to_document(graph: Graph) -> dict:
@@ -182,10 +146,7 @@ def graph_to_document(graph: Graph) -> dict:
 
 
 def save_graph(graph: Graph, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        # dumps, not dump: dump streams through the pure-Python encoder
-        fh.write(json.dumps(graph_to_document(graph), separators=(",", ":"),
-                            sort_keys=True) + "\n")
+    write_json(path, graph_to_document(graph), sort_keys=True)
 
 
 # ---- synthetic generators ----
@@ -398,7 +359,7 @@ def khop_neighborhood(graph: Graph, v: int, k: int) -> set:
     return seen
 
 
-def validate_blindspot(instance: BlindspotInstance, tol: float = 1e-10):
+def validate_blindspot(instance: BlindspotInstance):
     """Check the construction invariants; raises GraphValidationError."""
     g, u, v, k = instance.graph, instance.u, instance.v, instance.k
     hood_u = khop_neighborhood(g, u, k)
@@ -417,8 +378,8 @@ def validate_blindspot(instance: BlindspotInstance, tol: float = 1e-10):
     if np.array_equal(g.features[u], g.features[v]):
         raise GraphValidationError("u and v must have distinct features")
     gap = blindspot_cancellation_gap(instance)
-    if gap >= tol:
-        raise GraphValidationError(f"cancellation gap {gap:.3e} >= {tol:.1e}")
+    if gap >= 1e-10:
+        raise GraphValidationError(f"cancellation gap {gap:.3e} >= 1.0e-10")
 
 
 def blindspot_cancellation_gap(instance: BlindspotInstance) -> float:

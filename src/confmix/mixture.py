@@ -10,12 +10,11 @@ to one so the per-node weights form a distribution.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from . import tensor as T
 from .confidence import SIMPLEX_TOL
+from .documents import write_csv
 from .errors import ConfigError, DomainError
 
 
@@ -157,9 +156,7 @@ def infer_expected(p_weak, p_strong, conf):
 
 def write_predictions_csv(path, node_ids, expert, conf, pred, true):
     """Dump per-node predictions: expert is 'weak'/'strong'/'expected'."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "expert", "confidence", "pred_class", "true_class"])
-        for i, node in enumerate(node_ids):
-            writer.writerow([int(node), expert[i], f"{float(conf[i]):.12g}",
-                             int(pred[i]), int(true[i])])
+    # as Python values, which format faster than numpy scalars
+    columns = (np.asarray(c).tolist() for c in (node_ids, expert, conf, pred, true))
+    write_csv(path, ["node_id", "expert", "confidence", "pred_class", "true_class"],
+              zip(*columns))

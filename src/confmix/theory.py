@@ -19,6 +19,7 @@ from . import tensor as T
 from .confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
                          StepGate, TwoLevelGate, _dispersion_rows_np, _gate_kind,
                          confidence_batch, quasiconvexity_witness_search)
+from .documents import write_csv
 from .errors import ConfigError, DomainError
 from .experts import ExpertArch, ExpertModel, Layer, gcn_forward, init_expert
 from .graphs import BlindspotInstance, build_blindspot_graph, validate_blindspot
@@ -265,12 +266,12 @@ def verify_theorem_case(problem: GroupProblem, grid: SimplexGrid) -> CaseReport:
     return report
 
 
-def resolvable_mu_cap(alpha, m: int, steps: float = 6.0) -> float:
-    """Largest mu whose level set keeps every coordinate above steps/m.
+def resolvable_mu_cap(alpha, m: int) -> float:
+    """Largest mu whose level set keeps every coordinate above 6/m.
 
     As coordinate j shrinks along the level set the other coordinates
     approach their conditional mix, so the loss there is about
-    rest_entropy_j + alpha_j * (-log p_j); inverting at p_j = steps/m
+    rest_entropy_j + alpha_j * (-log p_j); inverting at p_j = 6/m
     caps mu per coordinate.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
@@ -278,7 +279,7 @@ def resolvable_mu_cap(alpha, m: int, steps: float = 6.0) -> float:
     for j in range(alpha.size):
         others = np.delete(alpha, j)
         rest = -(others * np.log(others / (1.0 - alpha[j]))).sum()
-        caps.append(rest + alpha[j] * np.log(m / steps))
+        caps.append(rest + alpha[j] * np.log(m / 6.0))
     return float(min(caps))
 
 
@@ -608,36 +609,23 @@ class SuiteReport:
                           clause.measured, clause.tolerance, clause.passed))
 
     def write_csv(self, path):
-        import csv
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["case", "n", "alpha", "mu", "spec", "clause",
-                             "measured", "tolerance", "pass"])
-            for row in self.rows:
-                out = []
-                for x in row:
-                    if isinstance(x, float):
-                        out.append(f"{x:.12g}")
-                    elif isinstance(x, (bool, np.bool_)):
-                        out.append("1" if x else "0")
-                    else:
-                        out.append(str(x))
-                writer.writerow(out)
+        write_csv(path, ["case", "n", "alpha", "mu", "spec", "clause",
+                         "measured", "tolerance", "pass"], self.rows)
 
 
 def run_theorem_suite(binary_count: int = 200, ternary_count: int = 20,
-                      seed: int = 0, binary_resolution: int = 2000,
-                      ternary_resolution: int = 300) -> SuiteReport:
+                      seed: int = 0) -> SuiteReport:
+    """The three-case minimizer suite: binary problems on the
+    resolution-2000 grid, ternary ones on the resolution-300 grid."""
     if min(binary_count, ternary_count) < 0:
         raise ConfigError(f"counts must be >= 0, got {binary_count} binary, "
                           f"{ternary_count} ternary")
     suite = SuiteReport()
-    grid2 = SimplexGrid.build(2, binary_resolution)
-    for problem in sample_binary_problems(binary_count, seed, binary_resolution):
+    grid2 = SimplexGrid.build(2, 2000)
+    for problem in sample_binary_problems(binary_count, seed, grid2.m):
         suite.add_case(verify_theorem_case(problem, grid2))
-    grid3 = SimplexGrid.build(3, ternary_resolution)
-    for problem in sample_ternary_problems(ternary_count, seed + 1,
-                                           ternary_resolution):
+    grid3 = SimplexGrid.build(3, 300)
+    for problem in sample_ternary_problems(ternary_count, seed + 1, grid3.m):
         suite.add_case(verify_theorem_case(problem, grid3))
     return suite
 

@@ -11,7 +11,6 @@ the mixture loss; blend mode does the same on the blend loss.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +18,7 @@ import numpy as np
 from . import tensor as T
 from .confidence import (ConfidenceSpec, confidence_batch, confidence_rows,
                          default_spec)
+from .documents import write_csv
 from .errors import ConfigError, DomainError, TrainingDivergedError
 from .experts import ExpertArch, ExpertModel, check_role, forward, init_expert
 from .graphs import Graph
@@ -69,21 +69,11 @@ class TrainReport:
     metric_rows: list = field(default_factory=list)    # (split, mode, accuracy)
 
     def write_csvs(self, outdir):
-        def fmt(x):
-            return f"{x:.12g}" if isinstance(x, float) else str(x)
-        tables = {
-            "loss.csv": (["round", "turn", "epoch", "train_loss", "val_loss"],
-                         self.loss_rows),
-            "confidence_hist.csv": (["round", "bin_lo", "bin_hi", "count"],
-                                    self.hist_rows),
-            "metrics.csv": (["split", "mode", "accuracy"], self.metric_rows),
-        }
-        for name, (header, rows) in tables.items():
-            with open(f"{outdir}/{name}", "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                for row in rows:
-                    writer.writerow([fmt(x) for x in row])
+        write_csv(f"{outdir}/loss.csv",
+                  ["round", "turn", "epoch", "train_loss", "val_loss"], self.loss_rows)
+        write_csv(f"{outdir}/confidence_hist.csv",
+                  ["round", "bin_lo", "bin_hi", "count"], self.hist_rows)
+        write_csv(f"{outdir}/metrics.csv", ["split", "mode", "accuracy"], self.metric_rows)
 
 
 @dataclass
@@ -326,13 +316,12 @@ def evaluate(weak: ExpertModel, strong: ExpertModel, spec: ConfidenceSpec,
     return _scores(predict(weak, strong, spec, graph), graph, gate_seed)[split]
 
 
-def single_expert_baseline(arch: ExpertArch, graph: Graph, seed: int,
-                           lr: float = 0.5, max_epochs: int = 500,
-                           patience: int = 20) -> ExpertModel:
+def single_expert_baseline(arch: ExpertArch, graph: Graph, seed: int) -> ExpertModel:
     """Train one expert alone with validation early stopping.
 
-    The comparison baseline for mixture runs: same optimizer and
-    stopping rule as a turn, but plain cross-entropy all the way.
+    The comparison baseline for mixture runs: the optimizer and stopping
+    rule of a default TrainConfig's turn, but plain cross-entropy all the
+    way.
     """
     model = init_expert(arch, graph.num_features, graph.num_classes, seed)
     rows, train_pos = _loss_rows(graph)
@@ -342,6 +331,8 @@ def single_expert_baseline(arch: ExpertArch, graph: Graph, seed: int,
         probs = T.take_rows(forward(model, graph), rows)
         return _split_means(cross_entropy_rows(probs, y_rows), train_pos)
 
-    phase = _Phase(list(model.parameters()), lr, max_epochs, patience)
+    defaults = TrainConfig()
+    phase = _Phase(list(model.parameters()), defaults.lr, defaults.max_epochs,
+                   defaults.patience)
     phase.run(losses, lambda e, t, v: None)
     return model

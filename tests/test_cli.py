@@ -46,9 +46,8 @@ def test_gen_blindspot_roundtrip(tmp_path):
 
 
 def test_missing_seed_exits_2(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["gen", "--kind", "specialization", "--out", str(tmp_path)])
-    assert exc.value.code == 2
+    assert run_cli(["gen", "--kind", "specialization", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: --seed is required (flag or config)\n"
 
 
 def test_gen_byte_identical_under_same_seed(tmp_path):
@@ -100,8 +99,34 @@ def test_train_byte_identical_runs(tmp_path, small_graph_path):
     run_cli(train_args(small_graph_path, a))
     run_cli(train_args(small_graph_path, b))
     for name in ("loss.csv", "metrics.csv", "confidence_hist.csv",
-                 "weak.json", "strong.json"):
+                 "weak.json", "strong.json", "confidence.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_infer_byte_identical_runs(tmp_path, small_graph_path):
+    run_cli(train_args(small_graph_path, tmp_path))
+    outputs = []
+    for out in ("a", "b"):
+        assert run_cli(["infer", "--data", str(small_graph_path),
+                        "--weak", str(tmp_path / "weak.json"),
+                        "--strong", str(tmp_path / "strong.json"),
+                        "--spec", str(tmp_path / "confidence.json"),
+                        "--seed", "9", "--out", str(tmp_path / out)]) == 0
+        outputs.append((tmp_path / out / "predictions.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["gen", "--kind", "blindspot", "--k", "2", "--seed", "3"], "blindspot.json"),
+    (["verify", "--suite", "theorem", "--seed", "1", "--binary-count", "4",
+      "--ternary-count", "1"], "theorem_report.csv"),
+], ids=["gen_blindspot", "verify"])
+def test_two_runs_byte_identical(argv, name, tmp_path):
+    outputs = []
+    for out in ("a", "b"):
+        run_cli(argv + ["--out", str(tmp_path / out)])
+        outputs.append((tmp_path / out / name).read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_blend_mode_single_phase(tmp_path, small_graph_path):
@@ -365,6 +390,20 @@ BAD_INPUTS = {
     "config_kind_not_str": _cli("gen", "--seed", "1", config={"kind": ["a"]}),
     "config_suite_unknown": _cli("verify", "--seed", "1", config={"suite": "everything"}),
     "config_confidence_empty_list": _cli(*TRAIN, config={"confidence": []}),
+    "config_arch_unknown_key": _cli(*TRAIN, config={"weak_arch": {"hiden": 4}}),
+    "infer_weak_missing": lambda tmp, data, ckpt: ["infer", "--seed", "1", "--data", data],
+    # a file that is not JSON is named by its kind
+    "checkpoint_not_json": _infer(lambda c: '{"kind": "weak", ', lambda c: c["gcn"]),
+    "config_not_json": _cli("gen", "--seed", "1", config='{"seed": 1,, }'),
+    # numbers follow one rule everywhere: a string or a bool is not one
+    "graph_feature_string": _on_graph("train", _set("features", 0, 0, value="3")),
+    "graph_feature_bool": _on_graph("train", _set("features", 0, 0, value=True)),
+    "spec_learnable_weight_string": _spec({"kind": "learnable", "weights": [
+        [[["3", 0.0], [0.0, 1.0]], [0.0, 0.0]]]}),
+    "spec_learnable_weight_bool": _spec({"kind": "learnable", "weights": [
+        [[[True, 0.0], [0.0, 1.0]], [0.0, 0.0]]]}),
+    "spec_learnable_three_units": _spec({"kind": "learnable", "weights": [
+        [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.0, 0.0, 0.0]]]}),
     # seeds and counts are >= 0, hidden widths >= 1
     "seed_negative_gen": _cli("gen", "--seed", "-1"),
     "seed_negative_train": _cli("train", "--data", "DATA", "--seed", "-1"),
@@ -391,6 +430,13 @@ BAD_INPUTS = {
 }
 
 
+# text the error line must hold, for cases whose line names a file kind or key
+NAMED_IN_ERROR = {"checkpoint_not_json": "malformed checkpoint document at byte 17",
+                  "config_not_json": "malformed config document at byte 11",
+                  "graph_not_utf8": "malformed graph document at byte 0",
+                  "config_arch_unknown_key": "'hiden'"}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2(case, tmp_path, small_graph_path, checkpoints, capsys):
     argv = BAD_INPUTS[case](tmp_path, str(small_graph_path), checkpoints)
@@ -398,6 +444,7 @@ def test_bad_input_exits_2(case, tmp_path, small_graph_path, checkpoints, capsys
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert NAMED_IN_ERROR.get(case, "") in err
 
 
 @pytest.mark.parametrize("key, value", [("out", 5), ("data", 0)])
@@ -481,12 +528,14 @@ def _mutate(draw, target, values=JSON_VALUES):
 
 
 def _assert_exits_0_or_2(argv):
+    """The exit code, 0 or 2, and stderr, an `error:` line on 2."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = run_cli(argv)
     assert code in (0, 2)
     assert "Traceback" not in err.getvalue()
     assert (code == 2) == err.getvalue().startswith("error: ")
+    return code, err.getvalue()
 
 
 @st.composite
@@ -600,11 +649,7 @@ def mutated_configs(draw, data):
 def test_mutated_config_exits_0_or_2(data, tmp_path, small_graph_path, monkeypatch):
     doc = data.draw(mutated_configs(str(small_graph_path)))
     monkeypatch.chdir(tmp_path)  # relative and default --out land here
-    argv = ["train", "--config", _write(tmp_path, "run.json", doc)]
+    code, err = _assert_exits_0_or_2(["train", "--config", _write(tmp_path, "run.json", doc)])
     if doc.get("seed") is None or doc.get("data") is None:
-        # a required value that is missing is argparse's usage error
-        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
-            run_cli(argv)
-        assert exc.value.code == 2
-    else:
-        _assert_exits_0_or_2(argv)
+        # a required value that is missing is one error line
+        assert code == 2 and len(err.splitlines()) == 1
