@@ -146,7 +146,7 @@ def check_role(kind: str, role: str):
 def expert_from_document(doc: dict, what: str = "checkpoint") -> ExpertModel:
     """The expert a `what` document describes; ConfigError naming `what`
     for any document that is not one, including layers whose dims do not
-    chain."""
+    chain and a `dims` entry, when present, that is not that chain."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
     kind = doc.get("kind")
@@ -179,7 +179,12 @@ def expert_from_document(doc: dict, what: str = "checkpoint") -> ExpertModel:
             raise ConfigError(f"{what} layer {i} takes {weight.shape[0]} inputs, "
                               f"layer {i - 1} gives {layers[-1].weight.shape[1]}")
         layers.append(Layer(weight, bias, skip))
-    return ExpertModel(kind, layers)
+    model = ExpertModel(kind, layers)
+    if "dims" in doc:
+        dims = as_array(doc["dims"], int, 1, f"{what} dims", ConfigError).tolist()
+        if dims != model.dims:
+            raise ConfigError(f"{what} dims {dims} do not match its layers {model.dims}")
+    return model
 
 
 def save_expert(model: ExpertModel, path):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,13 +30,13 @@ from .training import predict
 # ---- simplex grid ----
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """All int64 rows of `parts` entries >= 0 summing to `total`, lexicographically."""
+    if parts == 2:
+        heads = np.arange(total + 1, dtype=np.int64)
+        return np.stack([heads, total - heads], axis=1)
+    return np.concatenate([np.insert(_compositions(total - head, parts - 1), 0, head, axis=1)
+                           for head in range(total + 1)])
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,25 @@ class SimplexGrid:
     m: int
     ints: np.ndarray
     points: np.ndarray
+    _dispersions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, n: int, m: int) -> "SimplexGrid":
         if n < 2 or m < 2:
             raise ConfigError(f"need n >= 2 and m >= 2, got n={n} m={m}")
-        ints = np.array(list(_compositions(m, n)), dtype=np.int64)
+        ints = _compositions(m, n)
         return cls(n, m, ints, ints / float(m))
+
+    @cached_property
+    def neg_logs(self) -> np.ndarray:
+        """Clamped -log of every coordinate: the group loss is `neg_logs @ alpha`."""
+        return -np.log(np.clip(self.points, T.LOG_FLOOR, 1.0))
+
+    def dispersion(self, kind: str) -> np.ndarray:
+        """Every point's dispersion of `kind`, computed once per kind."""
+        if kind not in self._dispersions:
+            self._dispersions[kind] = _dispersion_rows_np(self.points, kind)
+        return self._dispersions[kind]
 
     @property
     def spacing(self) -> float:
@@ -82,10 +95,6 @@ def alpha_loss(p, alpha) -> float:
     if abs(alpha.sum() - 1.0) > 1e-9 or alpha.min() < -1e-9:
         raise DomainError(f"label distribution off the simplex: {alpha!r}")
     return float(-np.log(np.clip(p, T.LOG_FLOOR, 1.0)) @ alpha)
-
-
-def alpha_loss_grid(points: np.ndarray, alpha) -> np.ndarray:
-    return -np.log(np.clip(points, T.LOG_FLOOR, 1.0)) @ np.asarray(alpha, dtype=np.float64)
 
 
 def delta(alpha) -> float:
@@ -119,7 +128,6 @@ class GroupMinimum:
     value: float
     conf: float
     loss: float
-    index: int
 
 
 def group_min(problem: GroupProblem, grid: SimplexGrid) -> GroupMinimum:
@@ -127,12 +135,14 @@ def group_min(problem: GroupProblem, grid: SimplexGrid) -> GroupMinimum:
     smallest) point among exact ties."""
     if grid.n != problem.n:
         raise ConfigError(f"grid dimension {grid.n} != problem dimension {problem.n}")
-    losses = alpha_loss_grid(grid.points, problem.alpha)
-    conf = confidence_batch(grid.points, problem.spec)
+    spec = problem.spec
+    losses = grid.neg_logs @ problem.alpha
+    conf = (spec.gate(grid.dispersion(spec.dispersion)) if spec.is_fixed
+            else confidence_batch(grid.points, spec))
     objective = conf * (losses - problem.mu)
     idx = int(np.argmin(objective))
     return GroupMinimum(grid.points[idx].copy(), float(objective[idx]),
-                        float(conf[idx]), float(losses[idx]), idx)
+                        float(conf[idx]), float(losses[idx]))
 
 
 # ---- theorem clause verification ----
@@ -161,8 +171,6 @@ class CaseReport:
 
 def spec_label(spec: ConfidenceSpec) -> str:
     gate = spec.gate
-    if isinstance(gate, LearnableGate):
-        return f"{spec.dispersion}+learnable"
     args = ",".join(f"{name}={value:g}" for name, value in asdict(gate).items())
     return f"{spec.dispersion}+{_gate_kind(gate)}({args})"
 
@@ -194,38 +202,32 @@ def verify_theorem_case(problem: GroupProblem, grid: SimplexGrid) -> CaseReport:
     gap = delta(alpha)
     result = group_min(problem, grid)
     uniform = np.full(problem.n, 1.0 / problem.n)
-    report = CaseReport(0, problem.n, alpha, mu, spec_label(spec))
 
     if gap > mu:
-        report.case = 1
-        report.clauses = [
+        return CaseReport(1, problem.n, alpha, mu, spec_label(spec), [
             ClauseResult("objective_zero", abs(result.value), 0.0,
                          result.value == 0.0),
             ClauseResult("minimizer_uniform",
                          float(np.abs(result.point - uniform).max()), 0.0,
                          bool(np.array_equal(result.point, uniform))),
             ClauseResult("confidence_zero", result.conf, 0.0, result.conf == 0.0),
-        ]
-        return report
+        ])
 
     if gap == mu:
-        report.case = 2
         to_alpha = float(np.abs(result.point - alpha).max())
         to_uniform = float(np.abs(result.point - uniform).max())
         # the loss at the alpha grid point and mu = delta(alpha) come from
         # two dot-product kernels that may differ in the last ulp
         float_tol = 16.0 * np.finfo(float).eps * max(1.0, abs(mu))
-        report.clauses = [
+        return CaseReport(2, problem.n, alpha, mu, spec_label(spec), [
             ClauseResult("objective_zero", abs(result.value), float_tol,
                          abs(result.value) <= float_tol),
             ClauseResult("minimizer_alpha_or_uniform",
                          min(to_alpha, to_uniform), grid.spacing,
                          min(to_alpha, to_uniform) <= grid.spacing),
-        ]
-        return report
+        ])
 
-    report.case = 3
-    losses = alpha_loss_grid(grid.points, alpha)
+    losses = grid.neg_logs @ alpha
     sub_mask = losses <= mu
     k_bound = _grad_bound(alpha, grid.points[sub_mask], grid.m)
     tol_obj = 10.0 * k_bound / grid.m
@@ -250,20 +252,18 @@ def verify_theorem_case(problem: GroupProblem, grid: SimplexGrid) -> CaseReport:
         band_mask = np.abs(losses - mu) <= band
         if not band_mask.any():
             band_mask = np.abs(losses - mu) <= np.abs(losses - mu).min() + 1e-15
-        disp = _dispersion_rows_np(grid.points, spec.dispersion)
-        d_band_max = float(disp[band_mask].max())
+        d_band_max = float(grid.dispersion(spec.dispersion)[band_mask].max())
         upper_cap = float(spec.gate(d_band_max + 10.0 * k_disp / grid.m))
     upper_gap = float(result.conf - upper_cap)
 
-    report.clauses = [
+    return CaseReport(3, problem.n, alpha, mu, spec_label(spec), [
         ClauseResult("minimizer_in_strict_sublevel", sublevel_slack, 0.0,
                      sublevel_slack < 0.0),
         ClauseResult("confidence_at_least_at_alpha", lower_gap, eps_c,
                      lower_gap <= eps_c),
         ClauseResult("confidence_below_levelset_cap", upper_gap, 0.0,
                      upper_gap <= 0.0),
-    ]
-    return report
+    ])
 
 
 def resolvable_mu_cap(alpha, m: int) -> float:
@@ -329,12 +329,11 @@ def verify_tightness(alpha, mu: float, eta: float, beta: float,
     if gap >= mu - eta:
         raise ConfigError(
             f"infeasible window: delta(alpha)={gap:.6g} >= mu-eta={mu - eta:.6g}")
-    losses = alpha_loss_grid(grid.points, alpha)
+    losses = grid.neg_logs @ alpha
     sub_mask = losses <= mu - eta
     if not sub_mask.any():
         raise ConfigError("empty sublevel set at mu - eta on this grid")
-    disp = _dispersion_rows_np(grid.points, dispersion)
-    d_max = float(disp[sub_mask].max())
+    d_max = float(grid.dispersion(dispersion)[sub_mask].max())
     beta_bound = eta / (mu - gap)
     spec = ConfidenceSpec(dispersion, TwoLevelGate(d_max, beta))
     result = group_min(GroupProblem(alpha.size, alpha, mu, spec), grid)
@@ -391,11 +390,14 @@ def _branch_inverse(alpha1: float, mu: float) -> float:
     for p directly, and the upper branch for q = 1 - p when given
     1 - alpha1. Bisecting on the distance from the branch's endpoint
     keeps full relative precision where p lies within 1e-9 of 1.
-    Converges to the floor when mu exceeds the loss there.
+    Converges to the floor when mu exceeds the loss there. Stops once the
+    midpoint equals an endpoint, which no later step can move.
     """
     lo, hi = _BRANCH_FLOOR, alpha1
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if _binary_loss(mid, alpha1) < mu:
             hi = mid
         else:
@@ -440,19 +442,18 @@ def verify_binary_corollary(alpha1: float, mu: float, grid: SimplexGrid,
 
 # ---- problem samplers ----
 
-def _fixed_specs_for(alpha: np.ndarray, rng) -> list:
-    """A rotation of conforming fixed specs sized to the problem."""
-    kinds = ("variance", "neg_entropy")
-    specs = []
-    for kind in kinds:
+def _fixed_spec_for(alpha: np.ndarray, rng, index: int) -> ConfidenceSpec:
+    """Spec `index` (mod 6) of a rotation of conforming fixed specs sized
+    to the problem. The draws of all six are made in order, so the random
+    stream does not depend on which spec is built."""
+    draws = [float(rng.uniform(lo, hi)) for lo, hi in ((0.3, 1.7), (0.2, 0.8), (0.5, 3.0)) * 2]
+    which, shape = divmod(index % 6, 3)
+    kind = ("variance", "neg_entropy")[which]
+    factor, beta, slope = draws[3 * which:3 * which + 3]
+    if shape == 1:
         d_alpha = float(_dispersion_rows_np(alpha[None, :], kind)[0])
-        specs.append(ConfidenceSpec(kind, StepGate(0.0)))
-        specs.append(ConfidenceSpec(kind, TwoLevelGate(
-            d_max=float(rng.uniform(0.3, 1.7)) * max(d_alpha, 1e-6),
-            beta=float(rng.uniform(0.2, 0.8)))))
-        specs.append(ConfidenceSpec(kind, CappedLinearGate(
-            slope=float(rng.uniform(0.5, 3.0)))))
-    return specs
+        return ConfidenceSpec(kind, TwoLevelGate(factor * max(d_alpha, 1e-6), beta))
+    return ConfidenceSpec(kind, StepGate(0.0) if shape == 0 else CappedLinearGate(slope))
 
 
 def sample_binary_problems(count: int, seed: int, m: int) -> list:
@@ -474,8 +475,7 @@ def sample_binary_problems(count: int, seed: int, m: int) -> list:
             mu = gap
         else:
             mu = gap + float(rng.uniform(0.08, 1.0))
-        spec = _fixed_specs_for(alpha, rng)[i % 6]
-        problems.append(GroupProblem(2, alpha, mu, spec))
+        problems.append(GroupProblem(2, alpha, mu, _fixed_spec_for(alpha, rng, i)))
     return problems
 
 
@@ -507,8 +507,7 @@ def sample_ternary_problems(count: int, seed: int, m: int) -> list:
             # dispersion-cap clause checks something real
             hi = min(gap + 1.0, resolvable_mu_cap(alpha, m) - 0.02)
             mu = gap + float(rng.uniform(0.05, hi - gap))
-        spec = _fixed_specs_for(alpha, rng)[i % 6]
-        problems.append(GroupProblem(3, alpha, mu, spec))
+        problems.append(GroupProblem(3, alpha, mu, _fixed_spec_for(alpha, rng, i)))
     return problems
 
 

@@ -16,7 +16,7 @@ from confmix.graphs import (build_blindspot_graph, build_graph, cost_estimate,
 from confmix.mixture import (blend_loss, cross_entropy_rows, infer_stochastic,
                              mixture_loss)
 from confmix.tensor import check_gradient
-from confmix.theory import (SimplexGrid, alpha_loss_grid, binary_suite,
+from confmix.theory import (SimplexGrid, binary_suite,
                             delta, run_theorem_suite, tightness_suite,
                             verify_blindspot)
 from confmix.training import TrainConfig, evaluate, single_expert_baseline, train
@@ -126,7 +126,7 @@ def test_group_loss_minimizer_and_concavity(grid2, grid3):
             a1 = float(rng.uniform(0.51, 0.97))
             alpha = np.array([a1, 1.0 - a1])
             grid = grid2
-        losses = alpha_loss_grid(grid.points, alpha)
+        losses = grid.neg_logs @ alpha
         best = grid.points[int(np.argmin(losses))]
         argmin_ok.append(np.abs(best - alpha).max() <= grid.spacing)
     concave_ok = True

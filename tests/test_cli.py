@@ -379,6 +379,8 @@ BAD_INPUTS = {
     "checkpoint_bias_length": _weak_layer(bias=[0.0, 0.0, 0.0]),
     "checkpoint_dims_do_not_chain": _infer(lambda c: c["weak"],
                                            lambda c: _unchained(c["gcn"])),
+    "checkpoint_dims_mismatch": _infer(lambda c: {**c["weak"], "dims": [99]},
+                                       lambda c: c["gcn"]),
     "config_rounds_fractional": _cli(*TRAIN, config={"rounds": 1.9}),
     "config_rounds_bool": _cli(*TRAIN, config={"rounds": True}),
     # flags and config values share one cast

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from confmix.errors import ShapeError
+from confmix.errors import ConfigError, ShapeError
 from confmix.experts import (ExpertArch, expert_from_document,
                              expert_to_document, gcn_forward, init_expert,
                              load_expert, save_expert, weak_forward)
@@ -146,6 +146,20 @@ def test_checkpoint_document_shape():
     back = expert_from_document(doc)
     assert np.array_equal(back.layers[0].weight.values,
                           model.layers[0].weight.values)
+
+
+@pytest.mark.parametrize("dims", [[99], [3, 5, 3], [3, 2], "x", [3, 5.5, 2], None])
+def test_checkpoint_dims_must_match_layers(dims):
+    doc = expert_to_document(init_expert(ExpertArch("weak", 2, 5), 3, 2, seed=15))
+    with pytest.raises(ConfigError, match="dims"):
+        expert_from_document({**doc, "dims": dims})
+
+
+def test_checkpoint_dims_optional_and_integral():
+    doc = expert_to_document(init_expert(ExpertArch("weak", 2, 5), 3, 2, seed=15))
+    assert expert_from_document({**doc, "dims": [3.0, 5, 2]}).dims == [3, 5, 2]
+    del doc["dims"]
+    assert expert_from_document(doc).dims == [3, 5, 2]
 
 
 def test_feature_width_mismatch():

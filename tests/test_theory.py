@@ -1,16 +1,21 @@
 """Grid oracles against the minimizer theory and its constructions."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from confmix import tensor as T
 from confmix.confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
-                                StepGate, TwoLevelGate)
+                                StepGate, TwoLevelGate, _dispersion_rows_np,
+                                confidence_batch)
 from confmix.errors import ConfigError, DomainError, GraphValidationError
 from confmix.graphs import build_blindspot_graph
-from confmix.theory import (BinaryBounds, GroupProblem, SimplexGrid, alpha_loss,
-                            binary_bounds, delta,
+from confmix.theory import (_BRANCH_FLOOR, BinaryBounds, GroupProblem, SimplexGrid,
+                            _binary_loss, _branch_inverse, _compositions,
+                            _fixed_spec_for, alpha_loss, binary_bounds, delta,
                             group_min, resolvable_mu_cap,
                             sample_binary_problems, sample_ternary_problems,
                             verify_binary_corollary, verify_blindspot,
@@ -43,6 +48,107 @@ def test_grid_lexicographic_order(grid2):
     assert np.array_equal(grid2.ints[-1], [2000, 0])
     order = np.lexsort(grid2.ints.T[::-1])
     assert np.array_equal(order, np.arange(len(grid2)))
+
+
+@pytest.mark.parametrize("parts", [2, 3, 4, 5])
+def test_compositions_match_itertools_order(parts):
+    for total in range(7):
+        want = [c for c in itertools.product(range(total + 1), repeat=parts)
+                if sum(c) == total]
+        got = _compositions(total, parts)
+        assert got.dtype == np.int64
+        assert got.tolist() == [list(c) for c in want]
+
+
+@pytest.mark.parametrize("n, m", [(2, 2000), (3, 60), (4, 12)])
+def test_grid_tables_equal_fresh_computation(n, m):
+    grid = SimplexGrid.build(n, m)
+    fresh = -np.log(np.clip(grid.points, T.LOG_FLOOR, 1.0))
+    assert grid.neg_logs.tobytes() == fresh.tobytes()
+    for kind in ("variance", "neg_entropy"):
+        table = grid.dispersion(kind)
+        assert table.tobytes() == _dispersion_rows_np(grid.points, kind).tobytes()
+        assert grid.dispersion(kind) is table
+    assert grid.neg_logs is grid.neg_logs
+    with pytest.raises(ConfigError):
+        grid.dispersion("entropy")
+
+
+GATE_SPECS = [ConfidenceSpec(kind, gate) for kind in ("variance", "neg_entropy")
+              for gate in (StepGate(0.0), StepGate(0.05), TwoLevelGate(0.1, 0.4),
+                           CappedLinearGate(1.5))]
+GATE_SPECS.append(ConfidenceSpec("variance", LearnableGate.create(seed=2, hidden=4)))
+
+
+@pytest.mark.parametrize("spec", GATE_SPECS, ids=lambda spec: type(spec.gate).__name__)
+@pytest.mark.parametrize("n, m", [(2, 200), (3, 30)])
+def test_group_min_matches_reference(spec, n, m):
+    """The table-reading group_min against confidence_batch over the
+    points times the loss minus mu, then the first argmin."""
+    grid = SimplexGrid.build(n, m)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        alpha = rng.dirichlet(np.ones(n))
+        mu = delta(alpha) + float(rng.uniform(-0.3, 0.8))
+        conf = confidence_batch(grid.points, spec)
+        losses = -np.log(np.clip(grid.points, T.LOG_FLOOR, 1.0)) @ alpha
+        objective = conf * (losses - mu)
+        idx = int(np.argmin(objective))
+        got = group_min(GroupProblem(n, alpha, mu, spec), grid)
+        assert np.array_equal(got.point, grid.points[idx])
+        assert (got.value, got.conf, got.loss) == (objective[idx], conf[idx], losses[idx])
+
+
+def _reference_branch_inverse(alpha1, mu):
+    lo, hi = _BRANCH_FLOOR, alpha1
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _binary_loss(mid, alpha1) < mu:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def branch_problems(draw):
+    alpha1 = draw(st.one_of(st.floats(1e-6, 1.0, exclude_max=True),
+                            st.floats(1.0 - 1e-9, 1.0, exclude_max=True)))
+    at_floor = _binary_loss(_BRANCH_FLOOR, alpha1)
+    mu = draw(st.one_of(st.floats(0.0, 40.0),
+                        st.floats(-1e-9, 1e-9).map(lambda d: at_floor + d)))
+    return alpha1, mu
+
+
+@given(problem=branch_problems())
+@settings(max_examples=300, deadline=None)
+def test_branch_inverse_equals_full_bisection(problem):
+    assert _branch_inverse(*problem) == _reference_branch_inverse(*problem)
+
+
+def test_fixed_spec_draws_all_six():
+    """Each rotation index builds the spec the six-spec list held there
+    and leaves the random stream where the list left it."""
+    alpha = np.array([0.7, 0.3])
+
+    def six_specs(rng):
+        specs = []
+        for kind in ("variance", "neg_entropy"):
+            d_alpha = float(_dispersion_rows_np(alpha[None, :], kind)[0])
+            specs.append(ConfidenceSpec(kind, StepGate(0.0)))
+            specs.append(ConfidenceSpec(kind, TwoLevelGate(
+                d_max=float(rng.uniform(0.3, 1.7)) * max(d_alpha, 1e-6),
+                beta=float(rng.uniform(0.2, 0.8)))))
+            specs.append(ConfidenceSpec(kind, CappedLinearGate(
+                slope=float(rng.uniform(0.5, 3.0)))))
+        return specs
+
+    ref = np.random.default_rng(9)
+    want = six_specs(ref)
+    for index in range(8):
+        rng = np.random.default_rng(9)
+        assert _fixed_spec_for(alpha, rng, index) == want[index % 6]
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_delta_values():
