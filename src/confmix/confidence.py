@@ -135,7 +135,8 @@ class LearnableGate:
     def forward(self, pair: T.Tensor) -> T.Tensor:
         """Confidence rows from an (n, 2) tensor of dispersion pairs."""
         model = ExpertModel("weak", [Layer(w, b) for w, b in self.weights])
-        return T.sum_rows(T.matmul(weak_forward(model, pair), np.array([[1.0], [0.0]])))
+        return T.take_rows(weak_forward(model, pair), np.arange(pair.shape[0]),
+                           np.zeros(pair.shape[0]))
 
     def __call__(self, x):
         """`forward` on a constant (n, 2) array of dispersion pairs."""

@@ -56,11 +56,6 @@ class Graph:
         upper = rows < self.indices
         return rows[upper], self.indices[upper]
 
-    def edge_list(self):
-        """Each undirected edge once, as (lo, hi) pairs sorted."""
-        lo, hi = self.edge_arrays()
-        return list(zip(lo.tolist(), hi.tolist()))
-
 
 def build_graph(num_nodes, num_classes, features, labels, edges, splits) -> Graph:
     """Validate parts, symmetrize and deduplicate edges, freeze a Graph."""

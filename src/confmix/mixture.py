@@ -36,14 +36,10 @@ def _check_conf(c: np.ndarray):
         raise DomainError("confidence values must lie in [0, 1]")
 
 
-def _one_hot(labels: np.ndarray, n: int) -> np.ndarray:
-    return np.eye(n)[np.asarray(labels, dtype=np.int64)]
-
-
 def cross_entropy_rows(probs, labels) -> T.Tensor:
-    """Per-row -log p[label], with the package-wide clamp floor."""
-    hot = _one_hot(labels, np.shape(probs)[1])
-    return -T.sum_rows(hot * T.log(probs))
+    """Per-row -log p[label], with the package-wide clamp floor. Labels
+    outside the classes, or not one per row, are a ShapeError."""
+    return -T.log(T.take_rows(probs, np.arange(np.shape(probs)[0]), labels))
 
 
 def _check_inputs(p_weak, p_strong, conf):

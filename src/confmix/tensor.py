@@ -270,14 +270,17 @@ def mean_all(a) -> Tensor:
     return _make(np.asarray(a.values.mean()), "mean", (a,), backward)
 
 
-def take_rows(a, index) -> Tensor:
-    """Gather rows; the reverse pass scatter-adds back."""
+def take_rows(a, index, cols=None) -> Tensor:
+    """Gather rows, or with `cols` the matrix entries (index[i], cols[i]);
+    the reverse pass scatter-adds back."""
     a = _coerce(a)
-    idx = np.asarray(index, dtype=np.intp)
-    if a.values.ndim not in (1, 2):
-        raise ShapeError(f"take_rows needs a vector or matrix, got shape {a.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError(f"take_rows: index out of range for shape {a.shape}")
+    idx = tuple(np.asarray(i, dtype=np.intp) for i in (index, cols) if i is not None)
+    if a.values.ndim not in (len(idx), 2) or idx[-1].shape != idx[0].shape:
+        raise ShapeError(f"take_rows: index shapes {[i.shape for i in idx]} do not "
+                         f"fit a vector or matrix, got shape {a.shape}")
+    for axis, i in enumerate(idx):
+        if i.size and (i.min() < 0 or i.max() >= a.shape[axis]):
+            raise ShapeError(f"take_rows: axis-{axis} index out of range for shape {a.shape}")
 
     def backward(out):
         g = np.zeros_like(a.values)

@@ -228,8 +228,8 @@ def verify_theorem_case(problem: GroupProblem, grid: SimplexGrid) -> CaseReport:
         ])
 
     losses = grid.neg_logs @ alpha
-    sub_mask = losses <= mu
-    k_bound = _grad_bound(alpha, grid.points[sub_mask], grid.m)
+    sub_points = grid.points[losses <= mu]
+    k_bound = _grad_bound(alpha, sub_points, grid.m)
     tol_obj = 10.0 * k_bound / grid.m
 
     sublevel_slack = result.loss - mu
@@ -238,7 +238,7 @@ def verify_theorem_case(problem: GroupProblem, grid: SimplexGrid) -> CaseReport:
     eps_c = tol_obj / max(mu - result.loss, tol_obj)
     lower_gap = float(conf_alpha - result.conf)
 
-    sub_floor = max(float(grid.points[sub_mask].min()), 1.0 / grid.m)
+    sub_floor = max(float(sub_points.min()), 1.0 / grid.m)
     k_disp = 2.0 if spec.dispersion == "variance" else 1.0 + abs(np.log(sub_floor))
     if problem.n == 2:
         # exact level set from the independent bisection oracle
@@ -249,9 +249,10 @@ def verify_theorem_case(problem: GroupProblem, grid: SimplexGrid) -> CaseReport:
         upper_cap = float(spec.gate(d_level_max + k_disp * 1e-8))
     else:
         band = 4.0 * k_bound / grid.m
-        band_mask = np.abs(losses - mu) <= band
+        off_level = np.abs(losses - mu)
+        band_mask = off_level <= band
         if not band_mask.any():
-            band_mask = np.abs(losses - mu) <= np.abs(losses - mu).min() + 1e-15
+            band_mask = off_level <= off_level.min() + 1e-15
         d_band_max = float(grid.dispersion(spec.dispersion)[band_mask].max())
         upper_cap = float(spec.gate(d_band_max + 10.0 * k_disp / grid.m))
     upper_gap = float(result.conf - upper_cap)

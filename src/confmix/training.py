@@ -99,37 +99,29 @@ def _sgd_step(params, lr):
             p.values = p.values - lr * p.grad
 
 
-class _Phase:
+def _run_phase(params, lr, max_epochs, patience, losses_fn, record):
     """One early-stopped gradient-descent phase over a fixed loss builder."""
-
-    def __init__(self, params, lr, max_epochs, patience):
-        self.params = params
-        self.lr = lr
-        self.max_epochs = max_epochs
-        self.patience = patience
-
-    def run(self, losses_fn, record):
-        best_val = np.inf
-        best = _snapshot(self.params)
-        wait = 0
-        for epoch in range(self.max_epochs):
-            try:
-                train_loss, val_loss = losses_fn()
-            except DomainError as e:
-                raise TrainingDivergedError(f"non-finite values at epoch {epoch}") from e
-            value = train_loss.item()
-            if not np.isfinite(value) or not np.isfinite(val_loss):
-                raise TrainingDivergedError(f"loss diverged at epoch {epoch}")
-            record(epoch, value, val_loss)
-            if val_loss < best_val - 1e-12:
-                best_val, best, wait = val_loss, _snapshot(self.params), 0
-            else:
-                wait += 1
-                if wait >= self.patience:
-                    break
-            T.backward(train_loss)
-            _sgd_step(self.params, self.lr)
-        _restore(self.params, best)
+    best_val = np.inf
+    best = _snapshot(params)
+    wait = 0
+    for epoch in range(max_epochs):
+        try:
+            train_loss, val_loss = losses_fn()
+        except DomainError as e:
+            raise TrainingDivergedError(f"non-finite values at epoch {epoch}") from e
+        value = train_loss.item()
+        if not np.isfinite(value) or not np.isfinite(val_loss):
+            raise TrainingDivergedError(f"loss diverged at epoch {epoch}")
+        record(epoch, value, val_loss)
+        if val_loss < best_val - 1e-12:
+            best_val, best, wait = val_loss, _snapshot(params), 0
+        else:
+            wait += 1
+            if wait >= patience:
+                break
+        T.backward(train_loss)
+        _sgd_step(params, lr)
+    _restore(params, best)
 
 
 def _loss_rows(graph: Graph):
@@ -208,14 +200,14 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
 
     if config.mode == "in_turn":
         for round_idx in range(1, config.rounds + 1):
-            phase = _Phase(weak_params, config.lr, config.max_epochs, config.patience)
-            phase.run(weak_turn_losses(forward(strong, graph).values),
-                      lambda e, t, v, r=round_idx: report.loss_rows.append(
-                          (r, "weak", e, t, v)))
-            phase = _Phase(strong_params, config.lr, config.max_epochs, config.patience)
-            phase.run(strong_turn_losses(forward(weak, graph).values),
-                      lambda e, t, v, r=round_idx: report.loss_rows.append(
-                          (r, "strong", e, t, v)))
+            _run_phase(weak_params, config.lr, config.max_epochs, config.patience,
+                       weak_turn_losses(forward(strong, graph).values),
+                       lambda e, t, v, r=round_idx: report.loss_rows.append(
+                           (r, "weak", e, t, v)))
+            _run_phase(strong_params, config.lr, config.max_epochs, config.patience,
+                       strong_turn_losses(forward(weak, graph).values),
+                       lambda e, t, v, r=round_idx: report.loss_rows.append(
+                           (r, "strong", e, t, v)))
             scores = record_round(round_idx)
     else:
         terms_fn = mixture_loss_rows if config.mode == "joint" else blend_loss_rows
@@ -226,10 +218,9 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
             terms = terms_fn(pw, ps, confidence_rows(pw, spec), y_rows)
             return _split_means(terms, train_pos)
 
-        phase = _Phase(weak_params + strong_params, config.lr,
-                       config.rounds * config.max_epochs, config.patience)
-        phase.run(losses, lambda e, t, v: report.loss_rows.append(
-            (1, config.mode, e, t, v)))
+        _run_phase(weak_params + strong_params, config.lr,
+                   config.rounds * config.max_epochs, config.patience, losses,
+                   lambda e, t, v: report.loss_rows.append((1, config.mode, e, t, v)))
         scores = record_round(1)
 
     # the last round scored the final models
@@ -332,7 +323,6 @@ def single_expert_baseline(arch: ExpertArch, graph: Graph, seed: int) -> ExpertM
         return _split_means(cross_entropy_rows(probs, y_rows), train_pos)
 
     defaults = TrainConfig()
-    phase = _Phase(list(model.parameters()), defaults.lr, defaults.max_epochs,
-                   defaults.patience)
-    phase.run(losses, lambda e, t, v: None)
+    _run_phase(list(model.parameters()), defaults.lr, defaults.max_epochs,
+               defaults.patience, losses, lambda e, t, v: None)
     return model

@@ -180,6 +180,17 @@ def test_learnable_gate_tensor_path_matches_numpy():
     assert got.min() > 0.0 and got.max() < 1.0
 
 
+def test_learnable_gate_head_gathers_first_column():
+    gate = LearnableGate.create(seed=5, hidden=6)
+    pair = T.Tensor(np.random.default_rng(9).uniform(0.0, 1.0, (5, 2)))
+    out = gate.forward(pair)
+    ops = [node._op for node in T.Tape.from_output(out).records]
+    assert ops[-2:] == ["softmax_rows", "take_rows"]
+    assert ops.count("matmul") == len(gate.weights)
+    head = out._parents[0].values
+    assert np.array_equal(out.values, head[:, 0])
+
+
 def test_spec_serialization_roundtrip():
     for spec in FIXED_SPECS + [ConfidenceSpec("variance", LearnableGate.create(3))]:
         doc = spec_to_document(spec)

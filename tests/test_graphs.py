@@ -31,6 +31,11 @@ def tiny_graph(**overrides):
     return doc
 
 
+def edge_pairs(g):
+    """Graph.edge_arrays as a list of (lo, hi) pairs."""
+    return list(zip(*(side.tolist() for side in g.edge_arrays())))
+
+
 def write_doc(tmp_path, doc, name="g.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -44,7 +49,7 @@ def test_smallest_graph_degrees(tmp_path):
 
 def test_symmetrization_collapses_duplicates(tmp_path):
     g = load_graph(write_doc(tmp_path, tiny_graph(edges=[[0, 1], [1, 0]])))
-    assert g.edge_list() == [(0, 1)]
+    assert edge_pairs(g) == [(0, 1)]
     assert list(g.degrees) == [1, 1]
 
 
@@ -86,7 +91,7 @@ def test_integral_floats_read_as_integers():
         splits={"train": [0.0], "val": [], "test": [1.0]}))
     assert (g.num_nodes, g.num_classes) == (2, 2) and type(g.num_classes) is int
     assert g.labels.dtype == np.int64 and g.labels.tolist() == [0, 1]
-    assert g.edge_list() == [(0, 1)] and g.splits["test"].tolist() == [1]
+    assert edge_pairs(g) == [(0, 1)] and g.splits["test"].tolist() == [1]
 
 
 @pytest.mark.parametrize("override", [
@@ -146,7 +151,7 @@ def test_csr_matches_python_reference(case):
     assert g.indptr.dtype == g.indices.dtype == np.int64
     assert g.indptr.tolist() == [0] + list(itertools.accumulate(len(x) for x in nbrs))
     assert g.indices.tolist() == [w for x in nbrs for w in x]
-    assert g.edge_list() == undirected
+    assert edge_pairs(g) == undirected
 
 
 def test_self_loop_rejected(tmp_path):
@@ -190,7 +195,7 @@ def test_save_load_roundtrip(tmp_path):
     back = load_graph(path)
     assert np.array_equal(back.features, g.features)
     assert np.array_equal(back.labels, g.labels)
-    assert back.edge_list() == g.edge_list()
+    assert edge_pairs(back) == edge_pairs(g)
     for split in ("train", "val", "test"):
         assert np.array_equal(back.splits[split], g.splits[split])
 
@@ -221,7 +226,7 @@ def test_specialization_deterministic():
     a = generate_specialization_graph(50, 4, 0.3, seed=9)
     b = generate_specialization_graph(50, 4, 0.3, seed=9)
     assert np.array_equal(a.features, b.features)
-    assert a.edge_list() == b.edge_list()
+    assert edge_pairs(a) == edge_pairs(b)
     assert all(np.array_equal(a.splits[k], b.splits[k]) for k in a.splits)
 
 
@@ -258,7 +263,7 @@ def test_blindspot_required_nodes_cover_both_sides():
 def test_blindspot_mapping_is_structural_isomorphism():
     instance = build_blindspot_graph(2, 4, seed=6)
     fmap = instance.node_map
-    edges = set(instance.graph.edge_list())
+    edges = set(edge_pairs(instance.graph))
     u_side = {(a, b) for a, b in edges if a in fmap and b in fmap}
     mapped = {(min(fmap[a], fmap[b]), max(fmap[a], fmap[b])) for a, b in u_side}
     v_side = edges - u_side

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confmix.errors import ConfigError, DomainError
+from confmix import tensor as T
+from confmix.errors import ConfigError, DomainError, ShapeError
 from confmix.mixture import (blend_loss, cross_entropy_rows, infer_expected,
                              infer_stochastic, mixture_loss, multi_expert_loss,
                              multi_expert_weights, write_predictions_csv)
@@ -87,6 +88,27 @@ def test_off_simplex_rejected():
             loss(pw, pw, nan, np.array([0]))
     with pytest.raises(DomainError):
         multi_expert_loss([pw, pw], [nan], np.array([0]))
+
+
+def test_cross_entropy_reads_the_label_entry():
+    probs = T.Tensor([[0.9, 0.1], [0.3, 0.7]], requires_grad=True)
+    rows = cross_entropy_rows(probs, np.array([1, 0]))
+    assert np.array_equal(rows.values, -np.log([0.1, 0.3]))
+    ops = [node._op for node in T.Tape.from_output(rows).records]
+    assert ops == ["take_rows", "log", "mul"]
+
+
+@pytest.mark.parametrize("labels", [[-1], [2], [0, 1]],
+                         ids=["negative", "equal_to_classes", "length_mismatch"])
+def test_labels_outside_classes_or_rows_rejected(labels):
+    p, c, y = np.array([[0.9, 0.1]]), np.array([0.5]), np.array(labels)
+    with pytest.raises(ShapeError):
+        cross_entropy_rows(p, y)
+    for loss in (mixture_loss, blend_loss):
+        with pytest.raises(ShapeError):
+            loss(p, p, c, y)
+    with pytest.raises(ShapeError):
+        multi_expert_loss([p, p], [c], y)
 
 
 def test_multi_expert_reduces_to_two_expert():

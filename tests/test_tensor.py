@@ -82,9 +82,13 @@ PRIMITIVE_CASES = [
     ("sum_rows", lambda a: total(
         T.mul(T.stack_columns([T.sum_rows(a)]), COL)), 1, (-2.0, 2.0)),
     ("mean", lambda a: T.mean_all(a * a), 1, (-2.0, 2.0)),
+    # entries (row, col), with (1, 0) drawn twice
+    ("take_rows_cols", lambda a: total(
+        T.mul(T.take_rows(a, [0, 1, 1, 0], [2, 0, 0, 1]), PICKED)), 1, (-2.0, 2.0)),
 ]
 MASK = np.array([[1.0, -0.5, 0.25], [0.0, 2.0, -1.0]])
 COL = np.array([[0.7], [-1.3]])
+PICKED = np.array([0.5, -1.0, 2.0, 1.5])
 
 
 @pytest.mark.parametrize("name,builder,arity,box", PRIMITIVE_CASES,
@@ -214,6 +218,23 @@ def test_take_rows_gather_and_scatter():
     expected[2] = 2.0
     expected[0] = 1.0
     assert np.array_equal(x.grad, expected)
+    # with cols: one entry per (row, col) pair, the repeated pair twice
+    picked = T.take_rows(x, [3, 0, 3], [1, 2, 1])
+    assert np.array_equal(picked.values, [10.0, 2.0, 10.0])
+    T.backward(total(picked))
+    expected = np.zeros((4, 3))
+    expected[3, 1] = 2.0
+    expected[0, 2] = 1.0
+    assert np.array_equal(x.grad, expected)
+
+
+@pytest.mark.parametrize("shape,index,cols", [
+    ((4, 3), [0, 1], [0, 3]), ((4, 3), [0, 1], [0, -1]), ((4, 3), [0, 1], [0]),
+    ((4, 3), [0, 4], [0, 0]), ((4,), [0, 1], [0, 0]),
+], ids=["col_past_end", "col_negative", "cols_shorter", "row_past_end", "vector"])
+def test_take_rows_entries_rejected(shape, index, cols):
+    with pytest.raises(ShapeError):
+        T.take_rows(T.Tensor(np.zeros(shape)), index, cols)
 
 
 def test_shared_operand_gets_both_contributions_without_aliasing():

@@ -9,7 +9,7 @@ from confmix.errors import ConfigError, DomainError, TrainingDivergedError
 from confmix.experts import ExpertArch, forward, init_expert
 from confmix import graphs
 from confmix.graphs import build_graph, generate_specialization_graph
-from confmix.training import (TrainConfig, _Phase, _sgd_step, evaluate,
+from confmix.training import (TrainConfig, _run_phase, _sgd_step, evaluate,
                               pretrain_expert, train)
 
 
@@ -217,18 +217,17 @@ def test_evaluate_random_uniform_predictions_near_half():
 
 def test_divergence_guards():
     params = [T.Tensor([1.0], requires_grad=True)]
-    phase = _Phase(params, lr=0.1, max_epochs=5, patience=3)
 
     def nan_losses():
         return T.mean_all(params[0] * params[0]), float("nan")
     with pytest.raises(TrainingDivergedError) as err:
-        phase.run(nan_losses, lambda *a: None)
+        _run_phase(params, 0.1, 5, 3, nan_losses, lambda *a: None)
     assert "epoch 0" in str(err.value)
 
     def domain_error_losses():
         raise DomainError("overflow")
     with pytest.raises(TrainingDivergedError):
-        phase.run(domain_error_losses, lambda *a: None)
+        _run_phase(params, 0.1, 5, 3, domain_error_losses, lambda *a: None)
 
 
 def test_config_validation(graph):
