@@ -88,12 +88,16 @@ def _input(model: ExpertModel, features) -> T.Tensor:
     return x
 
 
-def _layers(model: ExpertModel, h: T.Tensor, coeff: T.Tensor | None = None) -> T.Tensor:
+def _layers(model: ExpertModel, h: T.Tensor, coeff: T.Tensor | None = None,
+            agg: T.Tensor | None = None) -> T.Tensor:
     """relu(agg(h) @ W + b [+ h @ W_skip]) per layer, softmax after the
-    last; agg(h) is coeff @ h, or h itself without coefficients."""
+    last; agg(h) is coeff @ h, or h itself without coefficients. A given
+    `agg` is the first layer's agg(h), already computed."""
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
-        z = T.matmul(h if coeff is None else T.matmul(coeff, h), layer.weight) + layer.bias
+        if i or agg is None:
+            agg = h if coeff is None else T.matmul(coeff, h)
+        z = T.matmul(agg, layer.weight) + layer.bias
         if layer.skip_weight is not None:
             z = z + T.matmul(h, layer.skip_weight)
         h = T.softmax_rows(z) if i == last else T.relu(z)
@@ -105,13 +109,18 @@ def weak_forward(model: ExpertModel, features) -> T.Tensor:
     return _layers(model, _input(model, features))
 
 
-def gcn_forward(model: ExpertModel, graph: Graph, features) -> T.Tensor:
+def gcn_forward(model: ExpertModel, graph: Graph, features=None) -> T.Tensor:
     """Probability rows from the L-hop neighborhood of each node.
 
     Layer op: softmax/relu(A @ h @ W + b) with A = graph.coefficients; on
     an edgeless graph A is the identity and this equals weak_forward.
-    gcn_skip adds h @ W_skip on the pre-aggregation activations.
+    gcn_skip adds h @ W_skip on the pre-aggregation activations. Without
+    `features` the graph's own are used, and its cached A @ X is the first
+    layer's aggregation.
     """
+    if features is None:
+        x = _input(model, graph.feature_tensor)
+        return _layers(model, x, graph.coefficients, graph.first_aggregation)
     x = _input(model, features)
     if x.shape[0] != graph.num_nodes:
         raise ShapeError(f"features have {x.shape[0]} rows for {graph.num_nodes} nodes")
@@ -121,8 +130,8 @@ def gcn_forward(model: ExpertModel, graph: Graph, features) -> T.Tensor:
 def forward(model: ExpertModel, graph: Graph) -> T.Tensor:
     """Probability rows of every node of `graph`, dispatched on model.kind."""
     if model.kind == "weak":
-        return weak_forward(model, graph.features)
-    return gcn_forward(model, graph, graph.features)
+        return weak_forward(model, graph.feature_tensor)
+    return gcn_forward(model, graph)
 
 
 # ---- checkpointing ----

@@ -4,7 +4,8 @@ Graphs are undirected, unweighted, immutable after construction. The
 adjacency is compressed-sparse (indptr/indices over sorted neighbor
 lists, read-only) with no stored self-loops; the convolution adds the
 self term analytically from degrees. Each graph builds its convolution
-operator on first use and keeps it.
+operator, its features as a tensor and their first aggregation on first
+use and keeps them.
 """
 
 from __future__ import annotations
@@ -46,6 +47,18 @@ class Graph:
     def coefficients(self) -> T.Tensor:
         """conv_coefficients(self) as a constant tensor, built on first use."""
         return T.Tensor(conv_coefficients(self))
+
+    @cached_property
+    def feature_tensor(self) -> T.Tensor:
+        """`features` as a constant tensor, wrapped once."""
+        return T.Tensor(self.features)
+
+    @cached_property
+    def first_aggregation(self) -> T.Tensor:
+        """coefficients @ features, a graph convolution's first aggregation.
+        Built by T.matmul inside the first forward that reads it, so a trace
+        counts it as that forward's work."""
+        return T.matmul(self.coefficients, self.feature_tensor)
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
@@ -90,8 +103,8 @@ def build_graph(num_nodes, num_classes, features, labels, edges, splits) -> Grap
     keys = np.sort(np.concatenate([a * n + b, b * n + a]))
     rows, indices = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    # read-only, so the operator a Graph caches cannot go stale
-    indptr.flags.writeable = indices.flags.writeable = False
+    # read-only, so the operator and aggregation a Graph caches cannot go stale
+    features.flags.writeable = indptr.flags.writeable = indices.flags.writeable = False
 
     clean_splits = {name: np.zeros(0, dtype=np.int64) for name in _SPLIT_KEYS}
     for name in sorted(splits):

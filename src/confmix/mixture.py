@@ -22,17 +22,18 @@ def _values(x) -> np.ndarray:
     return x.values if isinstance(x, T.Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _check_prob_rows(rows: np.ndarray, name: str):
-    if rows.ndim != 2:
-        raise DomainError(f"{name} must be a matrix of probability rows")
-    sums = rows.sum(axis=1)
-    if rows.min() < -SIMPLEX_TOL or np.abs(sums - 1.0).max() > SIMPLEX_TOL:
-        bad = int(np.abs(sums - 1.0).argmax())
-        raise DomainError(f"{name} row {bad} is off the probability simplex")
-
-
-def _check_conf(c: np.ndarray):
-    if c.min() < 0.0 or c.max() > 1.0:
+def _check(conf=None, **rows):
+    """DomainError unless each named operand is a matrix of probability
+    rows and `conf`, when given, lies in [0, 1]."""
+    for name, p in rows.items():
+        p = _values(p)
+        if p.ndim != 2:
+            raise DomainError(f"{name} must be a matrix of probability rows")
+        sums = p.sum(axis=1)
+        if p.min() < -SIMPLEX_TOL or np.abs(sums - 1.0).max() > SIMPLEX_TOL:
+            bad = int(np.abs(sums - 1.0).argmax())
+            raise DomainError(f"{name} row {bad} is off the probability simplex")
+    if conf is not None and (_values(conf).min() < 0.0 or _values(conf).max() > 1.0):
         raise DomainError("confidence values must lie in [0, 1]")
 
 
@@ -42,26 +43,24 @@ def cross_entropy_rows(probs, labels) -> T.Tensor:
     return -T.log(T.take_rows(probs, np.arange(np.shape(probs)[0]), labels))
 
 
-def _check_inputs(p_weak, p_strong, conf):
-    _check_prob_rows(_values(p_weak), "p_weak")
-    _check_prob_rows(_values(p_strong), "p_strong")
-    _check_conf(_values(conf))
+def _links(confidences, losses):
+    """Each gate's own term and the weight it leaves the tail: (c * CE, 1 - c)."""
+    return [(c * loss, c * (-1.0) + 1.0) for c, loss in zip(confidences, losses)]
 
 
-def _chain_rows(prob_list, confidences, labels) -> T.Tensor:
+def _fold(links, tail) -> T.Tensor:
     """Per-node chained-gate loss, folded from the strongest expert back:
     tail = c_m * CE_m + (1 - c_m) * tail."""
-    losses = [cross_entropy_rows(p, labels) for p in prob_list]
-    tail = losses[-1]
-    for c, loss in zip(reversed(confidences), reversed(losses[:-1])):
-        tail = c * loss + (c * (-1.0) + 1.0) * tail
+    for own, keep in reversed(links):
+        tail = own + keep * tail
     return tail
 
 
 def mixture_loss_rows(p_weak, p_strong, conf, labels) -> T.Tensor:
     """Per-node c_v * CE(weak_v) + (1 - c_v) * CE(strong_v)."""
-    _check_inputs(p_weak, p_strong, conf)
-    return _chain_rows([p_weak, p_strong], [conf], labels)
+    _check(conf, p_weak=p_weak, p_strong=p_strong)
+    links = _links([conf], [cross_entropy_rows(p_weak, labels)])
+    return _fold(links, cross_entropy_rows(p_strong, labels))
 
 
 def mixture_loss(p_weak, p_strong, conf, labels) -> T.Tensor:
@@ -73,6 +72,28 @@ def mixture_loss(p_weak, p_strong, conf, labels) -> T.Tensor:
     return T.mean_all(mixture_loss_rows(p_weak, p_strong, conf, labels))
 
 
+def weak_turn_rows(p_strong, labels):
+    """mixture_loss_rows of the live (p_weak, conf) against frozen strong rows."""
+    _check(p_strong=p_strong)
+    strong_ce = cross_entropy_rows(p_strong, labels)
+
+    def rows(p_weak, conf):
+        _check(conf, p_weak=p_weak)
+        return _fold(_links([conf], [cross_entropy_rows(p_weak, labels)]), strong_ce)
+    return rows
+
+
+def strong_turn_rows(p_weak, conf, labels):
+    """mixture_loss_rows of the live p_strong against frozen weak rows and conf."""
+    _check(conf, p_weak=p_weak)
+    links = _links([conf], [cross_entropy_rows(p_weak, labels)])
+
+    def rows(p_strong):
+        _check(p_strong=p_strong)
+        return _fold(links, cross_entropy_rows(p_strong, labels))
+    return rows
+
+
 def blend_rows(p_weak, p_strong, conf) -> T.Tensor:
     """Per-node convex blend c*p + (1-c)*p'; rows stay on the simplex."""
     col = T.stack_columns([conf])
@@ -81,35 +102,13 @@ def blend_rows(p_weak, p_strong, conf) -> T.Tensor:
 
 def blend_loss_rows(p_weak, p_strong, conf, labels) -> T.Tensor:
     """Per-node cross-entropy of the blended prediction."""
-    _check_inputs(p_weak, p_strong, conf)
+    _check(conf, p_weak=p_weak, p_strong=p_strong)
     return cross_entropy_rows(blend_rows(p_weak, p_strong, conf), labels)
 
 
 def blend_loss(p_weak, p_strong, conf, labels) -> T.Tensor:
     """Cross-entropy of the blended prediction; <= mixture_loss pointwise."""
     return T.mean_all(blend_loss_rows(p_weak, p_strong, conf, labels))
-
-
-def multi_expert_weights(confidences) -> np.ndarray:
-    """Per-node gate weights for experts 1..M; rows sum to one.
-
-    `confidences` holds M-1 rows of per-node confidence; the final
-    expert's confidence is pinned to 1, which makes the M=2 case
-    coincide with the two-expert loss.
-    """
-    cs = [np.asarray(_values(c), dtype=np.float64) for c in confidences]
-    for c in cs:
-        _check_conf(c)
-    num_nodes = cs[0].shape[0] if cs else None
-    if num_nodes is None:
-        raise ConfigError("at least one confidence row is required")
-    cs = cs + [np.ones(num_nodes)]
-    weights = np.zeros((len(cs), num_nodes))
-    carry = np.ones(num_nodes)
-    for m, c in enumerate(cs):
-        weights[m] = carry * c
-        carry = carry * (1.0 - c)
-    return weights
 
 
 def multi_expert_loss(prob_list, confidences, labels) -> T.Tensor:
@@ -120,11 +119,11 @@ def multi_expert_loss(prob_list, confidences, labels) -> T.Tensor:
         raise ConfigError(
             f"{len(prob_list)} experts need {len(prob_list) - 1} confidence rows, "
             f"got {len(confidences)}")
-    for m, p in enumerate(prob_list):
-        _check_prob_rows(_values(p), f"expert {m}")
+    _check(**{f"expert {m}": p for m, p in enumerate(prob_list)})
     for c in confidences:
-        _check_conf(_values(c))
-    return T.mean_all(_chain_rows(prob_list, confidences, labels))
+        _check(c)
+    losses = [cross_entropy_rows(p, labels) for p in prob_list]
+    return T.mean_all(_fold(_links(confidences, losses), losses[-1]))
 
 
 def infer_stochastic(p_weak, p_strong, conf, seed: int):
@@ -136,7 +135,7 @@ def infer_stochastic(p_weak, p_strong, conf, seed: int):
     the lowest class index.
     """
     pw, ps, c = _values(p_weak), _values(p_strong), _values(conf)
-    _check_conf(c)
+    _check(c)
     rng = np.random.default_rng(seed)
     draws = rng.uniform(0.0, 1.0, size=pw.shape[0])
     weak_fired = draws < c

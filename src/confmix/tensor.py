@@ -16,19 +16,14 @@ every loss in the package so oracle comparisons see identical values.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError, TapeStateError
 
 LOG_FLOOR = 1e-12
 LOG_CEIL = 1.0
-
-
-def _as_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("tensor values must be finite (no NaN/Inf)")
-    return arr
 
 
 class Tensor:
@@ -47,7 +42,9 @@ class Tensor:
     __array_ufunc__ = None
 
     def __init__(self, values, requires_grad: bool = False):
-        self.values = _as_array(values)
+        self.values = np.asarray(values, dtype=np.float64)
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("tensor values must be finite (no NaN/Inf)")
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._op = None
@@ -97,6 +94,9 @@ class Tensor:
 
 
 def _coerce(x) -> Tensor:
+    if type(x) is float and math.isfinite(x):
+        # a Python float operand, such as a loss's -1.0, needs no array scan
+        return _make(np.asarray(x), None, (), None)
     return x if isinstance(x, Tensor) else Tensor(x)
 
 

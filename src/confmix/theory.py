@@ -569,7 +569,7 @@ def verify_blindspot(instance: BlindspotInstance, n_weight_draws: int,
                              g.num_features, g.num_classes, int(rng.integers(2 ** 31)))
         for layer in strong.layers:
             layer.bias.values = rng.uniform(-1.0, 1.0, layer.bias.shape)
-        probs = gcn_forward(strong, g, g.features).values
+        probs = gcn_forward(strong, g).values
         worst = max(worst, float(np.abs(probs[u] - probs[v]).max()))
 
     weak = build_root_separator(instance)

@@ -23,7 +23,8 @@ from .errors import ConfigError, DomainError, TrainingDivergedError
 from .experts import ExpertArch, ExpertModel, check_role, forward, init_expert
 from .graphs import Graph
 from .mixture import (blend_loss_rows, cross_entropy_rows, infer_expected,
-                      infer_stochastic, mixture_loss_rows)
+                      infer_stochastic, mixture_loss_rows, strong_turn_rows,
+                      weak_turn_rows)
 
 MODES = ("in_turn", "joint", "blend")
 PRETRAIN_CHOICES = ("none", "weak", "strong", "both")
@@ -167,24 +168,23 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
     weak_params = list(weak.parameters()) + gate_params
     strong_params = list(strong.parameters())
 
-    # a turn's frozen rows and confidences are constants: wrap them once
+    # a turn's frozen side is constant: it is wrapped, checked and scored once
     def weak_turn_losses(frozen_strong_rows):
-        ps_rows = T.Tensor(frozen_strong_rows[rows])
+        terms_of = weak_turn_rows(T.Tensor(frozen_strong_rows[rows]), y_rows)
 
         def losses():
             pw = T.take_rows(forward(weak, graph), rows)
-            terms = mixture_loss_rows(pw, ps_rows, confidence_rows(pw, spec), y_rows)
-            return _split_means(terms, train_pos)
+            return _split_means(terms_of(pw, confidence_rows(pw, spec)), train_pos)
         return losses
 
     def strong_turn_losses(frozen_weak_rows):
         pw_rows = frozen_weak_rows[rows]
-        pw_rows, c_rows = T.Tensor(pw_rows), T.Tensor(confidence_batch(pw_rows, spec))
+        c_rows = confidence_batch(pw_rows, spec)
+        terms_of = strong_turn_rows(T.Tensor(pw_rows), T.Tensor(c_rows), y_rows)
 
         def losses():
             ps = T.take_rows(forward(strong, graph), rows)
-            return _split_means(mixture_loss_rows(pw_rows, ps, c_rows, y_rows),
-                                train_pos)
+            return _split_means(terms_of(ps), train_pos)
         return losses
 
     def record_round(round_idx) -> dict:

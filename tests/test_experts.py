@@ -43,8 +43,47 @@ def test_gcn_on_edgeless_equals_weak():
     g = build_graph(4, 2, np.random.default_rng(2).standard_normal((4, 3)),
                     [0, 1, 0, 1], [], {"train": [0], "val": [], "test": []})
     model = init_expert(ExpertArch("gcn", 2, 5), 3, 2, seed=3)
-    assert np.array_equal(gcn_forward(model, g, g.features).values,
-                          weak_forward(model, g.features).values)
+    weak = weak_forward(model, g.features).values
+    assert np.array_equal(gcn_forward(model, g, g.features).values, weak)
+    assert np.array_equal(gcn_forward(model, g).values, weak)
+
+
+@pytest.mark.parametrize("kind", ["gcn", "gcn_skip"])
+def test_graph_features_equal_explicit_features(kind):
+    rng = np.random.default_rng(21)
+    g = build_graph(7, 3, rng.standard_normal((7, 4)), [0, 1, 2, 0, 1, 2, 0],
+                    [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)],
+                    {"train": [0], "val": [], "test": []})
+    model = init_expert(ExpertArch(kind, 3, 5), 4, 3, seed=22)
+    explicit = gcn_forward(model, g, g.features).values
+    for _ in range(2):
+        assert np.array_equal(gcn_forward(model, g).values, explicit)
+    assert np.array_equal(g.first_aggregation.values,
+                          g.coefficients.values @ g.features)
+
+
+def test_second_forward_reuses_first_aggregation(monkeypatch):
+    rng = np.random.default_rng(23)
+    n = 6
+    g = build_graph(n, 2, rng.standard_normal((n, 3)), [0, 1, 0, 1, 0, 1],
+                    [(i, (i + 1) % n) for i in range(n)],
+                    {"train": [0], "val": [], "test": []})
+    model = init_expert(ExpertArch("gcn_skip", 2, 4), 3, 2, seed=24)
+    widths = []
+    matmul = T.matmul
+
+    def recorded(a, b):
+        if a.shape == (n, n):
+            widths.append(b.shape[1])
+        return matmul(a, b)
+
+    monkeypatch.setattr(T, "matmul", recorded)
+    first = gcn_forward(model, g).values
+    assert widths == [3, 4]
+    widths.clear()
+    assert np.array_equal(gcn_forward(model, g).values, first)
+    assert widths == [4]
+    assert g.feature_tensor.values is g.features and not g.features.flags.writeable
 
 
 def test_gcn_two_node_hand_computation():

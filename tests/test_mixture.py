@@ -8,7 +8,18 @@ from confmix import tensor as T
 from confmix.errors import ConfigError, DomainError, ShapeError
 from confmix.mixture import (blend_loss, cross_entropy_rows, infer_expected,
                              infer_stochastic, mixture_loss, multi_expert_loss,
-                             multi_expert_weights, write_predictions_csv)
+                             write_predictions_csv)
+
+
+def multi_expert_weights(confidences) -> np.ndarray:
+    """Per-node gate weights of experts 1..M, in numpy: the last expert's
+    confidence is pinned to 1, so each node's weights sum to one."""
+    carry = np.ones_like(confidences[0])
+    weights = []
+    for c in list(confidences) + [np.ones_like(carry)]:
+        weights.append(carry * c)
+        carry = carry * (1.0 - c)
+    return np.array(weights)
 
 
 def random_instance(rng, nodes=20, classes=3):
@@ -150,6 +161,20 @@ def test_multi_expert_weights_form_distribution(num_experts, seed):
     weights = multi_expert_weights(confs)
     assert weights.min() >= 0.0
     assert np.abs(weights.sum(axis=0) - 1.0).max() < 1e-12
+
+
+@given(st.integers(2, 5), st.integers(0, 10_000))
+@settings(max_examples=200, deadline=None)
+def test_multi_expert_loss_matches_weight_oracle(num_experts, seed):
+    rng = np.random.default_rng(seed)
+    nodes, classes = 7, 3
+    probs = [rng.dirichlet(np.ones(classes), size=nodes) for _ in range(num_experts)]
+    confs = [rng.uniform(0, 1, nodes) for _ in range(num_experts - 1)]
+    y = rng.integers(0, classes, nodes)
+    ces = np.array([-np.log(np.clip(p[np.arange(nodes), y], T.LOG_FLOOR, 1.0))
+                    for p in probs])
+    want = (multi_expert_weights(confs) * ces).sum(axis=0).mean()
+    assert abs(multi_expert_loss(probs, confs, y).item() - want) <= 1e-15
 
 
 def test_multi_expert_missing_confidence_rejected():

@@ -203,6 +203,48 @@ def test_non_finite_input_rejected():
         T.Tensor([np.inf])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 np.float64("nan"), np.inf])
+def test_non_finite_scalar_operand_rejected(bad):
+    t = T.Tensor([1.0, 2.0], requires_grad=True)
+    with pytest.raises(DomainError):
+        T.add(t, bad)
+    with pytest.raises(DomainError):
+        t * bad
+
+
+@pytest.mark.parametrize("scalar", [2.5, -1.0, 3, np.float64(0.25), np.int64(-2)])
+def test_scalar_operands_are_constants(scalar):
+    x = np.array([[1.0, -2.0], [0.5, 4.0]])
+    t = T.Tensor(x, requires_grad=True)
+    for out, want in ((T.add(t, scalar), x + float(scalar)),
+                      (t * scalar, x * float(scalar)),
+                      (scalar * t, float(scalar) * x)):
+        assert np.array_equal(out.values, want)
+        operand = out._parents[1]
+        assert operand.shape == () and operand.values.dtype == np.float64
+        assert not operand.requires_grad and operand._op is None
+    T.backward(T.mean_all(t * scalar))
+    assert np.array_equal(t.grad, np.full((2, 2), float(scalar) / 4))
+    assert operand.grad is None
+
+
+def test_float_operand_skips_tensor_constructor(monkeypatch):
+    built = []
+    init = T.Tensor.__init__
+    t = T.Tensor([1.0, 2.0])
+
+    def counted(self, values, requires_grad=False):
+        built.append(values)
+        init(self, values, requires_grad)
+
+    monkeypatch.setattr(T.Tensor, "__init__", counted)
+    assert np.array_equal((t * -1.0 + 0.5).values, [-0.5, -1.5])
+    assert built == []
+    T.add(t, 1)
+    assert built == [1]
+
+
 def test_log_clamps_at_floor_and_one():
     out = T.log(T.Tensor([0.0, 1.0, 0.5]))
     assert out.values[0] == np.log(T.LOG_FLOOR)

@@ -1,5 +1,6 @@
 """Grid oracles against the minimizer theory and its constructions."""
 
+import dataclasses
 import itertools
 import math
 
@@ -374,6 +375,9 @@ def test_blindspot_verification_k1_k2():
 
 def test_blindspot_validation_catches_corruption():
     instance = build_blindspot_graph(1, 4, seed=9)
-    instance.graph.features[instance.node_map[instance.u] + 0] += 0.5
+    features = instance.graph.features.copy()
+    features[instance.node_map[instance.u] + 0] += 0.5
+    corrupted = dataclasses.replace(
+        instance, graph=dataclasses.replace(instance.graph, features=features))
     with pytest.raises(GraphValidationError):
-        verify_blindspot(instance, 5, seed=0)
+        verify_blindspot(corrupted, 5, seed=0)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from confmix import tensor as T
-from confmix.confidence import ConfidenceSpec, StepGate, confidence_batch
+from confmix.confidence import (ConfidenceSpec, LearnableGate, StepGate, confidence_batch,
+                                confidence_rows, default_spec)
 from confmix.errors import ConfigError, DomainError, TrainingDivergedError
 from confmix.experts import ExpertArch, forward, init_expert
 from confmix import graphs
 from confmix.graphs import build_graph, generate_specialization_graph
+from confmix.mixture import mixture_loss_rows, strong_turn_rows, weak_turn_rows
 from confmix.training import (TrainConfig, _run_phase, _sgd_step, evaluate,
                               pretrain_expert, train)
 
@@ -282,3 +284,70 @@ def test_operator_built_once_per_graph(monkeypatch):
                                 pretrain_epochs=3), g)
     evaluate(result.weak, result.strong, result.spec, g, "test", gate_seed=1)
     assert len(calls) == 1 and calls[0] is g
+
+
+def turn_specs():
+    return [default_spec(), ConfidenceSpec("variance", LearnableGate.create(4, hidden=3))]
+
+
+@pytest.mark.parametrize("spec", turn_specs(), ids=["default", "learnable"])
+def test_hoisted_turns_equal_mixture_loss_rows(spec):
+    """Each epoch of a turn, with its frozen side scored once, gives the
+    terms and live gradients of mixture_loss_rows on the same inputs."""
+    rng = np.random.default_rng(8)
+    g = build_graph(8, 2, rng.standard_normal((8, 3)), [0, 1, 0, 1, 1, 0, 0, 1],
+                    [(i, (i + 1) % 8) for i in range(8)] + [(0, 4)],
+                    {"train": [0, 1, 2, 3, 4], "val": [5, 6], "test": [7]})
+    weak = init_expert(ExpertArch("weak", 2, 4), 3, 2, 1)
+    strong = init_expert(ExpertArch("gcn_skip", 2, 4), 3, 2, 2)
+    y = g.labels
+
+    def epochs(params, hoisted, fresh):
+        for _ in range(4):
+            terms = hoisted()
+            T.backward(T.mean_all(terms))
+            grads = [p.grad.copy() for p in params]
+            want = fresh()
+            T.backward(T.mean_all(want))
+            assert np.array_equal(terms.values, want.values)
+            assert all(np.array_equal(a, p.grad) for a, p in zip(grads, params))
+            _sgd_step(params, 0.5)
+
+    ps = forward(strong, g).values
+    weak_terms = weak_turn_rows(T.Tensor(ps), y)
+
+    def weak_epoch(rows_fn):
+        pw = forward(weak, g)
+        return rows_fn(pw, confidence_rows(pw, spec))
+
+    epochs(list(weak.parameters()) + list(spec.parameters()),
+           lambda: weak_epoch(weak_terms),
+           lambda: weak_epoch(lambda pw, c: mixture_loss_rows(pw, ps, c, y)))
+
+    pw = forward(weak, g).values
+    c = confidence_batch(pw, spec)
+    strong_terms = strong_turn_rows(T.Tensor(pw), T.Tensor(c), y)
+    epochs(list(strong.parameters()),
+           lambda: strong_terms(forward(strong, g)),
+           lambda: mixture_loss_rows(pw, forward(strong, g), c, y))
+
+
+@pytest.mark.parametrize("spec", turn_specs(), ids=["default", "learnable"])
+def test_epochs_build_no_tensors(graph, monkeypatch, spec):
+    """Every Tensor a train builds is built per turn or round, none per epoch."""
+    init = T.Tensor.__init__
+    built = []
+
+    def counted(self, values, requires_grad=False):
+        built.append(1)
+        init(self, values, requires_grad)
+
+    monkeypatch.setattr(T.Tensor, "__init__", counted)
+    counts = []
+    for max_epochs in (3, 30):
+        built.clear()
+        result = train(small_config(max_epochs=max_epochs, patience=max_epochs + 1,
+                                    spec=spec), graph)
+        assert len(result.report.loss_rows) == 2 * 2 * max_epochs
+        counts.append(len(built))
+    assert counts[0] == counts[1]
