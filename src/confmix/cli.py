@@ -35,10 +35,13 @@ def _merge(args: argparse.Namespace, config: dict, key: str, default=None,
            cast=None):
     """The flag, else the config value (null is unset), else `default`,
     cast by `as_type` to `cast`, else to the type of `default`, else to
-    `str`."""
+    `str`. Only the flag is text to parse."""
     if cast is None:
         cast = str if default is None else type(default)
-    for value in (getattr(args, key.replace("-", "_"), None), config.get(key), default):
+    flag = getattr(args, key.replace("-", "_"), None)
+    if flag is not None:
+        return as_type(flag, cast, key, text=True)
+    for value in (config.get(key), default):
         if value is not None:
             return as_type(value, cast, key)
     return None

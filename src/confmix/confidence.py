@@ -62,7 +62,11 @@ def dispersion_rows(rows: T.Tensor, kind: str) -> T.Tensor:
         centered = rows + (-1.0 / n)
         return T.sum_rows(centered * centered)
     if kind == "neg_entropy":
-        return T.sum_rows(rows * T.log(rows)) + float(np.log(n))
+        d = T.sum_rows(rows * T.log(rows)) + float(np.log(n))
+        # _dispersion_rows_np's snap, flat: a residue times a zero of its
+        # own sign is +0.0, with zero gradient
+        snap = np.abs(d.values) < 1e-15
+        return d * np.where(snap, np.copysign(0.0, d.values), 1.0) if snap.any() else d
     raise ConfigError(f"dispersion kind must be one of {DISPERSION_KINDS}, got {kind!r}")
 
 

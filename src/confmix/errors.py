@@ -40,15 +40,16 @@ class TrainingDivergedError(RuntimeError):
     """Training loss became non-finite; message names the epoch."""
 
 
-def as_type(value, cast, key: str):
+def as_type(value, cast, key: str, text: bool = False):
     """`cast(value)`, or a ConfigError naming `key` when that fails, gives
     a non-finite float, casts a bool or a fractional number to int, a bool
-    to float, or anything but a str to str."""
+    to float, or anything but a str to str. A str is a number only as a
+    flag's `text`: in a document it is not one, as in as_array."""
     try:
         out = cast(value)
     except (TypeError, ValueError, OverflowError):
         out = math.nan
-    lossy = (isinstance(value, bool) or cast is str and not isinstance(value, str)
+    lossy = (isinstance(value, bool) or (cast is str) != isinstance(value, str) and not text
              or cast is int and isinstance(value, float) and out != value)
     if lossy or isinstance(out, float) and not math.isfinite(out):
         what = {int: "an integer", str: "a string"}.get(cast, f"a finite {cast.__name__}")

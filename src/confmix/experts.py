@@ -109,22 +109,16 @@ def weak_forward(model: ExpertModel, features) -> T.Tensor:
     return _layers(model, _input(model, features))
 
 
-def gcn_forward(model: ExpertModel, graph: Graph, features=None) -> T.Tensor:
+def gcn_forward(model: ExpertModel, graph: Graph) -> T.Tensor:
     """Probability rows from the L-hop neighborhood of each node.
 
     Layer op: softmax/relu(A @ h @ W + b) with A = graph.coefficients; on
     an edgeless graph A is the identity and this equals weak_forward.
-    gcn_skip adds h @ W_skip on the pre-aggregation activations. Without
-    `features` the graph's own are used, and its cached A @ X is the first
-    layer's aggregation.
+    gcn_skip adds h @ W_skip on the pre-aggregation activations. The
+    graph's cached A @ X is the first layer's aggregation.
     """
-    if features is None:
-        x = _input(model, graph.feature_tensor)
-        return _layers(model, x, graph.coefficients, graph.first_aggregation)
-    x = _input(model, features)
-    if x.shape[0] != graph.num_nodes:
-        raise ShapeError(f"features have {x.shape[0]} rows for {graph.num_nodes} nodes")
-    return _layers(model, x, graph.coefficients)
+    x = _input(model, graph.feature_tensor)
+    return _layers(model, x, graph.coefficients, graph.first_aggregation)
 
 
 def forward(model: ExpertModel, graph: Graph) -> T.Tensor:

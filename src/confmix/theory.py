@@ -1,8 +1,10 @@
 """Brute-force and analytic oracles for the optimization theory.
 
-Everything here works on plain numpy arrays, independent of the
-differentiation engine, so these oracles can sit on the other side of
-dual-route checks. The central tool is exhaustive search over a
+The simplex oracles work on plain numpy arrays, independent of the
+differentiation engine, so they can sit on the other side of dual-route
+checks. The blindspot check is the exception: it runs the experts and
+`training.predict` on the engine, since what it checks is what a
+convolution can tell apart. The central tool is exhaustive search over a
 rational grid on the probability simplex; tolerances are derived from
 the grid spacing via data-driven gradient bounds on the sublevel set
 actually explored.

@@ -100,14 +100,23 @@ def _sgd_step(params, lr):
             p.values = p.values - lr * p.grad
 
 
-def _run_phase(params, lr, max_epochs, patience, losses_fn, record):
-    """One early-stopped gradient-descent phase over a fixed loss builder."""
+def _split_means(terms: T.Tensor, splits: dict):
+    """(train mean as a Tensor, val mean as a float) of every node's loss
+    terms; the val mean reads the train ids when val is empty."""
+    train_ids = splits["train"]
+    val_ids = splits["val"] if splits["val"].size else train_ids
+    return T.mean_all(T.take_rows(terms, train_ids)), float(terms.values[val_ids].mean())
+
+
+def _run_phase(params, splits, lr, max_epochs, patience, terms_fn, record):
+    """One early-stopped gradient-descent phase over a fixed builder of
+    every node's loss terms."""
     best_val = np.inf
     best = _snapshot(params)
     wait = 0
     for epoch in range(max_epochs):
         try:
-            train_loss, val_loss = losses_fn()
+            train_loss, val_loss = _split_means(terms_fn(), splits)
         except DomainError as e:
             raise TrainingDivergedError(f"non-finite values at epoch {epoch}") from e
         value = train_loss.item()
@@ -125,27 +134,16 @@ def _run_phase(params, lr, max_epochs, patience, losses_fn, record):
     _restore(params, best)
 
 
-def _loss_rows(graph: Graph):
-    """Train ids then val ids (train again when val is empty), and the
-    positions of the train ids in that concatenation."""
-    train_ids = graph.splits["train"]
-    val_ids = graph.splits["val"] if graph.splits["val"].size else train_ids
-    return np.concatenate([train_ids, val_ids]), np.arange(train_ids.size)
-
-
-def _split_means(terms: T.Tensor, train_pos: np.ndarray):
-    """(train mean as a Tensor, val mean as a float) of per-node loss terms
-    laid out as by _loss_rows."""
-    return (T.mean_all(T.take_rows(terms, train_pos)),
-            float(terms.values[train_pos.size:].mean()))
+def _ce_terms(model: ExpertModel, graph: Graph):
+    """A builder of every node's cross-entropy under `model`."""
+    return lambda: cross_entropy_rows(forward(model, graph), graph.labels)
 
 
 def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
           strong: ExpertModel | None = None) -> TrainResult:
     """Run the configured training mode; deterministic under config.seed."""
     config.validate()
-    train_ids = graph.splits["train"]
-    if train_ids.size == 0:
+    if graph.splits["train"].size == 0:
         raise ConfigError("graph has an empty train split")
     f, n = graph.num_features, graph.num_classes
     spec = config.spec
@@ -159,33 +157,30 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
     if config.pretrain in ("strong", "both"):
         _plain_ce_phase(strong, graph, config.pretrain_epochs, config.lr)
 
-    # each epoch evaluates the loss terms of the train and val rows in one pass
-    rows, train_pos = _loss_rows(graph)
-    y_rows = graph.labels[rows]
     report = TrainReport()
+    labels = graph.labels
 
     gate_params = list(spec.parameters())
     weak_params = list(weak.parameters()) + gate_params
     strong_params = list(strong.parameters())
 
     # a turn's frozen side is constant: it is wrapped, checked and scored once
-    def weak_turn_losses(frozen_strong_rows):
-        terms_of = weak_turn_rows(T.Tensor(frozen_strong_rows[rows]), y_rows)
+    def weak_turn_terms(frozen_strong):
+        terms_of = weak_turn_rows(T.Tensor(frozen_strong), labels)
 
-        def losses():
-            pw = T.take_rows(forward(weak, graph), rows)
-            return _split_means(terms_of(pw, confidence_rows(pw, spec)), train_pos)
-        return losses
+        def terms():
+            pw = forward(weak, graph)
+            return terms_of(pw, confidence_rows(pw, spec))
+        return terms
 
-    def strong_turn_losses(frozen_weak_rows):
-        pw_rows = frozen_weak_rows[rows]
-        c_rows = confidence_batch(pw_rows, spec)
-        terms_of = strong_turn_rows(T.Tensor(pw_rows), T.Tensor(c_rows), y_rows)
+    def strong_turn_terms(frozen_weak):
+        terms_of = strong_turn_rows(T.Tensor(frozen_weak),
+                                    T.Tensor(confidence_batch(frozen_weak, spec)), labels)
+        return lambda: terms_of(forward(strong, graph))
 
-        def losses():
-            ps = T.take_rows(forward(strong, graph), rows)
-            return _split_means(terms_of(ps), train_pos)
-        return losses
+    def phase(params, max_epochs, terms_fn, round_idx, turn):
+        _run_phase(params, graph.splits, config.lr, max_epochs, config.patience, terms_fn,
+                   lambda e, t, v: report.loss_rows.append((round_idx, turn, e, t, v)))
 
     def record_round(round_idx) -> dict:
         scores = _scores(predict(weak, strong, spec, graph), graph, config.gate_seed)
@@ -200,27 +195,20 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
 
     if config.mode == "in_turn":
         for round_idx in range(1, config.rounds + 1):
-            _run_phase(weak_params, config.lr, config.max_epochs, config.patience,
-                       weak_turn_losses(forward(strong, graph).values),
-                       lambda e, t, v, r=round_idx: report.loss_rows.append(
-                           (r, "weak", e, t, v)))
-            _run_phase(strong_params, config.lr, config.max_epochs, config.patience,
-                       strong_turn_losses(forward(weak, graph).values),
-                       lambda e, t, v, r=round_idx: report.loss_rows.append(
-                           (r, "strong", e, t, v)))
+            phase(weak_params, config.max_epochs,
+                  weak_turn_terms(forward(strong, graph).values), round_idx, "weak")
+            phase(strong_params, config.max_epochs,
+                  strong_turn_terms(forward(weak, graph).values), round_idx, "strong")
             scores = record_round(round_idx)
     else:
         terms_fn = mixture_loss_rows if config.mode == "joint" else blend_loss_rows
 
-        def losses():
-            pw = T.take_rows(forward(weak, graph), rows)
-            ps = T.take_rows(forward(strong, graph), rows)
-            terms = terms_fn(pw, ps, confidence_rows(pw, spec), y_rows)
-            return _split_means(terms, train_pos)
+        def terms():
+            pw = forward(weak, graph)
+            return terms_fn(pw, forward(strong, graph), confidence_rows(pw, spec), labels)
 
-        _run_phase(weak_params + strong_params, config.lr,
-                   config.rounds * config.max_epochs, config.patience, losses,
-                   lambda e, t, v: report.loss_rows.append((1, config.mode, e, t, v)))
+        phase(weak_params + strong_params, config.rounds * config.max_epochs, terms, 1,
+              config.mode)
         scores = record_round(1)
 
     # the last round scored the final models
@@ -232,13 +220,10 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
 
 
 def _plain_ce_phase(model: ExpertModel, graph: Graph, epochs: int, lr: float):
-    train_ids = graph.splits["train"]
-    labels = graph.labels[train_ids]
+    terms = _ce_terms(model, graph)
     params = list(model.parameters())
     for _ in range(epochs):
-        probs = forward(model, graph)
-        loss = T.mean_all(cross_entropy_rows(T.take_rows(probs, train_ids), labels))
-        T.backward(loss)
+        T.backward(_split_means(terms(), graph.splits)[0])
         _sgd_step(params, lr)
 
 
@@ -315,14 +300,7 @@ def single_expert_baseline(arch: ExpertArch, graph: Graph, seed: int) -> ExpertM
     way.
     """
     model = init_expert(arch, graph.num_features, graph.num_classes, seed)
-    rows, train_pos = _loss_rows(graph)
-    y_rows = graph.labels[rows]
-
-    def losses():
-        probs = T.take_rows(forward(model, graph), rows)
-        return _split_means(cross_entropy_rows(probs, y_rows), train_pos)
-
     defaults = TrainConfig()
-    _run_phase(list(model.parameters()), defaults.lr, defaults.max_epochs,
-               defaults.patience, losses, lambda e, t, v: None)
+    _run_phase(list(model.parameters()), graph.splits, defaults.lr, defaults.max_epochs,
+               defaults.patience, _ce_terms(model, graph), lambda e, t, v: None)
     return model

@@ -393,6 +393,10 @@ BAD_INPUTS = {
     "config_suite_unknown": _cli("verify", "--seed", "1", config={"suite": "everything"}),
     "config_confidence_empty_list": _cli(*TRAIN, config={"confidence": []}),
     "config_arch_unknown_key": _cli(*TRAIN, config={"weak_arch": {"hiden": 4}}),
+    # only a flag is text to parse: in a config a string is not a number
+    "config_rounds_string": _cli(*TRAIN, config={"rounds": "1"}),
+    "config_arch_hidden_string": _cli(*TRAIN, config={"weak_arch": {"hidden": "4"}}),
+    "spec_slope_string": _spec({"kind": "capped_linear", "slope": "2"}),
     "infer_weak_missing": lambda tmp, data, ckpt: ["infer", "--seed", "1", "--data", data],
     # a file that is not JSON is named by its kind
     "checkpoint_not_json": _infer(lambda c: '{"kind": "weak", ', lambda c: c["gcn"]),
@@ -436,7 +440,10 @@ BAD_INPUTS = {
 NAMED_IN_ERROR = {"checkpoint_not_json": "malformed checkpoint document at byte 17",
                   "config_not_json": "malformed config document at byte 11",
                   "graph_not_utf8": "malformed graph document at byte 0",
-                  "config_arch_unknown_key": "'hiden'"}
+                  "config_arch_unknown_key": "'hiden'",
+                  "config_rounds_string": "rounds must be an integer, got '1'",
+                  "config_arch_hidden_string": "weak_arch.hidden must be an integer, got '4'",
+                  "spec_slope_string": "gate slope must be a finite float, got '2'"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -494,6 +501,22 @@ def test_overflowing_training_exits_3(tmp_path, small_graph_path, capsys):
     argv = train_args(small_graph_path, tmp_path, ["--lr", "1e300", "--pretrain", "none"])
     assert run_cli(argv) == 3
     assert "loss diverged at epoch" in capsys.readouterr().err
+
+
+def test_uniform_weak_row_under_neg_entropy_trains(tmp_path):
+    """An all-zero feature row gives an untrained weak expert an exactly
+    uniform row, whose neg_entropy confidence is 0, not -2.2e-16."""
+    features = [[float((3 * v + j) % 7) - 3.0 for j in range(3)] for v in range(10)]
+    features[3] = [0.0, 0.0, 0.0]
+    graph = {"num_nodes": 10, "num_classes": 5, "features": features,
+             "labels": [v % 5 for v in range(10)], "edges": [[v, (v + 1) % 10] for v in range(10)],
+             "splits": {"train": [0, 1, 2, 3, 4, 5], "val": [6, 7], "test": [8, 9]}}
+    config = {"confidence": {"dispersion": "neg_entropy",
+                             "gate": {"kind": "capped_linear", "slope": 1}}}
+    assert run_cli(["train", "--data", _write(tmp_path, "graph.json", graph), "--seed", "1",
+                    "--pretrain", "none", "--rounds", "1", "--max-epochs", "3",
+                    "--config", _write(tmp_path, "run.json", config),
+                    "--out", str(tmp_path)]) == 0
 
 
 def test_unknown_suite_exits_2(tmp_path):

@@ -169,6 +169,20 @@ def test_tensor_path_matches_numpy_path():
         assert np.allclose(got, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_uniform_row_matches_numpy_path_bit_for_bit(n):
+    """neg_entropy's float residue at the uniform row (-2.2e-16 for n=5)
+    snaps to +0.0 on both routes, flat there; other rows keep their bits."""
+    rows = np.stack([np.full(n, 1.0 / n), np.random.default_rng(n).dirichlet(np.ones(n))])
+    for spec in FIXED_SPECS:
+        leaf = T.Tensor(rows, requires_grad=True)
+        got = confidence_rows(leaf, spec)
+        assert got.values.tobytes() == confidence_batch(rows, spec).tobytes()
+        if isinstance(spec.gate, CappedLinearGate):
+            T.backward(T.mean_all(got))
+            assert not leaf.grad[0].any() and leaf.grad[1].any()
+
+
 def test_learnable_gate_tensor_path_matches_numpy():
     gate = LearnableGate.create(seed=5, hidden=6)
     spec = ConfidenceSpec("variance", gate)

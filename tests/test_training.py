@@ -1,5 +1,7 @@
 """Training loops: determinism, collapse reductions, evaluation, reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from confmix import graphs
 from confmix.graphs import build_graph, generate_specialization_graph
 from confmix.mixture import mixture_loss_rows, strong_turn_rows, weak_turn_rows
 from confmix.training import (TrainConfig, _run_phase, _sgd_step, evaluate,
-                              pretrain_expert, train)
+                              pretrain_expert, single_expert_baseline, train)
 
 
 @pytest.fixture(scope="module")
@@ -218,18 +220,56 @@ def test_evaluate_random_uniform_predictions_near_half():
 
 
 def test_divergence_guards():
-    params = [T.Tensor([1.0], requires_grad=True)]
+    params = [T.Tensor([1.0, 2.0], requires_grad=True)]
+    splits = {"train": np.array([0]), "val": np.array([1])}
 
-    def nan_losses():
-        return T.mean_all(params[0] * params[0]), float("nan")
+    def nan_val_terms():
+        terms = params[0] * params[0]
+        terms.values[1] = np.nan   # as from an overflow the engine does not scan for
+        return terms
     with pytest.raises(TrainingDivergedError) as err:
-        _run_phase(params, 0.1, 5, 3, nan_losses, lambda *a: None)
-    assert "epoch 0" in str(err.value)
+        _run_phase(params, splits, 0.1, 5, 3, nan_val_terms, lambda *a: None)
+    assert "loss diverged at epoch 0" in str(err.value)
 
-    def domain_error_losses():
+    def domain_error_terms():
         raise DomainError("overflow")
-    with pytest.raises(TrainingDivergedError):
-        _run_phase(params, 0.1, 5, 3, domain_error_losses, lambda *a: None)
+    with pytest.raises(TrainingDivergedError, match="non-finite values at epoch 0"):
+        _run_phase(params, splits, 0.1, 5, 3, domain_error_terms, lambda *a: None)
+
+
+def test_empty_val_split_scores_val_on_train_ids(tmp_path):
+    """With no val ids, every phase's val loss is its train loss."""
+    g = generate_specialization_graph(20, 4, 0.1, seed=5)
+    g = dataclasses.replace(g, splits={**g.splits, "val": np.zeros(0, dtype=np.int64)})
+    for mode in ("in_turn", "joint"):
+        train(small_config(mode=mode, rounds=1, max_epochs=20), g).report.write_csvs(tmp_path)
+        rows = [line.split(",") for line in
+                (tmp_path / "loss.csv").read_text().splitlines()[1:]]
+        assert rows and all(row[3] == row[4] for row in rows)
+    arch = ExpertArch("gcn", 2, 4)
+    model = single_expert_baseline(arch, g, seed=1)
+    start = init_expert(arch, g.num_features, g.num_classes, 1)
+    assert not np.array_equal(model.layers[0].weight.values, start.layers[0].weight.values)
+
+
+def test_test_labels_never_reach_the_weights():
+    """Every phase scores all nodes, but only train and val labels may
+    move a weight: flipping the test labels changes none."""
+    g = generate_specialization_graph(20, 4, 0.1, seed=5)
+    labels = g.labels.copy()
+    test_ids = g.splits["test"]
+    labels[test_ids] = (labels[test_ids] + 1) % g.num_classes
+    flipped = dataclasses.replace(g, labels=labels)
+    arch = ExpertArch("gcn", 2, 4)
+    config = small_config(rounds=1, max_epochs=10, pretrain="both", pretrain_epochs=3)
+
+    def fitted(graph):
+        result = train(config, graph)
+        models = (result.weak, result.strong, pretrain_expert(arch, graph, 5, 0.5, seed=1),
+                  single_expert_baseline(arch, graph, seed=1))
+        return [p.values for model in models for p in model.parameters()]
+
+    assert all(np.array_equal(a, b) for a, b in zip(fitted(g), fitted(flipped)))
 
 
 def test_config_validation(graph):
