@@ -47,10 +47,21 @@ def _merge(args: argparse.Namespace, config: dict, key: str, default=None,
     return None
 
 
-def _load_config(path):
+def _config_keys(parser: argparse.ArgumentParser) -> set:
+    """Every command's option names and train's config-only objects: one
+    config may serve every command, so a key another command reads belongs."""
+    keys = {dest.replace("_", "-") for command in _HANDLERS
+            for dest in vars(parser.parse_args([command]))}
+    return keys - {"command", "config"} | {"weak_arch", "strong_arch", "confidence"}
+
+
+def _load_config(path, known: set):
     doc = {} if path is None else read_json(path, "config", ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ConfigError(f"config key {unknown[0]!r} is read by no command")
     return doc
 
 
@@ -257,12 +268,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_HANDLERS = {"gen": cmd_gen, "train": cmd_train, "infer": cmd_infer,
+            "verify": cmd_verify, "cost": cmd_cost}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {"gen": cmd_gen, "train": cmd_train, "infer": cmd_infer,
-                "verify": cmd_verify, "cost": cmd_cost}
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return handlers[args.command](args, _load_config(args.config))
+        return _HANDLERS[args.command](args, _load_config(args.config, _config_keys(parser)))
     except TrainingDivergedError as e:
         print(f"training failed: {e}", file=sys.stderr)
         return 3

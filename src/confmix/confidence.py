@@ -5,22 +5,22 @@ entropy shifted so the uniform scores zero). The gate maps dispersion
 into [0, 1]. The fixed gate shapes are non-decreasing with g(0) = 0;
 step and two_level are the discontinuous shapes used by the minimizer
 analysis, capped_linear is the smooth default used in training. The
-learnable gate is a small perceptron over [variance, neg_entropy] with
-a softmax head; nothing anchors it to zero at zero dispersion and its
-monotonicity is not enforced, so analytical guarantees only cover the
-fixed shapes.
+learnable gate is a weak expert over the [variance, neg_entropy] pair
+with a softmax head; nothing anchors it to zero at zero dispersion and
+its monotonicity is not enforced, so analytical guarantees only cover
+the fixed shapes.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DomainError, as_type
-from .experts import (ExpertArch, ExpertModel, Layer, expert_from_document,
-                      init_expert, weak_forward)
+from .experts import (ExpertArch, ExpertModel, expert_from_document, init_expert,
+                      weak_forward)
 
 DISPERSION_KINDS = ("variance", "neg_entropy")
 SIMPLEX_TOL = 1e-9
@@ -117,34 +117,23 @@ class CappedLinearGate:
 
 @dataclass
 class LearnableGate:
-    """Perceptron over the per-node [variance, neg_entropy] pair.
+    """A weak expert over the per-node [variance, neg_entropy] pair.
 
-    Hidden relu layers, then a 2-unit softmax head whose first column is
-    the confidence, which keeps the output in (0, 1) using only the
-    engine's primitives.
+    It maps the 2 dispersions to 2 units through hidden relu layers and a
+    softmax head whose first column is the confidence, which keeps the
+    output in (0, 1) using only the engine's primitives.
     """
-    weights: list = field(default_factory=list)   # list of (W Tensor, b Tensor)
+    model: ExpertModel
 
     @classmethod
     def create(cls, seed: int, hidden: int = 8):
         """Seeded as a weak expert: 2 dispersions, one hidden layer, 2 units."""
-        model = init_expert(ExpertArch("weak", 2, hidden), 2, 2, seed)
-        return cls([(layer.weight, layer.bias) for layer in model.layers])
-
-    def parameters(self):
-        for w, b in self.weights:
-            yield w
-            yield b
+        return cls(init_expert(ExpertArch("weak", 2, hidden), 2, 2, seed))
 
     def forward(self, pair: T.Tensor) -> T.Tensor:
         """Confidence rows from an (n, 2) tensor of dispersion pairs."""
-        model = ExpertModel("weak", [Layer(w, b) for w, b in self.weights])
-        return T.take_rows(weak_forward(model, pair), np.arange(pair.shape[0]),
+        return T.take_rows(weak_forward(self.model, pair), np.arange(pair.shape[0]),
                            np.zeros(pair.shape[0]))
-
-    def __call__(self, x):
-        """`forward` on a constant (n, 2) array of dispersion pairs."""
-        return self.forward(T.Tensor(x)).values
 
 
 GATE_NAMES = {"step": StepGate, "two_level": TwoLevelGate,
@@ -171,7 +160,7 @@ class ConfidenceSpec:
 
     def parameters(self):
         if isinstance(self.gate, LearnableGate):
-            yield from self.gate.parameters()
+            yield from self.gate.model.parameters()
 
 
 def default_spec() -> ConfidenceSpec:
@@ -191,9 +180,7 @@ def confidence_batch(rows: np.ndarray, spec: ConfidenceSpec) -> np.ndarray:
     """Vectorized confidence over probability rows (no simplex check)."""
     rows = np.asarray(rows, dtype=np.float64)
     if isinstance(spec.gate, LearnableGate):
-        pair = np.stack([_dispersion_rows_np(rows, "variance"),
-                         _dispersion_rows_np(rows, "neg_entropy")], axis=-1)
-        return np.asarray(spec.gate(pair), dtype=np.float64)
+        return confidence_rows(T.Tensor(rows), spec).values
     return np.asarray(spec.gate(_dispersion_rows_np(rows, spec.dispersion)),
                       dtype=np.float64)
 
@@ -241,7 +228,8 @@ def quasiconvexity_witness_search(spec: ConfidenceSpec, trials: int, seed: int,
 def spec_to_document(spec: ConfidenceSpec) -> dict:
     gate = spec.gate
     if isinstance(gate, LearnableGate):
-        g = {"weights": [[w.values.tolist(), b.values.tolist()] for w, b in gate.weights]}
+        g = {"weights": [[layer.weight.values.tolist(), layer.bias.values.tolist()]
+                         for layer in gate.model.layers]}
     else:
         g = asdict(gate)
     return {"dispersion": spec.dispersion, "gate": {"kind": _gate_kind(gate), **g}}
@@ -257,9 +245,12 @@ def spec_from_document(doc) -> ConfidenceSpec:
     cls = GATE_NAMES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"gate kind must be one of {sorted(GATE_NAMES)}, got {kind!r}")
-    required = {f.name for f in fields(cls) if f.default is MISSING}
-    if not required <= set(values) <= {f.name for f in fields(cls)}:
-        raise ConfigError(f"{kind} gate takes fields {[f.name for f in fields(cls)]}, "
+    # the learnable gate's one document field holds its model's layers
+    known = ({"weights": MISSING} if cls is LearnableGate
+             else {f.name: f.default for f in fields(cls)})
+    required = {name for name, default in known.items() if default is MISSING}
+    if not required <= set(values) <= set(known):
+        raise ConfigError(f"{kind} gate takes fields {list(known)}, "
                           f"{sorted(required)} required; got {sorted(values)}")
     if cls is not LearnableGate:
         return ConfidenceSpec(doc["dispersion"], cls(**{
@@ -274,5 +265,4 @@ def spec_from_document(doc) -> ConfidenceSpec:
     if model.dims[0] != 2 or model.dims[-1] != 2:
         raise ConfigError(f"learnable gate layers must map 2 dispersions to 2 units, "
                           f"got dims {model.dims}")
-    gate = LearnableGate([(layer.weight, layer.bias) for layer in model.layers])
-    return ConfidenceSpec(doc["dispersion"], gate)
+    return ConfidenceSpec(doc["dispersion"], LearnableGate(model))

@@ -114,10 +114,10 @@ def build_graph(num_nodes, num_classes, features, labels, edges, splits) -> Grap
         if ids.size and (ids.min() < 0 or ids.max() >= n):
             raise GraphValidationError(f"split {name!r} has node id outside [0, {n})")
         clean_splits[name] = np.sort(ids)
-    claims = sum(np.bincount(ids, minlength=n) > 0 for ids in clean_splits.values())
+    claims = np.bincount(np.concatenate(list(clean_splits.values())), minlength=n)
     if (claims > 1).any():
         raise GraphValidationError(
-            f"node {np.argmax(claims > 1)} appears in more than one split")
+            f"node {np.argmax(claims > 1)} appears more than once across the splits")
 
     return Graph(n, num_classes, features, labels, indptr, indices, clean_splits)
 

@@ -19,9 +19,9 @@ from functools import cached_property
 import numpy as np
 
 from . import tensor as T
-from .confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
-                         StepGate, TwoLevelGate, _dispersion_rows_np, _gate_kind,
-                         confidence_batch, quasiconvexity_witness_search)
+from .confidence import (CappedLinearGate, ConfidenceSpec, StepGate, TwoLevelGate,
+                         _dispersion_rows_np, _gate_kind, confidence_batch,
+                         quasiconvexity_witness_search, spec_from_document)
 from .documents import write_csv
 from .errors import ConfigError, DomainError
 from .experts import ExpertArch, ExpertModel, Layer, gcn_forward, init_expert
@@ -595,10 +595,6 @@ def verify_blindspot(instance: BlindspotInstance, n_weight_draws: int,
 class SuiteReport:
     rows: list = field(default_factory=list)   # CSV-ready tuples
 
-    @property
-    def passed(self) -> bool:
-        return all(row[-1] for row in self.rows)
-
     def add_case(self, report: CaseReport):
         alpha_str = "/".join(f"{a:.6g}" for a in report.alpha)
         for c in report.clauses:
@@ -679,28 +675,8 @@ def binary_suite(seed: int) -> SuiteReport:
     return suite
 
 
-def quasiconvexity_suite(seed: int, corrupt: bool = False) -> SuiteReport:
-    """10,000 random mixtures per spec and n in (2, 3): the six fixed
-    specs, or with `corrupt` the planted non-monotone learnable gate."""
-    specs = [
-        ("variance+step0", ConfidenceSpec("variance", StepGate(0.0))),
-        ("neg_entropy+step0", ConfidenceSpec("neg_entropy", StepGate(0.0))),
-        ("variance+two_level", ConfidenceSpec("variance", TwoLevelGate(0.1, 0.4))),
-        ("neg_entropy+two_level", ConfidenceSpec("neg_entropy", TwoLevelGate(0.2, 0.3))),
-        ("variance+capped", ConfidenceSpec("variance", CappedLinearGate(2.0))),
-        ("neg_entropy+capped", ConfidenceSpec("neg_entropy", CappedLinearGate(1.0))),
-    ]
-    if corrupt:
-        gate = LearnableGate.create(seed=seed, hidden=4)
-        # planted bump: confidence rises with dispersion then falls,
-        # a deliberate quasiconvexity violation
-        gate.weights[0][0].values = np.array([[1.0, 1.0, 0.0, 0.0],
-                                              [0.0, 0.0, 0.0, 0.0]])
-        gate.weights[0][1].values = np.array([-0.05, -0.15, 0.0, 0.0])
-        gate.weights[1][0].values = np.array([[20.0, 0.0], [-40.0, 0.0],
-                                              [0.0, 0.0], [0.0, 0.0]])
-        gate.weights[1][1].values = np.zeros(2)
-        specs = [("corrupted+learnable", ConfidenceSpec("variance", gate))]
+def quasiconvexity_suite(seed: int, specs: list) -> SuiteReport:
+    """10,000 random mixtures per (label, spec) and n in (2, 3)."""
     suite = SuiteReport()
     for n in (2, 3):
         for label, spec in specs:
@@ -708,6 +684,22 @@ def quasiconvexity_suite(seed: int, corrupt: bool = False) -> SuiteReport:
             suite.add_clause(label, ClauseResult(
                 f"quasiconvex_margin_n{n}", margin, 1e-12, margin <= 1e-12))
     return suite
+
+
+_FIXED_SPECS = [
+    ("variance+step0", ConfidenceSpec("variance", StepGate(0.0))),
+    ("neg_entropy+step0", ConfidenceSpec("neg_entropy", StepGate(0.0))),
+    ("variance+two_level", ConfidenceSpec("variance", TwoLevelGate(0.1, 0.4))),
+    ("neg_entropy+two_level", ConfidenceSpec("neg_entropy", TwoLevelGate(0.2, 0.3))),
+    ("variance+capped", ConfidenceSpec("variance", CappedLinearGate(2.0))),
+    ("neg_entropy+capped", ConfidenceSpec("neg_entropy", CappedLinearGate(1.0))),
+]
+
+# planted bump: confidence rises with variance then falls, a deliberate
+# quasiconvexity violation, read like any user's learnable gate
+_PLANTED_FAULT = {"dispersion": "variance", "gate": {"kind": "learnable", "weights": [
+    [[[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]], [-0.05, -0.15, 0.0, 0.0]],
+    [[[20.0, 0.0], [-40.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]]]}}
 
 
 def blindspot_suite(seed: int) -> SuiteReport:
@@ -737,7 +729,8 @@ SUITES = {
     "theorem": lambda seed: run_theorem_suite(seed=seed),
     "tightness": lambda seed: tightness_suite(seed + 101),
     "binary": lambda seed: binary_suite(seed + 202),
-    "quasiconvexity": lambda seed: quasiconvexity_suite(seed + 303),
+    "quasiconvexity": lambda seed: quasiconvexity_suite(seed + 303, _FIXED_SPECS),
     "blindspot": lambda seed: blindspot_suite(seed + 404),
-    "planted_fault": lambda seed: quasiconvexity_suite(seed + 303, corrupt=True),
+    "planted_fault": lambda seed: quasiconvexity_suite(
+        seed + 303, [("corrupted+learnable", spec_from_document(_PLANTED_FAULT))]),
 }

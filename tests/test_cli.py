@@ -428,6 +428,11 @@ BAD_INPUTS = {
     "graph_edge_endpoint_bool": _on_graph("train", _set("edges", 0, 1, value=True)),
     "graph_split_id_string": _on_graph("train", _set("splits", "train", 0, value="1")),
     "graph_num_classes_fractional": _on_graph("train", _set("num_classes", value=2.5)),
+    # a node listed twice in one split would count twice in its means
+    "graph_split_id_repeated": _on_graph(
+        "train", lambda doc: doc["splits"]["train"].append(doc["splits"]["train"][0])),
+    # the flag is --max-epochs; no command reads the underscore spelling
+    "config_unknown_key": _cli(*TRAIN, config={"max_epochs": 3}),
 } | {
     f"graph_{name}_overflow_{command}": _on_graph(command, edit)
     for name, edit in (("label", _set("labels", 0, value=1e30)),
@@ -443,7 +448,9 @@ NAMED_IN_ERROR = {"checkpoint_not_json": "malformed checkpoint document at byte 
                   "config_arch_unknown_key": "'hiden'",
                   "config_rounds_string": "rounds must be an integer, got '1'",
                   "config_arch_hidden_string": "weak_arch.hidden must be an integer, got '4'",
-                  "spec_slope_string": "gate slope must be a finite float, got '2'"}
+                  "spec_slope_string": "gate slope must be a finite float, got '2'",
+                  "graph_split_id_repeated": "appears more than once across the splits",
+                  "config_unknown_key": "config key 'max_epochs' is read by no command"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -539,11 +546,11 @@ VALID_SPECS = [
 ]
 
 
-def _mutate(draw, target, values=JSON_VALUES):
+def _mutate(draw, target, values=JSON_VALUES, keys=st.text(max_size=6)):
     """Drop, retype or add one key of the dict `target`, in place."""
     op = draw(st.sampled_from(["drop", "retype", "add"]))
     if op == "add":
-        target[draw(st.text(max_size=6))] = draw(values)
+        target[draw(keys)] = draw(values)
     else:
         key = draw(st.sampled_from(sorted(target)))
         if op == "drop":
@@ -658,13 +665,34 @@ def _valid_train_config(data):
             "confidence": VALID_SPECS[0]}
 
 
+# the config keys some command reads, spelled as its flags: the train
+# flags follow TrainConfig, the rest are the other commands' options
+READ_KEYS = ({f.name.replace("_", "-") for f in fields(TrainConfig)
+              if f.type in ("int", "float", "str")}
+             | {"out", "data", "kind", "name", "n-per-group", "features", "noise", "k",
+                "weak", "strong", "spec", "suite", "binary-count", "ternary-count", "layers",
+                "weak_arch", "strong_arch", "confidence"})
+# keys train does not read: other commands' keys, misspellings of train's
+# own, and any text
+TOP_LEVEL_KEYS = st.one_of(
+    st.sampled_from(["suite", "n-per-group", "spec", "k", "binary-count"]),
+    st.sampled_from(["max_epochs", "gate_seed", "Rounds", "confidance", "config", ""]),
+    st.text(max_size=6))
+
+
+def test_config_keys_are_what_the_commands_read():
+    assert cli._config_keys(cli.build_parser()) == READ_KEYS
+
+
 @st.composite
 def mutated_configs(draw, data):
     """A valid train config with one key dropped, retyped or added, at the
     top level or inside an architecture or the confidence spec."""
     doc = copy.deepcopy(_valid_train_config(data))
     targets = [doc, doc["weak_arch"], doc["strong_arch"], doc["confidence"]]
-    _mutate(draw, draw(st.sampled_from(targets)), CONFIG_VALUES)
+    target = draw(st.sampled_from(targets))
+    keys = TOP_LEVEL_KEYS if target is doc else st.text(max_size=6)
+    _mutate(draw, target, CONFIG_VALUES, keys)
     return doc
 
 
@@ -675,6 +703,11 @@ def test_mutated_config_exits_0_or_2(data, tmp_path, small_graph_path, monkeypat
     doc = data.draw(mutated_configs(str(small_graph_path)))
     monkeypatch.chdir(tmp_path)  # relative and default --out land here
     code, err = _assert_exits_0_or_2(["train", "--config", _write(tmp_path, "run.json", doc)])
+    unknown = sorted(set(doc) - READ_KEYS)
+    if unknown:
+        assert err == f"error: config key {unknown[0]!r} is read by no command\n"
+    elif set(doc) - set(_valid_train_config(None)):
+        assert code == 0   # a key only other commands read changes nothing here
     if doc.get("seed") is None or doc.get("data") is None:
         # a required value that is missing is one error line
         assert code == 2 and len(err.splitlines()) == 1

@@ -11,6 +11,7 @@ from confmix.confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
                                 dispersion, dispersion_rows,
                                 quasiconvexity_witness_search,
                                 spec_from_document, spec_to_document)
+from confmix.documents import read_json, write_json
 from confmix.errors import ConfigError, DomainError
 
 FIXED_SPECS = [
@@ -134,10 +135,11 @@ def test_learnable_gate_can_break_quasiconvexity():
     # deliberately non-monotone weights; documents that the learnable gate
     # sits outside the analyzed class
     gate = LearnableGate.create(seed=0, hidden=4)
-    gate.weights[0][0].values = np.array([[8.0, -8.0], [-6.0, 6.0],
-                                          [4.0, -4.0], [-2.0, 2.0]]).T
-    gate.weights[1][0].values = np.array([[5.0, -5.0], [-5.0, 5.0],
-                                          [5.0, -5.0], [-5.0, 5.0]])
+    first, second = gate.model.layers
+    first.weight.values = np.array([[8.0, -8.0], [-6.0, 6.0],
+                                    [4.0, -4.0], [-2.0, 2.0]]).T
+    second.weight.values = np.array([[5.0, -5.0], [-5.0, 5.0],
+                                     [5.0, -5.0], [-5.0, 5.0]])
     spec = ConfidenceSpec("variance", gate)
     margin = quasiconvexity_witness_search(spec, 10_000, seed=1, n=2)
     assert margin > 1e-12
@@ -156,17 +158,33 @@ def test_gate_parameter_validation():
         ConfidenceSpec("gini", StepGate(0.0))
 
 
+def _dirichlet_rows(n: int, seed: int) -> np.ndarray:
+    """About 8,000 probability rows over n classes: Dirichlet draws at
+    three concentrations, every one-hot row and the uniform row."""
+    rng = np.random.default_rng(seed)
+    draws = [rng.dirichlet(np.full(n, a), size=2_660) for a in (0.2, 1.0, 5.0)]
+    return np.concatenate(draws + [np.eye(n), np.full((1, n), 1.0 / n)])
+
+
+BIT_SPECS = [ConfidenceSpec(kind, gate) for kind in ("variance", "neg_entropy")
+             for gate in (StepGate(0.0), StepGate(0.05), TwoLevelGate(0.08, 0.4),
+                          CappedLinearGate(0.3), CappedLinearGate(2.0),
+                          CappedLinearGate(7.5))]
+
+
 def test_tensor_path_matches_numpy_path():
-    rng = np.random.default_rng(7)
-    rows = rng.dirichlet(np.ones(4), size=30)
-    for spec in FIXED_SPECS:
-        got = confidence_rows(T.Tensor(rows), spec).values
-        want = confidence_batch(rows, spec)
-        assert np.allclose(got, want, atol=1e-12)
-    for kind in ("variance", "neg_entropy"):
-        got = dispersion_rows(T.Tensor(rows), kind).values
-        want = np.array([dispersion(r, kind) for r in rows])
-        assert np.allclose(got, want, atol=1e-12)
+    """In-turn training scores live weak rows through confidence_rows, the
+    strong turn and infer score frozen ones through confidence_batch:
+    the two routes agree to the bit."""
+    for n in range(2, 9):
+        rows = _dirichlet_rows(n, seed=n)
+        for spec in BIT_SPECS:
+            got = confidence_rows(T.Tensor(rows), spec).values
+            assert got.tobytes() == confidence_batch(rows, spec).tobytes(), (n, spec)
+        for kind in ("variance", "neg_entropy"):
+            got = dispersion_rows(T.Tensor(rows), kind).values
+            want = np.array([dispersion(r, kind) for r in rows[:50]])
+            assert got[:50].tobytes() == want.tobytes(), (n, kind)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -200,7 +218,7 @@ def test_learnable_gate_head_gathers_first_column():
     out = gate.forward(pair)
     ops = [node._op for node in T.Tape.from_output(out).records]
     assert ops[-2:] == ["softmax_rows", "take_rows"]
-    assert ops.count("matmul") == len(gate.weights)
+    assert ops.count("matmul") == len(gate.model.layers)
     head = out._parents[0].values
     assert np.array_equal(out.values, head[:, 0])
 
@@ -213,3 +231,19 @@ def test_spec_serialization_roundtrip():
         rows = rng.dirichlet(np.ones(2), size=10)
         assert np.array_equal(confidence_batch(rows, spec),
                               confidence_batch(rows, back))
+
+
+# a learnable spec as confidence.json holds it: a 2 -> 3 -> 2 weak expert
+LEARNABLE_DOCUMENT = (
+    '{"dispersion":"neg_entropy","gate":{"kind":"learnable","weights":['
+    '[[[0.5,-1.25,0.0],[3.0,0.1,-0.3333333333333333]],[0.0,0.25,-2.0]],'
+    '[[[1.0,-1.0],[0.7,1e-17],[-4.5,2.0]],[0.125,0.0]]]}}\n')
+
+
+def test_learnable_spec_document_bytes_roundtrip(tmp_path):
+    path = tmp_path / "confidence.json"
+    path.write_text(LEARNABLE_DOCUMENT, encoding="utf-8")
+    spec = spec_from_document(read_json(path, "confidence spec", ConfigError))
+    assert [layer.weight.shape for layer in spec.gate.model.layers] == [(2, 3), (3, 2)]
+    write_json(path, spec_to_document(spec), sort_keys=False)
+    assert path.read_text(encoding="utf-8") == LEARNABLE_DOCUMENT
