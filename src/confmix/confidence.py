@@ -26,10 +26,17 @@ DISPERSION_KINDS = ("variance", "neg_entropy")
 SIMPLEX_TOL = 1e-9
 
 
+def on_simplex(rows: np.ndarray) -> bool:
+    """Whether each row (along the last axis) is a probability vector up to
+    SIMPLEX_TOL. Each comparison is one that NaN fails."""
+    return bool(rows.min() >= -SIMPLEX_TOL
+                and np.abs(rows.sum(axis=-1) - 1.0).max() <= SIMPLEX_TOL)
+
+
 def _require_simplex(p: np.ndarray):
     if p.ndim != 1:
         raise DomainError(f"expected a probability vector, got shape {p.shape}")
-    if p.min() < -SIMPLEX_TOL or abs(p.sum() - 1.0) > SIMPLEX_TOL:
+    if not on_simplex(p):
         raise DomainError(f"input off the probability simplex: {p!r}")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .confidence import SIMPLEX_TOL
+from .confidence import on_simplex
 from .documents import write_csv
 from .errors import ConfigError, DomainError
 
@@ -29,12 +29,13 @@ def _check(conf=None, **rows):
         p = _values(p)
         if p.ndim != 2:
             raise DomainError(f"{name} must be a matrix of probability rows")
-        sums = p.sum(axis=1)
-        if p.min() < -SIMPLEX_TOL or np.abs(sums - 1.0).max() > SIMPLEX_TOL:
-            bad = int(np.abs(sums - 1.0).argmax())
+        if not on_simplex(p):
+            bad = next(i for i, row in enumerate(p) if not on_simplex(row))
             raise DomainError(f"{name} row {bad} is off the probability simplex")
-    if conf is not None and (_values(conf).min() < 0.0 or _values(conf).max() > 1.0):
-        raise DomainError("confidence values must lie in [0, 1]")
+    if conf is not None:
+        c = _values(conf)
+        if not (c.min() >= 0.0 and c.max() <= 1.0):
+            raise DomainError("confidence values must lie in [0, 1]")
 
 
 def cross_entropy_rows(probs, labels) -> T.Tensor:

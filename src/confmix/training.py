@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .confidence import (ConfidenceSpec, confidence_batch, confidence_rows,
+from .confidence import (ConfidenceSpec, _gate_kind, confidence_batch, confidence_rows,
                          default_spec)
 from .documents import write_csv
 from .errors import ConfigError, DomainError, TrainingDivergedError
@@ -248,17 +248,20 @@ def predict(weak: ExpertModel, strong: ExpertModel, spec: ConfidenceSpec,
             graph: Graph):
     """(weak rows, strong rows, confidence) of every node, as arrays.
 
-    DomainError when either expert's rows are not finite, as from a
-    checkpoint whose weights overflow.
+    DomainError when either expert's rows or the gate's confidences are
+    not finite, as from a checkpoint or gate whose weights overflow.
     """
-    # the check below reports an overflow; numpy's warnings would repeat it
+    # the checks below report an overflow; numpy's warnings would repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         pw = forward(weak, graph).values
         ps = forward(strong, graph).values
-    for role, rows in (("weak", pw), ("strong", ps)):
-        if not np.all(np.isfinite(rows)):
-            raise DomainError(f"the {role} expert's predictions are not finite")
-    return pw, ps, confidence_batch(pw, spec)
+        for role, rows in (("weak", pw), ("strong", ps)):
+            if not np.all(np.isfinite(rows)):
+                raise DomainError(f"the {role} expert's predictions are not finite")
+        conf = confidence_batch(pw, spec)
+    if not np.all(np.isfinite(conf)):
+        raise DomainError(f"the {_gate_kind(spec.gate)} gate's confidences are not finite")
+    return pw, ps, conf
 
 
 def _scores(predictions, graph: Graph, gate_seed: int) -> dict:

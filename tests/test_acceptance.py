@@ -193,10 +193,11 @@ def test_expressivity_separation():
     ok = True
     for k in (1, 2):
         instance = build_blindspot_graph(k, 6, seed=7 + k)
-        rep = verify_blindspot(instance, 50, seed=70 + k)
-        ok &= (rep.max_output_gap < 1e-9 and rep.distinguishes_roots
-               and rep.matches_strong_elsewhere)
-        details.append(f"k={k} gap={rep.max_output_gap:.2e}")
+        clauses = {c.clause: c for c in verify_blindspot(instance, 50, seed=70 + k)}
+        ok &= (clauses["conv_output_gap"].measured < 1e-9
+               and clauses["mixture_distinguishes_roots"].passed
+               and clauses["mixture_matches_strong_elsewhere"].passed)
+        details.append(f"k={k} gap={clauses['conv_output_gap'].measured:.2e}")
     report("expressivity-separation", ok, "; ".join(details))
 
 

@@ -13,6 +13,8 @@ from confmix.confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
                                 spec_from_document, spec_to_document)
 from confmix.documents import read_json, write_json
 from confmix.errors import ConfigError, DomainError
+from confmix.mixture import infer_stochastic, mixture_loss
+from confmix.theory import GroupProblem, alpha_loss
 
 FIXED_SPECS = [
     ConfidenceSpec("variance", StepGate(0.0)),
@@ -50,6 +52,30 @@ def test_off_simplex_rejected():
         dispersion([0.5, 0.6], "variance")
     with pytest.raises(DomainError):
         confidence([0.8, 0.3], default_spec())
+
+
+NAN2 = [np.nan, np.nan]
+ROWS = np.array([[0.7, 0.3]])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: dispersion(NAN2, "variance"), DomainError, "off the probability simplex"),
+    (lambda: confidence(NAN2, default_spec()), DomainError, "off the probability simplex"),
+    (lambda: alpha_loss(NAN2, [0.5, 0.5]), DomainError, "prediction off the simplex"),
+    (lambda: alpha_loss([0.5, 0.5], NAN2), DomainError, "label distribution off"),
+    (lambda: infer_stochastic(ROWS, ROWS, [np.nan], seed=0), DomainError, r"lie in \[0, 1\]"),
+    (lambda: mixture_loss(ROWS, np.array([NAN2]), np.array([0.5]), [0]), DomainError,
+     "p_strong row 0 is off the probability simplex"),
+    (lambda: GroupProblem(2, NAN2, 0.5, default_spec()), ConfigError, "strictly interior"),
+    (lambda: GroupProblem(2, [0.7, 0.3], np.nan, default_spec()), ConfigError,
+     "mu must be finite"),
+], ids=["dispersion", "confidence", "alpha_loss_p", "alpha_loss_alpha",
+        "infer_stochastic_conf", "mixture_loss_rows", "group_problem_alpha",
+        "group_problem_mu"])
+def test_nan_fails_simplex_and_range_checks(call, error, message):
+    # each check compares so that NaN fails it, not so that NaN slips past
+    with pytest.raises(error, match=message):
+        call()
 
 
 @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6),

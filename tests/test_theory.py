@@ -13,11 +13,12 @@ from confmix.confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
                                 StepGate, TwoLevelGate, _dispersion_rows_np,
                                 confidence_batch)
 from confmix.errors import ConfigError, DomainError, GraphValidationError
+from confmix.experts import forward
 from confmix.graphs import build_blindspot_graph
 from confmix.theory import (_BRANCH_FLOOR, BinaryBounds, GroupProblem, SimplexGrid,
                             _binary_loss, _branch_inverse, _compositions,
-                            _fixed_spec_for, alpha_loss, binary_bounds, delta,
-                            group_min, resolvable_mu_cap,
+                            _fixed_spec_for, alpha_loss, binary_bounds,
+                            build_root_separator, delta, group_min, resolvable_mu_cap,
                             sample_binary_problems, sample_ternary_problems,
                             verify_binary_corollary, verify_blindspot,
                             verify_step_tightness, verify_theorem_case,
@@ -37,10 +38,10 @@ def grid3():
 
 
 def test_grid_counts_and_exact_sums(grid3):
-    assert len(grid3) == math.comb(300 + 2, 2) == grid3.expected_count()
+    assert grid3.points.shape[0] == math.comb(300 + 2, 2)
     assert (grid3.ints.sum(axis=1) == 300).all()
     small = SimplexGrid.build(4, 6)
-    assert len(small) == math.comb(6 + 3, 3)
+    assert small.points.shape[0] == math.comb(6 + 3, 3)
     assert (small.ints.sum(axis=1) == 6).all()
 
 
@@ -48,7 +49,7 @@ def test_grid_lexicographic_order(grid2):
     assert np.array_equal(grid2.ints[0], [0, 2000])
     assert np.array_equal(grid2.ints[-1], [2000, 0])
     order = np.lexsort(grid2.ints.T[::-1])
-    assert np.array_equal(order, np.arange(len(grid2)))
+    assert np.array_equal(order, np.arange(grid2.points.shape[0]))
 
 
 @pytest.mark.parametrize("parts", [2, 3, 4, 5])
@@ -197,13 +198,13 @@ def test_theorem_cases_on_examples(grid2, grid3):
         ([0.9, 0.1], 0.6, ConfidenceSpec("variance", TwoLevelGate(0.08, 0.1)), 3),
         ([0.9, 0.1], 0.6, ConfidenceSpec("neg_entropy", CappedLinearGate(1.0)), 3),
     ]:
-        report = verify_theorem_case(
+        case, clauses = verify_theorem_case(
             GroupProblem(2, np.array(alpha), mu, spec), grid2)
-        assert report.case == want and report.passed, report.clauses
-    report = verify_theorem_case(
+        assert case == want and all(c.passed for c in clauses), clauses
+    case, clauses = verify_theorem_case(
         GroupProblem(3, np.array([0.6, 0.3, 0.1]), 1.2,
                      ConfidenceSpec("variance", TwoLevelGate(0.2, 0.5))), grid3)
-    assert report.case == 3 and report.passed
+    assert case == 3 and all(c.passed for c in clauses)
 
 
 def test_theorem_rejects_uniform_alpha(grid2):
@@ -220,25 +221,35 @@ def test_theorem_rejects_learnable_spec(grid2):
 
 def test_random_suites_pass(grid2, grid3):
     for problem in sample_binary_problems(60, seed=5, m=2000):
-        report = verify_theorem_case(problem, grid2)
-        assert report.passed, (problem.alpha, problem.mu, report.clauses)
+        _, clauses = verify_theorem_case(problem, grid2)
+        assert all(c.passed for c in clauses), (problem.alpha, problem.mu, clauses)
     for problem in sample_ternary_problems(12, seed=6, m=300):
-        report = verify_theorem_case(problem, grid3)
-        assert report.passed, (problem.alpha, problem.mu, report.clauses)
+        _, clauses = verify_theorem_case(problem, grid3)
+        assert all(c.passed for c in clauses), (problem.alpha, problem.mu, clauses)
 
 
 def test_step_tightness_pins_alpha(grid2):
-    clause = verify_step_tightness(np.array([0.9, 0.1]), 0.6, grid2)
+    [clause] = verify_step_tightness(np.array([0.9, 0.1]), 0.6, grid2)
     assert clause.passed and clause.measured <= 1.0 / 2000
+
+
+def _window(alpha, mu, eta, beta, grid):
+    """verify_tightness's clauses by name, and the loss at the minimizer of
+    its two-level gate, whose knee is the max variance over {loss <= mu - eta}."""
+    clauses = {c.clause: c for c in verify_tightness(alpha, mu, eta, beta, grid)}
+    d_max = grid.dispersion("variance")[grid.neg_logs @ alpha <= mu - eta].max()
+    spec = ConfidenceSpec("variance", TwoLevelGate(float(d_max), beta))
+    return clauses, group_min(GroupProblem(2, alpha, mu, spec), grid).loss
 
 
 def test_window_tightness_example():
     grid = SimplexGrid.build(2, 5000)
-    report = verify_tightness(np.array([0.9, 0.1]), 0.6, 0.05, 0.1, grid)
-    assert report.beta_inside_bound
-    assert np.isclose(report.beta_bound, 0.05 / (0.6 - delta(np.array([0.9, 0.1]))))
-    assert report.in_window
-    assert report.minimizer_loss < 0.6
+    clauses, minimizer_loss = _window(np.array([0.9, 0.1]), 0.6, 0.05, 0.1, grid)
+    assert clauses["beta_inside_bound"].passed
+    beta_bound = 0.1 - clauses["beta_inside_bound"].measured
+    assert np.isclose(beta_bound, 0.05 / (0.6 - delta(np.array([0.9, 0.1]))))
+    assert clauses["minimizer_in_loss_window"].passed
+    assert minimizer_loss < 0.6
 
 
 def test_window_shrinks_toward_alpha():
@@ -250,9 +261,9 @@ def test_window_shrinks_toward_alpha():
     gap = mu - delta(alpha)
     losses = []
     for eta in (0.05, 0.15, 0.25, gap - 0.01):
-        report = verify_tightness(alpha, mu, eta, 0.4 * eta / gap, grid)
-        assert report.in_window
-        losses.append(report.minimizer_loss)
+        clauses, minimizer_loss = _window(alpha, mu, eta, 0.4 * eta / gap, grid)
+        assert clauses["minimizer_in_loss_window"].passed
+        losses.append(minimizer_loss)
     assert losses == sorted(losses, reverse=True)
     assert losses[-1] <= delta(alpha) + 0.02
 
@@ -260,9 +271,9 @@ def test_window_shrinks_toward_alpha():
 def test_window_tightness_beta_violation_recorded():
     grid = SimplexGrid.build(2, 2000)
     alpha = np.array([0.9, 0.1])
-    report = verify_tightness(alpha, 0.6, 0.05, 0.9, grid)
-    assert not report.beta_inside_bound
-    assert not report.in_window       # minimizer escapes to alpha
+    clauses = {c.clause: c for c in verify_tightness(alpha, 0.6, 0.05, 0.9, grid)}
+    assert not clauses["beta_inside_bound"].passed
+    assert not clauses["minimizer_in_loss_window"].passed   # minimizer escapes to alpha
 
 
 def test_window_tightness_infeasible_eta():
@@ -366,11 +377,13 @@ def test_resolvable_mu_cap_monotone_in_alpha_min():
 def test_blindspot_verification_k1_k2():
     for k in (1, 2):
         instance = build_blindspot_graph(k, 6, seed=3 + k)
-        report = verify_blindspot(instance, 50, seed=40 + k)
-        assert report.max_output_gap < 1e-9
-        assert report.distinguishes_roots
-        assert report.weak_class_u != report.weak_class_v
-        assert report.matches_strong_elsewhere
+        clauses = {c.clause: c for c in verify_blindspot(instance, 50, seed=40 + k)}
+        assert clauses["conv_output_gap"].measured < 1e-9
+        assert clauses["mixture_distinguishes_roots"].passed
+        assert clauses["mixture_matches_strong_elsewhere"].passed
+        # the witness weak expert alone already puts the roots in two classes
+        pw = forward(build_root_separator(instance), instance.graph).values
+        assert pw[instance.u].argmax() != pw[instance.v].argmax()
 
 
 def test_blindspot_validation_catches_corruption():
