@@ -202,7 +202,8 @@ def cmd_verify(args, config):
     suite.write_csv(path)
     failed = [row for row in suite.rows if not row[-1]]
     print(f"{path}: {len(suite.rows)} clauses, {len(failed)} failed")
-    return 1 if failed else 0
+    # a report that checks no clause verifies nothing
+    return 1 if failed or not suite.rows else 0
 
 
 def cmd_cost(args, config):

@@ -3,9 +3,13 @@
 Two objectives over the same pieces: `mixture_loss` is the expected
 loss of the stochastic gate (confidence-weighted sum of per-expert
 cross-entropies); `blend_loss` is the cross-entropy of the
-confidence-blended prediction, which never exceeds it. The multi-expert
-form chains gates recursively with the last expert's confidence pinned
-to one so the per-node weights form a distribution.
+confidence-blended prediction, which never exceeds it.
+
+`mixture_rows` is the one per-node mixture objective: the chained gate
+over m experts' loss rows, weakest first, with the last expert's
+confidence pinned to one so the per-node weights form a distribution.
+The two-expert loss is its m = 2 case. The rows may be live or constant:
+a training turn passes its frozen side's cross-entropy rows, scored once.
 """
 
 from __future__ import annotations
@@ -38,30 +42,37 @@ def _check(conf=None, **rows):
             raise DomainError("confidence values must lie in [0, 1]")
 
 
-def cross_entropy_rows(probs, labels) -> T.Tensor:
-    """Per-row -log p[label], with the package-wide clamp floor. Labels
-    outside the classes, or not one per row, are a ShapeError."""
+def cross_entropy_rows(probs, labels, name: str = "probs") -> T.Tensor:
+    """Per-row -log p[label], with the package-wide clamp floor.
+
+    DomainError unless `probs` (called `name` in the message) are
+    probability rows; labels outside the classes, or not one per row,
+    are a ShapeError.
+    """
+    _check(**{name: probs})
     return -T.log(T.take_rows(probs, np.arange(np.shape(probs)[0]), labels))
 
 
-def _links(confidences, losses):
-    """Each gate's own term and the weight it leaves the tail: (c * CE, 1 - c)."""
-    return [(c * loss, c * (-1.0) + 1.0) for c, loss in zip(confidences, losses)]
+def mixture_rows(confidences, losses) -> T.Tensor:
+    """Per-node chained-gate loss over the experts' loss rows, weakest first.
 
-
-def _fold(links, tail) -> T.Tensor:
-    """Per-node chained-gate loss, folded from the strongest expert back:
-    tail = c_m * CE_m + (1 - c_m) * tail."""
-    for own, keep in reversed(links):
-        tail = own + keep * tail
+    Gate m sends a node to expert m with confidence c_m and passes the
+    rest on; the last expert's confidence is pinned to one. Folded from
+    the last expert back: tail = c_m * L_m + (1 - c_m) * tail, so two
+    experts give c * CE(weak) + (1 - c) * CE(strong).
+    """
+    if len(losses) < 2:
+        raise ConfigError(f"need at least 2 experts, got {len(losses)}")
+    if len(confidences) != len(losses) - 1:
+        raise ConfigError(
+            f"{len(losses)} experts need {len(losses) - 1} confidence rows, "
+            f"got {len(confidences)}")
+    for c in confidences:
+        _check(c)
+    tail = losses[-1]
+    for c, loss in reversed(list(zip(confidences, losses))):
+        tail = c * loss + (c * (-1.0) + 1.0) * tail
     return tail
-
-
-def mixture_loss_rows(p_weak, p_strong, conf, labels) -> T.Tensor:
-    """Per-node c_v * CE(weak_v) + (1 - c_v) * CE(strong_v)."""
-    _check(conf, p_weak=p_weak, p_strong=p_strong)
-    links = _links([conf], [cross_entropy_rows(p_weak, labels)])
-    return _fold(links, cross_entropy_rows(p_strong, labels))
 
 
 def mixture_loss(p_weak, p_strong, conf, labels) -> T.Tensor:
@@ -70,29 +81,8 @@ def mixture_loss(p_weak, p_strong, conf, labels) -> T.Tensor:
     Differentiable through every tensor argument; the weights collapse
     the loss to a single expert at c identically 0 or 1.
     """
-    return T.mean_all(mixture_loss_rows(p_weak, p_strong, conf, labels))
-
-
-def weak_turn_rows(p_strong, labels):
-    """mixture_loss_rows of the live (p_weak, conf) against frozen strong rows."""
-    _check(p_strong=p_strong)
-    strong_ce = cross_entropy_rows(p_strong, labels)
-
-    def rows(p_weak, conf):
-        _check(conf, p_weak=p_weak)
-        return _fold(_links([conf], [cross_entropy_rows(p_weak, labels)]), strong_ce)
-    return rows
-
-
-def strong_turn_rows(p_weak, conf, labels):
-    """mixture_loss_rows of the live p_strong against frozen weak rows and conf."""
-    _check(conf, p_weak=p_weak)
-    links = _links([conf], [cross_entropy_rows(p_weak, labels)])
-
-    def rows(p_strong):
-        _check(p_strong=p_strong)
-        return _fold(links, cross_entropy_rows(p_strong, labels))
-    return rows
+    return T.mean_all(mixture_rows([conf], [cross_entropy_rows(p_weak, labels, "p_weak"),
+                                            cross_entropy_rows(p_strong, labels, "p_strong")]))
 
 
 def blend_rows(p_weak, p_strong, conf) -> T.Tensor:
@@ -104,7 +94,7 @@ def blend_rows(p_weak, p_strong, conf) -> T.Tensor:
 def blend_loss_rows(p_weak, p_strong, conf, labels) -> T.Tensor:
     """Per-node cross-entropy of the blended prediction."""
     _check(conf, p_weak=p_weak, p_strong=p_strong)
-    return cross_entropy_rows(blend_rows(p_weak, p_strong, conf), labels)
+    return cross_entropy_rows(blend_rows(p_weak, p_strong, conf), labels, "blend")
 
 
 def blend_loss(p_weak, p_strong, conf, labels) -> T.Tensor:
@@ -113,18 +103,9 @@ def blend_loss(p_weak, p_strong, conf, labels) -> T.Tensor:
 
 
 def multi_expert_loss(prob_list, confidences, labels) -> T.Tensor:
-    """Recursive chained-gate loss over progressively stronger experts."""
-    if len(prob_list) < 2:
-        raise ConfigError(f"need at least 2 experts, got {len(prob_list)}")
-    if len(confidences) != len(prob_list) - 1:
-        raise ConfigError(
-            f"{len(prob_list)} experts need {len(prob_list) - 1} confidence rows, "
-            f"got {len(confidences)}")
-    _check(**{f"expert {m}": p for m, p in enumerate(prob_list)})
-    for c in confidences:
-        _check(c)
-    losses = [cross_entropy_rows(p, labels) for p in prob_list]
-    return T.mean_all(_fold(_links(confidences, losses), losses[-1]))
+    """Chained-gate loss over progressively stronger experts."""
+    return T.mean_all(mixture_rows(confidences, [
+        cross_entropy_rows(p, labels, f"expert {m}") for m, p in enumerate(prob_list)]))
 
 
 def infer_stochastic(p_weak, p_strong, conf, seed: int):

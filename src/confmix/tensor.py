@@ -55,10 +55,6 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
-    @property
-    def size(self):
-        return self.values.size
-
     def item(self) -> float:
         if self.values.size != 1:
             raise ContractError(f"item() needs a single element, got shape {self.shape}")
@@ -85,12 +81,6 @@ class Tensor:
 
     def __sub__(self, other):
         return add(self, -_coerce(other))
-
-    def __rsub__(self, other):
-        return add(_coerce(other), -self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _coerce(x) -> Tensor:

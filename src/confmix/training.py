@@ -7,6 +7,12 @@ the frozen weak side, for a fixed number of rounds. "Until convergence"
 is operationalized as early stopping on validation loss with a patience
 window, capped by max_epochs. Joint mode updates everything at once on
 the mixture loss; blend mode does the same on the blend loss.
+
+Every mixture epoch calls `mixture.mixture_rows`, the two-expert case of
+the chained gate. A turn computes its frozen side's cross-entropy rows
+(and, in the strong turn, the frozen confidence) once and passes them as
+constants; joint mode passes both sides live. Every phase, pretraining
+included, fails with TrainingDivergedError on a non-finite loss term.
 """
 
 from __future__ import annotations
@@ -23,12 +29,13 @@ from .errors import ConfigError, DomainError, TrainingDivergedError
 from .experts import ExpertArch, ExpertModel, check_role, forward, init_expert
 from .graphs import Graph
 from .mixture import (blend_loss_rows, cross_entropy_rows, infer_expected,
-                      infer_stochastic, mixture_loss_rows, strong_turn_rows,
-                      weak_turn_rows)
+                      infer_stochastic, mixture_rows)
 
 MODES = ("in_turn", "joint", "blend")
 PRETRAIN_CHOICES = ("none", "weak", "strong", "both")
 HIST_BINS = 20
+# the finiteness checks report an overflow; numpy's warnings would repeat it
+_QUIET = dict(over="ignore", invalid="ignore")
 
 
 @dataclass
@@ -100,12 +107,21 @@ def _sgd_step(params, lr):
             p.values = p.values - lr * p.grad
 
 
-def _split_means(terms: T.Tensor, splits: dict):
+def _epoch_loss(terms_fn, splits: dict, epoch: int):
     """(train mean as a Tensor, val mean as a float) of every node's loss
-    terms; the val mean reads the train ids when val is empty."""
+    terms; the val mean reads the train ids when val is empty. A term or
+    mean that is not finite is a TrainingDivergedError."""
+    try:
+        terms = terms_fn()
+    except DomainError as e:
+        raise TrainingDivergedError(f"non-finite values at epoch {epoch}") from e
     train_ids = splits["train"]
     val_ids = splits["val"] if splits["val"].size else train_ids
-    return T.mean_all(T.take_rows(terms, train_ids)), float(terms.values[val_ids].mean())
+    train_loss = T.mean_all(T.take_rows(terms, train_ids))
+    val_loss = float(terms.values[val_ids].mean())
+    if not np.isfinite(train_loss.item()) or not np.isfinite(val_loss):
+        raise TrainingDivergedError(f"loss diverged at epoch {epoch}")
+    return train_loss, val_loss
 
 
 def _run_phase(params, splits, lr, max_epochs, patience, terms_fn, record):
@@ -114,23 +130,18 @@ def _run_phase(params, splits, lr, max_epochs, patience, terms_fn, record):
     best_val = np.inf
     best = _snapshot(params)
     wait = 0
-    for epoch in range(max_epochs):
-        try:
-            train_loss, val_loss = _split_means(terms_fn(), splits)
-        except DomainError as e:
-            raise TrainingDivergedError(f"non-finite values at epoch {epoch}") from e
-        value = train_loss.item()
-        if not np.isfinite(value) or not np.isfinite(val_loss):
-            raise TrainingDivergedError(f"loss diverged at epoch {epoch}")
-        record(epoch, value, val_loss)
-        if val_loss < best_val - 1e-12:
-            best_val, best, wait = val_loss, _snapshot(params), 0
-        else:
-            wait += 1
-            if wait >= patience:
-                break
-        T.backward(train_loss)
-        _sgd_step(params, lr)
+    with np.errstate(**_QUIET):
+        for epoch in range(max_epochs):
+            train_loss, val_loss = _epoch_loss(terms_fn, splits, epoch)
+            record(epoch, train_loss.item(), val_loss)
+            if val_loss < best_val - 1e-12:
+                best_val, best, wait = val_loss, _snapshot(params), 0
+            else:
+                wait += 1
+                if wait >= patience:
+                    break
+            T.backward(train_loss)
+            _sgd_step(params, lr)
     _restore(params, best)
 
 
@@ -164,19 +175,25 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
     weak_params = list(weak.parameters()) + gate_params
     strong_params = list(strong.parameters())
 
+    def weak_ce(pw):
+        return cross_entropy_rows(pw, labels, "p_weak")
+
+    def strong_ce(ps):
+        return cross_entropy_rows(ps, labels, "p_strong")
+
     # a turn's frozen side is constant: it is wrapped, checked and scored once
     def weak_turn_terms(frozen_strong):
-        terms_of = weak_turn_rows(T.Tensor(frozen_strong), labels)
+        frozen = strong_ce(T.Tensor(frozen_strong))
 
         def terms():
             pw = forward(weak, graph)
-            return terms_of(pw, confidence_rows(pw, spec))
+            return mixture_rows([confidence_rows(pw, spec)], [weak_ce(pw), frozen])
         return terms
 
     def strong_turn_terms(frozen_weak):
-        terms_of = strong_turn_rows(T.Tensor(frozen_weak),
-                                    T.Tensor(confidence_batch(frozen_weak, spec)), labels)
-        return lambda: terms_of(forward(strong, graph))
+        frozen = weak_ce(T.Tensor(frozen_weak))
+        conf = T.Tensor(confidence_batch(frozen_weak, spec))
+        return lambda: mixture_rows([conf], [frozen, strong_ce(forward(strong, graph))])
 
     def phase(params, max_epochs, terms_fn, round_idx, turn):
         _run_phase(params, graph.splits, config.lr, max_epochs, config.patience, terms_fn,
@@ -201,11 +218,12 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
                   strong_turn_terms(forward(weak, graph).values), round_idx, "strong")
             scores = record_round(round_idx)
     else:
-        terms_fn = mixture_loss_rows if config.mode == "joint" else blend_loss_rows
-
         def terms():
-            pw = forward(weak, graph)
-            return terms_fn(pw, forward(strong, graph), confidence_rows(pw, spec), labels)
+            pw, ps = forward(weak, graph), forward(strong, graph)
+            conf = confidence_rows(pw, spec)
+            if config.mode == "blend":
+                return blend_loss_rows(pw, ps, conf, labels)
+            return mixture_rows([conf], [weak_ce(pw), strong_ce(ps)])
 
         phase(weak_params + strong_params, config.rounds * config.max_epochs, terms, 1,
               config.mode)
@@ -222,9 +240,10 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
 def _plain_ce_phase(model: ExpertModel, graph: Graph, epochs: int, lr: float):
     terms = _ce_terms(model, graph)
     params = list(model.parameters())
-    for _ in range(epochs):
-        T.backward(_split_means(terms(), graph.splits)[0])
-        _sgd_step(params, lr)
+    with np.errstate(**_QUIET):
+        for epoch in range(epochs):
+            T.backward(_epoch_loss(terms, graph.splits, epoch)[0])
+            _sgd_step(params, lr)
 
 
 def pretrain_expert(arch: ExpertArch, graph: Graph, epochs: int, lr: float,
@@ -251,8 +270,7 @@ def predict(weak: ExpertModel, strong: ExpertModel, spec: ConfidenceSpec,
     DomainError when either expert's rows or the gate's confidences are
     not finite, as from a checkpoint or gate whose weights overflow.
     """
-    # the checks below report an overflow; numpy's warnings would repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
         pw = forward(weak, graph).values
         ps = forward(strong, graph).values
         for role, rows in (("weak", pw), ("strong", ps)):

@@ -19,7 +19,7 @@ from confmix.errors import TrainingDivergedError, as_type
 from confmix.experts import ExpertArch, expert_to_document, init_expert
 from confmix.graphs import (BlindspotInstance, graph_from_document, load_graph,
                             validate_blindspot)
-from confmix.theory import SUITES, SuiteReport
+from confmix.theory import SUITES, ClauseResult, SuiteReport
 from confmix.training import TrainConfig
 
 
@@ -208,7 +208,9 @@ def test_verify_all_runs_every_suite_but_planted_fault(tmp_path, monkeypatch):
     def fake(name):
         def build(seed):
             ran.append(name)
-            return SuiteReport()
+            suite = SuiteReport()
+            suite.add(name, [ClauseResult.at_most("ran", 0.0, 0.0)])
+            return suite
         return build
 
     for name in SUITES:
@@ -218,6 +220,16 @@ def test_verify_all_runs_every_suite_but_planted_fault(tmp_path, monkeypatch):
     assert run_cli(["verify", "--suite", "all", "--seed", "0",
                     "--out", str(tmp_path)]) == 0
     assert sorted(ran) == sorted(set(SUITES) - {"planted_fault"})
+
+
+def test_verify_with_no_clause_exits_1(tmp_path, capsys):
+    # a report that checks nothing verifies nothing
+    code = run_cli(["verify", "--suite", "theorem", "--seed", "0", "--binary-count", "0",
+                    "--ternary-count", "0", "--out", str(tmp_path)])
+    assert code == 1
+    assert (tmp_path / "theorem_report.csv").read_text().splitlines() == [
+        "case,n,alpha,mu,spec,clause,measured,tolerance,pass"]
+    assert capsys.readouterr().out.endswith(": 0 clauses, 0 failed\n")
 
 
 @pytest.mark.parametrize("seed", [13, 15])
@@ -534,12 +546,16 @@ def test_training_failure_exits_3(tmp_path, small_graph_path, monkeypatch):
     assert run_cli(train_args(small_graph_path, tmp_path)) == 3
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowing_training_exits_3(tmp_path, small_graph_path, capsys):
-    # primitive outputs are not scanned; the loss's simplex check finds the NaN rows
-    argv = train_args(small_graph_path, tmp_path, ["--lr", "1e300", "--pretrain", "none"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("pretrain", ["none", "strong", "both"])
+def test_overflowing_training_exits_3(tmp_path, small_graph_path, capsys, pretrain):
+    # primitive outputs are not scanned; the loss's simplex check finds the
+    # NaN rows, in pretraining too, and numpy's overflow warnings stay quiet
+    argv = train_args(small_graph_path, tmp_path, ["--lr", "1e300", "--pretrain", pretrain])
     assert run_cli(argv) == 3
-    assert "non-finite values at epoch" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("training failed: non-finite values at epoch")
 
 
 def test_uniform_weak_row_under_neg_entropy_trains(tmp_path):

@@ -10,7 +10,7 @@ from confmix.errors import ContractError, DomainError, ShapeError, TapeStateErro
 
 def total(t):
     """Sum of every entry: the engine's mean times the entry count."""
-    return T.mean_all(t) * t.size
+    return T.mean_all(t) * t.values.size
 
 
 def test_matmul_identity_column():

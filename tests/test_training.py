@@ -12,7 +12,7 @@ from confmix.errors import ConfigError, DomainError, TrainingDivergedError
 from confmix.experts import ExpertArch, forward, init_expert
 from confmix import graphs
 from confmix.graphs import build_graph, generate_specialization_graph
-from confmix.mixture import mixture_loss_rows, strong_turn_rows, weak_turn_rows
+from confmix.mixture import cross_entropy_rows, mixture_rows
 from confmix.training import (TrainConfig, _run_phase, _sgd_step, evaluate,
                               pretrain_expert, single_expert_baseline, train)
 
@@ -332,8 +332,9 @@ def turn_specs():
 
 @pytest.mark.parametrize("spec", turn_specs(), ids=["default", "learnable"])
 def test_hoisted_turns_equal_mixture_loss_rows(spec):
-    """Each epoch of a turn, with its frozen side scored once, gives the
-    terms and live gradients of mixture_loss_rows on the same inputs."""
+    """Each epoch of a turn, with its frozen side's loss rows (and, in the
+    strong turn, confidence) scored once and passed as constants, gives
+    the all-live objective's per-node values and live gradients."""
     rng = np.random.default_rng(8)
     g = build_graph(8, 2, rng.standard_normal((8, 3)), [0, 1, 0, 1, 1, 0, 0, 1],
                     [(i, (i + 1) % 8) for i in range(8)] + [(0, 4)],
@@ -342,34 +343,33 @@ def test_hoisted_turns_equal_mixture_loss_rows(spec):
     strong = init_expert(ExpertArch("gcn_skip", 2, 4), 3, 2, 2)
     y = g.labels
 
-    def epochs(params, hoisted, fresh):
+    def epochs(params, hoisted, live):
         for _ in range(4):
             terms = hoisted()
             T.backward(T.mean_all(terms))
             grads = [p.grad.copy() for p in params]
-            want = fresh()
+            want = live()
             T.backward(T.mean_all(want))
             assert np.array_equal(terms.values, want.values)
             assert all(np.array_equal(a, p.grad) for a, p in zip(grads, params))
             _sgd_step(params, 0.5)
 
-    ps = forward(strong, g).values
-    weak_terms = weak_turn_rows(T.Tensor(ps), y)
-
-    def weak_epoch(rows_fn):
+    def live_weak(strong_ce):
         pw = forward(weak, g)
-        return rows_fn(pw, confidence_rows(pw, spec))
+        return mixture_rows([confidence_rows(pw, spec)], [cross_entropy_rows(pw, y), strong_ce])
 
+    def all_live():
+        return live_weak(cross_entropy_rows(forward(strong, g), y))
+
+    frozen_strong = cross_entropy_rows(T.Tensor(forward(strong, g).values), y)
     epochs(list(weak.parameters()) + list(spec.parameters()),
-           lambda: weak_epoch(weak_terms),
-           lambda: weak_epoch(lambda pw, c: mixture_loss_rows(pw, ps, c, y)))
+           lambda: live_weak(frozen_strong), all_live)
 
     pw = forward(weak, g).values
-    c = confidence_batch(pw, spec)
-    strong_terms = strong_turn_rows(T.Tensor(pw), T.Tensor(c), y)
+    conf, weak_ce = T.Tensor(confidence_batch(pw, spec)), cross_entropy_rows(T.Tensor(pw), y)
     epochs(list(strong.parameters()),
-           lambda: strong_terms(forward(strong, g)),
-           lambda: mixture_loss_rows(pw, forward(strong, g), c, y))
+           lambda: mixture_rows([conf], [weak_ce, cross_entropy_rows(forward(strong, g), y)]),
+           all_live)
 
 
 @pytest.mark.parametrize("spec", turn_specs(), ids=["default", "learnable"])
