@@ -28,4 +28,18 @@ from .theory import (GroupProblem, SimplexGrid, alpha_loss, binary_bounds,
 from .training import (TrainConfig, TrainReport, TrainResult, evaluate,
                        pretrain_expert, train)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BlindspotInstance", "CappedLinearGate", "ConfidenceSpec", "ConfigError",
+    "ContractError", "DomainError", "ExpertArch", "ExpertModel", "Graph",
+    "GraphFormatError", "GraphValidationError", "GroupProblem", "LearnableGate",
+    "ShapeError", "SimplexGrid", "StepGate", "TapeStateError", "Tensor", "TrainConfig",
+    "TrainReport", "TrainResult", "TrainingDivergedError", "TwoLevelGate", "alpha_loss",
+    "backward", "binary_bounds", "blend_loss", "build_blindspot_graph", "build_graph",
+    "check_gradient", "confidence", "cost_estimate", "default_spec", "delta",
+    "dispersion", "evaluate", "gcn_forward", "generate_specialization_graph",
+    "group_min", "infer_expected", "infer_stochastic", "init_expert", "khop_sizes",
+    "load_expert", "load_graph", "mixture_loss", "multi_expert_loss", "pretrain_expert",
+    "quasiconvexity_witness_search", "run_theorem_suite", "save_expert", "save_graph",
+    "train", "verify_blindspot", "verify_theorem_case", "verify_tightness",
+    "weak_forward",
+]

@@ -202,13 +202,17 @@ def confidence_rows(rows: T.Tensor, spec: ConfidenceSpec) -> T.Tensor:
     """
     gate = spec.gate
     if isinstance(gate, LearnableGate):
-        return gate.forward(T.stack_columns([dispersion_rows(rows, "variance"),
-                                             dispersion_rows(rows, "neg_entropy")]))
+        # the reverse pass adds the rows' gradient terms newest first; made
+        # first, the entropy's terms come last, the order the trained
+        # weights have always been summed in
+        entropy = dispersion_rows(rows, "neg_entropy")
+        return gate.forward(T.stack_columns([dispersion_rows(rows, "variance"), entropy]))
     d = dispersion_rows(rows, spec.dispersion)
     if isinstance(gate, CappedLinearGate):
         scaled = d * gate.slope
         return scaled - T.relu(scaled + (-1.0))
-    return T.Tensor(gate(d.values))
+    # a step or two-level gate's values lie in {0, beta, 1}: nothing to scan
+    return T.constant(gate(d.values))
 
 
 def quasiconvexity_witness_search(spec: ConfidenceSpec, trials: int, seed: int,

@@ -34,9 +34,7 @@ class ExpertModel:
 
     @property
     def dims(self):
-        out = [self.layers[0].weight.shape[0]]
-        out += [layer.weight.shape[1] for layer in self.layers]
-        return out
+        return [self.layers[0].weight.shape[0]] + [layer.weight.shape[1] for layer in self.layers]
 
     def parameters(self):
         for layer in self.layers:
@@ -97,7 +95,7 @@ def _layers(model: ExpertModel, h: T.Tensor, coeff: T.Tensor | None = None,
     for i, layer in enumerate(model.layers):
         if i or agg is None:
             agg = h if coeff is None else T.matmul(coeff, h)
-        z = T.matmul(agg, layer.weight) + layer.bias
+        z = T.matmul(agg, layer.weight, layer.bias)
         if layer.skip_weight is not None:
             z = z + T.matmul(h, layer.skip_weight)
         h = T.softmax_rows(z) if i == last else T.relu(z)

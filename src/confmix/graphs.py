@@ -227,16 +227,6 @@ def specialization_groups(graph: Graph):
     return np.arange(half), np.arange(half, graph.num_nodes)
 
 
-def homophily_ratio(graph: Graph, nodes=None) -> float:
-    """Fraction of edge endpoints (within `nodes`, if given) sharing the class."""
-    lo, hi = graph.edge_arrays()
-    if nodes is not None:
-        inside = np.isin(lo, nodes) & np.isin(hi, nodes)
-        lo, hi = lo[inside], hi[inside]
-    return np.count_nonzero(graph.labels[lo] == graph.labels[hi]) / lo.size \
-        if lo.size else float("nan")
-
-
 @dataclass(frozen=True)
 class BlindspotInstance:
     """Two feature-distinct roots every K-layer convolution must confuse.

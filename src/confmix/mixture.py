@@ -5,11 +5,9 @@ loss of the stochastic gate (confidence-weighted sum of per-expert
 cross-entropies); `blend_loss` is the cross-entropy of the
 confidence-blended prediction, which never exceeds it.
 
-`mixture_rows` is the one per-node mixture objective: the chained gate
-over m experts' loss rows, weakest first, with the last expert's
-confidence pinned to one so the per-node weights form a distribution.
-The two-expert loss is its m = 2 case. The rows may be live or constant:
-a training turn passes its frozen side's cross-entropy rows, scored once.
+`mixture_rows` is the one per-node mixture objective, the chained gate
+over m experts' loss rows; the two-expert loss is its m = 2 case. The
+rows may be live or constant, as a training turn's frozen side is.
 """
 
 from __future__ import annotations
@@ -43,14 +41,11 @@ def _check(conf=None, **rows):
 
 
 def cross_entropy_rows(probs, labels, name: str = "probs") -> T.Tensor:
-    """Per-row -log p[label], with the package-wide clamp floor.
-
-    DomainError unless `probs` (called `name` in the message) are
-    probability rows; labels outside the classes, or not one per row,
-    are a ShapeError.
-    """
+    """Per-row -log p[label] as one `T.nll_rows` record, which checks the
+    labels; DomainError unless `probs` (called `name` in the message)
+    are probability rows."""
     _check(**{name: probs})
-    return -T.log(T.take_rows(probs, np.arange(np.shape(probs)[0]), labels))
+    return T.nll_rows(probs, labels)
 
 
 def mixture_rows(confidences, losses) -> T.Tensor:

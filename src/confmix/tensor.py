@@ -4,10 +4,10 @@ Sized for small perceptron stacks and graph convolutions: eager forward
 evaluation, per-primitive backward closures, and a central-difference
 oracle (`check_gradient`) that stays independent of the reverse pass.
 
-`Tensor(...)` rejects NaN/Inf when it is built; primitive outputs are
-not scanned again. A tensor that neither requires a gradient nor was
-produced from one that does is a constant: the reverse pass computes,
-allocates and stores nothing for it.
+`Tensor(...)` rejects NaN/Inf when it is built; primitive outputs, and
+a `constant` finite by construction, are not scanned. A tensor that
+neither requires a gradient nor was produced from one that does is a
+constant: the reverse pass computes, allocates and stores nothing for it.
 
 Every log argument is clamped to [LOG_FLOOR, 1] so cross-entropy style
 losses stay finite at the simplex boundary; the same floor is used by
@@ -16,7 +16,9 @@ every loss in the package so oracle comparisons see identical values.
 
 from __future__ import annotations
 
+import itertools
 import math
+from operator import attrgetter
 
 import numpy as np
 
@@ -24,6 +26,8 @@ from .errors import ContractError, DomainError, ShapeError, TapeStateError
 
 LOG_FLOOR = 1e-12
 LOG_CEIL = 1.0
+# creation stamps of records; a record's operands are made before it
+_STAMPS = itertools.count()
 
 
 class Tensor:
@@ -31,11 +35,14 @@ class Tensor:
 
     Non-leaf tensors remember the primitive that produced them (name,
     parents, backward closure); that record is what `Tape` walks.
+    `requires_grad` holds for a leaf built with it and for every record,
+    so it alone says whether the reverse pass reaches a tensor.
     Tensors are confined to one logical thread for the duration of a
     forward/backward pass.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "_op", "_parents", "_backward")
+    __slots__ = ("values", "requires_grad", "grad", "_op", "_parents", "_backward",
+                 "_stamp")
 
     # keep numpy from absorbing `ndarray <op> Tensor`; the reflected
     # operator then routes through our primitives
@@ -46,10 +53,8 @@ class Tensor:
         if not np.all(np.isfinite(self.values)):
             raise DomainError("tensor values must be finite (no NaN/Inf)")
         self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._op = None
+        self.grad = self._op = self._backward = None
         self._parents = ()
-        self._backward = None
 
     @property
     def shape(self):
@@ -90,8 +95,10 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _needs_grad(t: Tensor) -> bool:
-    return t.requires_grad or t._op is not None
+def constant(values) -> Tensor:
+    """`values`, finite by construction, as a constant tensor: no
+    finiteness scan and no record."""
+    return _make(np.asarray(values, dtype=np.float64), None, (), None)
 
 
 def _make(values, op, parents, backward) -> Tensor:
@@ -99,14 +106,17 @@ def _make(values, op, parents, backward) -> Tensor:
     # __init__'s finiteness scan; non-finite values surface at the loss
     out = Tensor.__new__(Tensor)
     out.values, out.grad = values, None
-    out.requires_grad = any(_needs_grad(p) for p in parents)
-    out._op, out._parents, out._backward = (
-        (op, tuple(parents), backward) if out.requires_grad else (None, (), None))
+    out.requires_grad = any([p.requires_grad for p in parents])
+    if out.requires_grad:
+        out._op, out._parents, out._backward = op, tuple(parents), backward
+        out._stamp = next(_STAMPS)
+    else:
+        out._op, out._parents, out._backward = None, (), None
     return out
 
 
 def _accum(t: Tensor, g: np.ndarray):
-    if not _needs_grad(t):
+    if not t.requires_grad:
         return
     if t.grad is None:
         # a new array: g may be another node's grad or a view of one.
@@ -129,72 +139,66 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    if not _add_compatible(a.shape, b.shape):
+    sa, sb = a.shape, b.shape
+    # equal shapes, a scalar, or a row vector onto every row of a matrix
+    if not (sa == sb or () in (sa, sb) or (len(sa) == 2 and sb == sa[1:])
+            or (len(sb) == 2 and sa == sb[1:])):
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     values = a.values + b.values
 
     def backward(out):
-        if _needs_grad(a):
+        if a.requires_grad:
             _accum(a, _unbroadcast(out.grad, a.shape))
-        if _needs_grad(b):
+        if b.requires_grad:
             _accum(b, _unbroadcast(out.grad, b.shape))
 
     return _make(values, "add", (a, b), backward)
 
 
-def _add_compatible(sa, sb) -> bool:
-    if sa == sb:
-        return True
-    # row-vector bias onto a matrix, or scalar onto anything
-    if len(sa) == 2 and sb == (sa[1],):
-        return True
-    if len(sb) == 2 and sa == (sb[1],):
-        return True
-    return () in (sa, sb)
-
-
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    if not _mul_compatible(a.shape, b.shape):
+    sa, sb = a.shape, b.shape
+    # equal shapes, a scalar, or a matrix scaled per row by a column
+    if not (sa == sb or () in (sa, sb) or (len(sa) == 2 and sb == (sa[0], 1))
+            or (len(sb) == 2 and sa == (sb[0], 1))):
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
     values = a.values * b.values
 
     def backward(out):
-        if _needs_grad(a):
+        if a.requires_grad:
             _accum(a, _unbroadcast(out.grad * b.values, a.shape))
-        if _needs_grad(b):
+        if b.requires_grad:
             _accum(b, _unbroadcast(out.grad * a.values, b.shape))
 
     return _make(values, "mul", (a, b), backward)
 
 
-def _mul_compatible(sa, sb) -> bool:
-    if sa == sb or () in (sa, sb):
-        return True
-    # per-row scaling of a matrix by a column
-    if len(sa) == 2 and sb == (sa[0], 1):
-        return True
-    if len(sb) == 2 and sa == (sb[0], 1):
-        return True
-    return False
-
-
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
+    """a @ b, plus `bias` on every row when given: a layer's affine map."""
     a, b = _coerce(a), _coerce(b)
     if a.values.ndim != 2 or b.values.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
     values = a.values @ b.values
+    parents = (a, b)
+    if bias is not None:
+        bias = _coerce(bias)
+        if bias.shape != b.shape[1:]:
+            raise ShapeError(f"matmul: bias {bias.shape} does not fit {values.shape}")
+        values += bias.values
+        parents = (a, b, bias)
 
     def backward(out):
         # a constant operand, such as the coefficient matrix, costs no product
-        if _needs_grad(a):
+        if a.requires_grad:
             _accum(a, out.grad @ b.values.T)
-        if _needs_grad(b):
+        if b.requires_grad:
             _accum(b, a.values.T @ out.grad)
+        if bias is not None and bias.requires_grad:
+            _accum(bias, out.grad.sum(axis=0))
 
-    return _make(values, "matmul", (a, b), backward)
+    return _make(values, "matmul", parents, backward)
 
 
 def relu(a) -> Tensor:
@@ -257,7 +261,42 @@ def mean_all(a) -> Tensor:
     def backward(out):
         _accum(a, np.broadcast_to(out.grad / n, a.shape))
 
-    return _make(np.asarray(a.values.mean()), "mean", (a,), backward)
+    return _make(np.asarray(a.values.mean()), "mean_all", (a,), backward)
+
+
+def mean_rows(a, ids) -> Tensor:
+    """Mean of the vector `a` at distinct ids, such as a graph split's,
+    which are range-checked when the graph is built, not here."""
+    a, ids = _coerce(a), np.asarray(ids, dtype=np.intp)
+    if a.values.ndim != 1 or ids.ndim != 1 or not ids.size:
+        raise ShapeError(f"mean_rows needs a vector and ids, got {a.shape}, {ids.shape}")
+
+    def backward(out):
+        g = np.zeros_like(a.values)
+        g[ids] = out.grad / ids.size
+        _accum(a, g)
+
+    return _make(np.asarray(a.values[ids].mean()), "mean_rows", (a,), backward)
+
+
+def nll_rows(p, labels) -> Tensor:
+    """Cross-entropy rows -log p[row, label], clamped as `log` clamps; a
+    label outside the columns, or not one per row, is a ShapeError."""
+    p, labels = _coerce(p), np.asarray(labels, dtype=np.intp)
+    if p.values.ndim != 2 or labels.shape != p.shape[:1] or labels.size and (
+            labels.min() < 0 or labels.max() >= p.shape[1]):
+        raise ShapeError(f"nll_rows needs one label in [0, k) per row, got {labels.shape} "
+                         f"for rows {p.shape}")
+    rows = np.arange(labels.size)
+    picked = np.clip(p.values[rows, labels], LOG_FLOOR, LOG_CEIL)
+
+    def backward(out):
+        inside = (picked > LOG_FLOOR) & (picked < LOG_CEIL)
+        g = np.zeros_like(p.values)
+        g[rows, labels] = out.grad * -1.0 * inside / picked
+        _accum(p, g)
+
+    return _make(-np.log(picked), "nll_rows", (p,), backward)
 
 
 def take_rows(a, index, cols=None) -> Tensor:
@@ -283,11 +322,9 @@ def take_rows(a, index, cols=None) -> Tensor:
 def stack_columns(parts) -> Tensor:
     """Stack 1-D tensors of equal length into the columns of a matrix."""
     parts = [_coerce(p) for p in parts]
-    if not parts or any(p.values.ndim != 1 for p in parts):
-        raise ShapeError("stack_columns needs one or more vectors")
-    n = parts[0].shape[0]
-    if any(p.shape != (n,) for p in parts):
-        raise ShapeError(f"stack_columns: lengths differ, {[p.shape for p in parts]}")
+    if not parts or any(p.values.ndim != 1 or p.shape != parts[0].shape for p in parts):
+        raise ShapeError(f"stack_columns needs vectors of one length, got "
+                         f"{[p.shape for p in parts]}")
 
     def backward(out):
         for j, p in enumerate(parts):
@@ -300,43 +337,41 @@ def stack_columns(parts) -> Tensor:
 # ---- tape ----
 
 class Tape:
-    """The non-leaf tensors behind one output, in topological order.
+    """The non-leaf tensors behind one output, in topological order, and
+    the tensors they consume but do not hold.
 
     Every node comes after the nodes it consumes, so the reverse pass
     runs the backward closures from the end of `records`.
     """
 
-    def __init__(self, records):
-        self.records = list(records)
+    def __init__(self, records, leaves):
+        self.records, self._leaves = records, leaves
 
     @classmethod
     def from_output(cls, out: Tensor) -> "Tape":
-        order, seen, stack = [], set(), [(out, False)]
+        # one walk finds the records and leaves; the stamps order the records
+        records, leaves = [], []
+        seen, stack = {id(out)}, [out] if out._op is not None else []
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen or node._op is None:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
+            node = stack.pop()
+            records.append(node)
             for p in node._parents:
-                stack.append((p, False))
-        return cls(order)
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    (stack if p._op is not None else leaves).append(p)
+        records.sort(key=attrgetter("_stamp"))
+        return cls(records, leaves)
 
     def leaves(self):
         """The tensors the records consume but do not hold, each once."""
-        recorded = {id(node) for node in self.records}
-        return list({id(p): p for node in self.records for p in node._parents
-                     if id(p) not in recorded}.values())
+        return self._leaves
 
     def backward(self, out: Tensor):
         if out.values.size != 1:
             raise ContractError(f"backward needs a scalar output, got shape {out.shape}")
         for node in self.records:
             node.grad = None
-        for leaf in self.leaves():
+        for leaf in self._leaves:
             leaf.grad = None
         out.grad = np.ones_like(out.values)
         for node in reversed(self.records):
@@ -346,7 +381,7 @@ class Tape:
 def backward(out: Tensor):
     """Populate grad slots of every leaf the scalar `out` depends on."""
     out = _coerce(out)
-    if out._op is None and not out.requires_grad:
+    if not out.requires_grad:
         raise TapeStateError("output is detached from any recorded tape")
     Tape.from_output(out).backward(out)
 

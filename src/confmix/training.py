@@ -17,6 +17,7 @@ included, fails with TrainingDivergedError on a non-finite loss term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,17 +110,18 @@ def _sgd_step(params, lr):
 
 def _epoch_loss(terms_fn, splits: dict, epoch: int):
     """(train mean as a Tensor, val mean as a float) of every node's loss
-    terms; the val mean reads the train ids when val is empty. A term or
-    mean that is not finite is a TrainingDivergedError."""
+    terms; the val mean reads the train ids when val is empty. The split
+    ids were checked when the graph was built. A term or mean that is not
+    finite is a TrainingDivergedError."""
     try:
         terms = terms_fn()
     except DomainError as e:
         raise TrainingDivergedError(f"non-finite values at epoch {epoch}") from e
     train_ids = splits["train"]
     val_ids = splits["val"] if splits["val"].size else train_ids
-    train_loss = T.mean_all(T.take_rows(terms, train_ids))
+    train_loss = T.mean_rows(terms, train_ids)
     val_loss = float(terms.values[val_ids].mean())
-    if not np.isfinite(train_loss.item()) or not np.isfinite(val_loss):
+    if not math.isfinite(train_loss.item()) or not math.isfinite(val_loss):
         raise TrainingDivergedError(f"loss diverged at epoch {epoch}")
     return train_loss, val_loss
 

@@ -2,8 +2,7 @@
 
 import confmix
 
-# every name `from confmix import *` gives, the submodules that the
-# package's own imports load included
+# every name `from confmix import *` gives; the submodules are not among them
 PUBLIC_API = [
     "BlindspotInstance", "CappedLinearGate", "ConfidenceSpec", "ConfigError",
     "ContractError", "DomainError", "ExpertArch", "ExpertModel", "Graph",
@@ -12,13 +11,12 @@ PUBLIC_API = [
     "TrainReport", "TrainResult", "TrainingDivergedError", "TwoLevelGate", "alpha_loss",
     "backward", "binary_bounds", "blend_loss", "build_blindspot_graph", "build_graph",
     "check_gradient", "confidence", "cost_estimate", "default_spec", "delta",
-    "dispersion", "documents", "errors", "evaluate", "experts", "gcn_forward",
-    "generate_specialization_graph", "graphs", "group_min", "infer_expected",
-    "infer_stochastic", "init_expert", "khop_sizes", "load_expert", "load_graph",
-    "mixture", "mixture_loss", "multi_expert_loss", "pretrain_expert",
+    "dispersion", "evaluate", "gcn_forward", "generate_specialization_graph",
+    "group_min", "infer_expected", "infer_stochastic", "init_expert", "khop_sizes",
+    "load_expert", "load_graph", "mixture_loss", "multi_expert_loss", "pretrain_expert",
     "quasiconvexity_witness_search", "run_theorem_suite", "save_expert", "save_graph",
-    "tensor", "theory", "train", "training", "verify_blindspot", "verify_theorem_case",
-    "verify_tightness", "weak_forward",
+    "train", "verify_blindspot", "verify_theorem_case", "verify_tightness",
+    "weak_forward",
 ]
 
 

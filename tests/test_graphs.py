@@ -12,8 +12,7 @@ from confmix.errors import (ConfigError, GraphFormatError, GraphValidationError)
 from confmix.graphs import (blindspot_cancellation_gap, build_blindspot_graph,
                             build_graph, cost_estimate,
                             generate_specialization_graph, graph_from_document,
-                            graph_to_document,
-                            homophily_ratio, khop_neighborhood, khop_sizes,
+                            graph_to_document, khop_neighborhood, khop_sizes,
                             load_graph, save_graph, specialization_groups,
                             validate_blindspot)
 
@@ -203,6 +202,14 @@ def test_save_load_roundtrip(tmp_path):
     assert edge_pairs(back) == edge_pairs(g)
     for split in ("train", "val", "test"):
         assert np.array_equal(back.splits[split], g.splits[split])
+
+
+def homophily_ratio(graph, nodes) -> float:
+    """Fraction of the edges inside `nodes` whose endpoints share the class."""
+    lo, hi = graph.edge_arrays()
+    inside = np.isin(lo, nodes) & np.isin(hi, nodes)
+    lo, hi = lo[inside], hi[inside]
+    return np.count_nonzero(graph.labels[lo] == graph.labels[hi]) / lo.size
 
 
 def test_specialization_shape_and_homophily():

@@ -1,6 +1,8 @@
 """Engine tests: primitive values, reverse pass vs central differences,
 tape invariants, and contract errors."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -72,45 +74,122 @@ def test_check_gradient_step_contract():
         T.check_gradient(lambda ins: total(ins[0]), [v], 1e-2)
 
 
+def square_total(t):
+    return total(t * t)
+
+
+M = (2, 3)
+# (name, builder, input shapes, box the inputs are drawn from)
 PRIMITIVE_CASES = [
-    ("add", lambda a, b: total(a + b), 2, (-2.0, 2.0)),
-    ("mul", lambda a, b: total(a * b), 2, (-2.0, 2.0)),
-    ("matmul", lambda a, b: total(T.matmul(a, b)), 2, (-2.0, 2.0)),
-    ("relu", lambda a: total(T.relu(a)), 1, (-2.0, 2.0)),
-    ("log", lambda a: total(T.log(a)), 1, (0.01, 0.99)),
-    ("softmax", lambda a: total(T.mul(T.softmax_rows(a), MASK)), 1, (-2.0, 2.0)),
+    ("add", lambda a, b: total(a + b), [M, M], (-2.0, 2.0)),
+    ("mul", lambda a, b: total(a * b), [M, M], (-2.0, 2.0)),
+    ("matmul", lambda a, b: total(T.matmul(a, b)), [M, (3, 2)], (-2.0, 2.0)),
+    # a layer's affine map, the bias in the product's record
+    ("matmul_bias", lambda a, b, c: square_total(T.matmul(a, b, c)), [M, (3, 2), (2,)],
+     (-2.0, 2.0)),
+    ("relu", lambda a: total(T.relu(a)), [M], (-2.0, 2.0)),
+    ("log", lambda a: total(T.log(a)), [M], (0.01, 0.99)),
+    ("softmax", lambda a: total(T.mul(T.softmax_rows(a), MASK)), [M], (-2.0, 2.0)),
     ("sum_rows", lambda a: total(
-        T.mul(T.stack_columns([T.sum_rows(a)]), COL)), 1, (-2.0, 2.0)),
-    ("mean", lambda a: T.mean_all(a * a), 1, (-2.0, 2.0)),
+        T.mul(T.stack_columns([T.sum_rows(a)]), COL)), [M], (-2.0, 2.0)),
+    ("mean", lambda a: T.mean_all(a * a), [M], (-2.0, 2.0)),
     # entries (row, col), with (1, 0) drawn twice
     ("take_rows_cols", lambda a: total(
-        T.mul(T.take_rows(a, [0, 1, 1, 0], [2, 0, 0, 1]), PICKED)), 1, (-2.0, 2.0)),
+        T.mul(T.take_rows(a, [0, 1, 1, 0], [2, 0, 0, 1]), PICKED)), [M], (-2.0, 2.0)),
+    # cross-entropy rows, inside the clamp
+    ("nll_rows", lambda a: total(T.mul(T.nll_rows(a, [2, 0]), ROW_WEIGHTS)), [M],
+     (0.01, 0.99)),
+    # a split mean over ids out of order
+    ("mean_rows", lambda a: T.mean_rows(a * a, [4, 0, 2]), [(5,)], (-2.0, 2.0)),
 ]
 MASK = np.array([[1.0, -0.5, 0.25], [0.0, 2.0, -1.0]])
 COL = np.array([[0.7], [-1.3]])
 PICKED = np.array([0.5, -1.0, 2.0, 1.5])
+ROW_WEIGHTS = np.array([0.7, -1.3])
+# the public functions of confmix.tensor that make no record
+NOT_RECORDS = {"backward", "check_gradient", "constant"}
 
 
-@pytest.mark.parametrize("name,builder,arity,box", PRIMITIVE_CASES,
+@pytest.mark.parametrize("name,builder,shapes,box", PRIMITIVE_CASES,
                          ids=[c[0] for c in PRIMITIVE_CASES])
-def test_primitive_gradients_match_central_differences(name, builder, arity, box):
+def test_primitive_gradients_match_central_differences(name, builder, shapes, box):
     # 100 random draws per primitive within its documented domain
     rng = np.random.default_rng(hash(name) % (2 ** 31))
     lo, hi = box
     for _ in range(100):
         inputs = []
-        for _ in range(arity):
-            values = rng.uniform(lo, hi, (2, 3))
+        for shape in shapes:
+            values = rng.uniform(lo, hi, shape)
             if name == "relu":
                 # keep clear of the kink, where subgradients are a choice
                 values = np.where(np.abs(values) < 1e-3, 1e-3, values)
             inputs.append(T.Tensor(values, requires_grad=True))
-        if name == "matmul":
-            inputs[1] = T.Tensor(rng.uniform(lo, hi, (3, 2)), requires_grad=True)
 
         def fn(ins):
             return builder(*ins)
         assert T.check_gradient(fn, inputs, 1e-5) < 1e-4
+
+
+def test_every_record_making_function_has_a_gradient_case():
+    """Each record's op is its function's name: every public function of
+    the engine but NOT_RECORDS must make a record in some case above."""
+    public = {name for name, fn in vars(T).items() if inspect.isfunction(fn)
+              and fn.__module__ == T.__name__ and not name.startswith("_")}
+    assert NOT_RECORDS <= public
+    rng = np.random.default_rng(0)
+    recorded = set()
+    for _, builder, shapes, (lo, hi) in PRIMITIVE_CASES:
+        out = builder(*[T.Tensor(rng.uniform(lo, hi, s), requires_grad=True) for s in shapes])
+        recorded |= {node._op for node in T.Tape.from_output(out).records}
+    assert public - NOT_RECORDS <= recorded
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def values_and_grads(build, arrays, weights):
+    """build(*inputs)'s values and each input's gradient of the weighted total."""
+    inputs = [T.Tensor(a, requires_grad=True) for a in arrays]
+    out = build(*inputs)
+    T.backward(total(out * weights))
+    return [out.values] + [t.grad for t in inputs]
+
+
+# labels read entries at both clamp edges (0, -0.0, the floor and 1)
+# and inside it; -0.0 appears in every operand and weight
+LABELS = np.array([0, 1, 2, 1, 0])
+FUSED_CASES = {
+    "matmul_bias": (
+        lambda a, b, c: T.matmul(a, b, c), lambda a, b, c: T.matmul(a, b) + c,
+        [np.array([[1.5, -0.0], [0.0, -2.0], [0.25, 3.0]]),
+         np.array([[-0.0, 1.0, -1.5, 0.0], [2.0, -0.0, 0.5, 0.0]]),
+         np.array([-0.0, 0.0, 1.25, -3.0])],
+        np.array([[1.0, -0.0, 0.5, 0.0], [-0.0, -0.0, 2.0, -1.0], [0.0, 3.0, -0.0, 1.0]])),
+    "nll_rows": (
+        lambda p: T.nll_rows(p, LABELS),
+        lambda p: -T.log(T.take_rows(p, np.arange(5), LABELS)),
+        [np.array([[0.0, 0.5, 0.5], [0.3, 1.0, 0.0], [0.2, 0.0, -0.0],
+                   [0.0, T.LOG_FLOOR, 1.0], [0.75, 0.25, 0.0]])],
+        np.array([1.0, -0.0, 2.0, -1.5, 0.5])),
+    "mean_rows": (
+        lambda t: T.mean_rows(t, [5, 1, 2]),
+        lambda t: T.mean_all(T.take_rows(t, [5, 1, 2])),
+        [np.array([0.5, -0.0, 0.0, 2.0, -1.0, 3.25])],
+        np.array(-1.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_CASES))
+@pytest.mark.parametrize("zero_weights", [False, True], ids=["weighted", "signed_zero"])
+def test_fused_record_equals_composed_chain_bit_for_bit(name, zero_weights):
+    fused, composed, arrays, weights = FUSED_CASES[name]
+    if zero_weights:
+        weights = np.full(np.shape(weights), -0.0)
+    got = values_and_grads(fused, arrays, weights)
+    want = values_and_grads(composed, arrays, weights)
+    assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
 def test_check_gradient_full_gated_loss_five_nodes():
@@ -159,7 +238,7 @@ def test_tape_topological_order():
     x = T.Tensor([[0.3, 0.7]], requires_grad=True)
     y = T.mean_all(T.log(T.softmax_rows(x)) * np.array([[1.0, 2.0]]))
     tape = T.Tape.from_output(y)
-    assert [node._op for node in tape.records] == ["softmax_rows", "log", "mul", "mean"]
+    assert [node._op for node in tape.records] == ["softmax_rows", "log", "mul", "mean_all"]
     assert tape.records[-1] is y
     recorded = {id(node) for node in tape.records}
     seen = set()

@@ -372,9 +372,12 @@ def test_hoisted_turns_equal_mixture_loss_rows(spec):
            all_live)
 
 
-@pytest.mark.parametrize("spec", turn_specs(), ids=["default", "learnable"])
+@pytest.mark.parametrize("spec", turn_specs() + [ConfidenceSpec("neg_entropy", StepGate(0.05))],
+                         ids=["default", "learnable", "step"])
 def test_epochs_build_no_tensors(graph, monkeypatch, spec):
     """Every Tensor a train builds is built per turn or round, none per epoch."""
+    # the graph's cached tensors are built once, by whichever train comes first
+    graph.first_aggregation
     init = T.Tensor.__init__
     built = []
 
