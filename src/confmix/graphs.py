@@ -45,13 +45,15 @@ class Graph:
 
     @cached_property
     def coefficients(self) -> T.Tensor:
-        """conv_coefficients(self) as a constant tensor, built on first use."""
-        return T.Tensor(conv_coefficients(self))
+        """conv_coefficients(self) as a constant tensor, built on first use;
+        each entry is a product of 1/sqrt(deg + 1) terms, so it is finite."""
+        return T.constant(conv_coefficients(self))
 
     @cached_property
     def feature_tensor(self) -> T.Tensor:
-        """`features` as a constant tensor, wrapped once."""
-        return T.Tensor(self.features)
+        """`features` as a constant tensor, wrapped once; `build_graph`
+        rejects non-finite features."""
+        return T.constant(self.features)
 
     @cached_property
     def first_aggregation(self) -> T.Tensor:

@@ -190,11 +190,14 @@ def matmul(a, b, bias=None) -> Tensor:
         parents = (a, b, bias)
 
     def backward(out):
-        # a constant operand, such as the coefficient matrix, costs no product
+        # a constant operand, such as the coefficient matrix, costs no product.
+        # b's gradient aᵀg is formed as (gᵀa)ᵀ: BLAS runs a product whose left
+        # operand is transposed at about half speed, and with the n×n
+        # coefficient matrix as `a` that product is most of a backward pass
         if a.requires_grad:
             _accum(a, out.grad @ b.values.T)
         if b.requires_grad:
-            _accum(b, a.values.T @ out.grad)
+            _accum(b, (out.grad.T @ a.values).T)
         if bias is not None and bias.requires_grad:
             _accum(bias, out.grad.sum(axis=0))
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from confmix import tensor as T
 from confmix.errors import (ConfigError, GraphFormatError, GraphValidationError)
 from confmix.graphs import (blindspot_cancellation_gap, build_blindspot_graph,
                             build_graph, cost_estimate,
@@ -260,6 +261,27 @@ def test_blindspot_cancellation(k):
     instance = build_blindspot_graph(k, 5, seed=4)
     validate_blindspot(instance)
     assert blindspot_cancellation_gap(instance) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["edgeless", "blindspot_k1", "blindspot_k2"])
+def test_operator_and_features_are_unscanned_constants(name, monkeypatch):
+    if name == "edgeless":
+        g = build_graph(3, 2, [[0.5, -1.0], [2.0, 0.0], [-0.25, 3.0]], [0, 1, 0], [],
+                        {"train": [0], "val": [1], "test": [2]})
+    else:
+        # the depths k = 1 and 2 that the blindspot suite builds
+        g = build_blindspot_graph(int(name[-1]), 6, seed=4).graph
+
+    def scanned(self, values, requires_grad=False):
+        raise AssertionError("Tensor.__init__ scans for non-finite values")
+
+    monkeypatch.setattr(T.Tensor, "__init__", scanned)
+    for t in (g.coefficients, g.feature_tensor):
+        assert not t.requires_grad and t._op is None and t._parents == () and t.grad is None
+        assert np.isfinite(t.values).all()
+    assert np.array_equal(g.feature_tensor.values, g.features)
+    if name == "edgeless":
+        assert np.array_equal(g.coefficients.values, np.eye(3))
 
 
 def test_blindspot_required_nodes_cover_both_sides():

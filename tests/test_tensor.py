@@ -374,6 +374,44 @@ def test_shared_operand_gets_both_contributions_without_aliasing():
     assert np.array_equal(out.grad, np.ones((2, 2)))
 
 
+# right operand shape; the left operand of each product `left @ right`;
+# a skip weight for `right @ skip`, or None; whether the lefts need gradients
+RIGHT_OPERAND_CASES = {
+    # the coefficient matrix: a constant square left operand
+    "square_constant_left": ((6, 4), [(6, 6)], None, False),
+    # the experts' weights (f_in, f_out) under an activation
+    "weight_8x32": ((8, 32), [(5, 8)], None, True),
+    "weight_32x2": ((32, 2), [(5, 32)], None, True),
+    "weight_8x2": ((8, 2), [(5, 8)], None, True),
+    # one right operand in a skip product and two products, as gcn_skip
+    # uses h: the later gradients add onto the first, a transposed view
+    "shared_right_operand": ((6, 4), [(6, 6), (6, 6)], (4, 3), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RIGHT_OPERAND_CASES))
+def test_matmul_right_operand_gradient_matches_numpy(name):
+    right, lefts, skip, left_grad = RIGHT_OPERAND_CASES[name]
+    rng = np.random.default_rng(len(name))
+    a = [T.Tensor(rng.uniform(-2.0, 2.0, s), requires_grad=left_grad) for s in lefts]
+    g = [rng.uniform(-2.0, 2.0, (s[0], right[1])) for s in lefts]
+    b = T.Tensor(rng.uniform(-2.0, 2.0, right), requires_grad=True)
+    want = sum(x.values.T @ w for x, w in zip(a, g))
+    if skip is not None:
+        s, g_skip = rng.uniform(-2.0, 2.0, skip), rng.uniform(-2.0, 2.0, (right[0], skip[1]))
+        want = want + g_skip @ s.T
+
+    def fn(ins):
+        # total(out * w) hands each product's output exactly w; the skip
+        # product is recorded first, so its gradient is accumulated last
+        loss = 0.0 if skip is None else total(T.matmul(ins[0], s) * g_skip)
+        return sum((total(T.matmul(x, ins[0]) * w) for x, w in zip(a, g)), loss)
+
+    T.backward(fn([b]))
+    assert np.abs(b.grad - want).max() <= 1e-12 * np.abs(want).max()
+    assert T.check_gradient(fn, [b, *a], 1e-5) < 1e-4
+
+
 MIXED_CASES = {
     "matmul": (lambda c, v: total(T.matmul(c, v)), lambda c, v: total(T.matmul(v, c))),
     "mul": (lambda c, v: total(c * v * v), lambda c, v: total(v * c)),
