@@ -58,8 +58,8 @@ class Graph:
     @cached_property
     def first_aggregation(self) -> T.Tensor:
         """coefficients @ features, a graph convolution's first aggregation.
-        Built by T.matmul inside the first forward that reads it, so a trace
-        counts it as that forward's work."""
+        Built by T.matmul inside its first reader, a forward or the blindspot
+        check, so a trace counts it as that reader's work."""
         return T.matmul(self.coefficients, self.feature_tensor)
 
     def neighbors(self, v: int) -> np.ndarray:
@@ -387,15 +387,16 @@ def blindspot_cancellation_gap(instance: BlindspotInstance) -> float:
     g, k = instance.graph, instance.k
     required = sorted(khop_neighborhood(g, instance.u, k - 1)
                       | khop_neighborhood(g, instance.v, k - 1))
-    return float(np.abs(g.coefficients.values[required] @ g.features).max())
+    return float(np.abs(g.first_aggregation.values[required]).max())
 
 
 # ---- neighborhood statistics and cost model ----
 
 def khop_sizes(graph: Graph, num_layers: int):
-    """[b_0 .. b_{L-1}]: average count of nodes within i hops (self included)."""
-    if num_layers < 1:
-        raise ConfigError(f"num_layers must be >= 1, got {num_layers}")
+    """[b_0 .. b_{L-1}]: average count of nodes within i hops (self included).
+    L is at most n: no hop beyond n - 1 reaches a new node."""
+    if not 1 <= num_layers <= graph.num_nodes:
+        raise ConfigError(f"num_layers must be in [1, {graph.num_nodes}], got {num_layers}")
     totals = np.zeros(num_layers)
     for v in range(graph.num_nodes):
         seen = {v}

@@ -8,6 +8,8 @@ confidence-blended prediction, which never exceeds it.
 `mixture_rows` is the one per-node mixture objective, the chained gate
 over m experts' loss rows; the two-expert loss is its m = 2 case. The
 rows may be live or constant, as a training turn's frozen side is.
+Neither it nor `blend_rows` checks values; the public losses and
+`infer_stochastic` check theirs once, where they enter.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ def _values(x) -> np.ndarray:
     return x.values if isinstance(x, T.Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _check(conf=None, **rows):
+def _check(*confs, **rows):
     """DomainError unless each named operand is a matrix of probability
-    rows and `conf`, when given, lies in [0, 1]."""
+    rows and each of `confs` lies in [0, 1]."""
     for name, p in rows.items():
         p = _values(p)
         if p.ndim != 2:
@@ -34,8 +36,8 @@ def _check(conf=None, **rows):
         if not on_simplex(p):
             bad = next(i for i, row in enumerate(p) if not on_simplex(row))
             raise DomainError(f"{name} row {bad} is off the probability simplex")
-    if conf is not None:
-        c = _values(conf)
+    for c in confs:
+        c = _values(c)
         if not (c.min() >= 0.0 and c.max() <= 1.0):
             raise DomainError("confidence values must lie in [0, 1]")
 
@@ -62,8 +64,6 @@ def mixture_rows(confidences, losses) -> T.Tensor:
         raise ConfigError(
             f"{len(losses)} experts need {len(losses) - 1} confidence rows, "
             f"got {len(confidences)}")
-    for c in confidences:
-        _check(c)
     tail = losses[-1]
     for c, loss in reversed(list(zip(confidences, losses))):
         tail = c * loss + (c * (-1.0) + 1.0) * tail
@@ -76,8 +76,9 @@ def mixture_loss(p_weak, p_strong, conf, labels) -> T.Tensor:
     Differentiable through every tensor argument; the weights collapse
     the loss to a single expert at c identically 0 or 1.
     """
-    return T.mean_all(mixture_rows([conf], [cross_entropy_rows(p_weak, labels, "p_weak"),
-                                            cross_entropy_rows(p_strong, labels, "p_strong")]))
+    _check(conf, p_weak=p_weak, p_strong=p_strong)
+    return T.mean_all(mixture_rows([conf], [T.nll_rows(p_weak, labels),
+                                            T.nll_rows(p_strong, labels)]))
 
 
 def blend_rows(p_weak, p_strong, conf) -> T.Tensor:
@@ -86,21 +87,18 @@ def blend_rows(p_weak, p_strong, conf) -> T.Tensor:
     return col * p_weak + (col * (-1.0) + 1.0) * p_strong
 
 
-def blend_loss_rows(p_weak, p_strong, conf, labels) -> T.Tensor:
-    """Per-node cross-entropy of the blended prediction."""
-    _check(conf, p_weak=p_weak, p_strong=p_strong)
-    return cross_entropy_rows(blend_rows(p_weak, p_strong, conf), labels, "blend")
-
-
 def blend_loss(p_weak, p_strong, conf, labels) -> T.Tensor:
-    """Cross-entropy of the blended prediction; <= mixture_loss pointwise."""
-    return T.mean_all(blend_loss_rows(p_weak, p_strong, conf, labels))
+    """Cross-entropy of the blended prediction; <= mixture_loss pointwise.
+    A convex blend of checked probability rows needs no second check."""
+    _check(conf, p_weak=p_weak, p_strong=p_strong)
+    return T.mean_all(T.nll_rows(blend_rows(p_weak, p_strong, conf), labels))
 
 
 def multi_expert_loss(prob_list, confidences, labels) -> T.Tensor:
     """Chained-gate loss over progressively stronger experts."""
-    return T.mean_all(mixture_rows(confidences, [
-        cross_entropy_rows(p, labels, f"expert {m}") for m, p in enumerate(prob_list)]))
+    losses = [cross_entropy_rows(p, labels, f"expert {m}") for m, p in enumerate(prob_list)]
+    _check(*confidences)
+    return T.mean_all(mixture_rows(confidences, losses))
 
 
 def infer_stochastic(p_weak, p_strong, conf, seed: int):

@@ -4,8 +4,8 @@ Sized for small perceptron stacks and graph convolutions: eager forward
 evaluation, per-primitive backward closures, and a central-difference
 oracle (`check_gradient`) that stays independent of the reverse pass.
 
-`Tensor(...)` rejects NaN/Inf when it is built; primitive outputs, and
-a `constant` finite by construction, are not scanned. A tensor that
+`Tensor(...)` rejects NaN/Inf when it is built; primitive outputs and
+a `constant` are not scanned. A tensor that
 neither requires a gradient nor was produced from one that does is a
 constant: the reverse pass computes, allocates and stores nothing for it.
 
@@ -96,8 +96,9 @@ def _coerce(x) -> Tensor:
 
 
 def constant(values) -> Tensor:
-    """`values`, finite by construction, as a constant tensor: no
-    finiteness scan and no record."""
+    """`values` as a constant tensor: no finiteness scan and no record.
+    For values finite by construction, or a training turn's frozen
+    forward, whose non-finite values surface at the loss check."""
     return _make(np.asarray(values, dtype=np.float64), None, (), None)
 
 

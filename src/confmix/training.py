@@ -8,29 +8,27 @@ is operationalized as early stopping on validation loss with a patience
 window, capped by max_epochs. Joint mode updates everything at once on
 the mixture loss; blend mode does the same on the blend loss.
 
-Every mixture epoch calls `mixture.mixture_rows`, the two-expert case of
-the chained gate. A turn computes its frozen side's cross-entropy rows
-(and, in the strong turn, the frozen confidence) once and passes them as
-constants; joint mode passes both sides live. Every phase, pretraining
-included, fails with TrainingDivergedError on a non-finite loss term.
+Every phase builds its per-node loss terms, unchecked, from `T.nll_rows`,
+`mixture_rows` (the chained gate) and `blend_rows`. A turn computes its
+frozen side (and, in the strong turn, its confidence) once, quietly, as
+constants; joint mode passes both sides live. One check catches a
+divergence in every phase, pretraining included: an epoch's terms must
+all be finite, a frozen side's among them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .confidence import (ConfidenceSpec, _gate_kind, confidence_batch, confidence_rows,
-                         default_spec)
+from .confidence import ConfidenceSpec, _gate_kind, confidence_rows, default_spec
 from .documents import write_csv
 from .errors import ConfigError, DomainError, TrainingDivergedError
 from .experts import ExpertArch, ExpertModel, check_role, forward, init_expert
 from .graphs import Graph
-from .mixture import (blend_loss_rows, cross_entropy_rows, infer_expected,
-                      infer_stochastic, mixture_rows)
+from .mixture import blend_rows, infer_expected, infer_stochastic, mixture_rows
 
 MODES = ("in_turn", "joint", "blend")
 PRETRAIN_CHOICES = ("none", "weak", "strong", "both")
@@ -111,19 +109,15 @@ def _sgd_step(params, lr):
 def _epoch_loss(terms_fn, splits: dict, epoch: int):
     """(train mean as a Tensor, val mean as a float) of every node's loss
     terms; the val mean reads the train ids when val is empty. The split
-    ids were checked when the graph was built. A term or mean that is not
-    finite is a TrainingDivergedError."""
-    try:
-        terms = terms_fn()
-    except DomainError as e:
-        raise TrainingDivergedError(f"non-finite values at epoch {epoch}") from e
+    ids were checked when the graph was built. A non-finite term is a
+    TrainingDivergedError; each is a clamped cross-entropy under gates in
+    [0, 1], so finite terms give finite means."""
+    terms = terms_fn()
+    if not np.isfinite(terms.values).all():
+        raise TrainingDivergedError(f"non-finite values at epoch {epoch}")
     train_ids = splits["train"]
     val_ids = splits["val"] if splits["val"].size else train_ids
-    train_loss = T.mean_rows(terms, train_ids)
-    val_loss = float(terms.values[val_ids].mean())
-    if not math.isfinite(train_loss.item()) or not math.isfinite(val_loss):
-        raise TrainingDivergedError(f"loss diverged at epoch {epoch}")
-    return train_loss, val_loss
+    return T.mean_rows(terms, train_ids), float(terms.values[val_ids].mean())
 
 
 def _run_phase(params, splits, lr, max_epochs, patience, terms_fn, record):
@@ -149,7 +143,7 @@ def _run_phase(params, splits, lr, max_epochs, patience, terms_fn, record):
 
 def _ce_terms(model: ExpertModel, graph: Graph):
     """A builder of every node's cross-entropy under `model`."""
-    return lambda: cross_entropy_rows(forward(model, graph), graph.labels)
+    return lambda: T.nll_rows(forward(model, graph), graph.labels)
 
 
 def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
@@ -177,25 +171,28 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
     weak_params = list(weak.parameters()) + gate_params
     strong_params = list(strong.parameters())
 
-    def weak_ce(pw):
-        return cross_entropy_rows(pw, labels, "p_weak")
+    def ce(rows):
+        return T.nll_rows(rows, labels)
 
-    def strong_ce(ps):
-        return cross_entropy_rows(ps, labels, "p_strong")
+    # a turn's frozen side is computed quietly, wrapped as a constant and
+    # scored once; a non-finite frozen row surfaces at epoch 0's check
+    def frozen(compute):
+        with np.errstate(**_QUIET):
+            return T.constant(compute().values)
 
-    # a turn's frozen side is constant: it is wrapped, checked and scored once
-    def weak_turn_terms(frozen_strong):
-        frozen = strong_ce(T.Tensor(frozen_strong))
+    def weak_turn_terms():
+        frozen_ce = ce(frozen(lambda: forward(strong, graph)))
 
         def terms():
             pw = forward(weak, graph)
-            return mixture_rows([confidence_rows(pw, spec)], [weak_ce(pw), frozen])
+            return mixture_rows([confidence_rows(pw, spec)], [ce(pw), frozen_ce])
         return terms
 
-    def strong_turn_terms(frozen_weak):
-        frozen = weak_ce(T.Tensor(frozen_weak))
-        conf = T.Tensor(confidence_batch(frozen_weak, spec))
-        return lambda: mixture_rows([conf], [frozen, strong_ce(forward(strong, graph))])
+    def strong_turn_terms():
+        pw = frozen(lambda: forward(weak, graph))
+        # a constant: no gradient reaches a learnable gate in the strong turn
+        conf, frozen_ce = frozen(lambda: confidence_rows(pw, spec)), ce(pw)
+        return lambda: mixture_rows([conf], [frozen_ce, ce(forward(strong, graph))])
 
     def phase(params, max_epochs, terms_fn, round_idx, turn):
         _run_phase(params, graph.splits, config.lr, max_epochs, config.patience, terms_fn,
@@ -214,18 +211,16 @@ def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
 
     if config.mode == "in_turn":
         for round_idx in range(1, config.rounds + 1):
-            phase(weak_params, config.max_epochs,
-                  weak_turn_terms(forward(strong, graph).values), round_idx, "weak")
-            phase(strong_params, config.max_epochs,
-                  strong_turn_terms(forward(weak, graph).values), round_idx, "strong")
+            phase(weak_params, config.max_epochs, weak_turn_terms(), round_idx, "weak")
+            phase(strong_params, config.max_epochs, strong_turn_terms(), round_idx, "strong")
             scores = record_round(round_idx)
     else:
         def terms():
             pw, ps = forward(weak, graph), forward(strong, graph)
             conf = confidence_rows(pw, spec)
             if config.mode == "blend":
-                return blend_loss_rows(pw, ps, conf, labels)
-            return mixture_rows([conf], [weak_ce(pw), strong_ce(ps)])
+                return ce(blend_rows(pw, ps, conf))
+            return mixture_rows([conf], [ce(pw), ce(ps)])
 
         phase(weak_params + strong_params, config.rounds * config.max_epochs, terms, 1,
               config.mode)
@@ -278,7 +273,7 @@ def predict(weak: ExpertModel, strong: ExpertModel, spec: ConfidenceSpec,
         for role, rows in (("weak", pw), ("strong", ps)):
             if not np.all(np.isfinite(rows)):
                 raise DomainError(f"the {role} expert's predictions are not finite")
-        conf = confidence_batch(pw, spec)
+        conf = confidence_rows(T.constant(pw), spec).values
     if not np.all(np.isfinite(conf)):
         raise DomainError(f"the {_gate_kind(spec.gate)} gate's confidences are not finite")
     return pw, ps, conf

@@ -392,6 +392,9 @@ BAD_INPUTS = {
     "verify_count_not_int": _cli("verify", "--suite", "theorem", "--seed", "1",
                                  config={"binary-count": "x"}),
     "cost_layers_not_int": _cli("cost", "--data", "DATA", config={"layers": "two"}),
+    # more layers than nodes: once a MemoryError or a numpy ValueError traceback
+    "cost_layers_beyond_nodes": _cli("cost", "--data", "DATA",
+                                     "--layers", "99999999999999999999"),
     "infer_roles_swapped": _infer(lambda c: c["gcn"], lambda c: c["weak"]),
     "infer_gcn_skip_without_skip": _infer(lambda c: c["weak"],
                                           lambda c: _skip_from(c["gcn_skip"], None)),
@@ -493,6 +496,7 @@ NAMED_IN_ERROR = {"checkpoint_not_json": "malformed checkpoint document at byte 
                   "spec_slope_string": "gate slope must be a finite float, got '2'",
                   "graph_split_id_repeated": "appears more than once across the splits",
                   "infer_overflowing_gate": "learnable gate",
+                  "cost_layers_beyond_nodes": "num_layers must be in [1, 50]",
                   "config_unknown_key": "config key 'max_epochs' is read by no command"}
 
 
@@ -547,15 +551,36 @@ def test_training_failure_exits_3(tmp_path, small_graph_path, monkeypatch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("pretrain", ["none", "strong", "both"])
-def test_overflowing_training_exits_3(tmp_path, small_graph_path, capsys, pretrain):
-    # primitive outputs are not scanned; the loss's simplex check finds the
-    # NaN rows, in pretraining too, and numpy's overflow warnings stay quiet
-    argv = train_args(small_graph_path, tmp_path, ["--lr", "1e300", "--pretrain", pretrain])
+@pytest.mark.parametrize("pretrain, extra, epoch", [
+    pytest.param("none", [], 1, id="none"),
+    pytest.param("strong", [], 1, id="strong"),
+    pytest.param("both", [], 1, id="both"),
+    # one pretraining step overflows the weights, so a turn's frozen side
+    # is non-finite from the start
+    pytest.param("strong", ["--pretrain-epochs", "1"], 0, id="strong_one_epoch"),
+    pytest.param("both", ["--pretrain-epochs", "1"], 0, id="both_one_epoch"),
+    pytest.param("both", ["--pretrain-epochs", "1", "--config", "LEARNABLE"], 0,
+                 id="learnable_gate_one_epoch")])
+def test_overflowing_training_exits_3(tmp_path, small_graph_path, capsys, pretrain, extra,
+                                      epoch):
+    # primitive outputs are not scanned; the epoch's finiteness check finds
+    # the NaN terms, in pretraining and frozen sides too, and numpy's
+    # overflow warnings stay quiet
+    learnable = {"confidence": spec_to_document(
+        ConfidenceSpec("variance", LearnableGate.create(3, hidden=4)))}
+    extra = [_write(tmp_path, "run.json", learnable) if a == "LEARNABLE" else a for a in extra]
+    argv = train_args(small_graph_path, tmp_path, ["--lr", "1e300", "--pretrain", pretrain,
+                                                   *extra])
     assert run_cli(argv) == 3
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert err.startswith("training failed: non-finite values at epoch")
+    assert capsys.readouterr().err == f"training failed: non-finite values at epoch {epoch}\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflow_the_softmax_absorbs_trains_quietly(tmp_path, small_graph_path, capsys):
+    """Steps of 1e308 overflow logits the softmax still maps to finite rows,
+    in the strong turn's frozen weak forward too: exit 0, no warning."""
+    assert run_cli(train_args(small_graph_path, tmp_path, ["--lr", "1e308"])) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_uniform_weak_row_under_neg_entropy_trains(tmp_path):

@@ -199,9 +199,9 @@ BIT_SPECS = [ConfidenceSpec(kind, gate) for kind in ("variance", "neg_entropy")
 
 
 def test_tensor_path_matches_numpy_path():
-    """In-turn training scores live weak rows through confidence_rows, the
-    strong turn and infer score frozen ones through confidence_batch:
-    the two routes agree to the bit."""
+    """Training and infer score every confidence through confidence_rows;
+    the numpy route of confidence_batch serves the theory oracles and the
+    scalar `confidence`. The two routes agree to the bit."""
     for n in range(2, 9):
         rows = _dirichlet_rows(n, seed=n)
         for spec in BIT_SPECS:

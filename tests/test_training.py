@@ -1,6 +1,7 @@
 """Training loops: determinism, collapse reductions, evaluation, reports."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from confmix.confidence import (ConfidenceSpec, LearnableGate, StepGate, confide
                                 confidence_rows, default_spec)
 from confmix.errors import ConfigError, DomainError, TrainingDivergedError
 from confmix.experts import ExpertArch, forward, init_expert
-from confmix import graphs
+from confmix import graphs, mixture, training
 from confmix.graphs import build_graph, generate_specialization_graph
 from confmix.mixture import cross_entropy_rows, mixture_rows
 from confmix.training import (TrainConfig, _run_phase, _sgd_step, evaluate,
@@ -220,20 +221,23 @@ def test_evaluate_random_uniform_predictions_near_half():
 
 
 def test_divergence_guards():
+    """One check stops a phase: a non-finite loss term, a val node's or a
+    train node's, before any step. A builder's own error is not converted."""
     params = [T.Tensor([1.0, 2.0], requires_grad=True)]
     splits = {"train": np.array([0]), "val": np.array([1])}
 
-    def nan_val_terms():
-        terms = params[0] * params[0]
-        terms.values[1] = np.nan   # as from an overflow the engine does not scan for
-        return terms
-    with pytest.raises(TrainingDivergedError) as err:
-        _run_phase(params, splits, 0.1, 5, 3, nan_val_terms, lambda *a: None)
-    assert "loss diverged at epoch 0" in str(err.value)
+    for node, bad in ((1, np.nan), (0, np.inf)):
+        def bad_terms():
+            terms = params[0] * params[0]
+            terms.values[node] = bad   # as from an overflow the engine does not scan for
+            return terms
+        with pytest.raises(TrainingDivergedError, match="^non-finite values at epoch 0$"):
+            _run_phase(params, splits, 0.1, 5, 3, bad_terms, lambda *a: None)
+        assert params[0].values.tolist() == [1.0, 2.0]
 
     def domain_error_terms():
-        raise DomainError("overflow")
-    with pytest.raises(TrainingDivergedError, match="non-finite values at epoch 0"):
+        raise DomainError("a bad operand")
+    with pytest.raises(DomainError, match="a bad operand"):
         _run_phase(params, splits, 0.1, 5, 3, domain_error_terms, lambda *a: None)
 
 
@@ -394,3 +398,54 @@ def test_epochs_build_no_tensors(graph, monkeypatch, spec):
         assert len(result.report.loss_rows) == 2 * 2 * max_epochs
         counts.append(len(built))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("mode", ["in_turn", "joint", "blend"])
+def test_epochs_make_no_simplex_or_range_check(graph, monkeypatch, mode):
+    """The train path's one divergence check is the epoch's finiteness
+    test: no phase, pretraining included, checks values per epoch."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # the package's `confidence` attribute is the scalar function
+    confidence = sys.modules["confmix.confidence"]
+    monkeypatch.setattr(mixture, "_check", counted(mixture._check))
+    on_simplex = counted(confidence.on_simplex)
+    for module in (confidence, mixture):
+        monkeypatch.setattr(module, "on_simplex", on_simplex)
+    counts = []
+    for max_epochs in (3, 6):
+        calls.clear()
+        train(small_config(mode=mode, max_epochs=max_epochs, patience=7, pretrain="both",
+                           pretrain_epochs=max_epochs), graph)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_strong_turn_tapes_never_reach_a_learnable_gate(graph, monkeypatch):
+    """The strong turn's frozen confidence is a constant, so its tapes reach
+    no gate parameter; the weak turn's reach every one."""
+    spec = ConfidenceSpec("variance", LearnableGate.create(3, hidden=4))
+    gate = {id(p) for p in spec.parameters()}
+    run_phase = training._run_phase
+    reached = {"weak": [], "strong": []}
+
+    def watched(params, splits, lr, max_epochs, patience, terms_fn, record):
+        turn = "weak" if gate & {id(p) for p in params} else "strong"
+
+        def terms():
+            out = terms_fn()
+            leaves = {id(t) for t in T.Tape.from_output(out).leaves()}
+            reached[turn].append(len(gate & leaves))
+            return out
+        run_phase(params, splits, lr, max_epochs, patience, terms, record)
+
+    monkeypatch.setattr(training, "_run_phase", watched)
+    train(small_config(max_epochs=5, spec=spec), graph)
+    assert reached["strong"] and set(reached["strong"]) == {0}
+    assert reached["weak"] and set(reached["weak"]) == {len(gate)}
