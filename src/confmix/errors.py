@@ -3,6 +3,7 @@ value from outside the program or raises a ConfigError; and `as_array`,
 which reads a numeric array from a document by the same rule."""
 
 import math
+from collections import Counter
 from itertools import chain
 
 import numpy as np
@@ -85,7 +86,10 @@ def as_array(values, dtype, ndim: int, what: str, error) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):   # ragged rows, huge ints
         pass
     if ndim == 2 and isinstance(values, list) and all(isinstance(r, list) for r in values):
-        ragged = next((i for i, r in enumerate(values) if len(r) != len(values[0])), None)
-        if ragged is not None:
+        # the odd row is the first whose width differs from the most common one
+        widths = Counter(map(len, values))
+        if len(widths) > 1:
+            width = widths.most_common(1)[0][0]
+            ragged = next(i for i, r in enumerate(values) if len(r) != width)
             raise error(f"{what} row {ragged} has ragged width")
     raise error(f"{what} must be {_SHAPES[dtype][ndim]}")

@@ -81,6 +81,8 @@ def build_graph(num_nodes, num_classes, features, labels, edges, splits) -> Grap
     if features.shape[0] != n:
         raise GraphValidationError(
             f"features must be {n} rows, got shape {features.shape}")
+    if features.shape[1] == 0:
+        raise GraphValidationError("features must have at least one column")
     if labels.shape != (n,):
         raise GraphValidationError(f"labels must have length {n}")
     bad = np.nonzero((labels < 0) | (labels >= num_classes))[0]

@@ -12,7 +12,7 @@ actually explored.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -89,6 +89,11 @@ def alpha_loss(p, alpha) -> float:
         raise DomainError(f"prediction off the simplex: {p!r}")
     if not on_simplex(alpha):
         raise DomainError(f"label distribution off the simplex: {alpha!r}")
+    return _loss_at(p, alpha)
+
+
+def _loss_at(p: np.ndarray, alpha: np.ndarray) -> float:
+    """alpha_loss without its simplex checks, for vectors already on the simplex."""
     return float(-np.log(np.clip(p, T.LOG_FLOOR, 1.0)) @ alpha)
 
 
@@ -161,14 +166,19 @@ class ClauseResult:
 
 def spec_label(spec: ConfidenceSpec) -> str:
     gate = spec.gate
-    args = ",".join(f"{name}={value:g}" for name, value in asdict(gate).items())
+    args = ",".join(f"{f.name}={getattr(gate, f.name):g}" for f in fields(gate))
     return f"{spec.dispersion}+{_gate_kind(gate)}({args})"
 
 
-def _grad_bound(alpha: np.ndarray, sub_points: np.ndarray, m: int) -> float:
-    """Gradient bound of the group loss over the explored sublevel set,
-    floored per coordinate at one grid spacing."""
-    floor = np.maximum(sub_points.min(axis=0), 1.0 / m)
+def _sublevel_floor(grid: SimplexGrid, mask: np.ndarray) -> np.ndarray:
+    """Each coordinate's minimum over the masked grid points, floored at
+    one grid spacing: one 1-D pass per coordinate, no gathered rows."""
+    return np.maximum([column[mask].min() for column in grid.points.T], 1.0 / grid.m)
+
+
+def _grad_bound(alpha: np.ndarray, floor: np.ndarray) -> float:
+    """Gradient bound of the group loss over an explored sublevel set,
+    given that set's `_sublevel_floor`."""
     return float((alpha / floor).max())
 
 
@@ -181,15 +191,41 @@ def verify_theorem_case(problem: GroupProblem, grid: SimplexGrid) -> tuple:
     tolerances are grid-derived: tol = 10 * K / m with K the measured
     gradient bound of the loss over the explored sublevel set.
     """
-    if not problem.spec.is_fixed:
-        raise ConfigError("theorem verification requires a fixed confidence spec")
+    return next(_verify_cases([problem], grid))
+
+
+def _verify_cases(problems: list, grid: SimplexGrid):
+    """Yields verify_theorem_case of every problem on one grid, in order.
+    On a binary grid one lane-wise bisection first solves every case-3
+    level set. Each problem's clauses are built when it is reached, so a
+    suite of thousands of problems never holds all their clauses at once."""
     if grid.m % grid.n != 0:
         raise ConfigError("grid resolution must be divisible by n so the "
                           "uniform vector is a grid point")
+    for problem in problems:
+        if not problem.spec.is_fixed:
+            raise ConfigError("theorem verification requires a fixed confidence spec")
+        if np.abs(problem.alpha - 1.0 / problem.n).max() < 1e-12:
+            raise ConfigError("theorem requires alpha distinct from uniform")
+    # delta(alpha); a GroupProblem's alpha is already on the simplex
+    gaps = [_loss_at(problem.alpha, problem.alpha) for problem in problems]
+    levels = [None] * len(problems)
+    case3 = [i for i, problem in enumerate(problems) if gaps[i] < problem.mu]
+    if grid.n == 2 and case3:
+        a1 = np.array([problems[i].alpha[0] for i in case3])
+        mu = np.array([problems[i].mu for i in case3])
+        # 1 - p on the upper branch, p on the lower one
+        qs, ps = _branch_inverse(np.stack([1.0 - a1, a1]), mu)
+        for i, q, p in zip(case3, qs, ps):
+            levels[i] = np.array([[1.0 - q, q], [p, 1.0 - p]])
+    for problem, gap, level in zip(problems, gaps, levels):
+        yield _case_clauses(problem, gap, level, grid)
+
+
+def _case_clauses(problem: GroupProblem, gap: float, level, grid: SimplexGrid) -> tuple:
+    """One problem's (case, clauses), given delta(alpha) and, for a binary
+    case-3 problem, its exact level set: the two points where loss = mu."""
     alpha, mu, spec = problem.alpha, problem.mu, problem.spec
-    if np.abs(alpha - 1.0 / problem.n).max() < 1e-12:
-        raise ConfigError("theorem requires alpha distinct from uniform")
-    gap = delta(alpha)
     result = group_min(problem, grid)
     uniform = np.full(problem.n, 1.0 / problem.n)
 
@@ -214,8 +250,8 @@ def verify_theorem_case(problem: GroupProblem, grid: SimplexGrid) -> tuple:
         ]
 
     losses = grid.neg_logs @ alpha
-    sub_points = grid.points[losses <= mu]
-    k_bound = _grad_bound(alpha, sub_points, grid.m)
+    floor = _sublevel_floor(grid, losses <= mu)
+    k_bound = _grad_bound(alpha, floor)
     tol_obj = 10.0 * k_bound / grid.m
 
     sublevel_slack = result.loss - mu
@@ -224,13 +260,10 @@ def verify_theorem_case(problem: GroupProblem, grid: SimplexGrid) -> tuple:
     eps_c = tol_obj / max(mu - result.loss, tol_obj)
     lower_gap = float(conf_alpha - result.conf)
 
-    sub_floor = max(float(sub_points.min()), 1.0 / grid.m)
+    sub_floor = float(floor.min())
     k_disp = 2.0 if spec.dispersion == "variance" else 1.0 + abs(np.log(sub_floor))
-    if problem.n == 2:
+    if level is not None:
         # exact level set from the independent bisection oracle
-        q = _branch_inverse(1.0 - alpha[0], mu)   # 1 - p on the upper branch
-        p = _branch_inverse(alpha[0], mu)         # p on the lower branch
-        level = np.array([[1.0 - q, q], [p, 1.0 - p]])
         d_level_max = float(_dispersion_rows_np(level, spec.dispersion).max())
         upper_cap = float(spec.gate(d_level_max + k_disp * 1e-8))
     else:
@@ -307,7 +340,7 @@ def verify_tightness(alpha, mu: float, eta: float, beta: float,
     beta_bound = eta / (mu - gap)
     spec = ConfidenceSpec(dispersion, TwoLevelGate(d_max, beta))
     result = group_min(GroupProblem(alpha.size, alpha, mu, spec), grid)
-    k_bound = _grad_bound(alpha, grid.points[losses <= mu], grid.m)
+    k_bound = _grad_bound(alpha, _sublevel_floor(grid, losses <= mu))
     window_tol = 4.0 * k_bound / grid.m
     return [
         ClauseResult("beta_inside_bound", beta - beta_bound, 0.0, 0.0 < beta < beta_bound),
@@ -346,33 +379,36 @@ class BinaryBounds:
 _BRANCH_FLOOR = 1e-15
 
 
-def _binary_loss(p: float, alpha1: float) -> float:
-    """The binary group loss at first coordinate p, unclamped.
+def _binary_loss(p, alpha1):
+    """The binary group loss at first coordinate p, unclamped, elementwise.
 
     Swapping alpha1 for 1 - alpha1 evaluates it at 1 - p instead.
     """
-    return float(-alpha1 * np.log(p) - (1.0 - alpha1) * np.log(1.0 - p))
+    return -alpha1 * np.log(p) - (1.0 - alpha1) * np.log(1.0 - p)
 
 
-def _branch_inverse(alpha1: float, mu: float) -> float:
-    """x in [_BRANCH_FLOOR, alpha1] with _binary_loss(x, alpha1) = mu.
+def _branch_inverse(alpha1, mu) -> np.ndarray:
+    """x in [_BRANCH_FLOOR, alpha1] with _binary_loss(x, alpha1) = mu,
+    elementwise over the broadcast lanes of alpha1 and mu.
 
     The loss decreases on (0, alpha1], so this solves the lower branch
     for p directly, and the upper branch for q = 1 - p when given
     1 - alpha1. Bisecting on the distance from the branch's endpoint
     keeps full relative precision where p lies within 1e-9 of 1.
-    Converges to the floor when mu exceeds the loss there. Stops once the
-    midpoint equals an endpoint, which no later step can move.
+    Converges to the floor when mu exceeds the loss there. A lane is done
+    once its midpoint equals an endpoint: a later step can only move the
+    other endpoint onto it, which leaves the midpoint where it is. The
+    loop stops when every lane is done.
     """
-    lo, hi = _BRANCH_FLOOR, alpha1
+    alpha1, mu = np.broadcast_arrays(np.asarray(alpha1, dtype=np.float64),
+                                     np.asarray(mu, dtype=np.float64))
+    lo, hi = np.full(alpha1.shape, _BRANCH_FLOOR), alpha1
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
+        if ((mid == lo) | (mid == hi)).all():
             break
-        if _binary_loss(mid, alpha1) < mu:
-            hi = mid
-        else:
-            lo = mid
+        below = _binary_loss(mid, alpha1) < mu
+        lo, hi = np.where(below, lo, mid), np.where(below, mid, hi)
     return 0.5 * (lo + hi)
 
 
@@ -382,21 +418,34 @@ def binary_bounds(alpha1: float, mu: float) -> BinaryBounds:
     The inverse is solved on the analytic (unclamped) loss, independent
     of any grid; the residual is the loss minus mu at the solved point.
     """
-    if not (0.5 <= alpha1 < 1.0):
-        raise DomainError(f"alpha1 must be in [0.5, 1), got {alpha1}")
-    gap = delta(np.array([alpha1, 1.0 - alpha1]))
-    if mu <= gap:
-        raise DomainError(f"corollary needs mu > delta(alpha) = {gap:.6g}, got {mu}")
-    if _binary_loss(_BRANCH_FLOOR, 1.0 - alpha1) < mu:
-        raise DomainError(f"mu={mu} beyond the resolvable range of the branch")
-    q = _branch_inverse(1.0 - alpha1, mu)
-    return BinaryBounds(alpha1, 1.0 - q, _binary_loss(q, 1.0 - alpha1) - mu)
+    return _binary_bounds([(alpha1, mu)])[0]
+
+
+def _binary_bounds(pairs: list) -> list:
+    """binary_bounds of every (alpha1, mu) pair, from one lane-wise bisection."""
+    for alpha1, mu in pairs:
+        if not (0.5 <= alpha1 < 1.0):
+            raise DomainError(f"alpha1 must be in [0.5, 1), got {alpha1}")
+        gap = delta(np.array([alpha1, 1.0 - alpha1]))
+        if mu <= gap:
+            raise DomainError(f"corollary needs mu > delta(alpha) = {gap:.6g}, got {mu}")
+        if _binary_loss(_BRANCH_FLOOR, 1.0 - alpha1) < mu:
+            raise DomainError(f"mu={mu} beyond the resolvable range of the branch")
+    alpha1s, mus = np.array(pairs, dtype=np.float64).T
+    qs = _branch_inverse(1.0 - alpha1s, mus).tolist()
+    return [BinaryBounds(alpha1, 1.0 - q, float(_binary_loss(q, 1.0 - alpha1) - mu))
+            for (alpha1, mu), q in zip(pairs, qs)]
 
 
 def verify_binary_corollary(alpha1: float, mu: float, grid: SimplexGrid,
                             spec: ConfidenceSpec) -> list:
     """Grid minimizer's first coordinate against the bisection bounds."""
-    bounds = binary_bounds(alpha1, mu)
+    return _corollary_clauses(binary_bounds(alpha1, mu), mu, grid, spec)
+
+
+def _corollary_clauses(bounds: BinaryBounds, mu: float, grid: SimplexGrid,
+                       spec: ConfidenceSpec) -> list:
+    alpha1 = bounds.lower
     problem = GroupProblem(2, np.array([alpha1, 1.0 - alpha1]), mu, spec)
     result = group_min(problem, grid)
     p1 = float(result.point[0])
@@ -412,11 +461,15 @@ def verify_binary_corollary(alpha1: float, mu: float, grid: SimplexGrid,
 
 # ---- problem samplers ----
 
+# the ranges of the six draws: (factor, beta, slope) for variance, then neg_entropy
+_DRAW_LOWS, _DRAW_HIGHS = np.array([(0.3, 0.2, 0.5) * 2, (1.7, 0.8, 3.0) * 2])
+
+
 def _fixed_spec_for(alpha: np.ndarray, rng, index: int) -> ConfidenceSpec:
     """Spec `index` (mod 6) of a rotation of conforming fixed specs sized
     to the problem. The draws of all six are made in order, so the random
     stream does not depend on which spec is built."""
-    draws = [float(rng.uniform(lo, hi)) for lo, hi in ((0.3, 1.7), (0.2, 0.8), (0.5, 3.0)) * 2]
+    draws = rng.uniform(_DRAW_LOWS, _DRAW_HIGHS).tolist()
     which, shape = divmod(index % 6, 3)
     kind = ("variance", "neg_entropy")[which]
     factor, beta, slope = draws[3 * which:3 * which + 3]
@@ -438,7 +491,7 @@ def sample_binary_problems(count: int, seed: int, m: int) -> list:
         else:
             a1 = float(rng.uniform(0.55, 0.95))
             alpha = np.array([a1, 1.0 - a1])
-        gap = delta(alpha)
+        gap = _loss_at(alpha, alpha)
         if case == 1:
             mu = gap * float(rng.uniform(0.2, 0.8))
         elif case == 2:
@@ -459,7 +512,7 @@ def sample_ternary_problems(count: int, seed: int, m: int) -> list:
             alpha = raw / raw.sum()
             if alpha.min() < 0.12 or np.abs(alpha - 1.0 / 3).max() < 1e-3:
                 continue
-            if case != 3 or resolvable_mu_cap(alpha, m) - delta(alpha) >= 0.1:
+            if case != 3 or resolvable_mu_cap(alpha, m) - _loss_at(alpha, alpha) >= 0.1:
                 break
         if case == 2:
             ints = np.floor(alpha * m).astype(np.int64)
@@ -467,7 +520,7 @@ def sample_ternary_problems(count: int, seed: int, m: int) -> list:
             alpha = ints / float(m)
             if alpha.min() <= 0.0 or np.abs(alpha - 1.0 / 3).max() < 1e-3:
                 alpha = np.array([m // 2, m // 3, m - m // 2 - m // 3]) / float(m)
-        gap = delta(alpha)
+        gap = _loss_at(alpha, alpha)
         if case == 1:
             mu = gap * float(rng.uniform(0.2, 0.8))
         elif case == 2:
@@ -576,9 +629,9 @@ def run_theorem_suite(binary_count: int = 200, ternary_count: int = 20,
     for n, m, sample, count, problem_seed in (
             (2, 2000, sample_binary_problems, binary_count, seed),
             (3, 300, sample_ternary_problems, ternary_count, seed + 1)):
-        grid = SimplexGrid.build(n, m)
-        for problem in sample(count, problem_seed, m):
-            case, clauses = verify_theorem_case(problem, grid)
+        problems = sample(count, problem_seed, m)
+        for problem, (case, clauses) in zip(problems,
+                                            _verify_cases(problems, SimplexGrid.build(n, m))):
             suite.add(spec_label(problem.spec), clauses, case, problem)
     return suite
 
@@ -612,13 +665,14 @@ def binary_suite(seed: int) -> SuiteReport:
     suite = SuiteReport()
     rng = np.random.default_rng(seed)
     grid = SimplexGrid.build(2, 2000)
-    for i in range(50):
-        k = int(round(rng.uniform(0.55, 0.95) * grid.m))
-        a1 = k / grid.m
-        mu = delta(np.array([a1, 1.0 - a1])) + float(rng.uniform(0.08, 1.0))
+    pairs = []
+    for _ in range(50):
+        a1 = int(round(rng.uniform(0.55, 0.95) * grid.m)) / grid.m
+        pairs.append((a1, delta(np.array([a1, 1.0 - a1])) + float(rng.uniform(0.08, 1.0))))
+    for i, ((_, mu), bounds) in enumerate(zip(pairs, _binary_bounds(pairs))):
         kind = ("variance", "neg_entropy")[i % 2]
         spec = ConfidenceSpec(kind, CappedLinearGate(1.5 if kind == "variance" else 1.0))
-        suite.add(f"binary_corollary[{i}]", verify_binary_corollary(a1, mu, grid, spec))
+        suite.add(f"binary_corollary[{i}]", _corollary_clauses(bounds, mu, grid, spec))
     return suite
 
 

@@ -449,6 +449,9 @@ BAD_INPUTS = {
     # numbers follow one rule everywhere: a string or a bool is not one
     "graph_feature_string": _on_graph("train", _set("features", 0, 0, value="3")),
     "graph_feature_bool": _on_graph("train", _set("features", 0, 0, value=True)),
+    # every row empty: a (n, 0) matrix no expert can be sized for
+    "graph_features_zero_width": _on_graph(
+        "train", lambda doc: doc.update(features=[[] for _ in doc["features"]])),
     "spec_learnable_weight_string": _spec({"kind": "learnable", "weights": [
         [[["3", 0.0], [0.0, 1.0]], [0.0, 0.0]]]}),
     "spec_learnable_weight_bool": _spec({"kind": "learnable", "weights": [
@@ -495,6 +498,7 @@ NAMED_IN_ERROR = {"checkpoint_not_json": "malformed checkpoint document at byte 
                   "config_arch_hidden_string": "weak_arch.hidden must be an integer, got '4'",
                   "spec_slope_string": "gate slope must be a finite float, got '2'",
                   "graph_split_id_repeated": "appears more than once across the splits",
+                  "graph_features_zero_width": "features must have at least one column",
                   "infer_overflowing_gate": "learnable gate",
                   "cost_layers_beyond_nodes": "num_layers must be in [1, 50]",
                   "config_unknown_key": "config key 'max_epochs' is read by no command"}

@@ -171,6 +171,16 @@ def test_ragged_features_rejected(tmp_path):
     assert "row 1" in str(err.value)
 
 
+@pytest.mark.parametrize("features, odd", [
+    ([[1.0], [0.0, 1.0], [1.0, 0.0]], 0),
+    ([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0, 0.0], [1.0]], 2),
+])
+def test_ragged_features_name_the_odd_row(tmp_path, features, odd):
+    doc = tiny_graph(num_nodes=len(features), features=features)
+    with pytest.raises(GraphValidationError, match=f"features row {odd} has ragged width"):
+        load_graph(write_doc(tmp_path, doc))
+
+
 def test_unknown_keys_rejected(tmp_path):
     doc = tiny_graph()
     doc["weights"] = [1.0]

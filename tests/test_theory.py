@@ -15,11 +15,12 @@ from confmix.confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
 from confmix.errors import ConfigError, DomainError, GraphValidationError
 from confmix.experts import forward
 from confmix.graphs import build_blindspot_graph
-from confmix.theory import (_BRANCH_FLOOR, BinaryBounds, GroupProblem, SimplexGrid,
-                            _binary_loss, _branch_inverse, _compositions,
-                            _fixed_spec_for, alpha_loss, binary_bounds,
+from confmix.theory import (_BRANCH_FLOOR, BinaryBounds, ClauseResult, GroupProblem,
+                            SimplexGrid, SuiteReport, _binary_loss, _branch_inverse,
+                            _compositions, _fixed_spec_for, alpha_loss, binary_bounds,
                             build_root_separator, delta, group_min, resolvable_mu_cap,
-                            sample_binary_problems, sample_ternary_problems,
+                            run_theorem_suite, sample_binary_problems,
+                            sample_ternary_problems, spec_label,
                             verify_binary_corollary, verify_blindspot,
                             verify_step_tightness, verify_theorem_case,
                             verify_tightness)
@@ -128,6 +129,20 @@ def test_branch_inverse_equals_full_bisection(problem):
     assert _branch_inverse(*problem) == _reference_branch_inverse(*problem)
 
 
+@given(lanes=st.lists(branch_problems(), min_size=1, max_size=12),
+       floor_alpha=st.floats(1e-6, 1.0, exclude_max=True))
+@settings(max_examples=150, deadline=None)
+def test_branch_inverse_lanes_equal_scalar_bisection(lanes, floor_alpha):
+    """One array call against each lane's own scalar bisection. Lanes
+    stop at different steps; the last one converges to the floor."""
+    lanes = lanes + [(floor_alpha, _binary_loss(_BRANCH_FLOOR, floor_alpha) + 1.0)]
+    alpha1, mu = np.array(lanes).T
+    got = _branch_inverse(alpha1, mu)
+    assert got.shape == (len(lanes),)
+    assert got.tolist() == [_reference_branch_inverse(a, m) for a, m in lanes]
+    assert got[-1] < 2.0 * _BRANCH_FLOOR
+
+
 def test_fixed_spec_draws_all_six():
     """Each rotation index builds the spec the six-spec list held there
     and leaves the random stream where the list left it."""
@@ -226,6 +241,71 @@ def test_random_suites_pass(grid2, grid3):
     for problem in sample_ternary_problems(12, seed=6, m=300):
         _, clauses = verify_theorem_case(problem, grid3)
         assert all(c.passed for c in clauses), (problem.alpha, problem.mu, clauses)
+
+
+def _reference_case(problem, grid):
+    """verify_theorem_case one problem at a time: the sublevel rows
+    gathered and reduced per coordinate, and a binary level set from two
+    scalar bisections."""
+    alpha, mu, spec = problem.alpha, problem.mu, problem.spec
+    gap = delta(alpha)
+    result = group_min(problem, grid)
+    uniform = np.full(problem.n, 1.0 / problem.n)
+    if gap > mu:
+        return 1, [
+            ClauseResult.at_most("objective_zero", abs(result.value), 0.0),
+            ClauseResult.at_most("minimizer_uniform",
+                                 float(np.abs(result.point - uniform).max()), 0.0),
+            ClauseResult("confidence_zero", result.conf, 0.0, result.conf == 0.0)]
+    if gap == mu:
+        to_alpha = float(np.abs(result.point - alpha).max())
+        to_uniform = float(np.abs(result.point - uniform).max())
+        float_tol = 16.0 * np.finfo(float).eps * max(1.0, abs(mu))
+        return 2, [
+            ClauseResult.at_most("objective_zero", abs(result.value), float_tol),
+            ClauseResult.at_most("minimizer_alpha_or_uniform",
+                                 min(to_alpha, to_uniform), grid.spacing)]
+    losses = grid.neg_logs @ alpha
+    sub_points = grid.points[losses <= mu]
+    k_bound = float((alpha / np.maximum(sub_points.min(axis=0), 1.0 / grid.m)).max())
+    tol_obj = 10.0 * k_bound / grid.m
+    conf_alpha = confidence_batch(alpha[None, :], spec)[0]
+    eps_c = tol_obj / max(mu - result.loss, tol_obj)
+    sub_floor = max(float(sub_points.min()), 1.0 / grid.m)
+    k_disp = 2.0 if spec.dispersion == "variance" else 1.0 + abs(np.log(sub_floor))
+    if problem.n == 2:
+        q = _reference_branch_inverse(1.0 - alpha[0], mu)
+        p = _reference_branch_inverse(alpha[0], mu)
+        level = np.array([[1.0 - q, q], [p, 1.0 - p]])
+        d_level_max = float(_dispersion_rows_np(level, spec.dispersion).max())
+        upper_cap = float(spec.gate(d_level_max + k_disp * 1e-8))
+    else:
+        off_level = np.abs(losses - mu)
+        band_mask = off_level <= 4.0 * k_bound / grid.m
+        if not band_mask.any():
+            band_mask = off_level <= off_level.min() + 1e-15
+        d_band_max = float(grid.dispersion(spec.dispersion)[band_mask].max())
+        upper_cap = float(spec.gate(d_band_max + 10.0 * k_disp / grid.m))
+    return 3, [
+        ClauseResult("minimizer_in_strict_sublevel", result.loss - mu, 0.0,
+                     result.loss - mu < 0.0),
+        ClauseResult.at_most("confidence_at_least_at_alpha",
+                             float(conf_alpha - result.conf), eps_c),
+        ClauseResult.at_most("confidence_below_levelset_cap",
+                             float(result.conf - upper_cap), 0.0)]
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+def test_theorem_suite_rows_equal_per_problem_reference(seed, grid2, grid3):
+    want = SuiteReport()
+    for problems, grid in ((sample_binary_problems(60, seed, 2000), grid2),
+                           (sample_ternary_problems(12, seed + 1, 300), grid3)):
+        for problem in problems:
+            case, clauses = _reference_case(problem, grid)
+            want.add(spec_label(problem.spec), clauses, case, problem)
+    got = run_theorem_suite(60, 12, seed).rows
+    assert {row[0] for row in got} == {1, 2, 3}
+    assert got == want.rows
 
 
 def test_step_tightness_pins_alpha(grid2):
