@@ -85,6 +85,10 @@ def build_graph(num_nodes, num_classes, features, labels, edges, splits) -> Grap
         raise GraphValidationError("features must have at least one column")
     if labels.shape != (n,):
         raise GraphValidationError(f"labels must have length {n}")
+    # every class could label a node; more would only size the experts' outputs
+    if not 1 <= num_classes <= max(n, 1):
+        raise GraphValidationError(
+            f"num_classes must be in [1, {max(n, 1)}], got {num_classes}")
     bad = np.nonzero((labels < 0) | (labels >= num_classes))[0]
     if bad.size:
         raise GraphValidationError(

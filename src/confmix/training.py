@@ -1,24 +1,32 @@
-"""Training loops: alternating turns, joint updates, blend objective.
+"""Training: one epoch loop for every phase.
 
-The in-turn loop alternates full-batch gradient-descent phases: the weak
+The in-turn mode alternates full-batch gradient-descent turns: the weak
 expert (plus any learnable gate parameters) optimizes the mixture loss
 against a frozen strong expert, then the strong expert optimizes against
-the frozen weak side, for a fixed number of rounds. "Until convergence"
-is operationalized as early stopping on validation loss with a patience
-window, capped by max_epochs. Joint mode updates everything at once on
-the mixture loss; blend mode does the same on the blend loss.
+the frozen weak side, for a fixed number of rounds. Joint mode updates
+everything at once on the mixture loss; blend mode does the same on the
+blend loss. Each is a turn builder keyed by its `loss.csv` turn name,
+and `train` is one loop over rounds and turns.
+
+One runner, `_run_phase`, serves every phase; its stop rule is a value.
+The turns, joint mode, blend mode and the single-expert baseline stop
+early: "until convergence" is operationalized as early stopping on
+validation loss with a patience window, capped by max_epochs, and the
+best epoch's parameters are restored. Pretraining runs a fixed budget
+and keeps its last parameters.
 
 Every phase builds its per-node loss terms, unchecked, from `T.nll_rows`,
 `mixture_rows` (the chained gate) and `blend_rows`. A turn computes its
 frozen side (and, in the strong turn, its confidence) once, quietly, as
-constants; joint mode passes both sides live. One check catches a
-divergence in every phase, pretraining included: an epoch's terms must
+constants; joint and blend mode pass both sides live. One check catches
+a divergence in every phase, pretraining included: an epoch's terms must
 all be finite, a frozen side's among them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -75,6 +83,15 @@ class TrainReport:
     accuracy_rows: list = field(default_factory=list)  # (round, split, accuracy)
     metric_rows: list = field(default_factory=list)    # (split, mode, accuracy)
 
+    def add_round(self, round_idx, scores):
+        """A round's train confidence histogram and accuracy per split."""
+        # np.histogram's edges over range (0, 1)
+        edges = np.linspace(0.0, 1.0, HIST_BINS + 1)
+        for b, count in enumerate(scores["train"]["histogram"]):
+            self.hist_rows.append((round_idx, float(edges[b]), float(edges[b + 1]), count))
+        for split, split_scores in scores.items():
+            self.accuracy_rows.append((round_idx, split, split_scores["expected"]))
+
     def write_csvs(self, outdir):
         write_csv(f"{outdir}/loss.csv",
                   ["round", "turn", "epoch", "train_loss", "val_loss"], self.loss_rows)
@@ -95,152 +112,127 @@ def _snapshot(params):
     return [p.values.copy() for p in params]
 
 
-def _restore(params, snap):
-    for p, values in zip(params, snap):
-        p.values = values.copy()
-
-
 def _sgd_step(params, lr):
     for p in params:
         if p.grad is not None:
             p.values = p.values - lr * p.grad
 
 
-def _epoch_loss(terms_fn, splits: dict, epoch: int):
-    """(train mean as a Tensor, val mean as a float) of every node's loss
-    terms; the val mean reads the train ids when val is empty. The split
-    ids were checked when the graph was built. A non-finite term is a
-    TrainingDivergedError; each is a clamped cross-entropy under gates in
-    [0, 1], so finite terms give finite means."""
-    terms = terms_fn()
-    if not np.isfinite(terms.values).all():
-        raise TrainingDivergedError(f"non-finite values at epoch {epoch}")
+def _run_phase(params, splits, lr, epochs, patience, terms_fn, record=None):
+    """Full-batch gradient descent on the train mean of every node's loss
+    terms, built by `terms_fn`. A patience stops early on the val mean (the
+    train ids' when val is empty) and restores the best epoch's parameters;
+    None runs all `epochs` and keeps the last ones.
+
+    The split ids were checked when the graph was built. A non-finite term
+    is a TrainingDivergedError; each is a clamped cross-entropy under gates
+    in [0, 1], so finite terms give finite means."""
     train_ids = splits["train"]
+    if train_ids.size == 0:
+        raise ConfigError("graph has an empty train split")
     val_ids = splits["val"] if splits["val"].size else train_ids
-    return T.mean_rows(terms, train_ids), float(terms.values[val_ids].mean())
-
-
-def _run_phase(params, splits, lr, max_epochs, patience, terms_fn, record):
-    """One early-stopped gradient-descent phase over a fixed builder of
-    every node's loss terms."""
-    best_val = np.inf
-    best = _snapshot(params)
-    wait = 0
+    best_val, best, wait = np.inf, None, 0
     with np.errstate(**_QUIET):
-        for epoch in range(max_epochs):
-            train_loss, val_loss = _epoch_loss(terms_fn, splits, epoch)
-            record(epoch, train_loss.item(), val_loss)
-            if val_loss < best_val - 1e-12:
-                best_val, best, wait = val_loss, _snapshot(params), 0
-            else:
-                wait += 1
-                if wait >= patience:
+        for epoch in range(epochs):
+            terms = terms_fn()
+            if not np.isfinite(terms.values).all():
+                raise TrainingDivergedError(f"non-finite values at epoch {epoch}")
+            train_loss = T.mean_rows(terms, train_ids)
+            val_loss = float(terms.values[val_ids].mean())
+            if record is not None:
+                record(epoch, train_loss.item(), val_loss)
+            if patience is not None:
+                if val_loss < best_val - 1e-12:
+                    best_val, best, wait = val_loss, _snapshot(params), 0
+                elif (wait := wait + 1) >= patience:
                     break
             T.backward(train_loss)
             _sgd_step(params, lr)
-    _restore(params, best)
+    if best is not None:
+        for p, values in zip(params, best):
+            p.values = values
 
 
-def _ce_terms(model: ExpertModel, graph: Graph):
-    """A builder of every node's cross-entropy under `model`."""
-    return lambda: T.nll_rows(forward(model, graph), graph.labels)
+def _fit(model: ExpertModel, graph: Graph, lr, epochs, patience=None) -> ExpertModel:
+    """`model` after a phase of plain cross-entropy on the train split."""
+    _run_phase(list(model.parameters()), graph.splits, lr, epochs, patience,
+               lambda: T.nll_rows(forward(model, graph), graph.labels))
+    return model
+
+
+# Each turn builder returns (params, terms_fn) for one phase. A frozen side
+# is computed once, when the phase starts, and wrapped as a constant; the
+# caller quiets numpy, so a non-finite frozen row surfaces at epoch 0's check.
+
+def _weak_turn(weak, strong, spec, graph):
+    """The weak expert and any learnable gate against the frozen strong side."""
+    frozen_ce = T.nll_rows(T.constant(forward(strong, graph).values), graph.labels)
+
+    def terms():
+        pw = forward(weak, graph)
+        return mixture_rows([confidence_rows(pw, spec)],
+                            [T.nll_rows(pw, graph.labels), frozen_ce])
+    return [*weak.parameters(), *spec.parameters()], terms
+
+
+def _strong_turn(weak, strong, spec, graph):
+    """The strong expert against the frozen weak side; the confidence is a
+    constant too, so no gradient reaches a learnable gate."""
+    pw = T.constant(forward(weak, graph).values)
+    conf = T.constant(confidence_rows(pw, spec).values)
+    frozen_ce = T.nll_rows(pw, graph.labels)
+    return list(strong.parameters()), lambda: mixture_rows(
+        [conf], [frozen_ce, T.nll_rows(forward(strong, graph), graph.labels)])
+
+
+def _live_turn(weak, strong, spec, graph, blend=False):
+    """Both experts and any learnable gate, live, on the mixture loss or
+    the blend loss."""
+    def terms():
+        pw, ps = forward(weak, graph), forward(strong, graph)
+        conf = confidence_rows(pw, spec)
+        if blend:
+            return T.nll_rows(blend_rows(pw, ps, conf), graph.labels)
+        return mixture_rows([conf], [T.nll_rows(pw, graph.labels),
+                                     T.nll_rows(ps, graph.labels)])
+    return [*weak.parameters(), *spec.parameters(), *strong.parameters()], terms
+
+
+# keyed by the turn column of loss.csv
+_TURNS = {"weak": _weak_turn, "strong": _strong_turn, "joint": _live_turn,
+          "blend": partial(_live_turn, blend=True)}
 
 
 def train(config: TrainConfig, graph: Graph, weak: ExpertModel | None = None,
           strong: ExpertModel | None = None) -> TrainResult:
     """Run the configured training mode; deterministic under config.seed."""
     config.validate()
-    if graph.splits["train"].size == 0:
-        raise ConfigError("graph has an empty train split")
     f, n = graph.num_features, graph.num_classes
-    spec = config.spec
-
     if weak is None:
         weak = init_expert(config.weak_arch, f, n, config.seed)
     if strong is None:
         strong = init_expert(config.strong_arch, f, n, config.seed + 1)
-    if config.pretrain in ("weak", "both"):
-        _plain_ce_phase(weak, graph, config.pretrain_epochs, config.lr)
-    if config.pretrain in ("strong", "both"):
-        _plain_ce_phase(strong, graph, config.pretrain_epochs, config.lr)
+    for role, model in (("weak", weak), ("strong", strong)):
+        if config.pretrain in (role, "both"):
+            _fit(model, graph, config.lr, config.pretrain_epochs)
 
     report = TrainReport()
-    labels = graph.labels
-
-    gate_params = list(spec.parameters())
-    weak_params = list(weak.parameters()) + gate_params
-    strong_params = list(strong.parameters())
-
-    def ce(rows):
-        return T.nll_rows(rows, labels)
-
-    # a turn's frozen side is computed quietly, wrapped as a constant and
-    # scored once; a non-finite frozen row surfaces at epoch 0's check
-    def frozen(compute):
-        with np.errstate(**_QUIET):
-            return T.constant(compute().values)
-
-    def weak_turn_terms():
-        frozen_ce = ce(frozen(lambda: forward(strong, graph)))
-
-        def terms():
-            pw = forward(weak, graph)
-            return mixture_rows([confidence_rows(pw, spec)], [ce(pw), frozen_ce])
-        return terms
-
-    def strong_turn_terms():
-        pw = frozen(lambda: forward(weak, graph))
-        # a constant: no gradient reaches a learnable gate in the strong turn
-        conf, frozen_ce = frozen(lambda: confidence_rows(pw, spec)), ce(pw)
-        return lambda: mixture_rows([conf], [frozen_ce, ce(forward(strong, graph))])
-
-    def phase(params, max_epochs, terms_fn, round_idx, turn):
-        _run_phase(params, graph.splits, config.lr, max_epochs, config.patience, terms_fn,
-                   lambda e, t, v: report.loss_rows.append((round_idx, turn, e, t, v)))
-
-    def record_round(round_idx) -> dict:
-        scores = _scores(predict(weak, strong, spec, graph), graph, config.gate_seed)
-        # np.histogram's edges over range (0, 1)
-        edges = np.linspace(0.0, 1.0, HIST_BINS + 1)
-        for b, count in enumerate(scores["train"]["histogram"]):
-            report.hist_rows.append((round_idx, float(edges[b]), float(edges[b + 1]),
-                                     count))
-        for split, split_scores in scores.items():
-            report.accuracy_rows.append((round_idx, split, split_scores["expected"]))
-        return scores
-
-    if config.mode == "in_turn":
-        for round_idx in range(1, config.rounds + 1):
-            phase(weak_params, config.max_epochs, weak_turn_terms(), round_idx, "weak")
-            phase(strong_params, config.max_epochs, strong_turn_terms(), round_idx, "strong")
-            scores = record_round(round_idx)
-    else:
-        def terms():
-            pw, ps = forward(weak, graph), forward(strong, graph)
-            conf = confidence_rows(pw, spec)
-            if config.mode == "blend":
-                return ce(blend_rows(pw, ps, conf))
-            return mixture_rows([conf], [ce(pw), ce(ps)])
-
-        phase(weak_params + strong_params, config.rounds * config.max_epochs, terms, 1,
-              config.mode)
-        scores = record_round(1)
-
+    rounds, turns, budget = ((config.rounds, ("weak", "strong"), config.max_epochs)
+                             if config.mode == "in_turn" else
+                             (1, (config.mode,), config.rounds * config.max_epochs))
+    for round_idx in range(1, rounds + 1):
+        for turn in turns:
+            # built as its phase starts: the weak turn freezes the last strong phase's side
+            with np.errstate(**_QUIET):
+                params, terms_fn = _TURNS[turn](weak, strong, config.spec, graph)
+            _run_phase(params, graph.splits, config.lr, budget, config.patience, terms_fn,
+                       lambda *row: report.loss_rows.append((round_idx, turn, *row)))
+        scores = _scores(predict(weak, strong, config.spec, graph), graph, config.gate_seed)
+        report.add_round(round_idx, scores)
     # the last round scored the final models
-    for split, split_scores in scores.items():
-        report.metric_rows.append((split, "expected", split_scores["expected"]))
-        report.metric_rows.append((split, "stochastic", split_scores["stochastic"]))
-
-    return TrainResult(weak, strong, spec, report)
-
-
-def _plain_ce_phase(model: ExpertModel, graph: Graph, epochs: int, lr: float):
-    terms = _ce_terms(model, graph)
-    params = list(model.parameters())
-    with np.errstate(**_QUIET):
-        for epoch in range(epochs):
-            T.backward(_epoch_loss(terms, graph.splits, epoch)[0])
-            _sgd_step(params, lr)
+    report.metric_rows = [(split, mode, split_scores[mode]) for split, split_scores in
+                          scores.items() for mode in ("expected", "stochastic")]
+    return TrainResult(weak, strong, config.spec, report)
 
 
 def pretrain_expert(arch: ExpertArch, graph: Graph, epochs: int, lr: float,
@@ -253,11 +245,8 @@ def pretrain_expert(arch: ExpertArch, graph: Graph, epochs: int, lr: float,
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     if lr <= 0:
         raise ConfigError(f"learning rate must be > 0, got {lr}")
-    model = init_expert(arch, graph.num_features, graph.num_classes, seed)
-    if graph.splits["train"].size == 0:
-        raise ConfigError("graph has an empty train split")
-    _plain_ce_phase(model, graph, epochs, lr)
-    return model
+    return _fit(init_expert(arch, graph.num_features, graph.num_classes, seed), graph, lr,
+                epochs)
 
 
 def predict(weak: ExpertModel, strong: ExpertModel, spec: ConfidenceSpec,
@@ -317,8 +306,6 @@ def single_expert_baseline(arch: ExpertArch, graph: Graph, seed: int) -> ExpertM
     rule of a default TrainConfig's turn, but plain cross-entropy all the
     way.
     """
-    model = init_expert(arch, graph.num_features, graph.num_classes, seed)
     defaults = TrainConfig()
-    _run_phase(list(model.parameters()), graph.splits, defaults.lr, defaults.max_epochs,
-               defaults.patience, _ce_terms(model, graph), lambda e, t, v: None)
-    return model
+    return _fit(init_expert(arch, graph.num_features, graph.num_classes, seed), graph,
+                defaults.lr, defaults.max_epochs, defaults.patience)

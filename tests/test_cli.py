@@ -7,7 +7,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -96,13 +100,35 @@ def test_train_writes_reports_and_checkpoints(tmp_path, small_graph_path):
         assert (tmp_path / name).exists()
 
 
+TRAIN_OUTPUTS = ("loss.csv", "metrics.csv", "confidence_hist.csv",
+                 "weak.json", "strong.json", "confidence.json")
+
+
 def test_train_byte_identical_runs(tmp_path, small_graph_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run_cli(train_args(small_graph_path, a))
     run_cli(train_args(small_graph_path, b))
-    for name in ("loss.csv", "metrics.csv", "confidence_hist.csv",
-                 "weak.json", "strong.json", "confidence.json"):
+    for name in TRAIN_OUTPUTS:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """A default seed-7 train writes the same bytes under 1 and 2 OpenBLAS
+    threads. The thread count is set in each child process's environment."""
+    assert run_cli(["gen", "--kind", "specialization", "--seed", "7",
+                    "--out", str(tmp_path)]) == 0
+    src = str(Path(cli.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        main = "import sys; from confmix.cli import main; sys.exit(main(sys.argv[1:]))"
+        subprocess.run([sys.executable, "-c", main, "train", "--seed", "7", "--data",
+                        str(tmp_path / "specialization.json"), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outputs.append({name: (out / name).read_bytes() for name in TRAIN_OUTPUTS})
+    assert outputs[0] == outputs[1]
 
 
 def test_infer_byte_identical_runs(tmp_path, small_graph_path):
@@ -476,6 +502,9 @@ BAD_INPUTS = {
     "graph_edge_endpoint_bool": _on_graph("train", _set("edges", 0, 1, value=True)),
     "graph_split_id_string": _on_graph("train", _set("splits", "train", 0, value="1")),
     "graph_num_classes_fractional": _on_graph("train", _set("num_classes", value=2.5)),
+    # more classes than nodes: numpy would refuse the experts' allocations
+    "graph_num_classes_1e12": _on_graph("train", _set("num_classes", value=10**12)),
+    "graph_num_classes_2_62": _on_graph("train", _set("num_classes", value=2**62)),
     # a node listed twice in one split would count twice in its means
     "graph_split_id_repeated": _on_graph(
         "train", lambda doc: doc["splits"]["train"].append(doc["splits"]["train"][0])),
@@ -499,6 +528,7 @@ NAMED_IN_ERROR = {"checkpoint_not_json": "malformed checkpoint document at byte 
                   "spec_slope_string": "gate slope must be a finite float, got '2'",
                   "graph_split_id_repeated": "appears more than once across the splits",
                   "graph_features_zero_width": "features must have at least one column",
+                  "graph_num_classes_1e12": f"num_classes must be in [1, 50], got {10**12}",
                   "infer_overflowing_gate": "learnable gate",
                   "cost_layers_beyond_nodes": "num_layers must be in [1, 50]",
                   "config_unknown_key": "config key 'max_epochs' is read by no command"}
@@ -699,14 +729,29 @@ ENTRY_VALUES = st.one_of(
     JSON_VALUES, st.sampled_from([[0, 1, 2], [[0, 1]], True, 1.5, "3", None, 1e30]))
 
 
+# small counts around the graph's 50 nodes and 2 classes, and counts no
+# allocation could hold
+COUNT_VALUES = st.one_of(st.integers(-2, 60), st.sampled_from([10**12, 2**62]))
+
+
 @st.composite
 def mutated_graphs(draw, doc):
     """A valid graph document with one top-level key dropped, retyped or
-    added, or one edge, endpoint, label, split id or feature entry replaced."""
+    added; its node or class count replaced; every feature row cut or
+    extended to one new width; or one edge, endpoint, label, split id or
+    feature entry replaced."""
     doc = copy.deepcopy(doc)
-    target = draw(st.sampled_from(["top", "edges", "edge", "labels", "split", "features"]))
+    target = draw(st.sampled_from(
+        ["top", "count", "width", "edges", "edge", "labels", "split", "features"]))
     if target == "top":
         _mutate(draw, doc)
+        return doc
+    if target == "count":
+        doc[draw(st.sampled_from(["num_nodes", "num_classes"]))] = draw(COUNT_VALUES)
+        return doc
+    if target == "width":
+        width = draw(st.integers(0, 9))
+        doc["features"] = [(row * 3)[:width] for row in doc["features"]]
         return doc
     entries = {
         "edges": lambda: doc["edges"],
@@ -723,9 +768,13 @@ def mutated_graphs(draw, doc):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_mutated_graph_exits_0_or_2(data, tmp_path, small_graph_doc, checkpoints):
-    doc = data.draw(mutated_graphs(small_graph_doc))
-    argv = GRAPH_COMMANDS["infer"](tmp_path, _write(tmp_path, "graph.json", doc), checkpoints)
-    _assert_exits_0_or_2(argv + ["--out", str(tmp_path)])
+    """Every command that reads a graph, train on a budget of one epoch per
+    turn and no pretraining steps."""
+    graph = _write(tmp_path, "graph.json", data.draw(mutated_graphs(small_graph_doc)))
+    budget = {"train": ["--rounds", "1", "--max-epochs", "1", "--pretrain-epochs", "0"]}
+    for command, argv in GRAPH_COMMANDS.items():
+        _assert_exits_0_or_2(argv(tmp_path, graph, checkpoints) + budget.get(command, [])
+                             + ["--out", str(tmp_path)])
 
 
 # a fixed set, so that no retyped count or width makes a run grow

@@ -241,6 +241,46 @@ def test_divergence_guards():
         _run_phase(params, splits, 0.1, 5, 3, domain_error_terms, lambda *a: None)
 
 
+@pytest.mark.parametrize("patience, steps, snapshots, final", [
+    # p halves each step: 3, 1.5, 0.75, 0.375, 0.1875, 0.09375
+    pytest.param(None, 5, 0, 0.09375, id="fixed_budget"),
+    # val (p - 1)^2 is least at p = 0.75 (epoch 2), then rises for two epochs
+    pytest.param(2, 4, 3, 0.75, id="early_stop")])
+def test_stop_rules(monkeypatch, patience, steps, snapshots, final):
+    """A fixed budget takes every step with no snapshot and keeps the last
+    parameters; a patience stops early and restores the best epoch's."""
+    counts = {"_snapshot": 0, "_sgd_step": 0}
+    for name in counts:
+        def counted(*args, fn=getattr(training, name), name=name):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(training, name, counted)
+    p = T.Tensor(3.0, requires_grad=True)
+
+    def terms():   # node 0 trains toward p = 0, node 1 validates toward p = 1
+        d = p - T.constant(np.array([0.0, 1.0]))
+        return d * d
+    splits = {"train": np.array([0]), "val": np.array([1])}
+    rows = []
+    _run_phase([p], splits, 0.25, 5, patience, terms, lambda *row: rows.append(row))
+    assert counts == {"_snapshot": snapshots, "_sgd_step": steps}
+    assert p.values.tolist() == final
+    assert len(rows) == 5
+
+
+def test_empty_train_split_is_one_config_error():
+    """Every entry point that trains rejects an empty train split the same
+    way, before any step."""
+    empty = build_graph(3, 2, np.zeros((3, 2)), [0, 1, 0], [(0, 1)],
+                        {"train": [], "val": [1], "test": [0]})
+    arch = ExpertArch("gcn", 2, 4)
+    for run in (lambda: train(small_config(pretrain="both"), empty),
+                lambda: pretrain_expert(arch, empty, 3, 0.5, seed=1),
+                lambda: single_expert_baseline(arch, empty, seed=1)):
+        with pytest.raises(ConfigError, match="^graph has an empty train split$"):
+            run()
+
+
 def test_empty_val_split_scores_val_on_train_ids(tmp_path):
     """With no val ids, every phase's val loss is its train loss."""
     g = generate_specialization_graph(20, 4, 0.1, seed=5)
