@@ -3,7 +3,8 @@
 Commands: gen, train, infer, verify, cost. Every command takes
 --config PATH (a JSON object of defaults), with explicit flags winning
 over config values. Exit codes: 0 success, 1 verification failure,
-2 usage or config error, 3 training failure.
+2 usage, config or data error (a request that does not fit in memory
+among them), 3 training failure.
 """
 
 from __future__ import annotations
@@ -284,6 +285,12 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, ShapeError, GraphFormatError,
             GraphValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        # a bare MemoryError, as Python raises for a list too long to build,
+        # has no message
+        detail = f": {e}" if str(e) else ""
+        print(f"error: the request does not fit in memory{detail}", file=sys.stderr)
         return 2
 
 

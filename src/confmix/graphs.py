@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -61,9 +62,6 @@ class Graph:
         Built by T.matmul inside its first reader, a forward or the blindspot
         check, so a trace counts it as that reader's work."""
         return T.matmul(self.coefficients, self.feature_tensor)
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def edge_arrays(self):
         """(lo, hi): each undirected edge once, lo < hi, in sorted order."""
@@ -345,24 +343,21 @@ def build_blindspot_graph(k: int, f: int, seed: int) -> BlindspotInstance:
     return BlindspotInstance(graph, u, v, k, node_map)
 
 
-def _hop(graph: Graph, seen: set, frontier: set) -> set:
-    """One breadth-first hop: the unseen neighbors of frontier, which are
-    also added to seen."""
-    nxt = set()
-    for w in frontier:
-        nxt.update(int(t) for t in graph.neighbors(w))
-    nxt -= seen
-    seen |= nxt
-    return nxt
+def _frontiers(graph: Graph, v: int):
+    """Breadth-first search from v over the CSR rows: yields the nodes first
+    reached at each hop, starting with {v}, until a hop reaches none."""
+    indptr, indices = graph.indptr, graph.indices
+    seen, frontier = {v}, {v}
+    while frontier:
+        yield frontier
+        frontier = set().union(*(indices[indptr[w]:indptr[w + 1]].tolist()
+                                 for w in frontier)) - seen
+        seen |= frontier
 
 
 def khop_neighborhood(graph: Graph, v: int, k: int) -> set:
     """Nodes reachable from v in at most k hops, including v."""
-    seen = {v}
-    frontier = {v}
-    for _ in range(k):
-        frontier = _hop(graph, seen, frontier)
-    return seen
+    return set().union(*islice(_frontiers(graph, v), k + 1))
 
 
 def validate_blindspot(instance: BlindspotInstance):
@@ -403,15 +398,12 @@ def khop_sizes(graph: Graph, num_layers: int):
     L is at most n: no hop beyond n - 1 reaches a new node."""
     if not 1 <= num_layers <= graph.num_nodes:
         raise ConfigError(f"num_layers must be in [1, {graph.num_nodes}], got {num_layers}")
-    totals = np.zeros(num_layers)
+    # nodes first reached at each hop, summed over sources; b_i adds hops 0..i
+    counts = [0] * num_layers
     for v in range(graph.num_nodes):
-        seen = {v}
-        frontier = {v}
-        totals[0] += 1
-        for i in range(1, num_layers):
-            frontier = _hop(graph, seen, frontier)
-            totals[i] += len(seen)
-    return list(totals / graph.num_nodes)
+        for i, frontier in zip(range(num_layers), _frontiers(graph, v)):
+            counts[i] += len(frontier)
+    return list(np.cumsum(counts) / graph.num_nodes)
 
 
 def cost_estimate(graph: Graph, f: int, num_layers: int, architecture: str) -> float:

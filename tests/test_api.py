@@ -1,4 +1,10 @@
-"""The package's public names: a change to them is a deliberate edit here."""
+"""The package's public names and its dependencies: a change to either is a
+deliberate edit here."""
+
+import json
+import os
+import subprocess
+import sys
 
 import confmix
 
@@ -22,3 +28,14 @@ PUBLIC_API = [
 
 def test_public_api_is_pinned():
     assert sorted(confmix.__all__) == PUBLIC_API
+
+
+def test_cli_imports_only_numpy_and_the_standard_library():
+    # pyproject.toml declares numpy alone; an import such as scipy.sparse
+    # would also add its start-up time to every command
+    script = ("import json, sys; before = set(sys.modules); import confmix.cli; "
+              "print(json.dumps(sorted({m.partition('.')[0] for m in set(sys.modules) - before})))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(confmix.__path__[0]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert set(json.loads(out)) - {"confmix", "numpy"} - sys.stdlib_module_names == set()

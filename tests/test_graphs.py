@@ -157,6 +157,22 @@ def test_csr_matches_python_reference(case):
     assert g.indptr.tolist() == [0] + list(itertools.accumulate(len(x) for x in nbrs))
     assert g.indices.tolist() == [w for x in nbrs for w in x]
     assert edge_pairs(g) == undirected
+    # a plain breadth-first search over `nbrs`: hop distances from each node
+    dist = []
+    for v in range(n):
+        d, queue = {v: 0}, [v]
+        for w in queue:
+            for t in nbrs[w]:
+                if t not in d:
+                    d[t] = d[w] + 1
+                    queue.append(t)
+        dist.append(d)
+    for k in range(n + 1):
+        for v in range(n):
+            assert khop_neighborhood(g, v, k) == {w for w, h in dist[v].items() if h <= k}
+    for layers in range(1, n + 1):
+        assert khop_sizes(g, layers) == [
+            sum(h <= i for d in dist for h in d.values()) / n for i in range(layers)]
 
 
 def test_self_loop_rejected(tmp_path):
