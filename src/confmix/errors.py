@@ -1,6 +1,7 @@
 """Exception types shared across the package; `as_type`, which casts a
-value from outside the program or raises a ConfigError; and `as_array`,
-which reads a numeric array from a document by the same rule."""
+value from outside the program or raises a ConfigError; `as_array`,
+which reads a numeric array from a document by the same rule; and
+`check_fits`, which refuses a float array numpy cannot address."""
 
 import math
 from collections import Counter
@@ -56,6 +57,14 @@ def as_type(value, cast, key: str, text: bool = False):
         what = {int: "an integer", str: "a string"}.get(cast, f"a finite {cast.__name__}")
         raise ConfigError(f"{key} must be {what}, got {value!r}")
     return out
+
+
+def check_fits(shape, what: str):
+    """A MemoryError naming `what` when a float64 array of `shape` has more
+    bytes than numpy can address. numpy itself refuses such a shape with
+    a ValueError, and only after its caller has started building."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"{what} of shape {tuple(shape)} is more than numpy can address")
 
 
 _SHAPES = {int: ("an integer", "a list of integers", "a list of integer lists"),

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .documents import read_json, write_json
-from .errors import ConfigError, ShapeError, as_array
+from .errors import ConfigError, ShapeError, as_array, check_fits
 from .graphs import ARCHITECTURES, Graph
 
 ROLES = {"weak": ("weak",), "strong": ("gcn", "gcn_skip")}
@@ -64,8 +64,10 @@ def init_expert(arch: ExpertArch, num_features: int, num_classes: int,
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)], zero bias."""
     if arch.kind not in ARCHITECTURES:
         raise ConfigError(f"kind must be one of {ARCHITECTURES}, got {arch.kind!r}")
-    rng = np.random.default_rng(seed)
     dims = arch.dims(num_features, num_classes)
+    for shape in zip(dims[:-1], dims[1:]):
+        check_fits(shape, "a weight matrix")
+    rng = np.random.default_rng(seed)
     layers = []
     for f_in, f_out in zip(dims[:-1], dims[1:]):
         bound = 1.0 / np.sqrt(f_in)

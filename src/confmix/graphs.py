@@ -18,7 +18,8 @@ import numpy as np
 
 from . import tensor as T
 from .documents import read_json, write_json
-from .errors import ConfigError, GraphFormatError, GraphValidationError, as_array
+from .errors import (ConfigError, GraphFormatError, GraphValidationError, as_array,
+                     check_fits)
 
 _DOCUMENT_KEYS = {"num_nodes", "num_classes", "features", "labels", "edges", "splits"}
 _SPLIT_KEYS = {"train", "val", "test"}
@@ -183,8 +184,9 @@ def generate_specialization_graph(n_per_group: int, f: int, noise: float,
         raise ConfigError(f"f must be >= 2, got {f}")
     if noise < 0:
         raise ConfigError(f"noise must be >= 0, got {noise}")
-    rng = np.random.default_rng(seed)
     n = 2 * n_per_group
+    check_fits((n, f), "the feature matrix")   # the largest array built here
+    rng = np.random.default_rng(seed)
     labels = np.arange(n) % 2
     group_a = np.arange(n_per_group)
     group_b = np.arange(n_per_group, n)

@@ -7,20 +7,25 @@ checks. The blindspot check is the exception: it runs the experts and
 convolution can tell apart. The central tool is exhaustive search over a
 rational grid on the probability simplex; tolerances are derived from
 the grid spacing via data-driven gradient bounds on the sublevel set
-actually explored.
+actually explored. The theorem suite runs only that search per problem;
+its sampling and clauses are whole-array work, in blocks of at most
+_BLOCK_BYTES per (problems x grid) array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tensor as T
-from .confidence import (CappedLinearGate, ConfidenceSpec, StepGate, TwoLevelGate,
-                         _dispersion_rows_np, _gate_kind, confidence_batch, on_simplex,
-                         quasiconvexity_witness_search, spec_from_document)
+from .confidence import (DISPERSION_KINDS, CappedLinearGate, ConfidenceSpec, StepGate,
+                         TwoLevelGate, _dispersion_rows_np, _gate_kind, confidence_batch,
+                         on_simplex, quasiconvexity_witness_search, spec_from_document)
 from .documents import write_csv
 from .errors import ConfigError, DomainError
 from .experts import ExpertArch, ExpertModel, Layer, gcn_forward, init_expert
@@ -89,12 +94,14 @@ def alpha_loss(p, alpha) -> float:
         raise DomainError(f"prediction off the simplex: {p!r}")
     if not on_simplex(alpha):
         raise DomainError(f"label distribution off the simplex: {alpha!r}")
-    return _loss_at(p, alpha)
+    return float(_loss_at(p, alpha))
 
 
-def _loss_at(p: np.ndarray, alpha: np.ndarray) -> float:
-    """alpha_loss without its simplex checks, for vectors already on the simplex."""
-    return float(-np.log(np.clip(p, T.LOG_FLOOR, 1.0)) @ alpha)
+def _loss_at(p: np.ndarray, alpha: np.ndarray):
+    """alpha_loss without its simplex checks, for vectors on the simplex or
+    stacks of them: one stacked product per pair, the bits of a single dot."""
+    neg_logs = -np.log(np.clip(p, T.LOG_FLOOR, 1.0))
+    return (neg_logs[..., None, :] @ alpha[..., :, None])[..., 0, 0]
 
 
 def delta(alpha) -> float:
@@ -114,12 +121,13 @@ class GroupProblem:
         alpha = np.asarray(self.alpha, dtype=np.float64)
         if alpha.shape != (self.n,):
             raise ConfigError(f"alpha must have shape ({self.n},), got {alpha.shape}")
-        if not (alpha.min() > 0.0 and alpha.max() < 1.0):
+        values = alpha.tolist()   # plain floats: a suite builds thousands
+        if not all(0.0 < a < 1.0 for a in values):
             raise ConfigError("alpha must be strictly interior to the simplex")
-        if not abs(alpha.sum() - 1.0) <= 1e-9:
+        if not abs(sum(values) - 1.0) <= 1e-9:
             raise ConfigError("alpha must sum to 1")
         mu = float(self.mu)
-        if not np.isfinite(mu):
+        if not math.isfinite(mu):
             raise ConfigError(f"mu must be finite, got {mu}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "mu", mu)
@@ -133,25 +141,26 @@ class GroupMinimum:
     loss: float
 
 
-def group_min(problem: GroupProblem, grid: SimplexGrid) -> GroupMinimum:
+def group_min(problem: GroupProblem, grid: SimplexGrid, losses=None) -> GroupMinimum:
     """Exhaustive minimization over the grid; first (lexicographically
-    smallest) point among exact ties."""
+    smallest) point among exact ties. `losses`, when given, is the
+    problem's `grid.neg_logs @ alpha`, already computed."""
     if grid.n != problem.n:
         raise ConfigError(f"grid dimension {grid.n} != problem dimension {problem.n}")
     spec = problem.spec
-    losses = grid.neg_logs @ problem.alpha
+    if losses is None:
+        losses = grid.neg_logs @ problem.alpha
     conf = (spec.gate(grid.dispersion(spec.dispersion)) if spec.is_fixed
             else confidence_batch(grid.points, spec))
     objective = conf * (losses - problem.mu)
-    idx = int(np.argmin(objective))
+    idx = int(objective.argmin())
     return GroupMinimum(grid.points[idx].copy(), float(objective[idx]),
                         float(conf[idx]), float(losses[idx]))
 
 
 # ---- theorem clause verification ----
 
-@dataclass(frozen=True)
-class ClauseResult:
+class ClauseResult(NamedTuple):
     """One checked clause: a row of the verification report."""
     clause: str
     measured: float
@@ -165,21 +174,39 @@ class ClauseResult:
 
 
 def spec_label(spec: ConfidenceSpec) -> str:
-    gate = spec.gate
-    args = ",".join(f"{f.name}={getattr(gate, f.name):g}" for f in fields(gate))
-    return f"{spec.dispersion}+{_gate_kind(gate)}({args})"
+    args = ",".join(f"{name}={value:g}" for name, value in vars(spec.gate).items())
+    return f"{spec.dispersion}+{_gate_kind(spec.gate)}({args})"
 
 
 def _sublevel_floor(grid: SimplexGrid, mask: np.ndarray) -> np.ndarray:
-    """Each coordinate's minimum over the masked grid points, floored at
-    one grid spacing: one 1-D pass per coordinate, no gathered rows."""
-    return np.maximum([column[mask].min() for column in grid.points.T], 1.0 / grid.m)
+    """Each coordinate's minimum over the grid points a mask row keeps,
+    floored at one grid spacing: a masked reduction per coordinate over
+    the (rows x grid) mask, which gathers no points."""
+    return np.maximum(np.stack([np.min(np.broadcast_to(column, mask.shape), axis=-1, where=mask,
+                                       initial=np.inf) for column in grid.points.T], axis=-1),
+                      1.0 / grid.m)
 
 
-def _grad_bound(alpha: np.ndarray, floor: np.ndarray) -> float:
-    """Gradient bound of the group loss over an explored sublevel set,
-    given that set's `_sublevel_floor`."""
-    return float((alpha / floor).max())
+def _gates(specs: list, x: np.ndarray) -> np.ndarray:
+    """Each fixed spec's gate at its entry of x, one call per gate class:
+    the class's own __call__ reads its fields as arrays over that class's
+    entries, so each entry gets the bits of its scalar call."""
+    out = np.empty(len(specs))
+    for cls in {type(spec.gate) for spec in specs}:
+        lanes = [i for i, spec in enumerate(specs) if type(spec.gate) is cls]
+        gates = [vars(specs[i].gate) for i in lanes]
+        out[lanes] = cls.__call__(SimpleNamespace(**{
+            name: np.array([gate[name] for gate in gates]) for name in gates[0]}), x[lanes])
+    return out
+
+
+def _clause(name: str, measured: np.ndarray, tolerance, passed=None) -> tuple:
+    """A clause's columns over a case's problems, as lists; a scalar
+    tolerance is shared. `passed` defaults to measured <= tolerance, which
+    a NaN fails."""
+    passed = measured <= tolerance if passed is None else passed
+    tolerances = tolerance.tolist() if np.ndim(tolerance) else [tolerance] * measured.size
+    return name, measured.tolist(), tolerances, passed.tolist()
 
 
 def verify_theorem_case(problem: GroupProblem, grid: SimplexGrid) -> tuple:
@@ -194,94 +221,102 @@ def verify_theorem_case(problem: GroupProblem, grid: SimplexGrid) -> tuple:
     return next(_verify_cases([problem], grid))
 
 
+# bytes of each (problems x grid) array of the case-3 clauses: 32 binary
+# problems or 1 ternary one at a time
+_BLOCK_BYTES = 1 << 19
+
+
 def _verify_cases(problems: list, grid: SimplexGrid):
     """Yields verify_theorem_case of every problem on one grid, in order.
-    On a binary grid one lane-wise bisection first solves every case-3
-    level set. Each problem's clauses are built when it is reached, so a
-    suite of thousands of problems never holds all their clauses at once."""
+
+    Only group_min runs per problem. Every clause is an array expression
+    over its case's problems. The case-3 sublevel floors (and, off the
+    binary grid, the loss bands) read the losses group_min searched, in
+    blocks of problems under _BLOCK_BYTES per array; one lane-wise
+    bisection solves every binary case-3 level set. A problem's
+    ClauseResults are built when it is yielded, so a suite of thousands of
+    problems never holds all their clauses at once.
+    """
     if grid.m % grid.n != 0:
         raise ConfigError("grid resolution must be divisible by n so the "
                           "uniform vector is a grid point")
-    for problem in problems:
-        if not problem.spec.is_fixed:
-            raise ConfigError("theorem verification requires a fixed confidence spec")
-        if np.abs(problem.alpha - 1.0 / problem.n).max() < 1e-12:
-            raise ConfigError("theorem requires alpha distinct from uniform")
-    # delta(alpha); a GroupProblem's alpha is already on the simplex
-    gaps = [_loss_at(problem.alpha, problem.alpha) for problem in problems]
-    levels = [None] * len(problems)
-    case3 = [i for i, problem in enumerate(problems) if gaps[i] < problem.mu]
-    if grid.n == 2 and case3:
-        a1 = np.array([problems[i].alpha[0] for i in case3])
-        mu = np.array([problems[i].mu for i in case3])
-        # 1 - p on the upper branch, p on the lower one
-        qs, ps = _branch_inverse(np.stack([1.0 - a1, a1]), mu)
-        for i, q, p in zip(case3, qs, ps):
-            levels[i] = np.array([[1.0 - q, q], [p, 1.0 - p]])
-    for problem, gap, level in zip(problems, gaps, levels):
-        yield _case_clauses(problem, gap, level, grid)
+    if not problems:
+        return
+    specs = [problem.spec for problem in problems]
+    alphas = np.array([problem.alpha for problem in problems])
+    mus = np.array([problem.mu for problem in problems])
+    if not all(spec.is_fixed for spec in specs):
+        raise ConfigError("theorem verification requires a fixed confidence spec")
+    if (np.abs(alphas - 1.0 / alphas.shape[1]).max(axis=1) < 1e-12).any():
+        raise ConfigError("theorem requires alpha distinct from uniform")
+    gaps = _loss_at(alphas, alphas)   # delta(alpha)
+    cases = np.where(gaps > mus, 1, np.where(gaps == mus, 2, 3))
+    # each minimum kept as numbers, not as thousands of result objects
+    point, minima = np.empty((len(problems), grid.n)), np.empty((len(problems), 3))
 
+    def minimize(i, losses=None):
+        result = group_min(problems[i], grid, losses)
+        point[i], minima[i] = result.point, (result.value, result.conf, result.loss)
 
-def _case_clauses(problem: GroupProblem, gap: float, level, grid: SimplexGrid) -> tuple:
-    """One problem's (case, clauses), given delta(alpha) and, for a binary
-    case-3 problem, its exact level set: the two points where loss = mu."""
-    alpha, mu, spec = problem.alpha, problem.mu, problem.spec
-    result = group_min(problem, grid)
-    uniform = np.full(problem.n, 1.0 / problem.n)
+    one, two, three = (np.flatnonzero(cases == case) for case in (1, 2, 3))
+    for i in np.flatnonzero(cases < 3).tolist():
+        minimize(i)
+    floors, d_band = np.empty((three.size, grid.n)), np.empty(three.size)
+    size = max(1, _BLOCK_BYTES // grid.neg_logs[:, 0].nbytes)
+    for start in range(0, three.size, size):
+        block, rows = three[start:start + size], slice(start, start + size)
+        losses = np.empty((block.size, grid.neg_logs.shape[0]))
+        for i, row in zip(block.tolist(), losses):
+            minimize(i, np.matmul(grid.neg_logs, problems[i].alpha, out=row))
+        floors[rows] = _sublevel_floor(grid, losses <= mus[block, None])
+        if np.isinf(floors[rows]).any():
+            raise ConfigError("empty sublevel set at mu on this grid")
+        if grid.n != 2:
+            off_level = np.abs(losses - mus[block, None])
+            band = off_level <= (4.0 * (alphas[block] / floors[rows]).max(axis=1) / grid.m)[:, None]
+            none = ~band.any(axis=1)
+            band[none] = off_level[none] <= off_level[none].min(axis=1, keepdims=True) + 1e-15
+            for k, (i, keep) in enumerate(zip(block.tolist(), band), start):
+                d_band[k] = grid.dispersion(specs[i].dispersion).max(where=keep, initial=-np.inf)
 
-    if gap > mu:
-        return 1, [
-            ClauseResult.at_most("objective_zero", abs(result.value), 0.0),
-            ClauseResult.at_most("minimizer_uniform",
-                                 float(np.abs(result.point - uniform).max()), 0.0),
-            ClauseResult("confidence_zero", result.conf, 0.0, result.conf == 0.0),
-        ]
+    value, conf, loss = minima.T
+    off_uniform = np.abs(point - 1.0 / grid.n).max(axis=1)
+    spec3 = [specs[i] for i in three.tolist()]
+    variance = np.array([spec.dispersion == "variance" for spec in spec3], dtype=bool)
 
-    if gap == mu:
-        to_alpha = float(np.abs(result.point - alpha).max())
-        to_uniform = float(np.abs(result.point - uniform).max())
-        # the loss at the alpha grid point and mu = delta(alpha) come from
-        # two dot-product kernels that may differ in the last ulp
-        float_tol = 16.0 * np.finfo(float).eps * max(1.0, abs(mu))
-        return 2, [
-            ClauseResult.at_most("objective_zero", abs(result.value), float_tol),
-            ClauseResult.at_most("minimizer_alpha_or_uniform",
-                                 min(to_alpha, to_uniform), grid.spacing),
-        ]
+    def kind_dispersion(rows):   # each row's dispersion of its problem's kind
+        return np.where(variance, *(_dispersion_rows_np(rows, kind) for kind in DISPERSION_KINDS))
 
-    losses = grid.neg_logs @ alpha
-    floor = _sublevel_floor(grid, losses <= mu)
-    k_bound = _grad_bound(alpha, floor)
-    tol_obj = 10.0 * k_bound / grid.m
-
-    sublevel_slack = result.loss - mu
-
-    conf_alpha = confidence_batch(alpha[None, :], spec)[0]
-    eps_c = tol_obj / max(mu - result.loss, tol_obj)
-    lower_gap = float(conf_alpha - result.conf)
-
-    sub_floor = float(floor.min())
-    k_disp = 2.0 if spec.dispersion == "variance" else 1.0 + abs(np.log(sub_floor))
-    if level is not None:
+    alpha3, mu3, loss3, conf3 = alphas[three], mus[three], loss[three], conf[three]
+    tol_obj = 10.0 * (alpha3 / floors).max(axis=1) / grid.m
+    k_disp = np.where(variance, 2.0, 1.0 + np.abs(np.log(floors.min(axis=1))))
+    if grid.n == 2:
         # exact level set from the independent bisection oracle
-        d_level_max = float(_dispersion_rows_np(level, spec.dispersion).max())
-        upper_cap = float(spec.gate(d_level_max + k_disp * 1e-8))
+        qs, ps = _branch_inverse(np.stack([1.0 - alpha3[:, 0], alpha3[:, 0]]), mu3)
+        level = np.array([[1.0 - qs, qs], [ps, 1.0 - ps]]).transpose(0, 2, 1)
+        cap = _gates(spec3, kind_dispersion(level).max(axis=0) + k_disp * 1e-8)
     else:
-        band = 4.0 * k_bound / grid.m
-        off_level = np.abs(losses - mu)
-        band_mask = off_level <= band
-        if not band_mask.any():
-            band_mask = off_level <= off_level.min() + 1e-15
-        d_band_max = float(grid.dispersion(spec.dispersion)[band_mask].max())
-        upper_cap = float(spec.gate(d_band_max + 10.0 * k_disp / grid.m))
-    upper_gap = float(result.conf - upper_cap)
-
-    return 3, [
-        ClauseResult("minimizer_in_strict_sublevel", sublevel_slack, 0.0,
-                     sublevel_slack < 0.0),
-        ClauseResult.at_most("confidence_at_least_at_alpha", lower_gap, eps_c),
-        ClauseResult.at_most("confidence_below_levelset_cap", upper_gap, 0.0),
-    ]
+        cap = _gates(spec3, d_band + 10.0 * k_disp / grid.m)
+    columns = {
+        1: [_clause("objective_zero", np.abs(value[one]), 0.0),
+            _clause("minimizer_uniform", off_uniform[one], 0.0),
+            _clause("confidence_zero", conf[one], 0.0, conf[one] == 0.0)],
+        # the loss at the alpha grid point and mu = delta(alpha) come
+        # from two dot-product kernels that may differ in the last ulp
+        2: [_clause("objective_zero", np.abs(value[two]),
+                    16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(mus[two]))),
+            _clause("minimizer_alpha_or_uniform", np.minimum(
+                np.abs(point[two] - alphas[two]).max(axis=1), off_uniform[two]), grid.spacing)],
+        3: [_clause("minimizer_in_strict_sublevel", loss3 - mu3, 0.0, loss3 - mu3 < 0.0),
+            _clause("confidence_at_least_at_alpha",
+                    _gates(spec3, kind_dispersion(alpha3)) - conf3,
+                    tol_obj / np.maximum(mu3 - loss3, tol_obj)),
+            _clause("confidence_below_levelset_cap", conf3 - cap, 0.0)]}
+    position = np.empty(len(problems), dtype=np.intp)   # each problem's row in its case
+    for index in (one, two, three):
+        position[index] = np.arange(index.size)
+    for case, k in zip(cases.tolist(), position.tolist()):
+        yield case, [ClauseResult(name, m[k], t[k], p[k]) for name, m, t, p in columns[case]]
 
 
 def resolvable_mu_cap(alpha, m: int) -> float:
@@ -340,7 +375,7 @@ def verify_tightness(alpha, mu: float, eta: float, beta: float,
     beta_bound = eta / (mu - gap)
     spec = ConfidenceSpec(dispersion, TwoLevelGate(d_max, beta))
     result = group_min(GroupProblem(alpha.size, alpha, mu, spec), grid)
-    k_bound = _grad_bound(alpha, _sublevel_floor(grid, losses <= mu))
+    k_bound = float((alpha / _sublevel_floor(grid, losses <= mu)).max())
     window_tol = 4.0 * k_bound / grid.m
     return [
         ClauseResult("beta_inside_bound", beta - beta_bound, 0.0, 0.0 < beta < beta_bound),
@@ -465,41 +500,50 @@ def _corollary_clauses(bounds: BinaryBounds, mu: float, grid: SimplexGrid,
 _DRAW_LOWS, _DRAW_HIGHS = np.array([(0.3, 0.2, 0.5) * 2, (1.7, 0.8, 3.0) * 2])
 
 
-def _fixed_spec_for(alpha: np.ndarray, rng, index: int) -> ConfidenceSpec:
+def _fixed_spec(index: int, draws: list, d_alpha: list) -> ConfidenceSpec:
     """Spec `index` (mod 6) of a rotation of conforming fixed specs sized
-    to the problem. The draws of all six are made in order, so the random
-    stream does not depend on which spec is built."""
-    draws = rng.uniform(_DRAW_LOWS, _DRAW_HIGHS).tolist()
+    to the problem: `draws` are (factor, beta, slope) for variance, then
+    for neg_entropy, and `d_alpha` the dispersions of alpha of each kind."""
     which, shape = divmod(index % 6, 3)
-    kind = ("variance", "neg_entropy")[which]
+    kind = DISPERSION_KINDS[which]
     factor, beta, slope = draws[3 * which:3 * which + 3]
     if shape == 1:
-        d_alpha = float(_dispersion_rows_np(alpha[None, :], kind)[0])
-        return ConfidenceSpec(kind, TwoLevelGate(factor * max(d_alpha, 1e-6), beta))
+        return ConfidenceSpec(kind, TwoLevelGate(factor * max(d_alpha[which], 1e-6), beta))
     return ConfidenceSpec(kind, StepGate(0.0) if shape == 0 else CappedLinearGate(slope))
 
 
+def _fixed_spec_for(alpha: np.ndarray, rng, index: int) -> ConfidenceSpec:
+    """_fixed_spec from six fresh draws: the draws of all six are made in
+    order, so the random stream does not depend on which spec is built."""
+    return _fixed_spec(index, rng.uniform(_DRAW_LOWS, _DRAW_HIGHS).tolist(),
+                       [float(_dispersion_rows_np(alpha, kind)) for kind in DISPERSION_KINDS])
+
+
 def sample_binary_problems(count: int, seed: int, m: int) -> list:
-    """Random binary problems cycling case 1/2/3 and the fixed specs."""
-    rng = np.random.default_rng(seed)
-    problems = []
-    for i in range(count):
-        case = i % 3 + 1
-        if case == 2:
-            k = int(round(rng.uniform(0.55, 0.95) * m))
-            alpha = np.array([k, m - k], dtype=np.float64) / m
-        else:
-            a1 = float(rng.uniform(0.55, 0.95))
-            alpha = np.array([a1, 1.0 - a1])
-        gap = _loss_at(alpha, alpha)
-        if case == 1:
-            mu = gap * float(rng.uniform(0.2, 0.8))
-        elif case == 2:
-            mu = gap
-        else:
-            mu = gap + float(rng.uniform(0.08, 1.0))
-        problems.append(GroupProblem(2, alpha, mu, _fixed_spec_for(alpha, rng, i)))
-    return problems
+    """Random binary problems cycling case 1/2/3 and the fixed specs.
+
+    Problem i draws its alpha, then its mu unless it is case 2, then the
+    six spec draws. One `rng.random` call makes every draw, mapped as
+    `Generator.uniform` maps them: low + (high - low) * u.
+    """
+    case = np.arange(count) % 3 + 1
+    width = np.where(case == 2, 7, 8)
+    first = np.cumsum(width) - width
+    u = np.random.default_rng(seed).random(int(width.sum()))
+    a1 = 0.55 + (0.95 - 0.55) * u[first]
+    k = np.rint(a1 * m)
+    alphas = np.where((case == 2)[:, None], np.stack([k, m - k], axis=1) / m,
+                      np.stack([a1, 1.0 - a1], axis=1))
+    gaps = _loss_at(alphas, alphas)
+    mu_draw = u[first + 1]
+    mus = np.select([case == 1, case == 3], [gaps * (0.2 + (0.8 - 0.2) * mu_draw),
+                                             gaps + (0.08 + (1.0 - 0.08) * mu_draw)], gaps)
+    draws = _DRAW_LOWS + (_DRAW_HIGHS - _DRAW_LOWS) * u[(first + width - 6)[:, None]
+                                                         + np.arange(6)]
+    d_alpha = np.stack([_dispersion_rows_np(alphas, kind) for kind in DISPERSION_KINDS], axis=1)
+    # each row becomes floats only as its problem is built
+    return [GroupProblem(2, alpha, mu, _fixed_spec(i, six.tolist(), d.tolist()))
+            for i, (alpha, mu, six, d) in enumerate(zip(alphas, mus.tolist(), draws, d_alpha))]
 
 
 def sample_ternary_problems(count: int, seed: int, m: int) -> list:
@@ -608,10 +652,9 @@ class SuiteReport:
     def add(self, label: str, clauses: list, case: int = 0,
             problem: GroupProblem | None = None):
         """One row per clause; a theorem case also records its case and problem."""
-        n, alpha, mu = ((problem.n, "/".join(f"{a:.6g}" for a in problem.alpha), problem.mu)
-                        if problem else (0, "", 0.0))
-        self.rows += [(case, n, alpha, mu, label, c.clause, c.measured, c.tolerance, c.passed)
-                      for c in clauses]
+        n, alpha, mu = ((problem.n, "/".join(f"{a:.6g}" for a in problem.alpha.tolist()),
+                         problem.mu) if problem else (0, "", 0.0))
+        self.rows += [(case, n, alpha, mu, label, *c) for c in clauses]
 
     def write_csv(self, path):
         write_csv(path, ["case", "n", "alpha", "mu", "spec", "clause",

@@ -495,6 +495,10 @@ BAD_INPUTS = {
     "config_arch_hidden_negative": _cli(*TRAIN, config={"strong_arch": {"hidden": -2}}),
     # a layer count no list can hold: Python refuses it without allocating
     "config_arch_layers_2_62": _cli(*TRAIN, config={"strong_arch": {"layers": 2**62}}),
+    # arrays too big for numpy to address: refused by their shape, before any is built
+    "gen_n_per_group_2_62": _cli("gen", "--seed", "1", "--n-per-group", str(2**62)),
+    "gen_features_2_62": _cli("gen", "--seed", "1", "--features", str(2**62)),
+    "config_arch_hidden_2_62": _cli(*TRAIN, config={"strong_arch": {"hidden": 2**62}}),
     "verify_count_negative": _cli("verify", "--suite", "theorem", "--seed", "1",
                                   "--binary-count", "-5"),
     "graph_edge_endpoint_overflow": _on_graph("cost", _set("edges", 0, 1, value=1e30)),
@@ -532,6 +536,9 @@ NAMED_IN_ERROR = {"checkpoint_not_json": "malformed checkpoint document at byte 
                   "graph_features_zero_width": "features must have at least one column",
                   "graph_num_classes_1e12": f"num_classes must be in [1, 50], got {10**12}",
                   "config_arch_layers_2_62": "the request does not fit in memory",
+                  "gen_n_per_group_2_62": "the feature matrix of shape",
+                  "gen_features_2_62": "the feature matrix of shape",
+                  "config_arch_hidden_2_62": "a weight matrix of shape",
                   "infer_overflowing_gate": "learnable gate",
                   "cost_layers_beyond_nodes": "num_layers must be in [1, 50]",
                   "config_unknown_key": "config key 'max_epochs' is read by no command"}

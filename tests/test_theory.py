@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,29 +144,67 @@ def test_branch_inverse_lanes_equal_scalar_bisection(lanes, floor_alpha):
     assert got[-1] < 2.0 * _BRANCH_FLOOR
 
 
+def _six_specs(alpha, rng):
+    """The six conforming fixed specs of a problem, drawn in order."""
+    specs = []
+    for kind in ("variance", "neg_entropy"):
+        d_alpha = float(_dispersion_rows_np(alpha[None, :], kind)[0])
+        specs.append(ConfidenceSpec(kind, StepGate(0.0)))
+        specs.append(ConfidenceSpec(kind, TwoLevelGate(
+            d_max=float(rng.uniform(0.3, 1.7)) * max(d_alpha, 1e-6),
+            beta=float(rng.uniform(0.2, 0.8)))))
+        specs.append(ConfidenceSpec(kind, CappedLinearGate(
+            slope=float(rng.uniform(0.5, 3.0)))))
+    return specs
+
+
 def test_fixed_spec_draws_all_six():
     """Each rotation index builds the spec the six-spec list held there
     and leaves the random stream where the list left it."""
     alpha = np.array([0.7, 0.3])
-
-    def six_specs(rng):
-        specs = []
-        for kind in ("variance", "neg_entropy"):
-            d_alpha = float(_dispersion_rows_np(alpha[None, :], kind)[0])
-            specs.append(ConfidenceSpec(kind, StepGate(0.0)))
-            specs.append(ConfidenceSpec(kind, TwoLevelGate(
-                d_max=float(rng.uniform(0.3, 1.7)) * max(d_alpha, 1e-6),
-                beta=float(rng.uniform(0.2, 0.8)))))
-            specs.append(ConfidenceSpec(kind, CappedLinearGate(
-                slope=float(rng.uniform(0.5, 3.0)))))
-        return specs
-
     ref = np.random.default_rng(9)
-    want = six_specs(ref)
+    want = _six_specs(alpha, ref)
     for index in range(8):
         rng = np.random.default_rng(9)
         assert _fixed_spec_for(alpha, rng, index) == want[index % 6]
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _reference_binary_problems(count, seed, m):
+    """The scalar-draw binary sampler: one `rng.uniform` call per draw
+    and one GroupProblem built as each problem is drawn."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for i in range(count):
+        case = i % 3 + 1
+        if case == 2:
+            k = int(round(rng.uniform(0.55, 0.95) * m))
+            alpha = np.array([k, m - k], dtype=np.float64) / m
+        else:
+            a1 = float(rng.uniform(0.55, 0.95))
+            alpha = np.array([a1, 1.0 - a1])
+        gap = float(-np.log(np.clip(alpha, T.LOG_FLOOR, 1.0)) @ alpha)
+        if case == 1:
+            mu = gap * float(rng.uniform(0.2, 0.8))
+        elif case == 2:
+            mu = gap
+        else:
+            mu = gap + float(rng.uniform(0.08, 1.0))
+        problems.append(GroupProblem(2, alpha, mu, _six_specs(alpha, rng)[i % 6]))
+    return problems
+
+
+@pytest.mark.parametrize("seed", [0, 13, 511])
+def test_binary_sampler_equals_scalar_draws(seed):
+    """Counts 0 to 7 end in every part of the case cycle (i % 3) and the
+    spec cycle (i % 6)."""
+    for count in (0, 1, 2, 3, 7, 60):
+        got = sample_binary_problems(count, seed, 2000)
+        want = _reference_binary_problems(count, seed, 2000)
+        assert len(got) == count
+        for a, b in zip(got, want):
+            assert a.alpha.tobytes() == b.alpha.tobytes()
+            assert (a.mu, a.spec) == (b.mu, b.spec)
 
 
 def test_delta_values():
@@ -232,6 +271,14 @@ def test_theorem_rejects_learnable_spec(grid2):
     spec = ConfidenceSpec("variance", LearnableGate.create(0))
     with pytest.raises(ConfigError):
         verify_theorem_case(GroupProblem(2, np.array([0.7, 0.3]), 0.4, spec), grid2)
+
+
+def test_theorem_rejects_empty_sublevel_set(grid2):
+    """mu just above delta(alpha), with alpha off the grid: no grid point
+    has a loss at or below mu, so there is no floor to bound the gradient."""
+    alpha = np.array([0.70001, 0.29999])
+    with pytest.raises(ConfigError, match="empty sublevel set"):
+        verify_theorem_case(GroupProblem(2, alpha, delta(alpha) + 1e-12, STEP_VAR), grid2)
 
 
 def test_random_suites_pass(grid2, grid3):
@@ -306,6 +353,31 @@ def test_theorem_suite_rows_equal_per_problem_reference(seed, grid2, grid3):
     got = run_theorem_suite(60, 12, seed).rows
     assert {row[0] for row in got} == {1, 2, 3}
     assert got == want.rows
+
+
+def test_theorem_suite_rows_equal_reference_at_benchmark_size(grid2, grid3):
+    """The benchmark's 2,000 binary and 200 ternary problems, the binary
+    ones from the scalar-draw sampler, each verified on its own."""
+    want = SuiteReport()
+    for problems, grid in ((_reference_binary_problems(2000, 0, 2000), grid2),
+                           (sample_ternary_problems(200, 1, 300), grid3)):
+        for problem in problems:
+            case, clauses = _reference_case(problem, grid)
+            want.add(spec_label(problem.spec), clauses, case, problem)
+    assert run_theorem_suite(2000, 200, 0).rows == want.rows
+
+
+def test_theorem_suite_peak_memory_bounded():
+    """The case-3 clauses hold a bounded block of problems x grid points
+    at a time, so the benchmark-size suite peaks under 10 MiB of traced
+    allocations (9.1 MiB when each problem was verified on its own)."""
+    tracemalloc.start()
+    try:
+        run_theorem_suite(2000, 200, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
 
 
 def test_step_tightness_pins_alpha(grid2):
