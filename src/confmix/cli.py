@@ -212,12 +212,12 @@ def cmd_cost(args, config):
     f = _merge(args, config, "features", graph.num_features)
     layers = _merge(args, config, "layers", 2)
     sizes = khop_sizes(graph, layers)
-    header = ["architecture", "macs"] + [f"b_{i}" for i in range(layers)]
-    print(",".join(header))
+    # built whole before it is printed, so a refused request prints nothing
+    rows = [["architecture", "macs"] + [f"b_{i}" for i in range(layers)]]
     for arch in ARCHITECTURES:
         macs = cost_estimate(graph, f, layers, arch)
-        row = [arch, f"{macs:.12g}"] + [f"{b:.12g}" for b in sizes]
-        print(",".join(row))
+        rows.append([arch, f"{macs:.12g}"] + [f"{b:.12g}" for b in sizes])
+    print("\n".join(",".join(row) for row in rows))
     return 0
 
 

@@ -266,11 +266,12 @@ def conv_coefficients(graph: Graph) -> np.ndarray:
 
 
 def build_blindspot_graph(k: int, f: int, seed: int) -> BlindspotInstance:
-    """Mirrored random trees whose normalized feature sums vanish.
+    """Mirrored spiders whose normalized feature sums vanish.
 
-    Every node within k-1 hops of either root gets a dedicated fresh
-    child whose feature is solved so the root-side closed-neighborhood
-    sums cancel exactly; the v-side mirrors the u-side structure.
+    Each side is a root with 4 to 6 legs of k nodes. Every node within
+    k-1 hops of either root gets one node further out whose feature is
+    solved so its closed-neighborhood sum cancels exactly; the v-side
+    mirrors the u-side structure.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -278,42 +279,22 @@ def build_blindspot_graph(k: int, f: int, seed: int) -> BlindspotInstance:
         raise ConfigError(f"f must be >= 2, got {f}")
     rng = np.random.default_rng(seed)
 
-    # level-by-level tree for one side: node 0 is the root. The root gets
-    # random extra fanout; every other constrained node gets exactly one
-    # (dedicated) child. Degrees then strictly shrink down each chain,
-    # which makes the solved feature magnitudes decay geometrically and
-    # keeps the roots dominant along their feature axis.
-    parents = {0: None}
-    levels = [[0]]
-    solved_child = {}
-    next_id = 1
-    for level in range(k):
-        frontier = []
-        for w in levels[level]:
-            solved_child[w] = next_id
-            parents[next_id] = w
-            frontier.append(next_id)
-            next_id += 1
-            if w == 0:
-                for _ in range(int(rng.integers(3, 6))):
-                    parents[next_id] = w
-                    frontier.append(next_id)
-                    next_id += 1
-        levels.append(frontier)
-    side_size = next_id
-    side_edges = [(child, parent) for child, parent in parents.items()
-                  if parent is not None]
-
+    # the root has random extra fanout; every other node within k-1 hops
+    # has exactly one (solved) child. Degrees then strictly shrink down
+    # each leg, which makes the solved feature magnitudes decay
+    # geometrically and keeps the roots dominant along their feature axis.
+    legs = 1 + int(rng.integers(3, 6))
+    side_size = 1 + k * legs
     n = 2 * side_size
+    check_fits((n, f), "the feature matrix")   # the largest array built here
     u, v = 0, side_size
-    node_map = {w: w + side_size for w in range(side_size)}
-    edges = side_edges + [(a + side_size, b + side_size) for a, b in side_edges]
-
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    deg = np.array([len(x) for x in adj], dtype=np.float64)
+    # hop[i, j] is leg j's node i hops out, numbered hop by hop on each
+    # side; hop[0] is the root, and column legs + j is the v-side's leg j
+    hop = np.zeros((k + 1, legs), dtype=np.int64)
+    hop[1:] = np.arange(1, side_size).reshape(k, legs)
+    hop = np.hstack([hop, hop + side_size])
+    edges = np.stack([hop[1:].ravel(), hop[:-1].ravel()], axis=1)
+    deg = np.bincount(edges.ravel(), minlength=n).astype(np.float64)
 
     features = rng.standard_normal((n, f))
     # antipodal large-norm root features: the proof leaves their scale
@@ -324,24 +305,26 @@ def build_blindspot_graph(k: int, f: int, seed: int) -> BlindspotInstance:
     features[u] = 50.0 * direction
     features[v] = -features[u]
 
-    def coeff(w, t):
-        return 1.0 / np.sqrt((deg[w] + 1.0) * (deg[t] + 1.0))
+    def coeff(w, t):   # a column: one coefficient per row of a feature block
+        return (1.0 / np.sqrt((deg[w] + 1.0) * (deg[t] + 1.0)))[:, None]
 
-    for offset in (0, side_size):
-        for level in range(k):
-            for w0 in levels[level]:
-                w = w0 + offset
-                child = solved_child[w0] + offset
-                total = coeff(w, w) * features[w]
-                for t in adj[w]:
-                    if t != child:
-                        total += coeff(w, t) * features[t]
-                features[child] = -total / coeff(w, child)
+    # each root solves leg 0's first node, adding its other legs in id order
+    roots, first = hop[0, ::legs], hop[1, ::legs]
+    total = coeff(roots, roots) * features[roots]
+    for j in range(1, legs):
+        total += coeff(roots, first + j) * features[first + j]
+    features[first] = -total / coeff(roots, first)
+    # then each hop's nodes solve the next node along their legs
+    for i in range(1, k):
+        w, parent, child = hop[i], hop[i - 1], hop[i + 1]
+        features[child] = -(coeff(w, w) * features[w]
+                            + coeff(w, parent) * features[parent]) / coeff(w, child)
 
     labels = np.zeros(n, dtype=np.int64)
     labels[v] = 1
     graph = build_graph(n, 2, features, labels, edges,
                         {"train": [], "val": [], "test": []})
+    node_map = {w: w + side_size for w in range(side_size)}
     return BlindspotInstance(graph, u, v, k, node_map)
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -188,16 +187,8 @@ def _sublevel_floor(grid: SimplexGrid, mask: np.ndarray) -> np.ndarray:
 
 
 def _gates(specs: list, x: np.ndarray) -> np.ndarray:
-    """Each fixed spec's gate at its entry of x, one call per gate class:
-    the class's own __call__ reads its fields as arrays over that class's
-    entries, so each entry gets the bits of its scalar call."""
-    out = np.empty(len(specs))
-    for cls in {type(spec.gate) for spec in specs}:
-        lanes = [i for i, spec in enumerate(specs) if type(spec.gate) is cls]
-        gates = [vars(specs[i].gate) for i in lanes]
-        out[lanes] = cls.__call__(SimpleNamespace(**{
-            name: np.array([gate[name] for gate in gates]) for name in gates[0]}), x[lanes])
-    return out
+    """Each fixed spec's gate at its entry of x."""
+    return np.array([spec.gate(xi) for spec, xi in zip(specs, x.tolist())])
 
 
 def _clause(name: str, measured: np.ndarray, tolerance, passed=None) -> tuple:
@@ -503,7 +494,8 @@ _DRAW_LOWS, _DRAW_HIGHS = np.array([(0.3, 0.2, 0.5) * 2, (1.7, 0.8, 3.0) * 2])
 def _fixed_spec(index: int, draws: list, d_alpha: list) -> ConfidenceSpec:
     """Spec `index` (mod 6) of a rotation of conforming fixed specs sized
     to the problem: `draws` are (factor, beta, slope) for variance, then
-    for neg_entropy, and `d_alpha` the dispersions of alpha of each kind."""
+    for neg_entropy, and `d_alpha` the dispersions of alpha of each kind,
+    of which only a two-level spec reads one, that of its own kind."""
     which, shape = divmod(index % 6, 3)
     kind = DISPERSION_KINDS[which]
     factor, beta, slope = draws[3 * which:3 * which + 3]
@@ -514,9 +506,14 @@ def _fixed_spec(index: int, draws: list, d_alpha: list) -> ConfidenceSpec:
 
 def _fixed_spec_for(alpha: np.ndarray, rng, index: int) -> ConfidenceSpec:
     """_fixed_spec from six fresh draws: the draws of all six are made in
-    order, so the random stream does not depend on which spec is built."""
-    return _fixed_spec(index, rng.uniform(_DRAW_LOWS, _DRAW_HIGHS).tolist(),
-                       [float(_dispersion_rows_np(alpha, kind)) for kind in DISPERSION_KINDS])
+    order, so the random stream does not depend on which spec is built.
+    Only the dispersion a two-level spec reads is computed."""
+    draws = rng.uniform(_DRAW_LOWS, _DRAW_HIGHS).tolist()
+    which, shape = divmod(index % 6, 3)
+    d_alpha = [None, None]
+    if shape == 1:
+        d_alpha[which] = float(_dispersion_rows_np(alpha, DISPERSION_KINDS[which]))
+    return _fixed_spec(index, draws, d_alpha)
 
 
 def sample_binary_problems(count: int, seed: int, m: int) -> list:

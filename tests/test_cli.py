@@ -421,6 +421,8 @@ BAD_INPUTS = {
     # more layers than nodes: once a MemoryError or a numpy ValueError traceback
     "cost_layers_beyond_nodes": _cli("cost", "--data", "DATA",
                                      "--layers", "99999999999999999999"),
+    # refused by the cost model, once only after the table's header was printed
+    "cost_features_0": _cli("cost", "--data", "DATA", "--features", "0"),
     "infer_roles_swapped": _infer(lambda c: c["gcn"], lambda c: c["weak"]),
     "infer_gcn_skip_without_skip": _infer(lambda c: c["weak"],
                                           lambda c: _skip_from(c["gcn_skip"], None)),
@@ -498,6 +500,10 @@ BAD_INPUTS = {
     # arrays too big for numpy to address: refused by their shape, before any is built
     "gen_n_per_group_2_62": _cli("gen", "--seed", "1", "--n-per-group", str(2**62)),
     "gen_features_2_62": _cli("gen", "--seed", "1", "--features", str(2**62)),
+    "gen_blindspot_k_2_62": _cli("gen", "--kind", "blindspot", "--seed", "1",
+                                 "--k", str(2**62)),
+    "gen_blindspot_features_2_62": _cli("gen", "--kind", "blindspot", "--seed", "1",
+                                        "--features", str(2**62)),
     "config_arch_hidden_2_62": _cli(*TRAIN, config={"strong_arch": {"hidden": 2**62}}),
     "verify_count_negative": _cli("verify", "--suite", "theorem", "--seed", "1",
                                   "--binary-count", "-5"),
@@ -538,6 +544,8 @@ NAMED_IN_ERROR = {"checkpoint_not_json": "malformed checkpoint document at byte 
                   "config_arch_layers_2_62": "the request does not fit in memory",
                   "gen_n_per_group_2_62": "the feature matrix of shape",
                   "gen_features_2_62": "the feature matrix of shape",
+                  "gen_blindspot_k_2_62": "the feature matrix of shape",
+                  "gen_blindspot_features_2_62": "the feature matrix of shape",
                   "config_arch_hidden_2_62": "a weight matrix of shape",
                   "infer_overflowing_gate": "learnable gate",
                   "cost_layers_beyond_nodes": "num_layers must be in [1, 50]",
@@ -549,7 +557,8 @@ NAMED_IN_ERROR = {"checkpoint_not_json": "malformed checkpoint document at byte 
 def test_bad_input_exits_2(case, tmp_path, small_graph_path, checkpoints, capsys):
     argv = BAD_INPUTS[case](tmp_path, str(small_graph_path), checkpoints)
     assert run_cli(argv + ["--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert NAMED_IN_ERROR.get(case, "") in err

@@ -1,6 +1,7 @@
 """Graph storage, interchange format, generators, cost model."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 
@@ -308,6 +309,35 @@ def test_operator_and_features_are_unscanned_constants(name, monkeypatch):
     assert np.array_equal(g.feature_tensor.values, g.features)
     if name == "edgeless":
         assert np.array_equal(g.coefficients.values, np.eye(3))
+
+
+# sha256 of the JSON of graph_to_document and the sorted node_map of
+# build_blindspot_graph(k, f, seed). The features are standard normal draws
+# solved with IEEE-exact arithmetic, apart from the root direction's norm,
+# whose last bit follows the platform's dot product.
+BLINDSPOT_SHA256 = {
+    (1, 2, 0): "4951e3c3ab607cd11930d57987b573ebfdb896983aefbf4b37fefcf33a77dd22",
+    (1, 2, 5): "89896715d022e8ef479e9f4a6c7f01149ee6f22eddbdceab41e5c776557d8409",
+    (1, 6, 0): "73f6493cd05195f90c141dd6555dd4c7cac71a8d4233356a42fabb069e5d4d0f",
+    (1, 6, 5): "35634bb3912068183c73f379d26c02479965e543425a74632a5d3bffc5835b78",
+    (2, 2, 0): "f8bef8080a1cfd00781d79979511859c6bddddcb276a7fafdb038b45ab6a696b",
+    (2, 2, 5): "d4ee0eb978de25ca0bc98fe819b7a6e4aef546db531ed40d75862e3a20b42f16",
+    (2, 6, 0): "7ab5aa9a472bd8935f72cbc085721041d9f690e6bce3c765b135dd4508c48162",
+    (2, 6, 5): "c89badae8da31f01f2655f233df0f228d93efe3be2fef995e9a4d48f945d2d6f",
+    (3, 2, 0): "6c3a075f3fa85457c51b156e69ba7673ee9110ebd720d8d6fa431eb9600d1590",
+    (3, 2, 5): "ddc42a29a601ea97078fa4d4e39778bf259c909b1aed76c1de40eb0865e43921",
+    (3, 6, 0): "e43c5bead86b6abbeeb31723b73b219fecbb3dd434e732a3f46d615327c4883c",
+    (3, 6, 5): "0079e28b01b76af1882a7bb17bcea284159cc6def053fad0f2e2a3070cd0a179",
+}
+
+
+@pytest.mark.parametrize("k, f, seed", sorted(BLINDSPOT_SHA256))
+def test_blindspot_bytes_are_pinned(k, f, seed):
+    instance = build_blindspot_graph(k, f, seed)
+    doc = {"graph": graph_to_document(instance.graph),
+           "node_map": sorted(instance.node_map.items())}
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == BLINDSPOT_SHA256[k, f, seed]
 
 
 def test_blindspot_required_nodes_cover_both_sides():
