@@ -47,9 +47,10 @@ class Graph:
 
     @cached_property
     def coefficients(self) -> T.Tensor:
-        """conv_coefficients(self) as a constant tensor, built on first use;
-        each entry is a product of 1/sqrt(deg + 1) terms, so it is finite."""
-        return T.constant(conv_coefficients(self))
+        """conv_coefficients(self) as a symmetric constant tensor, built on
+        first use; each entry is a product of 1/sqrt(deg + 1) terms, so it is
+        finite, and entry (w, w') equals entry (w', w)."""
+        return T.constant(conv_coefficients(self), symmetric=True)
 
     @cached_property
     def feature_tensor(self) -> T.Tensor:
@@ -201,17 +202,20 @@ def generate_specialization_graph(n_per_group: int, f: int, noise: float,
     features[group_b] = rng.standard_normal((n_per_group, f))
 
     degree_a, degree_b, p_same = min(20, n_per_group - 1), 8, 0.95
-    # edges as drawn: build_graph symmetrizes and deduplicates
-    targets = [rng.choice(np.delete(group_a, a), size=degree_a, replace=False)
-               for a in group_a]
+    # edges as drawn: build_graph symmetrizes and deduplicates. Each draw
+    # takes the variates of rng.choice over its candidates: node a's are
+    # distinct positions in group A less a, shifted past a
+    draws = np.array([rng.choice(n_per_group - 1, size=degree_a, replace=False)
+                      for _ in group_a])
+    targets = [(draws + (draws >= group_a[:, None])).ravel()]
     same_class = {c: group_b[labels[group_b] == c] for c in (0, 1)}
     for b in group_b:
         for _ in range(degree_b):
             pool = same_class[labels[b]] if rng.random() < p_same \
                 else same_class[1 - labels[b]]
-            t = rng.choice(pool)
+            t = pool[rng.integers(pool.size)]
             while t == b:
-                t = rng.choice(pool)
+                t = pool[rng.integers(pool.size)]
             targets.append([t])
     sources = np.concatenate([np.repeat(group_a, degree_a), np.repeat(group_b, degree_b)])
     edges = np.stack([sources, np.concatenate(targets)], axis=1)
@@ -265,6 +269,12 @@ def conv_coefficients(graph: Graph) -> np.ndarray:
     return coeff
 
 
+# the deepest convolution a blindspot instance is built for (the suites
+# build k = 1 and 2): at most 1,202 nodes, whose dense coefficient matrix,
+# built by every command that runs an expert on it, is 11.6 MB
+MAX_BLINDSPOT_K = 100
+
+
 def build_blindspot_graph(k: int, f: int, seed: int) -> BlindspotInstance:
     """Mirrored spiders whose normalized feature sums vanish.
 
@@ -273,8 +283,8 @@ def build_blindspot_graph(k: int, f: int, seed: int) -> BlindspotInstance:
     solved so its closed-neighborhood sum cancels exactly; the v-side
     mirrors the u-side structure.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    if not 1 <= k <= MAX_BLINDSPOT_K:
+        raise ConfigError(f"k must be in [1, {MAX_BLINDSPOT_K}], got {k}")
     if f < 2:
         raise ConfigError(f"f must be >= 2, got {f}")
     rng = np.random.default_rng(seed)

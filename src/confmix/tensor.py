@@ -37,12 +37,14 @@ class Tensor:
     parents, backward closure); that record is what `Tape` walks.
     `requires_grad` holds for a leaf built with it and for every record,
     so it alone says whether the reverse pass reaches a tensor.
+    `symmetric` holds only for a constant built with it; `matmul` reads it
+    to pick its product's orientation.
     Tensors are confined to one logical thread for the duration of a
     forward/backward pass.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "_op", "_parents", "_backward",
-                 "_stamp")
+    __slots__ = ("values", "requires_grad", "symmetric", "grad", "_op", "_parents",
+                 "_backward", "_stamp")
 
     # keep numpy from absorbing `ndarray <op> Tensor`; the reflected
     # operator then routes through our primitives
@@ -53,6 +55,7 @@ class Tensor:
         if not np.all(np.isfinite(self.values)):
             raise DomainError("tensor values must be finite (no NaN/Inf)")
         self.requires_grad = bool(requires_grad)
+        self.symmetric = False
         self.grad = self._op = self._backward = None
         self._parents = ()
 
@@ -95,18 +98,21 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def constant(values) -> Tensor:
+def constant(values, symmetric: bool = False) -> Tensor:
     """`values` as a constant tensor: no finiteness scan and no record.
     For values finite by construction, or a training turn's frozen
-    forward, whose non-finite values surface at the loss check."""
-    return _make(np.asarray(values, dtype=np.float64), None, (), None)
+    forward, whose non-finite values surface at the loss check.
+    `symmetric` states, unchecked, that the matrix equals its transpose."""
+    out = _make(np.asarray(values, dtype=np.float64), None, (), None)
+    out.symmetric = symmetric
+    return out
 
 
 def _make(values, op, parents, backward) -> Tensor:
     # a primitive's output is computed from checked operands, so it skips
     # __init__'s finiteness scan; non-finite values surface at the loss
     out = Tensor.__new__(Tensor)
-    out.values, out.grad = values, None
+    out.values, out.grad, out.symmetric = values, None, False
     out.requires_grad = any([p.requires_grad for p in parents])
     if out.requires_grad:
         out._op, out._parents, out._backward = op, tuple(parents), backward
@@ -181,7 +187,12 @@ def matmul(a, b, bias=None) -> Tensor:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
-    values = a.values @ b.values
+    if a.symmetric:
+        # a @ b as (bᵀa)ᵀ: BLAS multiplies the n×n coefficient matrix faster
+        # as the right operand, and the copy makes the rows contiguous again
+        values = np.ascontiguousarray((b.values.T @ a.values).T)
+    else:
+        values = a.values @ b.values
     parents = (a, b)
     if bias is not None:
         bias = _coerce(bias)

@@ -658,12 +658,21 @@ class SuiteReport:
                          "measured", "tolerance", "pass"], self.rows)
 
 
+# ceilings on the theorem suite's counts, 5,000 times the defaults: the
+# report holds every problem's rows until it is written, and each ternary
+# problem is a Python loop (on a 2-vCPU host, 10**5 binary problems peak
+# at about 0.18 GB in 7 s, and 10**4 ternary ones take about 8 s)
+MAX_BINARY_COUNT = 10**6
+MAX_TERNARY_COUNT = 10**5
+
+
 def run_theorem_suite(binary_count: int = 200, ternary_count: int = 20,
                       seed: int = 0) -> SuiteReport:
     """The three-case minimizer suite: binary problems on the
     resolution-2000 grid, ternary ones on the resolution-300 grid."""
-    if min(binary_count, ternary_count) < 0:
-        raise ConfigError(f"counts must be >= 0, got {binary_count} binary, "
+    if not (0 <= binary_count <= MAX_BINARY_COUNT and 0 <= ternary_count <= MAX_TERNARY_COUNT):
+        raise ConfigError(f"counts must be in [0, {MAX_BINARY_COUNT}] binary and "
+                          f"[0, {MAX_TERNARY_COUNT}] ternary, got {binary_count} binary, "
                           f"{ternary_count} ternary")
     suite = SuiteReport()
     for n, m, sample, count, problem_seed in (

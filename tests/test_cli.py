@@ -507,6 +507,15 @@ BAD_INPUTS = {
     "config_arch_hidden_2_62": _cli(*TRAIN, config={"strong_arch": {"hidden": 2**62}}),
     "verify_count_negative": _cli("verify", "--suite", "theorem", "--seed", "1",
                                   "--binary-count", "-5"),
+    # counts and depths above their ceilings: refused as they are read
+    "verify_binary_count_2_62": _cli("verify", "--suite", "theorem", "--seed", "1",
+                                     "--binary-count", str(2**62)),
+    "verify_binary_count_above_ceiling": _cli("verify", "--seed", "1",
+                                              "--binary-count", str(10**6 + 1)),
+    "verify_ternary_count_above_ceiling": _cli("verify", "--seed", "1",
+                                               "--ternary-count", str(10**5 + 1)),
+    "gen_blindspot_k_above_ceiling": _cli("gen", "--kind", "blindspot", "--seed", "1",
+                                          "--k", "101"),
     "graph_edge_endpoint_overflow": _on_graph("cost", _set("edges", 0, 1, value=1e30)),
     # each of these reads as a valid integer under numpy's int64 cast:
     # edge 0 is (0, 1) and node 1 comes first in the train split
@@ -544,7 +553,11 @@ NAMED_IN_ERROR = {"checkpoint_not_json": "malformed checkpoint document at byte 
                   "config_arch_layers_2_62": "the request does not fit in memory",
                   "gen_n_per_group_2_62": "the feature matrix of shape",
                   "gen_features_2_62": "the feature matrix of shape",
-                  "gen_blindspot_k_2_62": "the feature matrix of shape",
+                  "gen_blindspot_k_2_62": f"k must be in [1, 100], got {2**62}",
+                  "gen_blindspot_k_above_ceiling": "k must be in [1, 100], got 101",
+                  "verify_binary_count_2_62": f"got {2**62} binary",
+                  "verify_binary_count_above_ceiling": f"[0, {10**6}] binary",
+                  "verify_ternary_count_above_ceiling": f"[0, {10**5}] ternary",
                   "gen_blindspot_features_2_62": "the feature matrix of shape",
                   "config_arch_hidden_2_62": "a weight matrix of shape",
                   "infer_overflowing_gate": "learnable gate",

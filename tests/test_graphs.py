@@ -331,6 +331,23 @@ BLINDSPOT_SHA256 = {
 }
 
 
+# sha256 of the JSON of graph_to_document(generate_specialization_graph(
+# n_per_group, 8, 0.1, seed)), the `gen` defaults, as the generator drew
+# them with rng.choice over explicit candidate arrays
+SPECIALIZATION_SHA256 = {
+    (20, 3): "838805979223c8a25517ab4087009636d2bb16f35467ee72ce68f528d670b727",
+    (100, 7): "9e89d6742b0bd07a58fa265f5c17a065271d2a3a6612628a011b7c18503245d4",
+    (2000, 1): "7ca5a9018e04b9895a3362529e06d5b457d0d39f856241cc3443a40491653d41",
+}
+
+
+@pytest.mark.parametrize("n_per_group, seed", sorted(SPECIALIZATION_SHA256))
+def test_specialization_bytes_are_pinned(n_per_group, seed):
+    doc = graph_to_document(generate_specialization_graph(n_per_group, 8, 0.1, seed))
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == SPECIALIZATION_SHA256[n_per_group, seed]
+
+
 @pytest.mark.parametrize("k, f, seed", sorted(BLINDSPOT_SHA256))
 def test_blindspot_bytes_are_pinned(k, f, seed):
     instance = build_blindspot_graph(k, f, seed)

@@ -1,13 +1,16 @@
 """Engine tests: primitive values, reverse pass vs central differences,
 tape invariants, and contract errors."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from confmix import tensor as T
 from confmix.errors import ContractError, DomainError, ShapeError, TapeStateError
+from confmix.graphs import build_blindspot_graph
 
 
 def total(t):
@@ -428,3 +431,62 @@ def test_check_gradient_mixed_constant_and_variable_operands(name):
         var = T.Tensor(rng.uniform(-2.0, 2.0, (3, 3)), requires_grad=True)
         assert T.check_gradient(lambda ins: builder(const, ins[0]), [var], 1e-5) < 1e-4
         assert const.grad is None and var.grad is not None
+
+
+# (n, width): widths at n = 40 and 200 whose two orientations round apart
+# (3, 33) and alike (4, 8)
+SYMMETRIC_CASES = [(6, 4), (40, 3), (40, 33), (200, 8)]
+
+
+@pytest.mark.parametrize("n, width", SYMMETRIC_CASES)
+def test_symmetric_constant_multiplies_as_transposed_product(n, width):
+    rng = np.random.default_rng(100 * n + width)
+    half = rng.uniform(-1.0, 1.0, (n, n))
+    sym = half + half.T
+    a = T.constant(sym, symmetric=True)
+    b = T.Tensor(rng.uniform(-2.0, 2.0, (n, width)), requires_grad=True)
+    out = T.matmul(a, b)
+    assert same_bits(out.values, (b.values.T @ sym).T)
+    assert out.values.flags.c_contiguous
+    want = sym @ b.values
+    assert np.abs(out.values - want).max() <= 1e-15 * np.abs(want).max()
+    if n <= 6:
+        assert T.check_gradient(lambda ins: square_total(T.matmul(a, ins[0])), [b],
+                                1e-5) < 1e-4
+
+
+def test_unmarked_square_constant_multiplies_as_given():
+    rng = np.random.default_rng(3)
+    left = rng.uniform(-2.0, 2.0, (6, 6))
+    right = rng.uniform(-2.0, 2.0, (6, 4))
+    # a symmetric matrix left unmarked takes the plain product too
+    for values in (left, left + left.T):
+        for a in (T.constant(values), T.Tensor(values)):
+            assert not a.symmetric
+            assert same_bits(T.matmul(a, T.Tensor(right)).values, values @ right)
+
+
+def test_only_the_coefficient_matrix_is_marked_symmetric():
+    """`symmetric` is set in one place in the package: the keyword of the
+    T.constant call in Graph.coefficients. Nothing else assigns it outside
+    the engine, and no call passes it by position."""
+    marks = []
+    for path in sorted(Path(T.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    marks += [(path.name, fn.name) for kw in node.keywords
+                              if kw.arg == "symmetric"]
+                    assert callee != "constant" or len(node.args) == 1, (path.name, fn.name)
+                elif isinstance(node, ast.Attribute) and node.attr == "symmetric" and \
+                        isinstance(node.ctx, ast.Store):
+                    marks += [(path.name, fn.name)] if path.name != "tensor.py" else []
+    assert marks == [("graphs.py", "coefficients")]
+    graph = build_blindspot_graph(2, 3, seed=0).graph
+    coeff = graph.coefficients
+    assert coeff.symmetric and np.array_equal(coeff.values, coeff.values.T)
+    assert not graph.feature_tensor.symmetric and not graph.first_aggregation.symmetric
