@@ -5,7 +5,9 @@ adjacency is compressed-sparse (indptr/indices over sorted neighbor
 lists, read-only) with no stored self-loops; the convolution adds the
 self term analytically from degrees. Each graph builds its convolution
 operator, its features as a tensor and their first aggregation on first
-use and keeps them.
+use and keeps them. The operator is stored by the graph's density: as
+closed-neighborhood rows (`conv_rows`) when sparse, else as the dense
+matrix (`conv_coefficients`).
 """
 
 from __future__ import annotations
@@ -23,6 +25,12 @@ from .errors import (ConfigError, GraphFormatError, GraphValidationError, as_arr
 
 _DOCUMENT_KEYS = {"num_nodes", "num_classes", "features", "labels", "edges", "splits"}
 _SPLIT_KEYS = {"train", "val", "test"}
+# the convolution operator is stored as sparse rows while its nnz + n
+# entries fill less than this share of the n×n matrix: per product, the
+# rows beat the dense matrix below about 2% at width 32, the width a
+# default strong expert aggregates at, and below 3-5% at width 8
+# (BENCH_sparse_aggregation.json, "micro")
+SPARSE_DENSITY = 0.02
 # expert kinds, which the cost model prices as architectures
 ARCHITECTURES = ("weak", "gcn", "gcn_skip")
 
@@ -47,10 +55,15 @@ class Graph:
 
     @cached_property
     def coefficients(self) -> T.Tensor:
-        """conv_coefficients(self) as a symmetric constant tensor, built on
-        first use; each entry is a product of 1/sqrt(deg + 1) terms, so it is
-        finite, and entry (w, w') equals entry (w', w)."""
-        return T.constant(conv_coefficients(self), symmetric=True)
+        """The convolution operator as a symmetric constant tensor, built on
+        first use: conv_rows(self) on a graph sparser than SPARSE_DENSITY,
+        else conv_coefficients(self). Each entry is a product of
+        1/sqrt(deg + 1) terms, so it is finite, and entry (w, w') equals
+        entry (w', w)."""
+        n = self.num_nodes
+        sparse = self.indices.size + n < SPARSE_DENSITY * n * n
+        return T.constant(conv_rows(self) if sparse else conv_coefficients(self),
+                          symmetric=True)
 
     @cached_property
     def feature_tensor(self) -> T.Tensor:
@@ -269,9 +282,23 @@ def conv_coefficients(graph: Graph) -> np.ndarray:
     return coeff
 
 
+def conv_rows(graph: Graph) -> T.SparseSymmetric:
+    """conv_coefficients(graph)'s nonzero entries as closed-neighborhood
+    rows: each row's self entry first, then its CSR neighbors, with the
+    same 1/sqrt((deg w + 1)(deg w' + 1)) products."""
+    n = graph.num_nodes
+    inv = 1.0 / np.sqrt(graph.degrees.astype(np.float64) + 1.0)
+    # node i goes in front of its CSR run, after every earlier row's entries
+    starts = graph.indptr[:-1] + np.arange(n)
+    columns = np.insert(graph.indices, graph.indptr[:-1], np.arange(n))
+    rows = np.repeat(np.arange(n), graph.degrees + 1)
+    return T.SparseSymmetric(starts, columns, inv[rows] * inv[columns])
+
+
 # the deepest convolution a blindspot instance is built for (the suites
-# build k = 1 and 2): at most 1,202 nodes, whose dense coefficient matrix,
-# built by every command that runs an expert on it, is 11.6 MB
+# build k = 1 and 2): at most 1,202 nodes. Its operator is sparse rows
+# from k = 13, 15 or 19 on (6, 5 or 4 legs); at k = 100 they take 67 KB,
+# where the dense matrix would take 11.6 MB
 MAX_BLINDSPOT_K = 100
 
 
@@ -290,9 +317,11 @@ def build_blindspot_graph(k: int, f: int, seed: int) -> BlindspotInstance:
     rng = np.random.default_rng(seed)
 
     # the root has random extra fanout; every other node within k-1 hops
-    # has exactly one (solved) child. Degrees then strictly shrink down
-    # each leg, which makes the solved feature magnitudes decay
-    # geometrically and keeps the roots dominant along their feature axis.
+    # has exactly one (solved) child. So every leg node but the last has
+    # degree 2, and from hop 1 on each leg's features repeat with period 3
+    # (between degree-2 nodes every coefficient is 1/3, so
+    # x[i + 1] = -(x[i] + x[i - 1])),
+    # the last node's scaled by sqrt(6)/3: their size does not grow with k.
     legs = 1 + int(rng.integers(3, 6))
     side_size = 1 + k * legs
     n = 2 * side_size

@@ -1,8 +1,10 @@
-"""Dense float64 tensors with a reverse-mode tape.
+"""Float64 tensors with a reverse-mode tape.
 
 Sized for small perceptron stacks and graph convolutions: eager forward
 evaluation, per-primitive backward closures, and a central-difference
 oracle (`check_gradient`) that stays independent of the reverse pass.
+A tensor holds a dense array, except that a symmetric constant may hold
+a `SparseSymmetric` operator, which only `matmul` reads.
 
 `Tensor(...)` rejects NaN/Inf when it is built; primitive outputs and
 a `constant` are not scanned. A tensor that
@@ -26,12 +28,16 @@ from .errors import ContractError, DomainError, ShapeError, TapeStateError
 
 LOG_FLOOR = 1e-12
 LOG_CEIL = 1.0
+# the most entries a sparse product gathers at once, whatever its width
+_GATHER_ENTRIES = 1 << 20
 # creation stamps of records; a record's operands are made before it
 _STAMPS = itertools.count()
 
 
 class Tensor:
-    """A dense float64 array plus an optional gradient slot.
+    """A float64 array plus an optional gradient slot.
+
+    The array is dense, or for a symmetric constant a `SparseSymmetric`.
 
     Non-leaf tensors remember the primitive that produced them (name,
     parents, backward closure); that record is what `Tape` walks.
@@ -102,10 +108,45 @@ def constant(values, symmetric: bool = False) -> Tensor:
     """`values` as a constant tensor: no finiteness scan and no record.
     For values finite by construction, or a training turn's frozen
     forward, whose non-finite values surface at the loss check.
-    `symmetric` states, unchecked, that the matrix equals its transpose."""
-    out = _make(np.asarray(values, dtype=np.float64), None, (), None)
+    `symmetric` states, unchecked, that the matrix equals its transpose.
+    A `SparseSymmetric` is held as it is."""
+    if not isinstance(values, SparseSymmetric):
+        values = np.asarray(values, dtype=np.float64)
+    out = _make(values, None, (), None)
     out.symmetric = symmetric
     return out
+
+
+class SparseSymmetric:
+    """A read-only sparse symmetric n×n matrix, held by rows.
+
+    Row i's entries are `weights[starts[i]:starts[i + 1]]` (the last row's
+    run to the end) in the columns `columns` gives alongside. Every row
+    holds at least one entry, as a graph's closed neighborhood holds its
+    own node, so one `np.add.reduceat` sums every row.
+    """
+
+    __slots__ = ("shape", "starts", "columns", "weights")
+    ndim = 2
+
+    def __init__(self, starts, columns, weights):
+        self.shape = (starts.size, starts.size)
+        self.starts, self.columns, self.weights = starts, columns, weights
+        for array in (starts, columns, weights):
+            array.flags.writeable = False
+
+    def times(self, h: np.ndarray) -> np.ndarray:
+        """self @ h for an (n, width) array, as contiguous rows. Each row
+        sums its entries in stored order; blocks of columns of h bound the
+        gathered temporary and leave every sum as it is."""
+        ht = np.ascontiguousarray(h.T)
+        out = np.empty(ht.shape)
+        step = max(1, _GATHER_ENTRIES // max(1, self.columns.size))
+        for lo in range(0, ht.shape[0], step):
+            part = np.take(ht[lo:lo + step], self.columns, axis=1)
+            part *= self.weights
+            np.add.reduceat(part, self.starts, axis=1, out=out[lo:lo + step])
+        return np.ascontiguousarray(out.T)
 
 
 def _make(values, op, parents, backward) -> Tensor:
@@ -187,10 +228,21 @@ def matmul(a, b, bias=None) -> Tensor:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
+
+    def transposed_times(g):
+        # aᵀg formed as (gᵀa)ᵀ: BLAS runs a product whose left operand is
+        # transposed at about half speed, and with the n×n coefficient
+        # matrix as `a` that product is most of a backward pass
+        return (g.T @ a.values).T
+
     if a.symmetric:
-        # a @ b as (bᵀa)ᵀ: BLAS multiplies the n×n coefficient matrix faster
-        # as the right operand, and the copy makes the rows contiguous again
-        values = np.ascontiguousarray((b.values.T @ a.values).T)
+        # the aggregation product. a @ b equals aᵀb, so the forward and b's
+        # gradient make the same product: the sparse rows' own, or with the
+        # dense matrix (bᵀa)ᵀ, which BLAS multiplies faster with the n×n
+        # matrix as the right operand; the copy makes the rows contiguous
+        if isinstance(a.values, SparseSymmetric):
+            transposed_times = a.values.times
+        values = np.ascontiguousarray(transposed_times(b.values))
     else:
         values = a.values @ b.values
     parents = (a, b)
@@ -202,14 +254,11 @@ def matmul(a, b, bias=None) -> Tensor:
         parents = (a, b, bias)
 
     def backward(out):
-        # a constant operand, such as the coefficient matrix, costs no product.
-        # b's gradient aᵀg is formed as (gᵀa)ᵀ: BLAS runs a product whose left
-        # operand is transposed at about half speed, and with the n×n
-        # coefficient matrix as `a` that product is most of a backward pass
+        # a constant operand, such as the coefficient matrix, costs no product
         if a.requires_grad:
             _accum(a, out.grad @ b.values.T)
         if b.requires_grad:
-            _accum(b, (out.grad.T @ a.values).T)
+            _accum(b, transposed_times(out.grad))
         if bias is not None and bias.requires_grad:
             _accum(bias, out.grad.sum(axis=0))
 

@@ -113,22 +113,30 @@ def test_train_byte_identical_runs(tmp_path, small_graph_path):
 
 
 def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """A default seed-7 train writes the same bytes under 1 and 2 OpenBLAS
-    threads. The thread count is set in each child process's environment."""
-    assert run_cli(["gen", "--kind", "specialization", "--seed", "7",
-                    "--out", str(tmp_path)]) == 0
+    """A default seed-7 train, on a graph whose operator is dense, and a short
+    train on an n=2,000 graph, whose operator is sparse, each write the same
+    bytes under 1 and 2 OpenBLAS threads. The thread count is set in each
+    child process's environment."""
     src = str(Path(cli.__file__).parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads_{threads}"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        main = "import sys; from confmix.cli import main; sys.exit(main(sys.argv[1:]))"
-        subprocess.run([sys.executable, "-c", main, "train", "--seed", "7", "--data",
-                        str(tmp_path / "specialization.json"), "--out", str(out)],
-                       env=env, check=True, capture_output=True)
-        outputs.append({name: (out / name).read_bytes() for name in TRAIN_OUTPUTS})
-    assert outputs[0] == outputs[1]
+    main = "import sys; from confmix.cli import main; sys.exit(main(sys.argv[1:]))"
+    short = ["--rounds", "1", "--max-epochs", "4", "--patience", "5",
+             "--pretrain-epochs", "4"]
+    for case, gen_flags, train_flags in (("dense", [], []),
+                                         ("sparse", ["--n-per-group", "1000"], short)):
+        data = tmp_path / case
+        assert run_cli(["gen", "--kind", "specialization", "--seed", "7", *gen_flags,
+                        "--out", str(data)]) == 0
+        outputs = []
+        for threads in ("1", "2"):
+            out = data / f"threads_{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run([sys.executable, "-c", main, "train", "--seed", "7", "--data",
+                            str(data / "specialization.json"), "--out", str(out),
+                            *train_flags],
+                           env=env, check=True, capture_output=True)
+            outputs.append({name: (out / name).read_bytes() for name in TRAIN_OUTPUTS})
+        assert outputs[0] == outputs[1], case
 
 
 def test_infer_byte_identical_runs(tmp_path, small_graph_path):
