@@ -5,9 +5,8 @@ adjacency is compressed-sparse (indptr/indices over sorted neighbor
 lists, read-only) with no stored self-loops; the convolution adds the
 self term analytically from degrees. Each graph builds its convolution
 operator, its features as a tensor and their first aggregation on first
-use and keeps them. The operator is stored by the graph's density: as
-closed-neighborhood rows (`conv_rows`) when sparse, else as the dense
-matrix (`conv_coefficients`).
+use and keeps them. The operator is its closed-neighborhood rows
+(`conv_rows`), which `tensor.SymmetricRows` stores by their density.
 """
 
 from __future__ import annotations
@@ -20,17 +19,10 @@ import numpy as np
 
 from . import tensor as T
 from .documents import read_json, write_json
-from .errors import (ConfigError, GraphFormatError, GraphValidationError, as_array,
-                     check_fits)
+from .errors import ConfigError, GraphFormatError, GraphValidationError, as_array
 
 _DOCUMENT_KEYS = {"num_nodes", "num_classes", "features", "labels", "edges", "splits"}
 _SPLIT_KEYS = {"train", "val", "test"}
-# the convolution operator is stored as sparse rows while its nnz + n
-# entries fill less than this share of the n×n matrix: per product, the
-# rows beat the dense matrix below about 2% at width 32, the width a
-# default strong expert aggregates at, and below 3-5% at width 8
-# (BENCH_sparse_aggregation.json, "micro")
-SPARSE_DENSITY = 0.02
 # expert kinds, which the cost model prices as architectures
 ARCHITECTURES = ("weak", "gcn", "gcn_skip")
 
@@ -55,15 +47,10 @@ class Graph:
 
     @cached_property
     def coefficients(self) -> T.Tensor:
-        """The convolution operator as a symmetric constant tensor, built on
-        first use: conv_rows(self) on a graph sparser than SPARSE_DENSITY,
-        else conv_coefficients(self). Each entry is a product of
-        1/sqrt(deg + 1) terms, so it is finite, and entry (w, w') equals
-        entry (w', w)."""
-        n = self.num_nodes
-        sparse = self.indices.size + n < SPARSE_DENSITY * n * n
-        return T.constant(conv_rows(self) if sparse else conv_coefficients(self),
-                          symmetric=True)
+        """The convolution operator, conv_rows(self), as a constant tensor
+        built on first use. Each entry is a product of 1/sqrt(deg + 1)
+        terms, so it is finite, and entry (w, w') equals entry (w', w)."""
+        return T.constant(conv_rows(self))
 
     @cached_property
     def feature_tensor(self) -> T.Tensor:
@@ -180,6 +167,22 @@ def save_graph(graph: Graph, path):
 
 # ---- synthetic generators ----
 
+# ceilings on what `gen` builds, checked before any array is: a
+# specialization graph of 2 x 100,000 nodes, and a feature matrix of 2**21
+# entries for either generator. On one core of a 2-vCPU host,
+# `gen --n-per-group 100000` takes 9 s at 0.76 GB peak RSS for a 74 MB
+# document, and a full feature matrix 1.5-1.8 s at about 0.2 GB for 34-43 MB
+MAX_N_PER_GROUP = 100_000
+MAX_FEATURE_ENTRIES = 1 << 21
+
+
+def _check_features(f: int, n: int, nodes: str):
+    """ConfigError unless f is in [2, MAX_FEATURE_ENTRIES // n], the widest
+    feature matrix the ceiling admits for n rows."""
+    if not 2 <= f <= MAX_FEATURE_ENTRIES // n:
+        raise ConfigError(f"f must be in [2, {MAX_FEATURE_ENTRIES // n}] for {nodes}, got {f}")
+
+
 def generate_specialization_graph(n_per_group: int, f: int, noise: float,
                                   seed: int) -> Graph:
     """Two-population benchmark separating feature and structure signal.
@@ -192,14 +195,12 @@ def generate_specialization_graph(n_per_group: int, f: int, noise: float,
     probability 0.95), so only structure carries class signal.
     Stratified 50/25/25 train/val/test split per (group, class) cell.
     """
-    if n_per_group < 20:
-        raise ConfigError(f"n_per_group must be >= 20, got {n_per_group}")
-    if f < 2:
-        raise ConfigError(f"f must be >= 2, got {f}")
+    if not 20 <= n_per_group <= MAX_N_PER_GROUP:
+        raise ConfigError(f"n_per_group must be in [20, {MAX_N_PER_GROUP}], got {n_per_group}")
+    n = 2 * n_per_group
+    _check_features(f, n, f"{n} nodes")
     if noise < 0:
         raise ConfigError(f"noise must be >= 0, got {noise}")
-    n = 2 * n_per_group
-    check_fits((n, f), "the feature matrix")   # the largest array built here
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % 2
     group_a = np.arange(n_per_group)
@@ -266,39 +267,24 @@ class BlindspotInstance:
     node_map: dict
 
 
-def conv_coefficients(graph: Graph) -> np.ndarray:
-    """Dense symmetric-normalized closed-neighborhood coefficients.
-
-    Entry (w, w') is 1/sqrt((deg w + 1)(deg w' + 1)) for neighbors and
-    for w' == w; zero elsewhere.
-    """
-    n = graph.num_nodes
-    deg = graph.degrees
-    inv = 1.0 / np.sqrt(deg.astype(np.float64) + 1.0)
-    coeff = np.zeros((n, n))
-    coeff[np.arange(n), np.arange(n)] = inv * inv
-    rows = np.repeat(np.arange(n), deg)
-    coeff[rows, graph.indices] = inv[rows] * inv[graph.indices]
-    return coeff
-
-
-def conv_rows(graph: Graph) -> T.SparseSymmetric:
-    """conv_coefficients(graph)'s nonzero entries as closed-neighborhood
-    rows: each row's self entry first, then its CSR neighbors, with the
-    same 1/sqrt((deg w + 1)(deg w' + 1)) products."""
+def conv_rows(graph: Graph) -> T.SymmetricRows:
+    """The symmetric-normalized closed-neighborhood coefficients, by rows:
+    each row's self entry first, then its CSR neighbors. Entry (w, w') is
+    1/sqrt((deg w + 1)(deg w' + 1)) for neighbors and for w' == w."""
     n = graph.num_nodes
     inv = 1.0 / np.sqrt(graph.degrees.astype(np.float64) + 1.0)
     # node i goes in front of its CSR run, after every earlier row's entries
     starts = graph.indptr[:-1] + np.arange(n)
     columns = np.insert(graph.indices, graph.indptr[:-1], np.arange(n))
     rows = np.repeat(np.arange(n), graph.degrees + 1)
-    return T.SparseSymmetric(starts, columns, inv[rows] * inv[columns])
+    return T.SymmetricRows(starts, columns, inv[rows] * inv[columns])
 
 
 # the deepest convolution a blindspot instance is built for (the suites
-# build k = 1 and 2): at most 1,202 nodes. Its operator is sparse rows
-# from k = 13, 15 or 19 on (6, 5 or 4 legs); at k = 100 they take 67 KB,
-# where the dense matrix would take 11.6 MB
+# build k = 1 and 2): at most 2 (1 + 6k) = 1,202 nodes, so at most 1,744
+# features. Its operator keeps to its rows, with no dense copy, from
+# k = 13, 15 or 19 on (6, 5 or 4 legs); at k = 100 they take 67 KB, where
+# the dense matrix would take 11.6 MB
 MAX_BLINDSPOT_K = 100
 
 
@@ -312,8 +298,8 @@ def build_blindspot_graph(k: int, f: int, seed: int) -> BlindspotInstance:
     """
     if not 1 <= k <= MAX_BLINDSPOT_K:
         raise ConfigError(f"k must be in [1, {MAX_BLINDSPOT_K}], got {k}")
-    if f < 2:
-        raise ConfigError(f"f must be >= 2, got {f}")
+    # a side has at most 6 legs, so the ceiling does not depend on the seed
+    _check_features(f, 2 * (1 + 6 * k), f"k = {k}")
     rng = np.random.default_rng(seed)
 
     # the root has random extra fanout; every other node within k-1 hops
@@ -325,7 +311,6 @@ def build_blindspot_graph(k: int, f: int, seed: int) -> BlindspotInstance:
     legs = 1 + int(rng.integers(3, 6))
     side_size = 1 + k * legs
     n = 2 * side_size
-    check_fits((n, f), "the feature matrix")   # the largest array built here
     u, v = 0, side_size
     # hop[i, j] is leg j's node i hops out, numbered hop by hop on each
     # side; hop[0] is the root, and column legs + j is the v-side's leg j

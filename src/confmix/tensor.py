@@ -3,8 +3,8 @@
 Sized for small perceptron stacks and graph convolutions: eager forward
 evaluation, per-primitive backward closures, and a central-difference
 oracle (`check_gradient`) that stays independent of the reverse pass.
-A tensor holds a dense array, except that a symmetric constant may hold
-a `SparseSymmetric` operator, which only `matmul` reads.
+A tensor holds a dense array, except that a constant may hold a
+`SymmetricRows` operator, which only `matmul` reads.
 
 `Tensor(...)` rejects NaN/Inf when it is built; primitive outputs and
 a `constant` are not scanned. A tensor that
@@ -30,6 +30,12 @@ LOG_FLOOR = 1e-12
 LOG_CEIL = 1.0
 # the most entries a sparse product gathers at once, whatever its width
 _GATHER_ENTRIES = 1 << 20
+# a SymmetricRows operator gathers its rows while their entries fill less
+# than this share of the n×n matrix, else multiplies a dense copy: per
+# product, the rows beat the dense matrix below about 2% at width 32, the
+# width a default strong expert aggregates at, and below 3-5% at width 8
+# (BENCH_sparse_aggregation.json, "micro")
+SPARSE_DENSITY = 0.02
 # creation stamps of records; a record's operands are made before it
 _STAMPS = itertools.count()
 
@@ -37,20 +43,18 @@ _STAMPS = itertools.count()
 class Tensor:
     """A float64 array plus an optional gradient slot.
 
-    The array is dense, or for a symmetric constant a `SparseSymmetric`.
+    The array is dense, or for a constant operator a `SymmetricRows`.
 
     Non-leaf tensors remember the primitive that produced them (name,
     parents, backward closure); that record is what `Tape` walks.
     `requires_grad` holds for a leaf built with it and for every record,
     so it alone says whether the reverse pass reaches a tensor.
-    `symmetric` holds only for a constant built with it; `matmul` reads it
-    to pick its product's orientation.
     Tensors are confined to one logical thread for the duration of a
     forward/backward pass.
     """
 
-    __slots__ = ("values", "requires_grad", "symmetric", "grad", "_op", "_parents",
-                 "_backward", "_stamp")
+    __slots__ = ("values", "requires_grad", "grad", "_op", "_parents", "_backward",
+                 "_stamp")
 
     # keep numpy from absorbing `ndarray <op> Tensor`; the reflected
     # operator then routes through our primitives
@@ -61,7 +65,6 @@ class Tensor:
         if not np.all(np.isfinite(self.values)):
             raise DomainError("tensor values must be finite (no NaN/Inf)")
         self.requires_grad = bool(requires_grad)
-        self.symmetric = False
         self.grad = self._op = self._backward = None
         self._parents = ()
 
@@ -104,41 +107,54 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def constant(values, symmetric: bool = False) -> Tensor:
+def constant(values) -> Tensor:
     """`values` as a constant tensor: no finiteness scan and no record.
     For values finite by construction, or a training turn's frozen
     forward, whose non-finite values surface at the loss check.
-    `symmetric` states, unchecked, that the matrix equals its transpose.
-    A `SparseSymmetric` is held as it is."""
-    if not isinstance(values, SparseSymmetric):
+    A `SymmetricRows` is held as it is."""
+    if not isinstance(values, SymmetricRows):
         values = np.asarray(values, dtype=np.float64)
-    out = _make(values, None, (), None)
-    out.symmetric = symmetric
-    return out
+    return _make(values, None, (), None)
 
 
-class SparseSymmetric:
-    """A read-only sparse symmetric n×n matrix, held by rows.
+class SymmetricRows:
+    """A read-only symmetric n×n matrix, given by its rows' entries, that
+    stores itself by its density.
 
     Row i's entries are `weights[starts[i]:starts[i + 1]]` (the last row's
     run to the end) in the columns `columns` gives alongside. Every row
     holds at least one entry, as a graph's closed neighborhood holds its
-    own node, so one `np.add.reduceat` sums every row.
+    own node, so one `np.add.reduceat` sums every row. Symmetry is not
+    checked: `times` serves as the transposed product too.
+
+    Entries filling SPARSE_DENSITY of the matrix or more are scattered
+    once into `dense`, which `times` multiplies instead of the rows.
     """
 
-    __slots__ = ("shape", "starts", "columns", "weights")
+    __slots__ = ("shape", "starts", "columns", "weights", "dense")
     ndim = 2
 
     def __init__(self, starts, columns, weights):
-        self.shape = (starts.size, starts.size)
+        n = starts.size
+        self.shape = (n, n)
         self.starts, self.columns, self.weights = starts, columns, weights
         for array in (starts, columns, weights):
             array.flags.writeable = False
+        self.dense = None
+        if columns.size >= SPARSE_DENSITY * n * n:
+            self.dense = np.zeros((n, n))
+            self.dense[np.repeat(np.arange(n), np.diff(starts, append=columns.size)),
+                       columns] = weights
+            self.dense.flags.writeable = False
 
     def times(self, h: np.ndarray) -> np.ndarray:
-        """self @ h for an (n, width) array, as contiguous rows. Each row
-        sums its entries in stored order; blocks of columns of h bound the
-        gathered temporary and leave every sum as it is."""
+        """self @ h for an (n, width) array. The dense matrix multiplies as
+        (hᵀ·dense)ᵀ, which BLAS runs faster with the n×n matrix as the
+        right operand; the rows sum each row's entries in stored order,
+        into contiguous rows, and blocks of columns of h bound the gathered
+        temporary and leave every sum as it is."""
+        if self.dense is not None:
+            return (h.T @ self.dense).T
         ht = np.ascontiguousarray(h.T)
         out = np.empty(ht.shape)
         step = max(1, _GATHER_ENTRIES // max(1, self.columns.size))
@@ -153,7 +169,7 @@ def _make(values, op, parents, backward) -> Tensor:
     # a primitive's output is computed from checked operands, so it skips
     # __init__'s finiteness scan; non-finite values surface at the loss
     out = Tensor.__new__(Tensor)
-    out.values, out.grad, out.symmetric = values, None, False
+    out.values, out.grad = values, None
     out.requires_grad = any([p.requires_grad for p in parents])
     if out.requires_grad:
         out._op, out._parents, out._backward = op, tuple(parents), backward
@@ -231,17 +247,14 @@ def matmul(a, b, bias=None) -> Tensor:
 
     def transposed_times(g):
         # aᵀg formed as (gᵀa)ᵀ: BLAS runs a product whose left operand is
-        # transposed at about half speed, and with the n×n coefficient
-        # matrix as `a` that product is most of a backward pass
+        # transposed at about half speed
         return (g.T @ a.values).T
 
-    if a.symmetric:
+    if isinstance(a.values, SymmetricRows):
         # the aggregation product. a @ b equals aᵀb, so the forward and b's
-        # gradient make the same product: the sparse rows' own, or with the
-        # dense matrix (bᵀa)ᵀ, which BLAS multiplies faster with the n×n
-        # matrix as the right operand; the copy makes the rows contiguous
-        if isinstance(a.values, SparseSymmetric):
-            transposed_times = a.values.times
+        # gradient are the operator's own product; the copy makes the
+        # forward's rows contiguous
+        transposed_times = a.values.times
         values = np.ascontiguousarray(transposed_times(b.values))
     else:
         values = a.values @ b.values

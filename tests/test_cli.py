@@ -505,17 +505,22 @@ BAD_INPUTS = {
     "config_arch_hidden_negative": _cli(*TRAIN, config={"strong_arch": {"hidden": -2}}),
     # a layer count no list can hold: Python refuses it without allocating
     "config_arch_layers_2_62": _cli(*TRAIN, config={"strong_arch": {"layers": 2**62}}),
-    # arrays too big for numpy to address: refused by their shape, before any is built
+    # an array too big for numpy to address: refused by its shape, before it is built
+    "config_arch_hidden_2_62": _cli(*TRAIN, config={"strong_arch": {"hidden": 2**62}}),
+    "verify_count_negative": _cli("verify", "--suite", "theorem", "--seed", "1",
+                                  "--binary-count", "-5"),
+    # counts, sizes and depths above their ceilings: refused as they are read
     "gen_n_per_group_2_62": _cli("gen", "--seed", "1", "--n-per-group", str(2**62)),
+    "gen_n_per_group_above_ceiling": _cli("gen", "--seed", "1", "--n-per-group", "100001"),
     "gen_features_2_62": _cli("gen", "--seed", "1", "--features", str(2**62)),
+    "gen_features_above_ceiling": _cli("gen", "--seed", "1", "--n-per-group", "1000",
+                                       "--features", "1049"),
     "gen_blindspot_k_2_62": _cli("gen", "--kind", "blindspot", "--seed", "1",
                                  "--k", str(2**62)),
     "gen_blindspot_features_2_62": _cli("gen", "--kind", "blindspot", "--seed", "1",
                                         "--features", str(2**62)),
-    "config_arch_hidden_2_62": _cli(*TRAIN, config={"strong_arch": {"hidden": 2**62}}),
-    "verify_count_negative": _cli("verify", "--suite", "theorem", "--seed", "1",
-                                  "--binary-count", "-5"),
-    # counts and depths above their ceilings: refused as they are read
+    "gen_blindspot_features_above_ceiling": _cli("gen", "--kind", "blindspot", "--seed", "1",
+                                                 "--k", "100", "--features", "1745"),
     "verify_binary_count_2_62": _cli("verify", "--suite", "theorem", "--seed", "1",
                                      "--binary-count", str(2**62)),
     "verify_binary_count_above_ceiling": _cli("verify", "--seed", "1",
@@ -559,14 +564,19 @@ NAMED_IN_ERROR = {"checkpoint_not_json": "malformed checkpoint document at byte 
                   "graph_features_zero_width": "features must have at least one column",
                   "graph_num_classes_1e12": f"num_classes must be in [1, 50], got {10**12}",
                   "config_arch_layers_2_62": "the request does not fit in memory",
-                  "gen_n_per_group_2_62": "the feature matrix of shape",
-                  "gen_features_2_62": "the feature matrix of shape",
+                  "gen_n_per_group_2_62": f"n_per_group must be in [20, 100000], got {2**62}",
+                  "gen_n_per_group_above_ceiling": "must be in [20, 100000], got 100001",
+                  "gen_features_2_62": f"f must be in [2, 10485] for 200 nodes, got {2**62}",
+                  "gen_features_above_ceiling": "f must be in [2, 1048] for 2000 nodes, got 1049",
                   "gen_blindspot_k_2_62": f"k must be in [1, 100], got {2**62}",
                   "gen_blindspot_k_above_ceiling": "k must be in [1, 100], got 101",
                   "verify_binary_count_2_62": f"got {2**62} binary",
                   "verify_binary_count_above_ceiling": f"[0, {10**6}] binary",
                   "verify_ternary_count_above_ceiling": f"[0, {10**5}] ternary",
-                  "gen_blindspot_features_2_62": "the feature matrix of shape",
+                  "gen_blindspot_features_2_62":
+                      f"f must be in [2, 149796] for k = 1, got {2**62}",
+                  "gen_blindspot_features_above_ceiling":
+                      "f must be in [2, 1744] for k = 100, got 1745",
                   "config_arch_hidden_2_62": "a weight matrix of shape",
                   "infer_overflowing_gate": "learnable gate",
                   "cost_layers_beyond_nodes": "num_layers must be in [1, 50]",
@@ -817,8 +827,11 @@ def test_mutated_graph_exits_0_or_2(data, tmp_path, small_graph_doc, checkpoints
                              + ["--out", str(tmp_path)])
 
 
-# a fixed set, so that no retyped count or width makes a run grow
-CONFIG_VALUES = st.sampled_from([None, True, "x", [1], {}, -1, 0, 1.5, 2.0])
+# a fixed set, so that no retyped count or width makes a run grow: 2**62 is
+# above every ceiling gen and verify check as they read their sizes and
+# counts. Train's round and epoch counts have no ceiling, so a train config
+# draws from the rest
+CONFIG_VALUES = [None, True, "x", [1], {}, -1, 0, 1.5, 2.0, 2**62]
 
 
 def _valid_train_config(data):
@@ -858,8 +871,21 @@ def mutated_configs(draw, data):
     targets = [doc, doc["weak_arch"], doc["strong_arch"], doc["confidence"]]
     target = draw(st.sampled_from(targets))
     keys = TOP_LEVEL_KEYS if target is doc else st.text(max_size=6)
-    _mutate(draw, target, CONFIG_VALUES, keys)
+    _mutate(draw, target, st.sampled_from(CONFIG_VALUES[:-1]), keys)
     return doc
+
+
+def _check_mutated_config(doc, valid, required, code, err):
+    """What a config mutated from `valid` must give beyond exit 0 or 2: an
+    unknown key names itself, a key only other commands read changes
+    nothing, and a missing `required` value is one error line."""
+    unknown = sorted(set(doc) - READ_KEYS)
+    if unknown:
+        assert err == f"error: config key {unknown[0]!r} is read by no command\n"
+    elif set(doc) - set(valid):
+        assert code == 0
+    if any(doc.get(key) is None for key in required):
+        assert code == 2 and len(err.splitlines()) == 1
 
 
 @given(data=st.data())
@@ -869,11 +895,32 @@ def test_mutated_config_exits_0_or_2(data, tmp_path, small_graph_path, monkeypat
     doc = data.draw(mutated_configs(str(small_graph_path)))
     monkeypatch.chdir(tmp_path)  # relative and default --out land here
     code, err = _assert_exits_0_or_2(["train", "--config", _write(tmp_path, "run.json", doc)])
-    unknown = sorted(set(doc) - READ_KEYS)
-    if unknown:
-        assert err == f"error: config key {unknown[0]!r} is read by no command\n"
-    elif set(doc) - set(_valid_train_config(None)):
-        assert code == 0   # a key only other commands read changes nothing here
-    if doc.get("seed") is None or doc.get("data") is None:
-        # a required value that is missing is one error line
-        assert code == 2 and len(err.splitlines()) == 1
+    _check_mutated_config(doc, _valid_train_config(None), ("seed", "data"), code, err)
+
+
+# small valid configs holding every key their command reads: each runs in
+# tens of milliseconds
+VALID_OTHER_CONFIGS = [
+    ("gen", {"seed": 3, "out": "run", "kind": "specialization", "name": "g.json",
+             "n-per-group": 20, "features": 2, "noise": 0.1}),
+    ("gen", {"seed": 3, "out": "run", "kind": "blindspot", "name": "g.json", "k": 1,
+             "features": 2}),
+    ("verify", {"seed": 3, "out": "run", "suite": "theorem", "binary-count": 20,
+                "ternary-count": 20}),
+]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_gen_and_verify_configs_exit_0_or_2(data, tmp_path, monkeypatch):
+    """A valid gen or verify config with one key dropped, retyped (2**62
+    among the values) or added."""
+    command, valid = data.draw(st.sampled_from(VALID_OTHER_CONFIGS))
+    doc = copy.deepcopy(valid)
+    _mutate(data.draw, doc, st.sampled_from(CONFIG_VALUES),
+            st.one_of(st.sampled_from(sorted(READ_KEYS)), st.text(max_size=6)))
+    monkeypatch.chdir(tmp_path)
+    code, err = _assert_exits_0_or_2([command, "--config",
+                                      _write(tmp_path, "run.json", doc)])
+    _check_mutated_config(doc, valid, ("seed",), code, err)

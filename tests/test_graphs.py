@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confmix import graphs, tensor as T
+from confmix import tensor as T
 from confmix.errors import (ConfigError, GraphFormatError, GraphValidationError)
 from confmix.graphs import (blindspot_cancellation_gap, build_blindspot_graph,
-                            build_graph, conv_coefficients, conv_rows, cost_estimate,
+                            build_graph, conv_rows, cost_estimate,
                             generate_specialization_graph, graph_from_document,
                             graph_to_document, khop_neighborhood, khop_sizes,
                             load_graph, save_graph, specialization_groups,
@@ -305,10 +305,10 @@ def test_operator_and_features_are_unscanned_constants(name, monkeypatch):
     monkeypatch.setattr(T.Tensor, "__init__", scanned)
     for t in (g.coefficients, g.feature_tensor):
         assert not t.requires_grad and t._op is None and t._parents == () and t.grad is None
-        assert np.isfinite(t.values).all()
+    assert np.isfinite(g.coefficients.values.weights).all()
     assert np.array_equal(g.feature_tensor.values, g.features)
     if name == "edgeless":
-        assert np.array_equal(g.coefficients.values, np.eye(3))
+        assert np.array_equal(g.coefficients.values.dense, np.eye(3))
 
 
 # ---- the convolution operator's storage ----
@@ -318,7 +318,7 @@ def same_bits(x, y) -> bool:
 
 
 def rebuilt(op):
-    """The dense matrix a SparseSymmetric's rows describe."""
+    """The dense matrix a SymmetricRows's rows describe."""
     n = op.shape[0]
     dense = np.zeros((n, n))
     rows = np.repeat(np.arange(n), np.diff(np.append(op.starts, op.columns.size)))
@@ -326,18 +326,29 @@ def rebuilt(op):
     return dense
 
 
+def dense_coefficients(g):
+    """D^-1/2 (A+I) D^-1/2 built densely from the edge list, by another
+    route than the engine's operator."""
+    a = np.eye(g.num_nodes)
+    lo, hi = g.edge_arrays()
+    a[lo, hi] = a[hi, lo] = 1.0
+    inv = 1.0 / np.sqrt(a.sum(axis=1))
+    return a * inv[:, None] * inv[None, :]
+
+
 @pytest.fixture(scope="module")
 def sparse_graph():
     # n = 2,000 and 1.4% dense: below SPARSE_DENSITY
     g = generate_specialization_graph(1000, 8, 0.1, seed=1)
-    return g, conv_coefficients(g)
+    return g, dense_coefficients(g)
 
 
 @pytest.mark.parametrize("width", [1, 2, 8, 33])
 def test_sparse_product_matches_the_dense_matrix(sparse_graph, width, monkeypatch):
     g, dense = sparse_graph
     op = g.coefficients.values
-    assert isinstance(op, T.SparseSymmetric) and same_bits(rebuilt(op), dense)
+    assert isinstance(op, T.SymmetricRows) and op.dense is None
+    assert same_bits(rebuilt(op), dense)
     # a width-33 product spans more than one block of columns
     assert 1 < T._GATHER_ENTRIES // op.columns.size < 33
     h = np.random.default_rng(width).standard_normal((g.num_nodes, width))
@@ -350,29 +361,37 @@ def test_sparse_product_matches_the_dense_matrix(sparse_graph, width, monkeypatc
         assert same_bits(op.times(h), got)
 
 
-def test_sparse_product_gradient(monkeypatch):
-    monkeypatch.setattr(graphs, "SPARSE_DENSITY", np.inf)
+def test_row_and_dense_kernels_agree_and_differentiate(monkeypatch):
+    """The operator's backward reuses its forward product, as Âᵀ = Â: with
+    either kernel forced, that gives b its gradient, and the kernels agree."""
     rng = np.random.default_rng(31)
     g = build_graph(6, 2, rng.standard_normal((6, 2)), [0, 1, 0, 1, 0, 1],
                     [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)], {})
-    coeff = g.coefficients
-    assert isinstance(coeff.values, T.SparseSymmetric)
-    b = T.Tensor(rng.uniform(-2.0, 2.0, (6, 3)), requires_grad=True)
+    h = rng.uniform(-2.0, 2.0, (6, 3))
     mask = rng.uniform(-1.0, 1.0, (6, 3))
+    products = []
+    for bound, dense in ((np.inf, False), (0.0, True)):
+        monkeypatch.setattr(T, "SPARSE_DENSITY", bound)
+        coeff = T.constant(conv_rows(g))
+        assert (coeff.values.dense is not None) == dense
+        b = T.Tensor(h.copy(), requires_grad=True)
 
-    def fn(inputs):
-        y = T.matmul(coeff, inputs[0])
-        return T.mean_all(y * y * mask)
+        def fn(inputs):
+            y = T.matmul(coeff, inputs[0])
+            return T.mean_all(y * y * mask)
 
-    assert T.check_gradient(fn, [b], 1e-5) < 1e-8
-    assert coeff.grad is None and b.grad is not None
+        assert T.check_gradient(fn, [b], 1e-5) < 1e-8
+        assert coeff.grad is None and b.grad is not None
+        products.append(T.matmul(coeff, T.constant(h)).values)
+    rows, dense = products
+    assert np.abs(rows - dense).max() <= 1e-15 * np.abs(dense).max()
 
 
 def test_sparse_edgeless_graph_returns_its_input():
     n = 100   # 1% dense
     rng = np.random.default_rng(32)
     g = build_graph(n, 2, rng.standard_normal((n, 3)), np.zeros(n, dtype=int), [], {})
-    assert isinstance(g.coefficients.values, T.SparseSymmetric)
+    assert g.coefficients.values.dense is None
     h = rng.standard_normal((n, 5))
     assert same_bits(T.matmul(g.coefficients, T.constant(h)).values, h)
     assert same_bits(g.first_aggregation.values, g.features)
@@ -383,18 +402,18 @@ def test_sparse_edgeless_graph_returns_its_input():
 def test_sparse_rows_of_tiny_graphs_and_an_isolated_node(n, edges, monkeypatch):
     rng = np.random.default_rng(n)
     g = build_graph(n, 1, rng.standard_normal((n, 2)), np.zeros(n, dtype=int), edges, {})
+    monkeypatch.setattr(T, "SPARSE_DENSITY", np.inf)
     op = conv_rows(g)
     assert op.shape == (n, n) and op.columns.size == g.indices.size + n
-    assert same_bits(rebuilt(op), conv_coefficients(g))
+    assert op.dense is None and same_bits(rebuilt(op), dense_coefficients(g))
     h = rng.standard_normal((n, 3))
     got = op.times(h)
     assert got.shape == (n, 3)
-    assert np.abs(got - conv_coefficients(g) @ h).max(initial=0.0) <= \
+    assert np.abs(got - dense_coefficients(g) @ h).max(initial=0.0) <= \
         1e-15 * np.abs(h).max(initial=0.0)
     if n == 5:   # node 4 has no neighbors: its row is its own
         assert same_bits(got[4], h[4])
     if n:
-        monkeypatch.setattr(graphs, "SPARSE_DENSITY", np.inf)
         assert same_bits(T.matmul(g.coefficients, T.constant(h)).values, got)
 
 
@@ -403,8 +422,8 @@ def test_blindspot_cancels_through_the_sparse_aggregation(k, monkeypatch):
     instance = build_blindspot_graph(k, 5, seed=4)
     if k == 5:
         # at most 62 nodes, over 5% dense: the density keeps it dense
-        monkeypatch.setattr(graphs, "SPARSE_DENSITY", np.inf)
-    assert isinstance(instance.graph.coefficients.values, T.SparseSymmetric)
+        monkeypatch.setattr(T, "SPARSE_DENSITY", np.inf)
+    assert instance.graph.coefficients.values.dense is None
     validate_blindspot(instance)
     assert blindspot_cancellation_gap(instance) < 1e-10
 
@@ -412,11 +431,14 @@ def test_blindspot_cancels_through_the_sparse_aggregation(k, monkeypatch):
 def test_operator_storage_follows_the_density():
     # gen --seed 7 (n = 200, 12.9% dense) and gen --seed 7 --n-per-group 2000
     # (n = 4,000, 0.7% dense)
-    assert isinstance(generate_specialization_graph(100, 8, 0.1, seed=7).coefficients.values,
-                      np.ndarray)
+    g = generate_specialization_graph(100, 8, 0.1, seed=7)
+    op = g.coefficients.values
+    assert isinstance(op, T.SymmetricRows) and same_bits(op.dense, dense_coefficients(g))
+    arrays = [op.dense]
     op = generate_specialization_graph(2000, 8, 0.1, seed=7).coefficients.values
-    assert isinstance(op, T.SparseSymmetric) and op.shape == (4000, 4000) and op.ndim == 2
-    for array in (op.starts, op.columns, op.weights):
+    assert isinstance(op, T.SymmetricRows) and op.shape == (4000, 4000) and op.ndim == 2
+    assert op.dense is None
+    for array in arrays + [op.starts, op.columns, op.weights]:
         with pytest.raises(ValueError):
             array[0] = 0
 

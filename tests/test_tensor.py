@@ -443,7 +443,9 @@ def test_symmetric_constant_multiplies_as_transposed_product(n, width):
     rng = np.random.default_rng(100 * n + width)
     half = rng.uniform(-1.0, 1.0, (n, n))
     sym = half + half.T
-    a = T.constant(sym, symmetric=True)
+    # every entry as a row's: dense enough for the dense kernel
+    a = T.constant(T.SymmetricRows(np.arange(n) * n, np.tile(np.arange(n), n), sym.ravel()))
+    assert same_bits(a.values.dense, sym)
     b = T.Tensor(rng.uniform(-2.0, 2.0, (n, width)), requires_grad=True)
     out = T.matmul(a, b)
     assert same_bits(out.values, (b.values.T @ sym).T)
@@ -459,34 +461,29 @@ def test_unmarked_square_constant_multiplies_as_given():
     rng = np.random.default_rng(3)
     left = rng.uniform(-2.0, 2.0, (6, 6))
     right = rng.uniform(-2.0, 2.0, (6, 4))
-    # a symmetric matrix left unmarked takes the plain product too
+    # a symmetric array takes the plain product too
     for values in (left, left + left.T):
         for a in (T.constant(values), T.Tensor(values)):
-            assert not a.symmetric
             assert same_bits(T.matmul(a, T.Tensor(right)).values, values @ right)
 
 
-def test_only_the_coefficient_matrix_is_marked_symmetric():
-    """`symmetric` is set in one place in the package: the keyword of the
-    T.constant call in Graph.coefficients. Nothing else assigns it outside
-    the engine, and no call passes it by position."""
-    marks = []
+def test_only_the_graph_operator_is_symmetric_rows():
+    """A `SymmetricRows`, whose backward assumes its transpose is itself
+    without checking, is built in one place in the package: `conv_rows`,
+    from a graph's symmetrized edges. Only the engine reads the density
+    that picks its kernel."""
+    builders, readers = [], set()
     for path in sorted(Path(T.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for fn in ast.walk(tree):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            for node in ast.walk(fn):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                name = getattr(node, "id", getattr(node, "attr", None))
                 if isinstance(node, ast.Call):
                     callee = getattr(node.func, "attr", getattr(node.func, "id", None))
-                    marks += [(path.name, fn.name) for kw in node.keywords
-                              if kw.arg == "symmetric"]
-                    assert callee != "constant" or len(node.args) == 1, (path.name, fn.name)
-                elif isinstance(node, ast.Attribute) and node.attr == "symmetric" and \
-                        isinstance(node.ctx, ast.Store):
-                    marks += [(path.name, fn.name)] if path.name != "tensor.py" else []
-    assert marks == [("graphs.py", "coefficients")]
-    graph = build_blindspot_graph(2, 3, seed=0).graph
-    coeff = graph.coefficients
-    assert coeff.symmetric and np.array_equal(coeff.values, coeff.values.T)
-    assert not graph.feature_tensor.symmetric and not graph.first_aggregation.symmetric
+                    if callee == "SymmetricRows":
+                        builders.append((path.name, getattr(top, "name", None)))
+                elif name == "SPARSE_DENSITY":
+                    readers.add(path.name)
+    assert builders == [("graphs.py", "conv_rows")]
+    assert readers == {"tensor.py"}
+    dense = build_blindspot_graph(2, 3, seed=0).graph.coefficients.values.dense
+    assert np.array_equal(dense, dense.T)

@@ -355,24 +355,20 @@ def test_gradient_correctness_of_training_objectives():
 
 
 def test_operator_built_once_per_graph(monkeypatch):
-    """A train and an evaluation build a graph's operator once, whether its
-    density stores it dense or sparse."""
+    """A train and an evaluation build a graph's operator once, whichever
+    kernel its density gives it."""
     calls = []
-
-    def counted(name):
-        build = getattr(graphs, name)
-        return lambda graph: calls.append((name, graph)) or build(graph)
-
-    for name in ("conv_coefficients", "conv_rows"):
-        monkeypatch.setattr(graphs, name, counted(name))
-    for bound, builder in ((0.0, "conv_coefficients"), (np.inf, "conv_rows")):
-        monkeypatch.setattr(graphs, "SPARSE_DENSITY", bound)
+    build = graphs.conv_rows
+    monkeypatch.setattr(graphs, "conv_rows", lambda graph: calls.append(graph) or build(graph))
+    for bound, dense in ((0.0, True), (np.inf, False)):
+        monkeypatch.setattr(T, "SPARSE_DENSITY", bound)
         g = generate_specialization_graph(20, 4, 0.1, seed=5)
         calls.clear()
         result = train(small_config(rounds=1, max_epochs=5, pretrain="both",
                                     pretrain_epochs=3), g)
         evaluate(result.weak, result.strong, result.spec, g, "test", gate_seed=1)
-        assert len(calls) == 1 and calls[0][0] == builder and calls[0][1] is g
+        assert len(calls) == 1 and calls[0] is g
+        assert (g.coefficients.values.dense is not None) == dense
 
 
 def turn_specs():
