@@ -4,7 +4,8 @@ Sized for small perceptron stacks and graph convolutions: eager forward
 evaluation, per-primitive backward closures, and a central-difference
 oracle (`check_gradient`) that stays independent of the reverse pass.
 A tensor holds a dense array, except that a constant may hold a
-`SymmetricRows` operator, which only `matmul` reads.
+`SymmetricRows` operator, a symmetric S·B·S with a 0/1 pattern B and a
+diagonal scale S, which only `matmul` reads.
 
 `Tensor(...)` rejects NaN/Inf when it is built; primitive outputs and
 a `constant` are not scanned. A tensor that
@@ -28,13 +29,17 @@ from .errors import ContractError, DomainError, ShapeError, TapeStateError
 
 LOG_FLOOR = 1e-12
 LOG_CEIL = 1.0
-# the most entries a sparse product gathers at once, whatever its width
-_GATHER_ENTRIES = 1 << 20
+# the most columns a row tile of a SymmetricRows gathers. Among tiles of
+# 256-65,536 columns, 4,096 is within 2% of the fastest at n = 4,000 and
+# widths 8 and 32, and its width-32 gather of 1 MB keeps that product's
+# peak near 3 MB (BENCH_row_tiles.json, "micro")
+_TILE_ENTRIES = 4096
 # a SymmetricRows operator gathers its rows while their entries fill less
-# than this share of the n×n matrix, else multiplies a dense copy: per
-# product, the rows beat the dense matrix below about 2% at width 32, the
-# width a default strong expert aggregates at, and below 3-5% at width 8
-# (BENCH_sparse_aggregation.json, "micro")
+# than this share of the n×n matrix, else multiplies a dense copy. Per
+# product, the row tiles break even with the dense matrix at width 32 near
+# 2% at n = 500 and near 4% at n = 1,000-4,000, and at width 8 at 5-6% and
+# above 6% (BENCH_row_tiles.json, "micro"): 2% is the most that keeps the
+# rows no slower at every size scanned
 SPARSE_DENSITY = 0.02
 # creation stamps of records; a record's operands are made before it
 _STAMPS = itertools.count()
@@ -118,50 +123,63 @@ def constant(values) -> Tensor:
 
 
 class SymmetricRows:
-    """A read-only symmetric n×n matrix, given by its rows' entries, that
-    stores itself by its density.
+    """A read-only symmetric n×n matrix S·B·S, stored by its density: B
+    is a 0/1 pattern given by its rows' columns, and S the diagonal of
+    the per-node `scale`.
 
-    Row i's entries are `weights[starts[i]:starts[i + 1]]` (the last row's
-    run to the end) in the columns `columns` gives alongside. Every row
-    holds at least one entry, as a graph's closed neighborhood holds its
-    own node, so one `np.add.reduceat` sums every row. Symmetry is not
-    checked: `times` serves as the transposed product too.
+    Row i's columns are `columns[starts[i]:starts[i + 1]]` (the last
+    row's run to the end), and its entry in column j is
+    `scale[i] * scale[j]`. Every row holds at least one column, as a
+    graph's closed neighborhood holds its own node, so one
+    `np.add.reduceat` sums every run. Symmetry is not checked: `times`
+    serves as the transposed product too.
 
     Entries filling SPARSE_DENSITY of the matrix or more are scattered
     once into `dense`, which `times` multiplies instead of the rows.
+    Below it, `tiles` cuts the rows once into runs of whole rows whose
+    columns fit in _TILE_ENTRIES, one row at least.
     """
 
-    __slots__ = ("shape", "starts", "columns", "weights", "dense")
+    __slots__ = ("shape", "starts", "columns", "scale", "dense", "tiles")
     ndim = 2
 
-    def __init__(self, starts, columns, weights):
+    def __init__(self, starts, columns, scale):
         n = starts.size
         self.shape = (n, n)
-        self.starts, self.columns, self.weights = starts, columns, weights
-        for array in (starts, columns, weights):
+        self.starts, self.columns, self.scale = starts, columns, scale
+        for array in (starts, columns, scale):
             array.flags.writeable = False
-        self.dense = None
+        self.dense, self.tiles = None, []
+        bounds = np.append(starts, columns.size)
         if columns.size >= SPARSE_DENSITY * n * n:
+            rows = np.repeat(np.arange(n), np.diff(bounds))
             self.dense = np.zeros((n, n))
-            self.dense[np.repeat(np.arange(n), np.diff(starts, append=columns.size)),
-                       columns] = weights
+            self.dense[rows, columns] = scale[rows] * scale[columns]
             self.dense.flags.writeable = False
+            return
+        lo = 0
+        while lo < n:
+            hi = max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + _TILE_ENTRIES, "right")) - 1)
+            # a tile's rows, their columns, and where each row's run starts in them
+            self.tiles.append((lo, hi, columns[bounds[lo]:bounds[hi]], starts[lo:hi] - bounds[lo]))
+            lo = hi
 
     def times(self, h: np.ndarray) -> np.ndarray:
         """self @ h for an (n, width) array. The dense matrix multiplies as
         (hᵀ·dense)ᵀ, which BLAS runs faster with the n×n matrix as the
-        right operand; the rows sum each row's entries in stored order,
-        into contiguous rows, and blocks of columns of h bound the gathered
-        temporary and leave every sum as it is."""
+        right operand. The rows scale h by S once, then for each tile
+        gather the columns of (Sh)ᵀ its rows name and sum each row's run
+        in stored order, scale the sums by S once and return contiguous
+        rows; a tile's gather stays in cache and leaves every sum as it
+        is."""
         if self.dense is not None:
             return (h.T @ self.dense).T
-        ht = np.ascontiguousarray(h.T)
+        ht = np.multiply(h.T, self.scale, order="C")
         out = np.empty(ht.shape)
-        step = max(1, _GATHER_ENTRIES // max(1, self.columns.size))
-        for lo in range(0, ht.shape[0], step):
-            part = np.take(ht[lo:lo + step], self.columns, axis=1)
-            part *= self.weights
-            np.add.reduceat(part, self.starts, axis=1, out=out[lo:lo + step])
+        for lo, hi, columns, offsets in self.tiles:
+            np.add.reduceat(np.take(ht, columns, axis=1), offsets, axis=1,
+                            out=out[:, lo:hi])
+        out *= self.scale
         return np.ascontiguousarray(out.T)
 
 

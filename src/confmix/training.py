@@ -43,6 +43,12 @@ PRETRAIN_CHOICES = ("none", "weak", "strong", "both")
 HIST_BINS = 20
 # the finiteness checks report an overflow; numpy's warnings would repeat it
 _QUIET = dict(over="ignore", invalid="ignore")
+# ceilings on train's counts, 20 times the defaults: early stopping ends a
+# default turn long before its cap (a default seed-7 train runs about 2,700
+# epochs), and a train at the ceilings runs about 2,000,000 at most
+MAX_ROUNDS = 100
+MAX_EPOCHS = 10_000
+MAX_PRETRAIN_EPOCHS = 2_000
 
 
 @dataclass
@@ -66,12 +72,17 @@ class TrainConfig:
         if self.pretrain not in PRETRAIN_CHOICES:
             raise ConfigError(
                 f"pretrain must be one of {PRETRAIN_CHOICES}, got {self.pretrain!r}")
-        if min(self.rounds, self.max_epochs, self.patience) < 1:
-            raise ConfigError("rounds, max_epochs and patience must be positive")
+        for name, low, high in (("rounds", 1, MAX_ROUNDS), ("max_epochs", 1, MAX_EPOCHS),
+                                ("pretrain_epochs", 0, MAX_PRETRAIN_EPOCHS)):
+            if not low <= getattr(self, name) <= high:
+                raise ConfigError(f"{name} must be in [{low}, {high}], "
+                                  f"got {getattr(self, name)}")
+        if self.patience < 1:
+            raise ConfigError(f"patience must be positive, got {self.patience}")
         if self.lr <= 0:
             raise ConfigError(f"learning rate must be > 0, got {self.lr}")
-        if min(self.pretrain_epochs, self.seed, self.gate_seed) < 0:
-            raise ConfigError("pretrain_epochs, seed and gate_seed must be >= 0")
+        if min(self.seed, self.gate_seed) < 0:
+            raise ConfigError("seed and gate_seed must be >= 0")
         check_role(self.weak_arch.kind, "weak")
         check_role(self.strong_arch.kind, "strong")
 

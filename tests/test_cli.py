@@ -529,6 +529,12 @@ BAD_INPUTS = {
                                                "--ternary-count", str(10**5 + 1)),
     "gen_blindspot_k_above_ceiling": _cli("gen", "--kind", "blindspot", "--seed", "1",
                                           "--k", "101"),
+    "train_rounds_2_62": _cli(*TRAIN, "--rounds", str(2**62)),
+    "train_rounds_above_ceiling": _cli(*TRAIN, "--rounds", "101"),
+    "train_max_epochs_2_62": _cli(*TRAIN, "--max-epochs", str(2**62)),
+    "train_max_epochs_above_ceiling": _cli(*TRAIN, "--max-epochs", "10001"),
+    "train_pretrain_epochs_2_62": _cli(*TRAIN, "--pretrain-epochs", str(2**62)),
+    "train_pretrain_epochs_above_ceiling": _cli(*TRAIN, "--pretrain-epochs", "2001"),
     "graph_edge_endpoint_overflow": _on_graph("cost", _set("edges", 0, 1, value=1e30)),
     # each of these reads as a valid integer under numpy's int64 cast:
     # edge 0 is (0, 1) and node 1 comes first in the train split
@@ -570,6 +576,15 @@ NAMED_IN_ERROR = {"checkpoint_not_json": "malformed checkpoint document at byte 
                   "gen_features_above_ceiling": "f must be in [2, 1048] for 2000 nodes, got 1049",
                   "gen_blindspot_k_2_62": f"k must be in [1, 100], got {2**62}",
                   "gen_blindspot_k_above_ceiling": "k must be in [1, 100], got 101",
+                  "train_rounds_2_62": f"rounds must be in [1, 100], got {2**62}",
+                  "train_rounds_above_ceiling": "rounds must be in [1, 100], got 101",
+                  "train_max_epochs_2_62": f"max_epochs must be in [1, 10000], got {2**62}",
+                  "train_max_epochs_above_ceiling":
+                      "max_epochs must be in [1, 10000], got 10001",
+                  "train_pretrain_epochs_2_62":
+                      f"pretrain_epochs must be in [0, 2000], got {2**62}",
+                  "train_pretrain_epochs_above_ceiling":
+                      "pretrain_epochs must be in [0, 2000], got 2001",
                   "verify_binary_count_2_62": f"got {2**62} binary",
                   "verify_binary_count_above_ceiling": f"[0, {10**6}] binary",
                   "verify_ternary_count_above_ceiling": f"[0, {10**5}] ternary",
@@ -828,9 +843,7 @@ def test_mutated_graph_exits_0_or_2(data, tmp_path, small_graph_doc, checkpoints
 
 
 # a fixed set, so that no retyped count or width makes a run grow: 2**62 is
-# above every ceiling gen and verify check as they read their sizes and
-# counts. Train's round and epoch counts have no ceiling, so a train config
-# draws from the rest
+# above every ceiling gen, verify and train check on their sizes and counts
 CONFIG_VALUES = [None, True, "x", [1], {}, -1, 0, 1.5, 2.0, 2**62]
 
 
@@ -871,7 +884,7 @@ def mutated_configs(draw, data):
     targets = [doc, doc["weak_arch"], doc["strong_arch"], doc["confidence"]]
     target = draw(st.sampled_from(targets))
     keys = TOP_LEVEL_KEYS if target is doc else st.text(max_size=6)
-    _mutate(draw, target, st.sampled_from(CONFIG_VALUES[:-1]), keys)
+    _mutate(draw, target, st.sampled_from(CONFIG_VALUES), keys)
     return doc
 
 

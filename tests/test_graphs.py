@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,7 +306,7 @@ def test_operator_and_features_are_unscanned_constants(name, monkeypatch):
     monkeypatch.setattr(T.Tensor, "__init__", scanned)
     for t in (g.coefficients, g.feature_tensor):
         assert not t.requires_grad and t._op is None and t._parents == () and t.grad is None
-    assert np.isfinite(g.coefficients.values.weights).all()
+    assert np.isfinite(g.coefficients.values.scale).all()
     assert np.array_equal(g.feature_tensor.values, g.features)
     if name == "edgeless":
         assert np.array_equal(g.coefficients.values.dense, np.eye(3))
@@ -318,11 +319,11 @@ def same_bits(x, y) -> bool:
 
 
 def rebuilt(op):
-    """The dense matrix a SymmetricRows's rows describe."""
+    """The dense matrix a SymmetricRows's rows and scale describe."""
     n = op.shape[0]
     dense = np.zeros((n, n))
     rows = np.repeat(np.arange(n), np.diff(np.append(op.starts, op.columns.size)))
-    dense[rows, op.columns] = op.weights
+    dense[rows, op.columns] = op.scale[rows] * op.scale[op.columns]
     return dense
 
 
@@ -349,16 +350,17 @@ def test_sparse_product_matches_the_dense_matrix(sparse_graph, width, monkeypatc
     op = g.coefficients.values
     assert isinstance(op, T.SymmetricRows) and op.dense is None
     assert same_bits(rebuilt(op), dense)
-    # a width-33 product spans more than one block of columns
-    assert 1 < T._GATHER_ENTRIES // op.columns.size < 33
+    # the rows span more than one tile
+    assert len(op.tiles) > 1
     h = np.random.default_rng(width).standard_normal((g.num_nodes, width))
     got, want = T.matmul(g.coefficients, T.constant(h)).values, dense @ h
     assert got.flags.c_contiguous
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-    # one column per block and every column in one block sum alike
-    for entries in (1, 1 << 40):
-        monkeypatch.setattr(T, "_GATHER_ENTRIES", entries)
-        assert same_bits(op.times(h), got)
+    # one row per tile and every row in one tile sum alike
+    for entries, tiles in ((1, g.num_nodes), (1 << 40, 1)):
+        monkeypatch.setattr(T, "_TILE_ENTRIES", entries)
+        tiled = T.SymmetricRows(op.starts, op.columns, op.scale)
+        assert len(tiled.tiles) == tiles and same_bits(tiled.times(h), got)
 
 
 def test_row_and_dense_kernels_agree_and_differentiate(monkeypatch):
@@ -428,19 +430,38 @@ def test_blindspot_cancels_through_the_sparse_aggregation(k, monkeypatch):
     assert blindspot_cancellation_gap(instance) < 1e-10
 
 
-def test_operator_storage_follows_the_density():
-    # gen --seed 7 (n = 200, 12.9% dense) and gen --seed 7 --n-per-group 2000
-    # (n = 4,000, 0.7% dense)
+@pytest.fixture(scope="module")
+def n4000_operator():
+    # gen --seed 7 --n-per-group 2000: n = 4,000, 0.7% dense
+    return generate_specialization_graph(2000, 8, 0.1, seed=7).coefficients.values
+
+
+def test_operator_storage_follows_the_density(n4000_operator):
+    # gen --seed 7 (n = 200, 12.9% dense) and the n = 4,000 graph
     g = generate_specialization_graph(100, 8, 0.1, seed=7)
     op = g.coefficients.values
     assert isinstance(op, T.SymmetricRows) and same_bits(op.dense, dense_coefficients(g))
     arrays = [op.dense]
-    op = generate_specialization_graph(2000, 8, 0.1, seed=7).coefficients.values
+    op = n4000_operator
     assert isinstance(op, T.SymmetricRows) and op.shape == (4000, 4000) and op.ndim == 2
     assert op.dense is None
-    for array in arrays + [op.starts, op.columns, op.weights]:
+    for array in arrays + [op.starts, op.columns, op.scale]:
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def test_sparse_product_gathers_in_tiles(n4000_operator):
+    """A width-32 product holds one row tile's gather at a time, not a
+    (width × nnz) block: it peaks below 4 MiB, where the scaled input, the
+    sums and the returned rows take 3 MiB."""
+    h = np.random.default_rng(7).standard_normal((4000, 32))
+    tracemalloc.start()
+    try:
+        n4000_operator.times(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # sha256 of the JSON of graph_to_document and the sorted node_map of

@@ -441,10 +441,10 @@ SYMMETRIC_CASES = [(6, 4), (40, 3), (40, 33), (200, 8)]
 @pytest.mark.parametrize("n, width", SYMMETRIC_CASES)
 def test_symmetric_constant_multiplies_as_transposed_product(n, width):
     rng = np.random.default_rng(100 * n + width)
-    half = rng.uniform(-1.0, 1.0, (n, n))
-    sym = half + half.T
+    scale = rng.uniform(-1.0, 1.0, n)
+    sym = np.outer(scale, scale)
     # every entry as a row's: dense enough for the dense kernel
-    a = T.constant(T.SymmetricRows(np.arange(n) * n, np.tile(np.arange(n), n), sym.ravel()))
+    a = T.constant(T.SymmetricRows(np.arange(n) * n, np.tile(np.arange(n), n), scale))
     assert same_bits(a.values.dense, sym)
     b = T.Tensor(rng.uniform(-2.0, 2.0, (n, width)), requires_grad=True)
     out = T.matmul(a, b)
