@@ -20,7 +20,7 @@ from .confidence import default_spec, spec_from_document, spec_to_document
 from .documents import read_json, write_json
 from .errors import (ConfigError, DomainError, GraphFormatError,
                      GraphValidationError, ShapeError, TrainingDivergedError,
-                     as_type)
+                     as_type, check_range)
 from .experts import ExpertArch, check_role, load_expert, save_expert
 from .graphs import (ARCHITECTURES, build_blindspot_graph, cost_estimate,
                      generate_specialization_graph, graph_to_document, khop_sizes,
@@ -75,8 +75,7 @@ def _required(args, config, key: str, cast=str):
 
 def _require_seed(args, config) -> int:
     seed = _required(args, config, "seed", int)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_range("seed", seed, 0)
     return seed
 
 
@@ -287,8 +286,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:
-        # a bare MemoryError, as Python raises for a list too long to build,
-        # has no message
+        # numpy's names the array it could not allocate; a bare one, as
+        # Python raises when a document outgrows memory, has no message
         detail = f": {e}" if str(e) else ""
         print(f"error: the request does not fit in memory{detail}", file=sys.stderr)
         return 2

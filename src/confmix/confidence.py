@@ -18,7 +18,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DomainError, as_type
+from .errors import ConfigError, DomainError, as_type, check_range
 from .experts import (ExpertArch, ExpertModel, expert_from_document, init_expert,
                       weak_forward)
 
@@ -85,8 +85,7 @@ class StepGate:
     tau: float = 0.0
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ConfigError(f"step threshold must be >= 0, got {self.tau}")
+        check_range("step threshold", self.tau, 0)
 
     def __call__(self, x):
         return np.where(np.asarray(x, dtype=np.float64) > self.tau, 1.0, 0.0)
@@ -226,8 +225,7 @@ def quasiconvexity_witness_search(spec: ConfidenceSpec, trials: int, seed: int,
     Returns max over trials of C(lam*p + (1-lam)*p') - max(C(p), C(p'));
     a quasiconvex confidence keeps this at or below zero (1e-12 noise).
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    check_range("trials", trials, 1)
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(n), size=trials)
     q = rng.dirichlet(np.ones(n), size=trials)

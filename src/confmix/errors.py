@@ -1,7 +1,7 @@
 """Exception types shared across the package; `as_type`, which casts a
-value from outside the program or raises a ConfigError; `as_array`,
-which reads a numeric array from a document by the same rule; and
-`check_fits`, which refuses a float array numpy cannot address."""
+value from outside the program or raises a ConfigError; `check_range`,
+the one form of every bound on a count or size; and `as_array`, which
+reads a numeric array from a document by the same rule as `as_type`."""
 
 import math
 from collections import Counter
@@ -59,12 +59,12 @@ def as_type(value, cast, key: str, text: bool = False):
     return out
 
 
-def check_fits(shape, what: str):
-    """A MemoryError naming `what` when a float64 array of `shape` has more
-    bytes than numpy can address. numpy itself refuses such a shape with
-    a ValueError, and only after its caller has started building."""
-    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
-        raise MemoryError(f"{what} of shape {tuple(shape)} is more than numpy can address")
+def check_range(name: str, value, low, high=None, error=ConfigError):
+    """`error` naming `name`, its bounds and `value`, unless low <= value
+    and, when `high` is given, value <= high."""
+    if value < low or high is not None and value > high:
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise error(f"{name} must be {bounds}, got {value}")
 
 
 _SHAPES = {int: ("an integer", "a list of integers", "a list of integer lists"),

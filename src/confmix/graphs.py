@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .documents import read_json, write_json
-from .errors import ConfigError, GraphFormatError, GraphValidationError, as_array
+from .errors import ConfigError, GraphFormatError, GraphValidationError, as_array, check_range
 
 _DOCUMENT_KEYS = {"num_nodes", "num_classes", "features", "labels", "edges", "splits"}
 _SPLIT_KEYS = {"train", "val", "test"}
@@ -87,9 +87,7 @@ def build_graph(num_nodes, num_classes, features, labels, edges, splits) -> Grap
     if labels.shape != (n,):
         raise GraphValidationError(f"labels must have length {n}")
     # every class could label a node; more would only size the experts' outputs
-    if not 1 <= num_classes <= max(n, 1):
-        raise GraphValidationError(
-            f"num_classes must be in [1, {max(n, 1)}], got {num_classes}")
+    check_range("num_classes", num_classes, 1, max(n, 1), GraphValidationError)
     bad = np.nonzero((labels < 0) | (labels >= num_classes))[0]
     if bad.size:
         raise GraphValidationError(
@@ -177,13 +175,6 @@ MAX_N_PER_GROUP = 100_000
 MAX_FEATURE_ENTRIES = 1 << 21
 
 
-def _check_features(f: int, n: int, nodes: str):
-    """ConfigError unless f is in [2, MAX_FEATURE_ENTRIES // n], the widest
-    feature matrix the ceiling admits for n rows."""
-    if not 2 <= f <= MAX_FEATURE_ENTRIES // n:
-        raise ConfigError(f"f must be in [2, {MAX_FEATURE_ENTRIES // n}] for {nodes}, got {f}")
-
-
 def generate_specialization_graph(n_per_group: int, f: int, noise: float,
                                   seed: int) -> Graph:
     """Two-population benchmark separating feature and structure signal.
@@ -196,12 +187,11 @@ def generate_specialization_graph(n_per_group: int, f: int, noise: float,
     probability 0.95), so only structure carries class signal.
     Stratified 50/25/25 train/val/test split per (group, class) cell.
     """
-    if not 20 <= n_per_group <= MAX_N_PER_GROUP:
-        raise ConfigError(f"n_per_group must be in [20, {MAX_N_PER_GROUP}], got {n_per_group}")
+    check_range("n_per_group", n_per_group, 20, MAX_N_PER_GROUP)
     n = 2 * n_per_group
-    _check_features(f, n, f"{n} nodes")
-    if noise < 0:
-        raise ConfigError(f"noise must be >= 0, got {noise}")
+    # the widest feature matrix the ceiling admits for n rows
+    check_range("f", f, 2, MAX_FEATURE_ENTRIES // n)
+    check_range("noise", noise, 0)
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % 2
     group_a = np.arange(n_per_group)
@@ -296,10 +286,9 @@ def build_blindspot_graph(k: int, f: int, seed: int) -> BlindspotInstance:
     solved so its closed-neighborhood sum cancels exactly; the v-side
     mirrors the u-side structure.
     """
-    if not 1 <= k <= MAX_BLINDSPOT_K:
-        raise ConfigError(f"k must be in [1, {MAX_BLINDSPOT_K}], got {k}")
+    check_range("k", k, 1, MAX_BLINDSPOT_K)
     # a side has at most 6 legs, so the ceiling does not depend on the seed
-    _check_features(f, 2 * (1 + 6 * k), f"k = {k}")
+    check_range("f", f, 2, MAX_FEATURE_ENTRIES // (2 * (1 + 6 * k)))
     rng = np.random.default_rng(seed)
 
     # the root has random extra fanout; every other node within k-1 hops
@@ -405,8 +394,7 @@ def blindspot_cancellation_gap(instance: BlindspotInstance) -> float:
 def khop_sizes(graph: Graph, num_layers: int):
     """[b_0 .. b_{L-1}]: average count of nodes within i hops (self included).
     L is at most n: no hop beyond n - 1 reaches a new node."""
-    if not 1 <= num_layers <= graph.num_nodes:
-        raise ConfigError(f"num_layers must be in [1, {graph.num_nodes}], got {num_layers}")
+    check_range("num_layers", num_layers, 1, graph.num_nodes)
     # nodes first reached at each hop, summed over sources; b_i adds hops 0..i
     counts = [0] * num_layers
     for v in range(graph.num_nodes):
@@ -424,8 +412,8 @@ def cost_estimate(graph: Graph, f: int, num_layers: int, architecture: str) -> f
     """
     if architecture not in ARCHITECTURES:
         raise ConfigError(f"architecture must be one of {ARCHITECTURES}")
-    if num_layers < 1 or f < 1:
-        raise ConfigError("num_layers and f must be >= 1")
+    check_range("num_layers", num_layers, 1)
+    check_range("f", f, 1)
     if architecture == "weak":
         return float(f * f * num_layers)
     total = sum(khop_sizes(graph, num_layers))

@@ -42,14 +42,6 @@ def _check(*confs, **rows):
             raise DomainError("confidence values must lie in [0, 1]")
 
 
-def cross_entropy_rows(probs, labels, name: str = "probs") -> T.Tensor:
-    """Per-row -log p[label] as one `T.nll_rows` record, which checks the
-    labels; DomainError unless `probs` (called `name` in the message)
-    are probability rows."""
-    _check(**{name: probs})
-    return T.nll_rows(probs, labels)
-
-
 def mixture_rows(confidences, losses) -> T.Tensor:
     """Per-node chained-gate loss over the experts' loss rows, weakest first.
 
@@ -96,9 +88,8 @@ def blend_loss(p_weak, p_strong, conf, labels) -> T.Tensor:
 
 def multi_expert_loss(prob_list, confidences, labels) -> T.Tensor:
     """Chained-gate loss over progressively stronger experts."""
-    losses = [cross_entropy_rows(p, labels, f"expert {m}") for m, p in enumerate(prob_list)]
-    _check(*confidences)
-    return T.mean_all(mixture_rows(confidences, losses))
+    _check(*confidences, **{f"expert {m}": p for m, p in enumerate(prob_list)})
+    return T.mean_all(mixture_rows(confidences, [T.nll_rows(p, labels) for p in prob_list]))
 
 
 def infer_stochastic(p_weak, p_strong, conf, seed: int):

@@ -26,7 +26,7 @@ from .confidence import (DISPERSION_KINDS, CappedLinearGate, ConfidenceSpec, Ste
                          TwoLevelGate, _dispersion_rows_np, _gate_kind, confidence_batch,
                          on_simplex, quasiconvexity_witness_search, spec_from_document)
 from .documents import write_csv
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_range
 from .experts import ExpertArch, ExpertModel, Layer, gcn_forward, init_expert
 from .graphs import BlindspotInstance, build_blindspot_graph, validate_blindspot
 from .mixture import infer_expected
@@ -61,8 +61,8 @@ class SimplexGrid:
 
     @classmethod
     def build(cls, n: int, m: int) -> "SimplexGrid":
-        if n < 2 or m < 2:
-            raise ConfigError(f"need n >= 2 and m >= 2, got n={n} m={m}")
+        check_range("n", n, 2)
+        check_range("m", m, 2)
         ints = _compositions(m, n)
         return cls(n, m, ints, ints / float(m))
 
@@ -612,8 +612,7 @@ def verify_blindspot(instance: BlindspotInstance, n_weight_draws: int,
     """Three clauses: (a) every random convolution confuses the roots;
     (b) the gated mixture with an all-or-nothing gate tells them apart
     and (c) hands every other node to the strong expert unchanged."""
-    if n_weight_draws < 1:
-        raise ConfigError("n_weight_draws must be >= 1")
+    check_range("n_weight_draws", n_weight_draws, 1)
     validate_blindspot(instance)
     g, u, v, k = instance.graph, instance.u, instance.v, instance.k
     rng = np.random.default_rng(seed)
@@ -670,10 +669,8 @@ def run_theorem_suite(binary_count: int = 200, ternary_count: int = 20,
                       seed: int = 0) -> SuiteReport:
     """The three-case minimizer suite: binary problems on the
     resolution-2000 grid, ternary ones on the resolution-300 grid."""
-    if not (0 <= binary_count <= MAX_BINARY_COUNT and 0 <= ternary_count <= MAX_TERNARY_COUNT):
-        raise ConfigError(f"counts must be in [0, {MAX_BINARY_COUNT}] binary and "
-                          f"[0, {MAX_TERNARY_COUNT}] ternary, got {binary_count} binary, "
-                          f"{ternary_count} ternary")
+    check_range("binary_count", binary_count, 0, MAX_BINARY_COUNT)
+    check_range("ternary_count", ternary_count, 0, MAX_TERNARY_COUNT)
     suite = SuiteReport()
     for n, m, sample, count, problem_seed in (
             (2, 2000, sample_binary_problems, binary_count, seed),

@@ -33,7 +33,7 @@ import numpy as np
 from . import tensor as T
 from .confidence import ConfidenceSpec, _gate_kind, confidence_rows, default_spec
 from .documents import write_csv
-from .errors import ConfigError, DomainError, TrainingDivergedError
+from .errors import ConfigError, DomainError, TrainingDivergedError, check_range
 from .experts import ExpertArch, ExpertModel, check_role, forward, init_expert
 from .graphs import Graph
 from .mixture import blend_rows, infer_expected, infer_stochastic, mixture_rows
@@ -73,18 +73,15 @@ class TrainConfig:
             raise ConfigError(
                 f"pretrain must be one of {PRETRAIN_CHOICES}, got {self.pretrain!r}")
         for name, low, high in (("rounds", 1, MAX_ROUNDS), ("max_epochs", 1, MAX_EPOCHS),
-                                ("pretrain_epochs", 0, MAX_PRETRAIN_EPOCHS)):
-            if not low <= getattr(self, name) <= high:
-                raise ConfigError(f"{name} must be in [{low}, {high}], "
-                                  f"got {getattr(self, name)}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be positive, got {self.patience}")
+                                ("pretrain_epochs", 0, MAX_PRETRAIN_EPOCHS),
+                                ("patience", 1, None), ("seed", 0, None), ("gate_seed", 0, None)):
+            check_range(name, getattr(self, name), low, high)
         if self.lr <= 0:
             raise ConfigError(f"learning rate must be > 0, got {self.lr}")
-        if min(self.seed, self.gate_seed) < 0:
-            raise ConfigError("seed and gate_seed must be >= 0")
-        check_role(self.weak_arch.kind, "weak")
-        check_role(self.strong_arch.kind, "strong")
+        for role in ("weak", "strong"):
+            arch = getattr(self, f"{role}_arch")
+            check_role(arch.kind, role)
+            arch.dims(1, 1)   # its layers and hidden, before any weight is drawn
 
 
 @dataclass
@@ -252,8 +249,7 @@ def pretrain_expert(arch: ExpertArch, graph: Graph, epochs: int, lr: float,
 
     Zero epochs returns the seeded initial weights unchanged.
     """
-    if epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {epochs}")
+    check_range("epochs", epochs, 0)
     if lr <= 0:
         raise ConfigError(f"learning rate must be > 0, got {lr}")
     return _fit(init_expert(arch, graph.num_features, graph.num_classes, seed), graph, lr,

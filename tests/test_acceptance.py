@@ -13,9 +13,8 @@ from confmix.experts import ExpertArch, forward, init_expert
 from confmix.graphs import (build_blindspot_graph, build_graph, cost_estimate,
                             generate_specialization_graph, khop_sizes,
                             specialization_groups)
-from confmix.mixture import (blend_loss, cross_entropy_rows, infer_stochastic,
-                             mixture_loss)
-from confmix.tensor import check_gradient
+from confmix.mixture import blend_loss, infer_stochastic, mixture_loss
+from confmix.tensor import check_gradient, nll_rows
 from confmix.theory import (SimplexGrid, binary_suite,
                             delta, run_theorem_suite, tightness_suite,
                             verify_blindspot)
@@ -245,8 +244,8 @@ def test_stochastic_gate_consistency():
     freq_gap = np.abs(fired / draws - c).max()
 
     target = mixture_loss(pw, ps, c, y).item()
-    ce_w = cross_entropy_rows(pw, y).values
-    ce_s = cross_entropy_rows(ps, y).values
+    ce_w = nll_rows(pw, y).values
+    ce_s = nll_rows(ps, y).values
     big = 100_000
     u = np.random.default_rng(9).uniform(size=(big, nodes))
     per_draw = np.where(u < c, ce_w, ce_s).mean(axis=1)

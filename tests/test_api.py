@@ -1,10 +1,12 @@
-"""The package's public names and its dependencies: a change to either is a
-deliberate edit here."""
+"""The package's public names, its dependencies and the one form of its
+bound messages: a change to any is a deliberate edit here."""
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import confmix
 
@@ -39,3 +41,17 @@ def test_cli_imports_only_numpy_and_the_standard_library():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          check=True, env=env).stdout
     assert set(json.loads(out)) - {"confmix", "numpy"} - sys.stdlib_module_names == set()
+
+
+# a closed bound on a count or size, "X must be in [a, b]" or "X must be >= a";
+# a strict float domain, such as "in [0.5, 1)" or "> 0", is another rule
+BOUND_MESSAGE = re.compile(r"must be (in \[[^\]\n]*\]|>= )")
+
+
+def test_only_errors_builds_a_bound_message():
+    # every other module calls errors.check_range, so the text has one form
+    found = [f"{path.name}:{number}"
+             for path in sorted(Path(confmix.__path__[0]).glob("*.py")) if path.name != "errors.py"
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if BOUND_MESSAGE.search(line)]
+    assert found == []

@@ -503,10 +503,16 @@ BAD_INPUTS = {
     "gate_seed_negative": _cli(*TRAIN, "--gate-seed", "-3"),
     "config_arch_hidden_zero": _cli(*TRAIN, config={"strong_arch": {"hidden": 0}}),
     "config_arch_hidden_negative": _cli(*TRAIN, config={"strong_arch": {"hidden": -2}}),
-    # a layer count no list can hold: Python refuses it without allocating
+    # an expert's depth or width above its ceiling: refused before any weight is drawn
     "config_arch_layers_2_62": _cli(*TRAIN, config={"strong_arch": {"layers": 2**62}}),
-    # an array too big for numpy to address: refused by its shape, before it is built
     "config_arch_hidden_2_62": _cli(*TRAIN, config={"strong_arch": {"hidden": 2**62}}),
+    "config_weak_arch_layers_above_ceiling": _cli(*TRAIN, config={"weak_arch": {"layers": 41}}),
+    "config_weak_arch_hidden_above_ceiling": _cli(
+        *TRAIN, config={"weak_arch": {"layers": 2, "hidden": 641}}),
+    "config_strong_arch_layers_above_ceiling": _cli(
+        *TRAIN, config={"strong_arch": {"layers": 41}}),
+    "config_strong_arch_hidden_above_ceiling": _cli(
+        *TRAIN, config={"strong_arch": {"hidden": 641}}),
     "verify_count_negative": _cli("verify", "--suite", "theorem", "--seed", "1",
                                   "--binary-count", "-5"),
     # counts, sizes and depths above their ceilings: refused as they are read
@@ -569,11 +575,19 @@ NAMED_IN_ERROR = {"checkpoint_not_json": "malformed checkpoint document at byte 
                   "graph_split_id_repeated": "appears more than once across the splits",
                   "graph_features_zero_width": "features must have at least one column",
                   "graph_num_classes_1e12": f"num_classes must be in [1, 50], got {10**12}",
-                  "config_arch_layers_2_62": "the request does not fit in memory",
+                  "config_arch_layers_2_62": f"layers must be in [1, 40], got {2**62}",
+                  "config_arch_hidden_2_62": f"hidden must be in [1, 640], got {2**62}",
+                  "config_weak_arch_layers_above_ceiling": "layers must be in [1, 40], got 41",
+                  "config_weak_arch_hidden_above_ceiling":
+                      "hidden must be in [1, 640], got 641",
+                  "config_strong_arch_layers_above_ceiling":
+                      "layers must be in [1, 40], got 41",
+                  "config_strong_arch_hidden_above_ceiling":
+                      "hidden must be in [1, 640], got 641",
                   "gen_n_per_group_2_62": f"n_per_group must be in [20, 100000], got {2**62}",
                   "gen_n_per_group_above_ceiling": "must be in [20, 100000], got 100001",
-                  "gen_features_2_62": f"f must be in [2, 10485] for 200 nodes, got {2**62}",
-                  "gen_features_above_ceiling": "f must be in [2, 1048] for 2000 nodes, got 1049",
+                  "gen_features_2_62": f"f must be in [2, 10485], got {2**62}",
+                  "gen_features_above_ceiling": "f must be in [2, 1048], got 1049",
                   "gen_blindspot_k_2_62": f"k must be in [1, 100], got {2**62}",
                   "gen_blindspot_k_above_ceiling": "k must be in [1, 100], got 101",
                   "train_rounds_2_62": f"rounds must be in [1, 100], got {2**62}",
@@ -585,14 +599,14 @@ NAMED_IN_ERROR = {"checkpoint_not_json": "malformed checkpoint document at byte 
                       f"pretrain_epochs must be in [0, 2000], got {2**62}",
                   "train_pretrain_epochs_above_ceiling":
                       "pretrain_epochs must be in [0, 2000], got 2001",
-                  "verify_binary_count_2_62": f"got {2**62} binary",
-                  "verify_binary_count_above_ceiling": f"[0, {10**6}] binary",
-                  "verify_ternary_count_above_ceiling": f"[0, {10**5}] ternary",
-                  "gen_blindspot_features_2_62":
-                      f"f must be in [2, 149796] for k = 1, got {2**62}",
-                  "gen_blindspot_features_above_ceiling":
-                      "f must be in [2, 1744] for k = 100, got 1745",
-                  "config_arch_hidden_2_62": "a weight matrix of shape",
+                  "verify_binary_count_2_62":
+                      f"binary_count must be in [0, {10**6}], got {2**62}",
+                  "verify_binary_count_above_ceiling":
+                      f"binary_count must be in [0, {10**6}], got {10**6 + 1}",
+                  "verify_ternary_count_above_ceiling":
+                      f"ternary_count must be in [0, {10**5}], got {10**5 + 1}",
+                  "gen_blindspot_features_2_62": f"f must be in [2, 149796], got {2**62}",
+                  "gen_blindspot_features_above_ceiling": "f must be in [2, 1744], got 1745",
                   "infer_overflowing_gate": "learnable gate",
                   "cost_layers_beyond_nodes": "num_layers must be in [1, 50]",
                   "config_unknown_key": "config key 'max_epochs' is read by no command"}
@@ -608,6 +622,17 @@ def test_bad_input_exits_2(case, tmp_path, small_graph_path, checkpoints, capsys
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert NAMED_IN_ERROR.get(case, "") in err
+
+
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 8.00 GiB")],
+                         ids=["bare", "with_message"])
+def test_memory_error_exits_2(error, tmp_path, monkeypatch, capsys):
+    def load_graph(path):
+        raise error
+    monkeypatch.setattr(cli, "load_graph", load_graph)
+    assert run_cli(["train", "--data", "graph.json", "--seed", "1", "--out", str(tmp_path)]) == 2
+    detail = f": {error}" if str(error) else ""
+    assert capsys.readouterr() == ("", f"error: the request does not fit in memory{detail}\n")
 
 
 @pytest.mark.parametrize("key, value", [("out", 5), ("data", 0)])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from confmix.errors import ConfigError, ShapeError
-from confmix.experts import (ExpertArch, expert_from_document,
+from confmix.experts import (MAX_HIDDEN, MAX_LAYERS, ExpertArch, expert_from_document,
                              expert_to_document, gcn_forward, init_expert,
                              load_expert, save_expert, weak_forward)
 from confmix.graphs import build_blindspot_graph, build_graph
@@ -235,6 +235,26 @@ def test_init_deterministic():
     b = init_expert(ExpertArch("gcn", 2, 4), 3, 2, seed=17)
     for la, lb in zip(a.layers, b.layers):
         assert np.array_equal(la.weight.values, lb.weight.values)
+
+
+def test_architecture_ceilings_are_inclusive():
+    dims = ExpertArch("gcn", MAX_LAYERS, MAX_HIDDEN).dims(3, 2)
+    assert dims == [3] + [MAX_HIDDEN] * (MAX_LAYERS - 1) + [2]
+
+
+@pytest.mark.parametrize("arch, message", [
+    (ExpertArch("gcn", MAX_LAYERS + 1), f"layers must be in [1, {MAX_LAYERS}], got 41"),
+    (ExpertArch("weak", 2, MAX_HIDDEN + 1), f"hidden must be in [1, {MAX_HIDDEN}], got 641"),
+    (ExpertArch("gcn", 10**6), f"layers must be in [1, {MAX_LAYERS}], got {10**6}"),
+    (ExpertArch("gcn", 3, 30000), f"hidden must be in [1, {MAX_HIDDEN}], got 30000"),
+], ids=["layers", "hidden", "layers_1e6", "hidden_30000"])
+def test_refused_architecture_draws_no_weight(arch, message, monkeypatch):
+    def default_rng(seed):
+        raise AssertionError("a weight was drawn for a refused architecture")
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    with pytest.raises(ConfigError) as info:
+        init_expert(arch, 4, 2, seed=0)
+    assert str(info.value) == message
 
 
 def test_init_bound_scale():

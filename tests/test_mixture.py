@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from confmix import tensor as T
 from confmix.errors import ConfigError, DomainError, ShapeError
-from confmix.mixture import (blend_loss, cross_entropy_rows, infer_expected,
-                             infer_stochastic, mixture_loss, multi_expert_loss,
-                             write_predictions_csv)
+from confmix.mixture import (blend_loss, infer_expected, infer_stochastic, mixture_loss,
+                             multi_expert_loss, write_predictions_csv)
 
 
 def multi_expert_weights(confidences) -> np.ndarray:
@@ -34,7 +33,7 @@ def test_confidence_zero_collapses_to_strong():
     rng = np.random.default_rng(0)
     pw, ps, _, y = random_instance(rng)
     loss = mixture_loss(pw, ps, np.zeros(len(y)), y)
-    strong_only = cross_entropy_rows(ps, y).values.mean()
+    strong_only = T.nll_rows(ps, y).values.mean()
     assert loss.item() == strong_only
 
 
@@ -42,7 +41,7 @@ def test_confidence_one_collapses_to_weak():
     rng = np.random.default_rng(1)
     pw, ps, _, y = random_instance(rng)
     loss = mixture_loss(pw, ps, np.ones(len(y)), y)
-    weak_only = cross_entropy_rows(pw, y).values.mean()
+    weak_only = T.nll_rows(pw, y).values.mean()
     assert loss.item() == weak_only
 
 
@@ -103,7 +102,7 @@ def test_off_simplex_rejected():
 
 def test_cross_entropy_reads_the_label_entry():
     probs = T.Tensor([[0.9, 0.1], [0.3, 0.7]], requires_grad=True)
-    rows = cross_entropy_rows(probs, np.array([1, 0]))
+    rows = T.nll_rows(probs, np.array([1, 0]))
     assert np.array_equal(rows.values, -np.log([0.1, 0.3]))
     ops = [node._op for node in T.Tape.from_output(rows).records]
     assert ops == ["nll_rows"]
@@ -114,7 +113,7 @@ def test_cross_entropy_reads_the_label_entry():
 def test_labels_outside_classes_or_rows_rejected(labels):
     p, c, y = np.array([[0.9, 0.1]]), np.array([0.5]), np.array(labels)
     with pytest.raises(ShapeError):
-        cross_entropy_rows(p, y)
+        T.nll_rows(p, y)
     for loss in (mixture_loss, blend_loss):
         with pytest.raises(ShapeError):
             loss(p, p, c, y)
@@ -146,7 +145,7 @@ def test_multi_expert_hand_expansion():
     y = rng.integers(0, 2, 4)
     halves = [np.full(4, 0.5), np.full(4, 0.5)]
     got = multi_expert_loss(probs, halves, y).item()
-    ces = [cross_entropy_rows(p, y).values for p in probs]
+    ces = [T.nll_rows(p, y).values for p in probs]
     want = (0.5 * ces[0] + 0.25 * ces[1] + 0.25 * ces[2]).mean()
     assert np.isclose(got, want, atol=1e-15)
     weights = multi_expert_weights(halves)
@@ -237,8 +236,8 @@ def test_gate_expectation_consistency():
     rng = np.random.default_rng(11)
     pw, ps, c, y = random_instance(rng, nodes=30, classes=2)
     target = mixture_loss(pw, ps, c, y).item()
-    ce_w = cross_entropy_rows(pw, y).values
-    ce_s = cross_entropy_rows(ps, y).values
+    ce_w = T.nll_rows(pw, y).values
+    ce_s = T.nll_rows(ps, y).values
     trials = 20_000
     draws = rng.uniform(0.0, 1.0, size=(trials, 30))
     gated = np.where(draws < c, ce_w, ce_s)

@@ -13,7 +13,7 @@ from confmix.errors import ConfigError, DomainError, TrainingDivergedError
 from confmix.experts import ExpertArch, forward, init_expert
 from confmix import graphs, mixture, training
 from confmix.graphs import build_graph, generate_specialization_graph
-from confmix.mixture import cross_entropy_rows, mixture_rows
+from confmix.mixture import mixture_rows
 from confmix.training import (TrainConfig, _run_phase, _sgd_step, evaluate,
                               pretrain_expert, single_expert_baseline, train)
 
@@ -325,6 +325,11 @@ def test_config_validation(graph):
         train(small_config(pretrain="everything"), graph)
     with pytest.raises(ConfigError):
         train(small_config(strong_arch=ExpertArch("weak", 1)), graph)
+    # an architecture above its ceilings is refused by validate, before any weight exists
+    with pytest.raises(ConfigError, match=r"^layers must be in \[1, 40\], got 1000000$"):
+        small_config(strong_arch=ExpertArch("gcn", 10**6, 32)).validate()
+    with pytest.raises(ConfigError, match=r"^hidden must be in \[1, 640\], got 641$"):
+        small_config(weak_arch=ExpertArch("weak", 2, 641)).validate()
     empty = build_graph(3, 2, np.zeros((3, 2)), [0, 1, 0], [(0, 1)],
                         {"train": [], "val": [], "test": [0]})
     with pytest.raises(ConfigError):
@@ -401,19 +406,19 @@ def test_hoisted_turns_equal_mixture_loss_rows(spec):
 
     def live_weak(strong_ce):
         pw = forward(weak, g)
-        return mixture_rows([confidence_rows(pw, spec)], [cross_entropy_rows(pw, y), strong_ce])
+        return mixture_rows([confidence_rows(pw, spec)], [T.nll_rows(pw, y), strong_ce])
 
     def all_live():
-        return live_weak(cross_entropy_rows(forward(strong, g), y))
+        return live_weak(T.nll_rows(forward(strong, g), y))
 
-    frozen_strong = cross_entropy_rows(T.Tensor(forward(strong, g).values), y)
+    frozen_strong = T.nll_rows(T.Tensor(forward(strong, g).values), y)
     epochs(list(weak.parameters()) + list(spec.parameters()),
            lambda: live_weak(frozen_strong), all_live)
 
     pw = forward(weak, g).values
-    conf, weak_ce = T.Tensor(confidence_batch(pw, spec)), cross_entropy_rows(T.Tensor(pw), y)
+    conf, weak_ce = T.Tensor(confidence_batch(pw, spec)), T.nll_rows(T.Tensor(pw), y)
     epochs(list(strong.parameters()),
-           lambda: mixture_rows([conf], [weak_ce, cross_entropy_rows(forward(strong, g), y)]),
+           lambda: mixture_rows([conf], [weak_ce, T.nll_rows(forward(strong, g), y)]),
            all_live)
 
 
