@@ -408,12 +408,13 @@ def cost_estimate(graph: Graph, f: int, num_layers: int, architecture: str) -> f
 
     weak: f^2 * L. gcn: f^2 * sum(b_0 .. b_{L-1}), since layer i applies
     its transform to every node within L-i hops. gcn_skip doubles the
-    per-node transform cost.
+    per-node transform cost. L is at most n and f at most the generators'
+    MAX_FEATURE_ENTRIES, so every count is a finite float.
     """
     if architecture not in ARCHITECTURES:
         raise ConfigError(f"architecture must be one of {ARCHITECTURES}")
-    check_range("num_layers", num_layers, 1)
-    check_range("f", f, 1)
+    check_range("num_layers", num_layers, 1, graph.num_nodes)
+    check_range("f", f, 1, MAX_FEATURE_ENTRIES)
     if architecture == "weak":
         return float(f * f * num_layers)
     total = sum(khop_sizes(graph, num_layers))

@@ -131,8 +131,8 @@ class SymmetricRows:
     row's run to the end), and its entry in column j is
     `scale[i] * scale[j]`. Every row holds at least one column, as a
     graph's closed neighborhood holds its own node, so one
-    `np.add.reduceat` sums every run. Symmetry is not checked: `times`
-    serves as the transposed product too.
+    `np.add.reduceat` sums every run. Symmetry is not checked: `T` is
+    the operator itself.
 
     Entries filling SPARSE_DENSITY of the matrix or more are scattered
     once into `dense`, which `times` multiplies instead of the rows.
@@ -164,16 +164,18 @@ class SymmetricRows:
             self.tiles.append((lo, hi, columns[bounds[lo]:bounds[hi]], starts[lo:hi] - bounds[lo]))
             lo = hi
 
+    @property
+    def T(self):
+        return self
+
     def times(self, h: np.ndarray) -> np.ndarray:
-        """self @ h for an (n, width) array. The dense matrix multiplies as
-        (hᵀ·dense)ᵀ, which BLAS runs faster with the n×n matrix as the
-        right operand. The rows scale h by S once, then for each tile
-        gather the columns of (Sh)ᵀ its rows name and sum each row's run
-        in stored order, scale the sums by S once and return contiguous
-        rows; a tile's gather stays in cache and leaves every sum as it
-        is."""
+        """self @ h for an (n, width) array, as contiguous rows. The rows
+        scale h by S once, then for each tile gather the columns of (Sh)ᵀ
+        its rows name and sum each row's run in stored order, and scale
+        the sums by S once; a tile's gather stays in cache and leaves
+        every sum as it is."""
         if self.dense is not None:
-            return (h.T @ self.dense).T
+            return self.dense @ h
         ht = np.multiply(h.T, self.scale, order="C")
         out = np.empty(ht.shape)
         for lo, hi, columns, offsets in self.tiles:
@@ -181,6 +183,10 @@ class SymmetricRows:
                             out=out[:, lo:hi])
         out *= self.scale
         return np.ascontiguousarray(out.T)
+
+    def __matmul__(self, h):
+        # a call, not an alias, so a wrapper set on `times` sees every product
+        return self.times(h)
 
 
 def _make(values, op, parents, backward) -> Tensor:
@@ -262,20 +268,7 @@ def matmul(a, b, bias=None) -> Tensor:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
-
-    def transposed_times(g):
-        # aᵀg formed as (gᵀa)ᵀ: BLAS runs a product whose left operand is
-        # transposed at about half speed
-        return (g.T @ a.values).T
-
-    if isinstance(a.values, SymmetricRows):
-        # the aggregation product. a @ b equals aᵀb, so the forward and b's
-        # gradient are the operator's own product; the copy makes the
-        # forward's rows contiguous
-        transposed_times = a.values.times
-        values = np.ascontiguousarray(transposed_times(b.values))
-    else:
-        values = a.values @ b.values
+    values = a.values @ b.values
     parents = (a, b)
     if bias is not None:
         bias = _coerce(bias)
@@ -289,7 +282,7 @@ def matmul(a, b, bias=None) -> Tensor:
         if a.requires_grad:
             _accum(a, out.grad @ b.values.T)
         if b.requires_grad:
-            _accum(b, transposed_times(out.grad))
+            _accum(b, a.values.T @ out.grad)
         if bias is not None and bias.requires_grad:
             _accum(bias, out.grad.sum(axis=0))
 

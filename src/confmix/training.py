@@ -301,6 +301,8 @@ def evaluate(weak: ExpertModel, strong: ExpertModel, spec: ConfidenceSpec,
     Stochastic gating draws one variate per node in node-id order from
     gate_seed, independently of any training seed.
     """
+    if split not in graph.splits:
+        raise ConfigError(f"split must be one of ('train', 'val', 'test'), got {split!r}")
     if graph.splits[split].size == 0:
         raise ConfigError(f"split {split!r} is empty")
     return _scores(predict(weak, strong, spec, graph), graph, gate_seed)[split]

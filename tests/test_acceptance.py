@@ -3,7 +3,6 @@ fixed up front. Each test prints a single PASS/FAIL line (visible with
 pytest -rA) before asserting."""
 
 import numpy as np
-import pytest
 
 from confmix.confidence import (CappedLinearGate, ConfidenceSpec, StepGate,
                                 TwoLevelGate, confidence_batch,
@@ -15,8 +14,7 @@ from confmix.graphs import (build_blindspot_graph, build_graph, cost_estimate,
                             specialization_groups)
 from confmix.mixture import blend_loss, infer_stochastic, mixture_loss
 from confmix.tensor import check_gradient, nll_rows
-from confmix.theory import (SimplexGrid, binary_suite,
-                            delta, run_theorem_suite, tightness_suite,
+from confmix.theory import (binary_suite, delta, run_theorem_suite, tightness_suite,
                             verify_blindspot)
 from confmix.training import TrainConfig, evaluate, single_expert_baseline, train
 
@@ -25,16 +23,6 @@ def report(name: str, ok: bool, detail: str = ""):
     state = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {name}: {state}  {detail}")
     assert ok, f"{name}: {detail}"
-
-
-@pytest.fixture(scope="module")
-def grid2():
-    return SimplexGrid.build(2, 2000)
-
-
-@pytest.fixture(scope="module")
-def grid3():
-    return SimplexGrid.build(3, 300)
 
 
 def test_minimizer_theorem_suite():

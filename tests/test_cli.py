@@ -431,6 +431,9 @@ BAD_INPUTS = {
                                      "--layers", "99999999999999999999"),
     # refused by the cost model, once only after the table's header was printed
     "cost_features_0": _cli("cost", "--data", "DATA", "--features", "0"),
+    # once an OverflowError traceback from the cost model's float
+    "cost_features_201_digits": _cli("cost", "--data", "DATA", "--features", "1" + "0" * 200),
+    "cost_features_above_ceiling": _cli("cost", "--data", "DATA", "--features", str(2**21 + 1)),
     "infer_roles_swapped": _infer(lambda c: c["gcn"], lambda c: c["weak"]),
     "infer_gcn_skip_without_skip": _infer(lambda c: c["weak"],
                                           lambda c: _skip_from(c["gcn_skip"], None)),
@@ -609,6 +612,8 @@ NAMED_IN_ERROR = {"checkpoint_not_json": "malformed checkpoint document at byte 
                   "gen_blindspot_features_above_ceiling": "f must be in [2, 1744], got 1745",
                   "infer_overflowing_gate": "learnable gate",
                   "cost_layers_beyond_nodes": "num_layers must be in [1, 50]",
+                  "cost_features_201_digits": f"f must be in [1, {2**21}], got 1{'0' * 200}",
+                  "cost_features_above_ceiling": f"f must be in [1, {2**21}], got {2**21 + 1}",
                   "config_unknown_key": "config key 'max_epochs' is read by no command"}
 
 

@@ -11,6 +11,7 @@ from confmix.experts import (MAX_HIDDEN, MAX_LAYERS, ExpertArch, expert_from_doc
                              load_expert, save_expert, weak_forward)
 from confmix.graphs import build_blindspot_graph, build_graph
 from confmix import tensor as T
+from helpers import dense_coefficients
 
 
 def two_node_graph():
@@ -47,16 +48,6 @@ def test_gcn_on_edgeless_equals_weak():
     model = init_expert(ExpertArch("gcn", 2, 5), 3, 2, seed=3)
     weak = weak_forward(model, g.features).values
     assert np.array_equal(gcn_forward(model, g).values, weak)
-
-
-def dense_coefficients(g):
-    """D^-1/2 (A+I) D^-1/2 built densely from the edge list, by another
-    route than the engine's operator."""
-    a = np.eye(g.num_nodes)
-    lo, hi = g.edge_arrays()
-    a[lo, hi] = a[hi, lo] = 1.0
-    inv = 1.0 / np.sqrt(a.sum(axis=1))
-    return a * inv[:, None] * inv[None, :]
 
 
 def numpy_gcn(model, g):

@@ -12,12 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from confmix import tensor as T
 from confmix.errors import (ConfigError, GraphFormatError, GraphValidationError)
-from confmix.graphs import (blindspot_cancellation_gap, build_blindspot_graph,
-                            build_graph, conv_rows, cost_estimate,
+from confmix.graphs import (ARCHITECTURES, MAX_FEATURE_ENTRIES, blindspot_cancellation_gap,
+                            build_blindspot_graph, build_graph, conv_rows, cost_estimate,
                             generate_specialization_graph, graph_from_document,
                             graph_to_document, khop_neighborhood, khop_sizes,
                             load_graph, save_graph, specialization_groups,
                             validate_blindspot)
+from helpers import dense_coefficients, same_bits
 
 
 def tiny_graph(**overrides):
@@ -314,10 +315,6 @@ def test_operator_and_features_are_unscanned_constants(name, monkeypatch):
 
 # ---- the convolution operator's storage ----
 
-def same_bits(x, y) -> bool:
-    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
-
-
 def rebuilt(op):
     """The dense matrix a SymmetricRows's rows and scale describe."""
     n = op.shape[0]
@@ -325,16 +322,6 @@ def rebuilt(op):
     rows = np.repeat(np.arange(n), np.diff(np.append(op.starts, op.columns.size)))
     dense[rows, op.columns] = op.scale[rows] * op.scale[op.columns]
     return dense
-
-
-def dense_coefficients(g):
-    """D^-1/2 (A+I) D^-1/2 built densely from the edge list, by another
-    route than the engine's operator."""
-    a = np.eye(g.num_nodes)
-    lo, hi = g.edge_arrays()
-    a[lo, hi] = a[hi, lo] = 1.0
-    inv = 1.0 / np.sqrt(a.sum(axis=1))
-    return a * inv[:, None] * inv[None, :]
 
 
 @pytest.fixture(scope="module")
@@ -573,6 +560,18 @@ def test_cost_weak_closed_form():
     g = build_graph(3, 2, np.zeros((3, 1)), [0, 0, 0], [],
                     {"train": [0], "val": [], "test": []})
     assert cost_estimate(g, 256, 3, "weak") == 196608.0
+
+
+def test_cost_bounds_are_inclusive_for_every_row():
+    # the weak row reads no hop sizes, yet its depth is bounded by n too
+    g = build_graph(3, 2, np.zeros((3, 1)), [0, 0, 0], [],
+                    {"train": [0], "val": [], "test": []})
+    for arch in ARCHITECTURES:
+        assert cost_estimate(g, MAX_FEATURE_ENTRIES, 3, arch) > 0.0
+        for f, layers, named in ((MAX_FEATURE_ENTRIES + 1, 3, "f"), (10**200, 3, "f"),
+                                 (1, 4, "num_layers"), (1, 10**400, "num_layers")):
+            with pytest.raises(ConfigError, match=f"^{named} must be in"):
+                cost_estimate(g, f, layers, arch)
 
 
 def test_cost_gcn_equals_weak_on_edgeless():

@@ -11,6 +11,7 @@ import pytest
 from confmix import tensor as T
 from confmix.errors import ContractError, DomainError, ShapeError, TapeStateError
 from confmix.graphs import build_blindspot_graph
+from helpers import same_bits
 
 
 def total(t):
@@ -145,11 +146,6 @@ def test_every_record_making_function_has_a_gradient_case():
         out = builder(*[T.Tensor(rng.uniform(lo, hi, s), requires_grad=True) for s in shapes])
         recorded |= {node._op for node in T.Tape.from_output(out).records}
     assert public - NOT_RECORDS <= recorded
-
-
-def same_bits(x, y) -> bool:
-    x, y = np.asarray(x), np.asarray(y)
-    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def values_and_grads(build, arrays, weights):
@@ -433,25 +429,29 @@ def test_check_gradient_mixed_constant_and_variable_operands(name):
         assert const.grad is None and var.grad is not None
 
 
-# (n, width): widths at n = 40 and 200 whose two orientations round apart
-# (3, 33) and alike (4, 8)
+# (n, width): widths at n = 40 and 200 where (bᵀ·sym)ᵀ and sym·b round
+# apart (3, 33) and alike (4, 8)
 SYMMETRIC_CASES = [(6, 4), (40, 3), (40, 33), (200, 8)]
 
 
 @pytest.mark.parametrize("n, width", SYMMETRIC_CASES)
 def test_symmetric_constant_multiplies_as_transposed_product(n, width):
+    """The operator is its own transpose, so b's gradient, the transposed
+    product, is the plain product, as the forward is."""
     rng = np.random.default_rng(100 * n + width)
     scale = rng.uniform(-1.0, 1.0, n)
     sym = np.outer(scale, scale)
     # every entry as a row's: dense enough for the dense kernel
-    a = T.constant(T.SymmetricRows(np.arange(n) * n, np.tile(np.arange(n), n), scale))
-    assert same_bits(a.values.dense, sym)
+    op = T.SymmetricRows(np.arange(n) * n, np.tile(np.arange(n), n), scale)
+    assert same_bits(op.dense, sym) and op.T is op
+    a = T.constant(op)
     b = T.Tensor(rng.uniform(-2.0, 2.0, (n, width)), requires_grad=True)
     out = T.matmul(a, b)
-    assert same_bits(out.values, (b.values.T @ sym).T)
+    assert same_bits(out.values, sym @ b.values)
     assert out.values.flags.c_contiguous
-    want = sym @ b.values
-    assert np.abs(out.values - want).max() <= 1e-15 * np.abs(want).max()
+    g = rng.uniform(-2.0, 2.0, (n, width))
+    T.backward(total(out * g))
+    assert same_bits(b.grad, op.dense @ g)
     if n <= 6:
         assert T.check_gradient(lambda ins: square_total(T.matmul(a, ins[0])), [b],
                                 1e-5) < 1e-4

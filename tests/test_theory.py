@@ -29,16 +29,6 @@ from confmix.theory import (_BRANCH_FLOOR, BinaryBounds, ClauseResult, GroupProb
 STEP_VAR = ConfidenceSpec("variance", StepGate(0.0))
 
 
-@pytest.fixture(scope="module")
-def grid2():
-    return SimplexGrid.build(2, 2000)
-
-
-@pytest.fixture(scope="module")
-def grid3():
-    return SimplexGrid.build(3, 300)
-
-
 def test_grid_counts_and_exact_sums(grid3):
     assert grid3.points.shape[0] == math.comb(300 + 2, 2)
     assert (grid3.ints.sum(axis=1) == 300).all()

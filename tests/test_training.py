@@ -204,6 +204,14 @@ def test_evaluate_perfect_weak_full_confidence(graph):
     assert scores["stochastic"] == pytest.approx(expected)
 
 
+def test_evaluate_unknown_split_names_the_three(graph):
+    weak = init_expert(ExpertArch("weak", 1), graph.num_features, 2, 8)
+    strong = init_expert(ExpertArch("gcn", 1), graph.num_features, 2, 9)
+    with pytest.raises(ConfigError, match=r"^split must be one of \('train', 'val', 'test'\), "
+                                          r"got 'foo'$"):
+        evaluate(weak, strong, default_spec(), graph, "foo", gate_seed=0)
+
+
 def test_evaluate_random_uniform_predictions_near_half():
     g = generate_specialization_graph(400, 4, 0.5, seed=13)
     weak = init_expert(ExpertArch("weak", 1), 4, 2, 14)
