@@ -21,7 +21,7 @@ ROLES = {"weak": ("weak",), "strong": ("gcn", "gcn_skip")}
 # ceilings on an expert's shape, 20 times the default strong expert's 2
 # layers of 32 hidden units, as train's counts are: on one core of a 2-vCPU
 # host a one-round, one-epoch, no-pretrain train with a 40 x 640 strong
-# expert on the n = 200 default graph takes 11.4-12.2 s at 1.6 GB peak RSS
+# expert on the n = 200 default graph takes 11.4-12.2 s at 0.64 GB peak RSS
 MAX_LAYERS = 40
 MAX_HIDDEN = 640
 
@@ -133,12 +133,14 @@ def forward(model: ExpertModel, graph: Graph) -> T.Tensor:
 
 # ---- checkpointing ----
 
-def expert_to_document(model: ExpertModel) -> dict:
+def expert_to_document(model: ExpertModel, leaf=np.ndarray.tolist) -> dict:
+    """The checkpoint document, each parameter array as `leaf` makes it:
+    nested lists by default, the arrays themselves for `write_json`."""
     doc = {"kind": model.kind, "dims": model.dims, "layers": []}
     for layer in model.layers:
-        entry = {"weight": layer.weight.values.tolist(), "bias": layer.bias.values.tolist()}
+        entry = {"weight": leaf(layer.weight.values), "bias": leaf(layer.bias.values)}
         if layer.skip_weight is not None:
-            entry["skip_weight"] = layer.skip_weight.values.tolist()
+            entry["skip_weight"] = leaf(layer.skip_weight.values)
         doc["layers"].append(entry)
     return doc
 
@@ -194,7 +196,9 @@ def expert_from_document(doc: dict, what: str = "checkpoint") -> ExpertModel:
 
 
 def save_expert(model: ExpertModel, path):
-    write_json(path, expert_to_document(model), sort_keys=False)
+    """The checkpoint document's JSON, its weights written from their
+    arrays a block of rows at a time."""
+    write_json(path, expert_to_document(model, np.asarray), sort_keys=False)
 
 
 def load_expert(path) -> ExpertModel:

@@ -8,24 +8,26 @@ convolution can tell apart. The central tool is exhaustive search over a
 rational grid on the probability simplex; tolerances are derived from
 the grid spacing via data-driven gradient bounds on the sublevel set
 actually explored. The theorem suite runs only that search per problem;
-its sampling and clauses are whole-array work, in blocks of at most
-_BLOCK_BYTES per (problems x grid) array.
+its sampling, clauses and report are whole-array work: problems are
+verified _SUITE_BLOCK at a time, with at most _BLOCK_BYTES per (problems
+x grid) array, and the report keeps each block's columns, not rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import tensor as T
-from .confidence import (DISPERSION_KINDS, CappedLinearGate, ConfidenceSpec, StepGate,
-                         TwoLevelGate, _dispersion_rows_np, _gate_kind, confidence_batch,
+from .confidence import (DISPERSION_KINDS, GATE_NAMES, CappedLinearGate, ConfidenceSpec,
+                         StepGate, TwoLevelGate, _dispersion_rows_np, confidence_batch,
                          on_simplex, quasiconvexity_witness_search, spec_from_document)
-from .documents import write_csv
+from .documents import cells, write_csv_cells
 from .errors import ConfigError, DomainError, check_range
 from .experts import ExpertArch, ExpertModel, Layer, gcn_forward, init_expert
 from .graphs import BlindspotInstance, build_blindspot_graph, validate_blindspot
@@ -36,12 +38,20 @@ from .training import predict
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
-    """All int64 rows of `parts` entries >= 0 summing to `total`, lexicographically."""
-    if parts == 2:
-        heads = np.arange(total + 1, dtype=np.int64)
-        return np.stack([heads, total - heads], axis=1)
-    return np.concatenate([np.insert(_compositions(total - head, parts - 1), 0, head, axis=1)
-                           for head in range(total + 1)])
+    """All int64 rows of `parts` entries >= 0 summing to `total`, lexicographically.
+
+    Built a coordinate at a time: each row is followed by every value from
+    0 up to what is left of `total`, in order, and the last coordinate
+    takes the rest.
+    """
+    columns, rest = [], np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        counts = rest + 1
+        owner = np.repeat(np.arange(rest.size), counts)
+        head = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+        columns = [column[owner] for column in columns] + [head]
+        rest = rest[owner] - head
+    return np.column_stack(columns + [rest])
 
 
 @dataclass(frozen=True)
@@ -57,7 +67,8 @@ class SimplexGrid:
     m: int
     ints: np.ndarray
     points: np.ndarray
-    _dispersions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # dispersion tables by kind, step-gated ones by (kind, gate)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, n: int, m: int) -> "SimplexGrid":
@@ -73,9 +84,21 @@ class SimplexGrid:
 
     def dispersion(self, kind: str) -> np.ndarray:
         """Every point's dispersion of `kind`, computed once per kind."""
-        if kind not in self._dispersions:
-            self._dispersions[kind] = _dispersion_rows_np(self.points, kind)
-        return self._dispersions[kind]
+        if kind not in self._tables:
+            self._tables[kind] = _dispersion_rows_np(self.points, kind)
+        return self._tables[kind]
+
+    def gated(self, spec: ConfidenceSpec) -> np.ndarray:
+        """A fixed spec's confidence at every point. A step gate's table is
+        kept, one per (kind, threshold), as the bools its 0/1 values are:
+        the theorem suite's all-or-nothing problems share it. The other
+        shapes' fields are drawn per problem, so their tables are not kept."""
+        if not isinstance(spec.gate, StepGate):
+            return spec.gate(self.dispersion(spec.dispersion))
+        key = (spec.dispersion, spec.gate)
+        if key not in self._tables:
+            self._tables[key] = spec.gate(self.dispersion(spec.dispersion)) == 1.0
+        return self._tables[key]
 
     @property
     def spacing(self) -> float:
@@ -140,6 +163,15 @@ class GroupMinimum:
     loss: float
 
 
+class _Problem(NamedTuple):
+    """What group_min reads of a GroupProblem, for a problem the theorem
+    suite drew valid: it skips GroupProblem's checks."""
+    n: int
+    alpha: np.ndarray
+    mu: float
+    spec: ConfidenceSpec
+
+
 def group_min(problem: GroupProblem, grid: SimplexGrid, losses=None) -> GroupMinimum:
     """Exhaustive minimization over the grid; first (lexicographically
     smallest) point among exact ties. `losses`, when given, is the
@@ -149,9 +181,9 @@ def group_min(problem: GroupProblem, grid: SimplexGrid, losses=None) -> GroupMin
     spec = problem.spec
     if losses is None:
         losses = grid.neg_logs @ problem.alpha
-    conf = (spec.gate(grid.dispersion(spec.dispersion)) if spec.is_fixed
-            else confidence_batch(grid.points, spec))
-    objective = conf * (losses - problem.mu)
+    conf = grid.gated(spec) if spec.is_fixed else confidence_batch(grid.points, spec)
+    objective = losses - problem.mu
+    objective *= conf
     idx = int(objective.argmin())
     return GroupMinimum(grid.points[idx].copy(), float(objective[idx]),
                         float(conf[idx]), float(losses[idx]))
@@ -172,9 +204,76 @@ class ClauseResult(NamedTuple):
         return cls(clause, measured, tolerance, bool(measured <= tolerance))
 
 
+_GATES = (StepGate, TwoLevelGate, CappedLinearGate)
+_ARITY = tuple(len(fields(gate)) for gate in _GATES)
+# spec_label's text per rotation index (3 * kind + shape), a format of the gate's fields
+_LABELS = tuple(f"{kind}+{name}(" + ",".join(f"{f.name}={{:g}}" for f in fields(gate)) + ")"
+                for kind in DISPERSION_KINDS for gate in _GATES
+                for name, named in GATE_NAMES.items() if named is gate)
+
+
 def spec_label(spec: ConfidenceSpec) -> str:
-    args = ",".join(f"{name}={value:g}" for name, value in vars(spec.gate).items())
-    return f"{spec.dispersion}+{_gate_kind(spec.gate)}({args})"
+    return _SpecColumns.of([spec]).labels()[0]
+
+
+class _SpecColumns(NamedTuple):
+    """Fixed confidence specs as columns: each problem's dispersion kind
+    and gate shape (indices into DISPERSION_KINDS and _GATES), and its
+    gate's fields in declaration order, zero-padded to two."""
+    kind: np.ndarray
+    shape: np.ndarray
+    fields: np.ndarray
+
+    @classmethod
+    def of(cls, specs: list) -> "_SpecColumns":
+        if not all(spec.is_fixed for spec in specs):
+            raise ConfigError("theorem verification requires a fixed confidence spec")
+        return cls(np.array([DISPERSION_KINDS.index(s.dispersion) for s in specs], np.int8),
+                   np.array([_GATES.index(type(s.gate)) for s in specs], np.int8),
+                   np.array([[*vars(s.gate).values(), 0.0][:2] for s in specs],
+                            np.float64).reshape(-1, 2))
+
+    @classmethod
+    def rotation(cls, index: np.ndarray, draws: np.ndarray, d_alpha: np.ndarray):
+        """Spec `index` (mod 6) of a rotation of conforming fixed specs, per
+        problem, sized to it: step, two-level, then capped-linear gates on
+        variance, then on neg_entropy. `draws` are (factor, beta, slope)
+        for variance, then for neg_entropy, and `d_alpha` the dispersions
+        of alpha of each kind; a two-level gate reads that of its kind."""
+        which, shape = np.divmod(index % 6, 3)
+        lane = np.arange(index.size)
+        factor, beta, slope = (draws[lane, 3 * which + k] for k in range(3))
+        d_max = factor * np.maximum(d_alpha[lane, which], 1e-6)
+        first = np.where(shape == 1, d_max, np.where(shape == 2, slope, 0.0))
+        return cls(which.astype(np.int8), shape.astype(np.int8),
+                   np.stack([first, np.where(shape == 1, beta, 0.0)], axis=1))
+
+    def specs(self):
+        """Each problem's ConfidenceSpec, built as it is reached."""
+        for kind, shape, values in zip(self.kind.tolist(), self.shape.tolist(),
+                                       self.fields.tolist()):
+            gate = _GATES[shape](*values[:_ARITY[shape]])
+            yield ConfidenceSpec(DISPERSION_KINDS[kind], gate)
+
+    def take(self, index) -> "_SpecColumns":
+        return _SpecColumns(self.kind[index], self.shape[index], self.fields[index])
+
+    def labels(self) -> list:
+        """spec_label of each spec."""
+        formats = [_LABELS[3 * k + s] for k, s in zip(self.kind.tolist(), self.shape.tolist())]
+        return list(map(str.format, formats, *self.fields.T.tolist()))
+
+    def gates(self, x: np.ndarray) -> np.ndarray:
+        """Each problem's gate at its entry of x. A gate's __call__ is
+        elementwise in its fields too, so each shape's runs once, on the
+        fields of all its problems."""
+        out = np.empty(x.shape)
+        for shape, gate in enumerate(_GATES):
+            lanes = self.shape == shape
+            if lanes.any():
+                values = {f.name: self.fields[lanes, j] for j, f in enumerate(fields(gate))}
+                out[lanes] = gate.__call__(SimpleNamespace(**values), x[lanes])
+        return out
 
 
 def _sublevel_floor(grid: SimplexGrid, mask: np.ndarray) -> np.ndarray:
@@ -186,18 +285,10 @@ def _sublevel_floor(grid: SimplexGrid, mask: np.ndarray) -> np.ndarray:
                       1.0 / grid.m)
 
 
-def _gates(specs: list, x: np.ndarray) -> np.ndarray:
-    """Each fixed spec's gate at its entry of x."""
-    return np.array([spec.gate(xi) for spec, xi in zip(specs, x.tolist())])
-
-
 def _clause(name: str, measured: np.ndarray, tolerance, passed=None) -> tuple:
-    """A clause's columns over a case's problems, as lists; a scalar
-    tolerance is shared. `passed` defaults to measured <= tolerance, which
-    a NaN fails."""
-    passed = measured <= tolerance if passed is None else passed
-    tolerances = tolerance.tolist() if np.ndim(tolerance) else [tolerance] * measured.size
-    return name, measured.tolist(), tolerances, passed.tolist()
+    """A clause over a case's problems: a scalar tolerance is shared, and
+    `passed` defaults to measured <= tolerance, which a NaN fails."""
+    return name, measured, tolerance, measured <= tolerance if passed is None else passed
 
 
 def verify_theorem_case(problem: GroupProblem, grid: SimplexGrid) -> tuple:
@@ -209,41 +300,42 @@ def verify_theorem_case(problem: GroupProblem, grid: SimplexGrid) -> tuple:
     tolerances are grid-derived: tol = 10 * K / m with K the measured
     gradient bound of the loss over the explored sublevel set.
     """
-    return next(_verify_cases([problem], grid))
+    rows = _verify_cases(grid, problem.alpha[None], np.array([problem.mu]),
+                         _SpecColumns.of([problem.spec]))
+    return int(rows.case[0]), [ClauseResult(*row[5:]) for row in rows.rows()]
 
 
 # bytes of each (problems x grid) array of the case-3 clauses: 32 binary
 # problems or 1 ternary one at a time
 _BLOCK_BYTES = 1 << 19
+# the theorem clauses' names, which the report keeps as indices
+_CLAUSES = ("objective_zero", "minimizer_uniform", "confidence_zero",
+            "minimizer_alpha_or_uniform", "minimizer_in_strict_sublevel",
+            "confidence_at_least_at_alpha", "confidence_below_levelset_cap")
 
 
-def _verify_cases(problems: list, grid: SimplexGrid):
-    """Yields verify_theorem_case of every problem on one grid, in order.
+def _verify_cases(grid: SimplexGrid, alphas: np.ndarray, mus: np.ndarray,
+                  specs: _SpecColumns) -> "_Rows":
+    """verify_theorem_case of every problem (alphas[i], mus[i], spec i) on
+    one grid, as report rows in problem order.
 
     Only group_min runs per problem. Every clause is an array expression
-    over its case's problems. The case-3 sublevel floors (and, off the
-    binary grid, the loss bands) read the losses group_min searched, in
-    blocks of problems under _BLOCK_BYTES per array; one lane-wise
-    bisection solves every binary case-3 level set. A problem's
-    ClauseResults are built when it is yielded, so a suite of thousands of
-    problems never holds all their clauses at once.
+    over its case's problems, scattered into the rows. The case-3 sublevel
+    floors (and, off the binary grid, the loss bands) read the losses
+    group_min searched, in blocks of problems under _BLOCK_BYTES per
+    array; one lane-wise bisection solves every binary case-3 level set.
     """
     if grid.m % grid.n != 0:
         raise ConfigError("grid resolution must be divisible by n so the "
                           "uniform vector is a grid point")
-    if not problems:
-        return
-    specs = [problem.spec for problem in problems]
-    alphas = np.array([problem.alpha for problem in problems])
-    mus = np.array([problem.mu for problem in problems])
-    if not all(spec.is_fixed for spec in specs):
-        raise ConfigError("theorem verification requires a fixed confidence spec")
     if (np.abs(alphas - 1.0 / alphas.shape[1]).max(axis=1) < 1e-12).any():
         raise ConfigError("theorem requires alpha distinct from uniform")
     gaps = _loss_at(alphas, alphas)   # delta(alpha)
     cases = np.where(gaps > mus, 1, np.where(gaps == mus, 2, 3))
     # each minimum kept as numbers, not as thousands of result objects
-    point, minima = np.empty((len(problems), grid.n)), np.empty((len(problems), 3))
+    point, minima = np.empty(alphas.shape), np.empty((len(alphas), 3))
+    problems = [_Problem(alphas.shape[1], alpha, mu, spec)
+                for alpha, mu, spec in zip(alphas, mus.tolist(), specs.specs())]
 
     def minimize(i, losses=None):
         result = group_min(problems[i], grid, losses)
@@ -258,7 +350,7 @@ def _verify_cases(problems: list, grid: SimplexGrid):
         block, rows = three[start:start + size], slice(start, start + size)
         losses = np.empty((block.size, grid.neg_logs.shape[0]))
         for i, row in zip(block.tolist(), losses):
-            minimize(i, np.matmul(grid.neg_logs, problems[i].alpha, out=row))
+            minimize(i, np.matmul(grid.neg_logs, alphas[i], out=row))
         floors[rows] = _sublevel_floor(grid, losses <= mus[block, None])
         if np.isinf(floors[rows]).any():
             raise ConfigError("empty sublevel set at mu on this grid")
@@ -267,13 +359,14 @@ def _verify_cases(problems: list, grid: SimplexGrid):
             band = off_level <= (4.0 * (alphas[block] / floors[rows]).max(axis=1) / grid.m)[:, None]
             none = ~band.any(axis=1)
             band[none] = off_level[none] <= off_level[none].min(axis=1, keepdims=True) + 1e-15
-            for k, (i, keep) in enumerate(zip(block.tolist(), band), start):
-                d_band[k] = grid.dispersion(specs[i].dispersion).max(where=keep, initial=-np.inf)
+            for k, (kind, keep) in enumerate(zip(specs.kind[block].tolist(), band), start):
+                d_band[k] = grid.dispersion(DISPERSION_KINDS[kind]).max(where=keep,
+                                                                       initial=-np.inf)
 
     value, conf, loss = minima.T
     off_uniform = np.abs(point - 1.0 / grid.n).max(axis=1)
-    spec3 = [specs[i] for i in three.tolist()]
-    variance = np.array([spec.dispersion == "variance" for spec in spec3], dtype=bool)
+    spec3 = specs.take(three)
+    variance = spec3.kind == DISPERSION_KINDS.index("variance")
 
     def kind_dispersion(rows):   # each row's dispersion of its problem's kind
         return np.where(variance, *(_dispersion_rows_np(rows, kind) for kind in DISPERSION_KINDS))
@@ -285,9 +378,9 @@ def _verify_cases(problems: list, grid: SimplexGrid):
         # exact level set from the independent bisection oracle
         qs, ps = _branch_inverse(np.stack([1.0 - alpha3[:, 0], alpha3[:, 0]]), mu3)
         level = np.array([[1.0 - qs, qs], [ps, 1.0 - ps]]).transpose(0, 2, 1)
-        cap = _gates(spec3, kind_dispersion(level).max(axis=0) + k_disp * 1e-8)
+        cap = spec3.gates(kind_dispersion(level).max(axis=0) + k_disp * 1e-8)
     else:
-        cap = _gates(spec3, d_band + 10.0 * k_disp / grid.m)
+        cap = spec3.gates(d_band + 10.0 * k_disp / grid.m)
     columns = {
         1: [_clause("objective_zero", np.abs(value[one]), 0.0),
             _clause("minimizer_uniform", off_uniform[one], 0.0),
@@ -299,15 +392,21 @@ def _verify_cases(problems: list, grid: SimplexGrid):
             _clause("minimizer_alpha_or_uniform", np.minimum(
                 np.abs(point[two] - alphas[two]).max(axis=1), off_uniform[two]), grid.spacing)],
         3: [_clause("minimizer_in_strict_sublevel", loss3 - mu3, 0.0, loss3 - mu3 < 0.0),
-            _clause("confidence_at_least_at_alpha",
-                    _gates(spec3, kind_dispersion(alpha3)) - conf3,
+            _clause("confidence_at_least_at_alpha", spec3.gates(kind_dispersion(alpha3)) - conf3,
                     tol_obj / np.maximum(mu3 - loss3, tol_obj)),
             _clause("confidence_below_levelset_cap", conf3 - cap, 0.0)]}
-    position = np.empty(len(problems), dtype=np.intp)   # each problem's row in its case
-    for index in (one, two, three):
-        position[index] = np.arange(index.size)
-    for case, k in zip(cases.tolist(), position.tolist()):
-        yield case, [ClauseResult(name, m[k], t[k], p[k]) for name, m, t, p in columns[case]]
+    # a problem's rows are its case's clauses, at `first` on
+    counts = np.array([0, *map(len, columns.values())], dtype=np.int8)[cases]
+    first = np.cumsum(counts) - counts
+    size = int(counts.sum())
+    clause, passed = np.empty(size, np.int8), np.empty(size, dtype=bool)
+    measured, tolerance = np.empty(size), np.empty(size)
+    for index, case in zip((one, two, three), columns.values()):
+        for j, (name, m, t, p) in enumerate(case):
+            at = first[index] + j
+            clause[at], measured[at], tolerance[at], passed[at] = _CLAUSES.index(name), m, t, p
+    return _Rows(cases.astype(np.int8), alphas, mus, specs.labels, counts,
+                 clause, measured, tolerance, passed)
 
 
 def resolvable_mu_cap(alpha, m: int) -> float:
@@ -491,42 +590,21 @@ def _corollary_clauses(bounds: BinaryBounds, mu: float, grid: SimplexGrid,
 _DRAW_LOWS, _DRAW_HIGHS = np.array([(0.3, 0.2, 0.5) * 2, (1.7, 0.8, 3.0) * 2])
 
 
-def _fixed_spec(index: int, draws: list, d_alpha: list) -> ConfidenceSpec:
-    """Spec `index` (mod 6) of a rotation of conforming fixed specs sized
-    to the problem: `draws` are (factor, beta, slope) for variance, then
-    for neg_entropy, and `d_alpha` the dispersions of alpha of each kind,
-    of which only a two-level spec reads one, that of its own kind."""
-    which, shape = divmod(index % 6, 3)
-    kind = DISPERSION_KINDS[which]
-    factor, beta, slope = draws[3 * which:3 * which + 3]
-    if shape == 1:
-        return ConfidenceSpec(kind, TwoLevelGate(factor * max(d_alpha[which], 1e-6), beta))
-    return ConfidenceSpec(kind, StepGate(0.0) if shape == 0 else CappedLinearGate(slope))
+def _binary_block(rng, start: int, count: int, m: int) -> tuple:
+    """Binary problems start to start + count - 1 of the suite's cycle,
+    as _verify_cases takes them: (alphas, mus, specs).
 
-
-def _fixed_spec_for(alpha: np.ndarray, rng, index: int) -> ConfidenceSpec:
-    """_fixed_spec from six fresh draws: the draws of all six are made in
-    order, so the random stream does not depend on which spec is built.
-    Only the dispersion a two-level spec reads is computed."""
-    draws = rng.uniform(_DRAW_LOWS, _DRAW_HIGHS).tolist()
-    which, shape = divmod(index % 6, 3)
-    d_alpha = [None, None]
-    if shape == 1:
-        d_alpha[which] = float(_dispersion_rows_np(alpha, DISPERSION_KINDS[which]))
-    return _fixed_spec(index, draws, d_alpha)
-
-
-def sample_binary_problems(count: int, seed: int, m: int) -> list:
-    """Random binary problems cycling case 1/2/3 and the fixed specs.
-
-    Problem i draws its alpha, then its mu unless it is case 2, then the
-    six spec draws. One `rng.random` call makes every draw, mapped as
-    `Generator.uniform` maps them: low + (high - low) * u.
+    Problem i is case i % 3 + 1 with spec i % 6 of the rotation. It draws
+    its alpha, then its mu unless it is case 2, then the six spec draws,
+    from one `rng.random` call per block, which continues the stream
+    where the last block left it. Each draw is mapped as
+    `Generator.uniform` maps it: low + (high - low) * u.
     """
-    case = np.arange(count) % 3 + 1
+    index = np.arange(start, start + count)
+    case = index % 3 + 1
     width = np.where(case == 2, 7, 8)
     first = np.cumsum(width) - width
-    u = np.random.default_rng(seed).random(int(width.sum()))
+    u = rng.random(int(width.sum()))
     a1 = 0.55 + (0.95 - 0.55) * u[first]
     k = np.rint(a1 * m)
     alphas = np.where((case == 2)[:, None], np.stack([k, m - k], axis=1) / m,
@@ -538,14 +616,22 @@ def sample_binary_problems(count: int, seed: int, m: int) -> list:
     draws = _DRAW_LOWS + (_DRAW_HIGHS - _DRAW_LOWS) * u[(first + width - 6)[:, None]
                                                          + np.arange(6)]
     d_alpha = np.stack([_dispersion_rows_np(alphas, kind) for kind in DISPERSION_KINDS], axis=1)
-    # each row becomes floats only as its problem is built
-    return [GroupProblem(2, alpha, mu, _fixed_spec(i, six.tolist(), d.tolist()))
-            for i, (alpha, mu, six, d) in enumerate(zip(alphas, mus.tolist(), draws, d_alpha))]
+    return alphas, mus, _SpecColumns.rotation(index, draws, d_alpha)
 
 
-def sample_ternary_problems(count: int, seed: int, m: int) -> list:
+def sample_binary_problems(count: int, seed: int, m: int) -> list:
+    """Random binary problems cycling case 1/2/3 and the fixed specs, as
+    the theorem suite draws them from `seed`."""
+    return _group_problems(2, *_binary_block(np.random.default_rng(seed), 0, count, m))
+
+
+def _ternary_columns(count: int, seed: int, m: int) -> tuple:
+    """Random ternary problems cycling case 1/2/3 and the fixed specs, as
+    _verify_cases takes them: (alphas, mus, specs). Problem i draws alpha
+    until one is far enough from uniform (and, in case 3, resolvable),
+    then its mu unless it is case 2, then the six spec draws."""
     rng = np.random.default_rng(seed)
-    problems = []
+    alphas, mus, draws = np.empty((count, 3)), np.empty(count), np.empty((count, 6))
     for i in range(count):
         case = i % 3 + 1
         while True:
@@ -571,8 +657,19 @@ def sample_ternary_problems(count: int, seed: int, m: int) -> list:
             # dispersion-cap clause checks something real
             hi = min(gap + 1.0, resolvable_mu_cap(alpha, m) - 0.02)
             mu = gap + float(rng.uniform(0.05, hi - gap))
-        problems.append(GroupProblem(3, alpha, mu, _fixed_spec_for(alpha, rng, i)))
-    return problems
+        alphas[i], mus[i], draws[i] = alpha, mu, rng.uniform(_DRAW_LOWS, _DRAW_HIGHS)
+    d_alpha = np.stack([_dispersion_rows_np(alphas, kind) for kind in DISPERSION_KINDS], axis=1)
+    return alphas, mus, _SpecColumns.rotation(np.arange(count), draws, d_alpha)
+
+
+def _group_problems(n: int, alphas: np.ndarray, mus: np.ndarray, specs) -> list:
+    return [GroupProblem(n, alpha, mu, spec)
+            for alpha, mu, spec in zip(alphas, mus.tolist(), specs.specs())]
+
+
+def sample_ternary_problems(count: int, seed: int, m: int) -> list:
+    """The theorem suite's ternary problems drawn from `seed`."""
+    return _group_problems(3, *_ternary_columns(count, seed, m))
 
 
 # ---- expressivity separation ----
@@ -641,28 +738,110 @@ def verify_blindspot(instance: BlindspotInstance, n_weight_draws: int,
 
 # ---- suite runner ----
 
+def _alpha_text(alphas: np.ndarray) -> list:
+    """The report's alpha cell of each row of alphas: coordinates at 6
+    significant digits, joined by '/'."""
+    if not alphas.shape[1]:
+        return [""] * len(alphas)
+    return list(map("/".join(["{:.6g}"] * alphas.shape[1]).format, *alphas.T.tolist()))
+
+
+class _Rows(NamedTuple):
+    """Theorem report rows as columns, problem by problem: problem i owns
+    the next counts[i] rows."""
+    case: np.ndarray        # per problem
+    alphas: np.ndarray      # per problem: (problems, n)
+    mus: np.ndarray         # per problem
+    labels: object          # () -> each problem's spec label, made when read
+    counts: np.ndarray      # per problem
+    clause: np.ndarray      # per row: an index into _CLAUSES
+    measured: np.ndarray
+    tolerance: np.ndarray
+    passed: np.ndarray
+
+    def _per_problem(self) -> list:
+        """The case, n, alpha, mu and spec columns, as values."""
+        return [self.case.tolist(), [self.alphas.shape[1]] * len(self.case),
+                _alpha_text(self.alphas), self.mus.tolist(), self.labels()]
+
+    def rows(self) -> list:
+        per_problem = list(zip(*self._per_problem()))
+        owner = np.repeat(np.arange(len(self.case)), self.counts).tolist()
+        return [(*per_problem[o], _CLAUSES[c], m, t, p) for o, c, m, t, p in zip(
+            owner, self.clause.tolist(), self.measured.tolist(), self.tolerance.tolist(),
+            self.passed.tolist())]
+
+    def cells(self):
+        """The rows as one write_csv_cells block: each problem's cells are
+        formatted once for all its rows."""
+        owner = np.repeat(np.arange(len(self.case)), self.counts)
+        names = np.array(cells(_CLAUSES), dtype=object)
+        yield ([np.array(cells(column), dtype=object)[owner].tolist()
+                for column in self._per_problem()] + [names[self.clause].tolist()]
+               + [cells(column) for column in (self.measured, self.tolerance, self.passed)])
+
+    def tally(self) -> tuple:
+        return self.passed.size, int(np.count_nonzero(~self.passed))
+
+
+class _Listed(list):
+    """Report rows as the tuples SuiteReport.add appends."""
+
+    def rows(self) -> list:
+        return self
+
+    def cells(self):
+        if self:
+            yield [cells(column) for column in zip(*self)]
+
+    def tally(self) -> tuple:
+        return len(self), sum(not row[-1] for row in self)
+
+
+_HEADER = ["case", "n", "alpha", "mu", "spec", "clause", "measured", "tolerance", "pass"]
+
+
 @dataclass
 class SuiteReport:
-    rows: list = field(default_factory=list)   # CSV-ready tuples
+    """Clause rows in blocks: a theorem block's columns (_Rows), or the
+    tuples of consecutive `add` calls (_Listed)."""
+    blocks: list = field(default_factory=list)
 
     def add(self, label: str, clauses: list, case: int = 0,
             problem: GroupProblem | None = None):
         """One row per clause; a theorem case also records its case and problem."""
-        n, alpha, mu = ((problem.n, "/".join(f"{a:.6g}" for a in problem.alpha.tolist()),
-                         problem.mu) if problem else (0, "", 0.0))
-        self.rows += [(case, n, alpha, mu, label, *c) for c in clauses]
+        n, alpha, mu = ((problem.n, _alpha_text(problem.alpha[None])[0], problem.mu)
+                        if problem else (0, "", 0.0))
+        if not (self.blocks and isinstance(self.blocks[-1], _Listed)):
+            self.blocks.append(_Listed())
+        self.blocks[-1] += [(case, n, alpha, mu, label, *c) for c in clauses]
+
+    @property
+    def rows(self) -> list:
+        """Every row as a tuple of the report's nine columns."""
+        return [row for block in self.blocks for row in block.rows()]
+
+    def tally(self) -> tuple:
+        """(clauses, failed clauses)."""
+        tallies = [block.tally() for block in self.blocks]
+        return sum(t[0] for t in tallies), sum(t[1] for t in tallies)
 
     def write_csv(self, path):
-        write_csv(path, ["case", "n", "alpha", "mu", "spec", "clause",
-                         "measured", "tolerance", "pass"], self.rows)
+        write_csv_cells(path, _HEADER, (columns for block in self.blocks
+                                        for columns in block.cells()))
 
 
 # ceilings on the theorem suite's counts, 5,000 times the defaults: the
-# report holds every problem's rows until it is written, and each ternary
-# problem is a Python loop (on a 2-vCPU host, 10**5 binary problems peak
-# at about 0.18 GB in 7 s, and 10**4 ternary ones take about 8 s)
+# report keeps about 0.1 KB of columns per binary problem until it is
+# written, and each ternary problem is a Python loop (on one core of a
+# 2-vCPU host, `verify --suite theorem --binary-count 1000000
+# --ternary-count 0` takes about 25 s at 139 MB peak RSS, and 10**4
+# ternary problems take about 3.5 s)
 MAX_BINARY_COUNT = 10**6
 MAX_TERNARY_COUNT = 10**5
+# problems verified, and kept in one report block, at a time; binary
+# problems are also drawn a block at a time
+_SUITE_BLOCK = 1 << 12
 
 
 def run_theorem_suite(binary_count: int = 200, ternary_count: int = 20,
@@ -672,13 +851,18 @@ def run_theorem_suite(binary_count: int = 200, ternary_count: int = 20,
     check_range("binary_count", binary_count, 0, MAX_BINARY_COUNT)
     check_range("ternary_count", ternary_count, 0, MAX_TERNARY_COUNT)
     suite = SuiteReport()
-    for n, m, sample, count, problem_seed in (
-            (2, 2000, sample_binary_problems, binary_count, seed),
-            (3, 300, sample_ternary_problems, ternary_count, seed + 1)):
-        problems = sample(count, problem_seed, m)
-        for problem, (case, clauses) in zip(problems,
-                                            _verify_cases(problems, SimplexGrid.build(n, m))):
-            suite.add(spec_label(problem.spec), clauses, case, problem)
+    if binary_count:
+        grid, rng = SimplexGrid.build(2, 2000), np.random.default_rng(seed)
+        suite.blocks += [_verify_cases(grid, *_binary_block(
+            rng, start, min(_SUITE_BLOCK, binary_count - start), grid.m))
+            for start in range(0, binary_count, _SUITE_BLOCK)]
+    if ternary_count:
+        grid = SimplexGrid.build(3, 300)
+        alphas, mus, specs = _ternary_columns(ternary_count, seed + 1, grid.m)
+        suite.blocks += [_verify_cases(grid, alphas[rows], mus[rows], specs.take(rows))
+                         for rows in map(slice, range(0, ternary_count, _SUITE_BLOCK),
+                                         range(_SUITE_BLOCK, ternary_count + _SUITE_BLOCK,
+                                               _SUITE_BLOCK))]
     return suite
 
 

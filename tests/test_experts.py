@@ -1,6 +1,7 @@
 """Expert forward passes: values, locality, equivariance, checkpoints."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -190,6 +191,18 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
             if mine.skip_weight is not None:
                 assert np.array_equal(mine.skip_weight.values,
                                       loaded.skip_weight.values)
+
+
+@pytest.mark.parametrize("kind, layers", [("weak", 2), ("gcn", 3), ("gcn_skip", 2)])
+def test_save_expert_bytes_equal_whole_document(tmp_path, kind, layers):
+    """Weights written from their arrays, a block of rows at a time, keep
+    the bytes of the whole document's json.dumps (300 rows of hidden
+    weights span two blocks)."""
+    model = init_expert(ExpertArch(kind, layers, 300), 7, 3, seed=21)
+    path = tmp_path / "expert.json"
+    save_expert(model, path)
+    want = json.dumps(expert_to_document(model), separators=(",", ":")) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_checkpoint_document_shape():

@@ -16,14 +16,13 @@ from confmix.confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
 from confmix.errors import ConfigError, DomainError, GraphValidationError
 from confmix.experts import forward
 from confmix.graphs import build_blindspot_graph
-from confmix.theory import (_BRANCH_FLOOR, BinaryBounds, ClauseResult, GroupProblem,
-                            SimplexGrid, SuiteReport, _binary_loss, _branch_inverse,
-                            _compositions, _fixed_spec_for, alpha_loss, binary_bounds,
-                            build_root_separator, delta, group_min, resolvable_mu_cap,
-                            run_theorem_suite, sample_binary_problems,
-                            sample_ternary_problems, spec_label,
-                            verify_binary_corollary, verify_blindspot,
-                            verify_step_tightness, verify_theorem_case,
+from confmix.theory import (_BRANCH_FLOOR, _DRAW_HIGHS, _DRAW_LOWS, BinaryBounds, ClauseResult,
+                            GroupProblem, SimplexGrid, SuiteReport, _binary_loss,
+                            _branch_inverse, _compositions, _SpecColumns, alpha_loss,
+                            binary_bounds, build_root_separator, delta, group_min,
+                            resolvable_mu_cap, run_theorem_suite, sample_binary_problems,
+                            sample_ternary_problems, spec_label, verify_binary_corollary,
+                            verify_blindspot, verify_step_tightness, verify_theorem_case,
                             verify_tightness)
 
 STEP_VAR = ConfidenceSpec("variance", StepGate(0.0))
@@ -35,6 +34,18 @@ def test_grid_counts_and_exact_sums(grid3):
     small = SimplexGrid.build(4, 6)
     assert small.points.shape[0] == math.comb(6 + 3, 3)
     assert (small.ints.sum(axis=1) == 6).all()
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 9), (3, 2), (3, 7), (4, 2), (4, 6)])
+def test_grid_build_equals_itertools_reference(n, m):
+    """The grid's integer rows are the lexicographic compositions of m,
+    as int64 C-ordered rows, and its points their quotients by m."""
+    want = np.array([c for c in itertools.product(range(m + 1), repeat=n) if sum(c) == m],
+                    dtype=np.int64)
+    grid = SimplexGrid.build(n, m)
+    assert grid.ints.dtype == np.int64 and grid.ints.flags.c_contiguous
+    assert grid.ints.tobytes() == want.tobytes()
+    assert grid.points.tobytes() == (want / float(m)).tobytes()
 
 
 def test_grid_lexicographic_order(grid2):
@@ -66,6 +77,18 @@ def test_grid_tables_equal_fresh_computation(n, m):
     assert grid.neg_logs is grid.neg_logs
     with pytest.raises(ConfigError):
         grid.dispersion("entropy")
+
+
+def test_step_gate_tables_are_shared_and_equal_the_gate(grid3):
+    """Equal step specs share one kept table per grid, as bools equal to
+    the gate's 0/1 values; other shapes' tables are made afresh."""
+    for kind in ("variance", "neg_entropy"):
+        table = grid3.gated(ConfidenceSpec(kind, StepGate(0.0)))
+        assert table.dtype == bool
+        assert np.array_equal(table, StepGate(0.0)(grid3.dispersion(kind)))
+        assert grid3.gated(ConfidenceSpec(kind, StepGate(0.0))) is table
+        two_level = ConfidenceSpec(kind, TwoLevelGate(0.1, 0.4))
+        assert grid3.gated(two_level) is not grid3.gated(two_level)
 
 
 GATE_SPECS = [ConfidenceSpec(kind, gate) for kind in ("variance", "neg_entropy")
@@ -149,15 +172,16 @@ def _six_specs(alpha, rng):
 
 
 def test_fixed_spec_draws_all_six():
-    """Each rotation index builds the spec the six-spec list held there
-    and leaves the random stream where the list left it."""
+    """Each rotation index builds the spec the six-spec list held there,
+    from the six draws that list made, in its order."""
     alpha = np.array([0.7, 0.3])
-    ref = np.random.default_rng(9)
-    want = _six_specs(alpha, ref)
-    for index in range(8):
-        rng = np.random.default_rng(9)
-        assert _fixed_spec_for(alpha, rng, index) == want[index % 6]
-        assert rng.bit_generator.state == ref.bit_generator.state
+    want = _six_specs(alpha, np.random.default_rng(9))
+    draws = np.random.default_rng(9).uniform(_DRAW_LOWS, _DRAW_HIGHS)
+    d_alpha = np.stack([_dispersion_rows_np(alpha[None, :], kind)
+                        for kind in ("variance", "neg_entropy")], axis=1)
+    got = _SpecColumns.rotation(np.arange(8), np.repeat(draws[None], 8, axis=0),
+                                np.repeat(d_alpha, 8, axis=0))
+    assert list(got.specs()) == [want[index % 6] for index in range(8)]
 
 
 def _reference_binary_problems(count, seed, m):
@@ -191,6 +215,49 @@ def test_binary_sampler_equals_scalar_draws(seed):
     for count in (0, 1, 2, 3, 7, 60):
         got = sample_binary_problems(count, seed, 2000)
         want = _reference_binary_problems(count, seed, 2000)
+        assert len(got) == count
+        for a, b in zip(got, want):
+            assert a.alpha.tobytes() == b.alpha.tobytes()
+            assert (a.mu, a.spec) == (b.mu, b.spec)
+
+
+def _reference_ternary_problems(count, seed, m):
+    """The per-problem ternary sampler: the six-spec list drawn as each
+    GroupProblem is built."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for i in range(count):
+        case = i % 3 + 1
+        while True:
+            raw = rng.exponential(scale=1.0, size=3)
+            alpha = raw / raw.sum()
+            if alpha.min() < 0.12 or np.abs(alpha - 1.0 / 3).max() < 1e-3:
+                continue
+            if case != 3 or resolvable_mu_cap(alpha, m) - delta(alpha) >= 0.1:
+                break
+        if case == 2:
+            ints = np.floor(alpha * m).astype(np.int64)
+            ints[0] += m - ints.sum()
+            alpha = ints / float(m)
+            if alpha.min() <= 0.0 or np.abs(alpha - 1.0 / 3).max() < 1e-3:
+                alpha = np.array([m // 2, m // 3, m - m // 2 - m // 3]) / float(m)
+        gap = float(-np.log(np.clip(alpha, T.LOG_FLOOR, 1.0)) @ alpha)
+        if case == 1:
+            mu = gap * float(rng.uniform(0.2, 0.8))
+        elif case == 2:
+            mu = gap
+        else:
+            hi = min(gap + 1.0, resolvable_mu_cap(alpha, m) - 0.02)
+            mu = gap + float(rng.uniform(0.05, hi - gap))
+        problems.append(GroupProblem(3, alpha, mu, _six_specs(alpha, rng)[i % 6]))
+    return problems
+
+
+@pytest.mark.parametrize("seed", [1, 6])
+def test_ternary_sampler_equals_per_problem_draws(seed):
+    for count in (0, 1, 2, 3, 7, 40):
+        got = sample_ternary_problems(count, seed, 300)
+        want = _reference_ternary_problems(count, seed, 300)
         assert len(got) == count
         for a, b in zip(got, want):
             assert a.alpha.tobytes() == b.alpha.tobytes()
@@ -368,6 +435,19 @@ def test_theorem_suite_peak_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 10 * 2**20
+
+
+def test_theorem_report_memory_bounded_at_20000_problems():
+    """20,000 binary problems are drawn and verified a block at a time and
+    the report keeps each one's columns, not rows: the traced peak is
+    4.5 MiB, where a report of per-row tuples peaks at 26 MiB."""
+    tracemalloc.start()
+    try:
+        run_theorem_suite(20_000, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_step_tightness_pins_alpha(grid2):
