@@ -124,12 +124,12 @@ def write_csv_cells(path, header, blocks):
 
 def write_csv(path, header, rows):
     """`header` then one line per row of `rows` (any iterable of rows of
-    the header's width), each cell by the `cells` rule, 4,096 rows at a
+    the header's width), each cell by the `cells` rule, 512 rows at a
     time."""
     rows = iter(rows)
 
     def blocks():
-        while chunk := list(islice(rows, 4096)):
+        while chunk := list(islice(rows, 512)):
             yield [cells(column) for column in zip(*chunk, strict=True)]
 
     write_csv_cells(path, header, blocks())

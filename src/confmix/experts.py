@@ -133,14 +133,14 @@ def forward(model: ExpertModel, graph: Graph) -> T.Tensor:
 
 # ---- checkpointing ----
 
-def expert_to_document(model: ExpertModel, leaf=np.ndarray.tolist) -> dict:
-    """The checkpoint document, each parameter array as `leaf` makes it:
-    nested lists by default, the arrays themselves for `write_json`."""
+def expert_to_document(model: ExpertModel) -> dict:
+    """The checkpoint document, its parameters as the arrays themselves,
+    which `write_json` writes as their lists."""
     doc = {"kind": model.kind, "dims": model.dims, "layers": []}
     for layer in model.layers:
-        entry = {"weight": leaf(layer.weight.values), "bias": leaf(layer.bias.values)}
+        entry = {"weight": layer.weight.values, "bias": layer.bias.values}
         if layer.skip_weight is not None:
-            entry["skip_weight"] = leaf(layer.skip_weight.values)
+            entry["skip_weight"] = layer.skip_weight.values
         doc["layers"].append(entry)
     return doc
 
@@ -198,7 +198,7 @@ def expert_from_document(doc: dict, what: str = "checkpoint") -> ExpertModel:
 def save_expert(model: ExpertModel, path):
     """The checkpoint document's JSON, its weights written from their
     arrays a block of rows at a time."""
-    write_json(path, expert_to_document(model, np.asarray), sort_keys=False)
+    write_json(path, expert_to_document(model), sort_keys=False)
 
 
 def load_expert(path) -> ExpertModel:

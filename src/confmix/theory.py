@@ -16,16 +16,15 @@ x grid) array, and the report keeps each block's columns, not rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import tensor as T
-from .confidence import (DISPERSION_KINDS, GATE_NAMES, CappedLinearGate, ConfidenceSpec,
-                         StepGate, TwoLevelGate, _dispersion_rows_np, confidence_batch,
+from .confidence import (DISPERSION_KINDS, CappedLinearGate, ConfidenceSpec, StepGate,
+                         TwoLevelGate, _dispersion_rows_np, _gate_kind, confidence_batch,
                          on_simplex, quasiconvexity_witness_search, spec_from_document)
 from .documents import cells, write_csv_cells
 from .errors import ConfigError, DomainError, check_range
@@ -204,76 +203,9 @@ class ClauseResult(NamedTuple):
         return cls(clause, measured, tolerance, bool(measured <= tolerance))
 
 
-_GATES = (StepGate, TwoLevelGate, CappedLinearGate)
-_ARITY = tuple(len(fields(gate)) for gate in _GATES)
-# spec_label's text per rotation index (3 * kind + shape), a format of the gate's fields
-_LABELS = tuple(f"{kind}+{name}(" + ",".join(f"{f.name}={{:g}}" for f in fields(gate)) + ")"
-                for kind in DISPERSION_KINDS for gate in _GATES
-                for name, named in GATE_NAMES.items() if named is gate)
-
-
 def spec_label(spec: ConfidenceSpec) -> str:
-    return _SpecColumns.of([spec]).labels()[0]
-
-
-class _SpecColumns(NamedTuple):
-    """Fixed confidence specs as columns: each problem's dispersion kind
-    and gate shape (indices into DISPERSION_KINDS and _GATES), and its
-    gate's fields in declaration order, zero-padded to two."""
-    kind: np.ndarray
-    shape: np.ndarray
-    fields: np.ndarray
-
-    @classmethod
-    def of(cls, specs: list) -> "_SpecColumns":
-        if not all(spec.is_fixed for spec in specs):
-            raise ConfigError("theorem verification requires a fixed confidence spec")
-        return cls(np.array([DISPERSION_KINDS.index(s.dispersion) for s in specs], np.int8),
-                   np.array([_GATES.index(type(s.gate)) for s in specs], np.int8),
-                   np.array([[*vars(s.gate).values(), 0.0][:2] for s in specs],
-                            np.float64).reshape(-1, 2))
-
-    @classmethod
-    def rotation(cls, index: np.ndarray, draws: np.ndarray, d_alpha: np.ndarray):
-        """Spec `index` (mod 6) of a rotation of conforming fixed specs, per
-        problem, sized to it: step, two-level, then capped-linear gates on
-        variance, then on neg_entropy. `draws` are (factor, beta, slope)
-        for variance, then for neg_entropy, and `d_alpha` the dispersions
-        of alpha of each kind; a two-level gate reads that of its kind."""
-        which, shape = np.divmod(index % 6, 3)
-        lane = np.arange(index.size)
-        factor, beta, slope = (draws[lane, 3 * which + k] for k in range(3))
-        d_max = factor * np.maximum(d_alpha[lane, which], 1e-6)
-        first = np.where(shape == 1, d_max, np.where(shape == 2, slope, 0.0))
-        return cls(which.astype(np.int8), shape.astype(np.int8),
-                   np.stack([first, np.where(shape == 1, beta, 0.0)], axis=1))
-
-    def specs(self):
-        """Each problem's ConfidenceSpec, built as it is reached."""
-        for kind, shape, values in zip(self.kind.tolist(), self.shape.tolist(),
-                                       self.fields.tolist()):
-            gate = _GATES[shape](*values[:_ARITY[shape]])
-            yield ConfidenceSpec(DISPERSION_KINDS[kind], gate)
-
-    def take(self, index) -> "_SpecColumns":
-        return _SpecColumns(self.kind[index], self.shape[index], self.fields[index])
-
-    def labels(self) -> list:
-        """spec_label of each spec."""
-        formats = [_LABELS[3 * k + s] for k, s in zip(self.kind.tolist(), self.shape.tolist())]
-        return list(map(str.format, formats, *self.fields.T.tolist()))
-
-    def gates(self, x: np.ndarray) -> np.ndarray:
-        """Each problem's gate at its entry of x. A gate's __call__ is
-        elementwise in its fields too, so each shape's runs once, on the
-        fields of all its problems."""
-        out = np.empty(x.shape)
-        for shape, gate in enumerate(_GATES):
-            lanes = self.shape == shape
-            if lanes.any():
-                values = {f.name: self.fields[lanes, j] for j, f in enumerate(fields(gate))}
-                out[lanes] = gate.__call__(SimpleNamespace(**values), x[lanes])
-        return out
+    args = ",".join(f"{name}={value:g}" for name, value in vars(spec.gate).items())
+    return f"{spec.dispersion}+{_gate_kind(spec.gate)}({args})"
 
 
 def _sublevel_floor(grid: SimplexGrid, mask: np.ndarray) -> np.ndarray:
@@ -283,6 +215,11 @@ def _sublevel_floor(grid: SimplexGrid, mask: np.ndarray) -> np.ndarray:
     return np.maximum(np.stack([np.min(np.broadcast_to(column, mask.shape), axis=-1, where=mask,
                                        initial=np.inf) for column in grid.points.T], axis=-1),
                       1.0 / grid.m)
+
+
+def _gates(specs: list, x: np.ndarray) -> np.ndarray:
+    """Each fixed spec's gate at its entry of x."""
+    return np.array([spec.gate(xi) for spec, xi in zip(specs, x.tolist())])
 
 
 def _clause(name: str, measured: np.ndarray, tolerance, passed=None) -> tuple:
@@ -300,8 +237,7 @@ def verify_theorem_case(problem: GroupProblem, grid: SimplexGrid) -> tuple:
     tolerances are grid-derived: tol = 10 * K / m with K the measured
     gradient bound of the loss over the explored sublevel set.
     """
-    rows = _verify_cases(grid, problem.alpha[None], np.array([problem.mu]),
-                         _SpecColumns.of([problem.spec]))
+    rows = _verify_cases(grid, problem.alpha[None], np.array([problem.mu]), [problem.spec])
     return int(rows.case[0]), [ClauseResult(*row[5:]) for row in rows.rows()]
 
 
@@ -315,9 +251,9 @@ _CLAUSES = ("objective_zero", "minimizer_uniform", "confidence_zero",
 
 
 def _verify_cases(grid: SimplexGrid, alphas: np.ndarray, mus: np.ndarray,
-                  specs: _SpecColumns) -> "_Rows":
-    """verify_theorem_case of every problem (alphas[i], mus[i], spec i) on
-    one grid, as report rows in problem order.
+                  specs: list) -> "_Rows":
+    """verify_theorem_case of every problem (alphas[i], mus[i], specs[i])
+    on one grid, as report rows in problem order.
 
     Only group_min runs per problem. Every clause is an array expression
     over its case's problems, scattered into the rows. The case-3 sublevel
@@ -328,6 +264,8 @@ def _verify_cases(grid: SimplexGrid, alphas: np.ndarray, mus: np.ndarray,
     if grid.m % grid.n != 0:
         raise ConfigError("grid resolution must be divisible by n so the "
                           "uniform vector is a grid point")
+    if not all(spec.is_fixed for spec in specs):
+        raise ConfigError("theorem verification requires a fixed confidence spec")
     if (np.abs(alphas - 1.0 / alphas.shape[1]).max(axis=1) < 1e-12).any():
         raise ConfigError("theorem requires alpha distinct from uniform")
     gaps = _loss_at(alphas, alphas)   # delta(alpha)
@@ -335,7 +273,7 @@ def _verify_cases(grid: SimplexGrid, alphas: np.ndarray, mus: np.ndarray,
     # each minimum kept as numbers, not as thousands of result objects
     point, minima = np.empty(alphas.shape), np.empty((len(alphas), 3))
     problems = [_Problem(alphas.shape[1], alpha, mu, spec)
-                for alpha, mu, spec in zip(alphas, mus.tolist(), specs.specs())]
+                for alpha, mu, spec in zip(alphas, mus.tolist(), specs)]
 
     def minimize(i, losses=None):
         result = group_min(problems[i], grid, losses)
@@ -359,14 +297,13 @@ def _verify_cases(grid: SimplexGrid, alphas: np.ndarray, mus: np.ndarray,
             band = off_level <= (4.0 * (alphas[block] / floors[rows]).max(axis=1) / grid.m)[:, None]
             none = ~band.any(axis=1)
             band[none] = off_level[none] <= off_level[none].min(axis=1, keepdims=True) + 1e-15
-            for k, (kind, keep) in enumerate(zip(specs.kind[block].tolist(), band), start):
-                d_band[k] = grid.dispersion(DISPERSION_KINDS[kind]).max(where=keep,
-                                                                       initial=-np.inf)
+            for k, (i, keep) in enumerate(zip(block.tolist(), band), start):
+                d_band[k] = grid.dispersion(specs[i].dispersion).max(where=keep, initial=-np.inf)
 
     value, conf, loss = minima.T
     off_uniform = np.abs(point - 1.0 / grid.n).max(axis=1)
-    spec3 = specs.take(three)
-    variance = spec3.kind == DISPERSION_KINDS.index("variance")
+    spec3 = [specs[i] for i in three.tolist()]
+    variance = np.array([spec.dispersion == "variance" for spec in spec3], dtype=bool)
 
     def kind_dispersion(rows):   # each row's dispersion of its problem's kind
         return np.where(variance, *(_dispersion_rows_np(rows, kind) for kind in DISPERSION_KINDS))
@@ -378,9 +315,9 @@ def _verify_cases(grid: SimplexGrid, alphas: np.ndarray, mus: np.ndarray,
         # exact level set from the independent bisection oracle
         qs, ps = _branch_inverse(np.stack([1.0 - alpha3[:, 0], alpha3[:, 0]]), mu3)
         level = np.array([[1.0 - qs, qs], [ps, 1.0 - ps]]).transpose(0, 2, 1)
-        cap = spec3.gates(kind_dispersion(level).max(axis=0) + k_disp * 1e-8)
+        cap = _gates(spec3, kind_dispersion(level).max(axis=0) + k_disp * 1e-8)
     else:
-        cap = spec3.gates(d_band + 10.0 * k_disp / grid.m)
+        cap = _gates(spec3, d_band + 10.0 * k_disp / grid.m)
     columns = {
         1: [_clause("objective_zero", np.abs(value[one]), 0.0),
             _clause("minimizer_uniform", off_uniform[one], 0.0),
@@ -392,7 +329,7 @@ def _verify_cases(grid: SimplexGrid, alphas: np.ndarray, mus: np.ndarray,
             _clause("minimizer_alpha_or_uniform", np.minimum(
                 np.abs(point[two] - alphas[two]).max(axis=1), off_uniform[two]), grid.spacing)],
         3: [_clause("minimizer_in_strict_sublevel", loss3 - mu3, 0.0, loss3 - mu3 < 0.0),
-            _clause("confidence_at_least_at_alpha", spec3.gates(kind_dispersion(alpha3)) - conf3,
+            _clause("confidence_at_least_at_alpha", _gates(spec3, kind_dispersion(alpha3)) - conf3,
                     tol_obj / np.maximum(mu3 - loss3, tol_obj)),
             _clause("confidence_below_levelset_cap", conf3 - cap, 0.0)]}
     # a problem's rows are its case's clauses, at `first` on
@@ -405,7 +342,7 @@ def _verify_cases(grid: SimplexGrid, alphas: np.ndarray, mus: np.ndarray,
         for j, (name, m, t, p) in enumerate(case):
             at = first[index] + j
             clause[at], measured[at], tolerance[at], passed[at] = _CLAUSES.index(name), m, t, p
-    return _Rows(cases.astype(np.int8), alphas, mus, specs.labels, counts,
+    return _Rows(cases.astype(np.int8), alphas, mus, "\n".join(map(spec_label, specs)), counts,
                  clause, measured, tolerance, passed)
 
 
@@ -590,6 +527,23 @@ def _corollary_clauses(bounds: BinaryBounds, mu: float, grid: SimplexGrid,
 _DRAW_LOWS, _DRAW_HIGHS = np.array([(0.3, 0.2, 0.5) * 2, (1.7, 0.8, 3.0) * 2])
 
 
+def _rotation(index: np.ndarray, draws: np.ndarray, alphas: np.ndarray) -> list:
+    """Spec `index` (mod 6) of a rotation of conforming fixed specs, per
+    problem, sized to its alpha: step, two-level, then capped-linear gates
+    on variance, then on neg_entropy. `draws` are (factor, beta, slope) for
+    variance, then for neg_entropy; a two-level gate's knee is its factor
+    times the dispersion of alpha of its kind."""
+    which, shape = np.divmod(index % 6, 3)
+    lane = np.arange(index.size)
+    factor, beta, slope = (draws[lane, 3 * which + k] for k in range(3))
+    d_alpha = np.stack([_dispersion_rows_np(alphas, kind) for kind in DISPERSION_KINDS], axis=1)
+    d_max = factor * np.maximum(d_alpha[lane, which], 1e-6)
+    return [ConfidenceSpec(DISPERSION_KINDS[w], StepGate(0.0) if s == 0 else
+                           TwoLevelGate(d, b) if s == 1 else CappedLinearGate(k))
+            for w, s, d, b, k in zip(which.tolist(), shape.tolist(), d_max.tolist(),
+                                     beta.tolist(), slope.tolist())]
+
+
 def _binary_block(rng, start: int, count: int, m: int) -> tuple:
     """Binary problems start to start + count - 1 of the suite's cycle,
     as _verify_cases takes them: (alphas, mus, specs).
@@ -615,14 +569,7 @@ def _binary_block(rng, start: int, count: int, m: int) -> tuple:
                                              gaps + (0.08 + (1.0 - 0.08) * mu_draw)], gaps)
     draws = _DRAW_LOWS + (_DRAW_HIGHS - _DRAW_LOWS) * u[(first + width - 6)[:, None]
                                                          + np.arange(6)]
-    d_alpha = np.stack([_dispersion_rows_np(alphas, kind) for kind in DISPERSION_KINDS], axis=1)
-    return alphas, mus, _SpecColumns.rotation(index, draws, d_alpha)
-
-
-def sample_binary_problems(count: int, seed: int, m: int) -> list:
-    """Random binary problems cycling case 1/2/3 and the fixed specs, as
-    the theorem suite draws them from `seed`."""
-    return _group_problems(2, *_binary_block(np.random.default_rng(seed), 0, count, m))
+    return alphas, mus, _rotation(index, draws, alphas)
 
 
 def _ternary_columns(count: int, seed: int, m: int) -> tuple:
@@ -658,18 +605,7 @@ def _ternary_columns(count: int, seed: int, m: int) -> tuple:
             hi = min(gap + 1.0, resolvable_mu_cap(alpha, m) - 0.02)
             mu = gap + float(rng.uniform(0.05, hi - gap))
         alphas[i], mus[i], draws[i] = alpha, mu, rng.uniform(_DRAW_LOWS, _DRAW_HIGHS)
-    d_alpha = np.stack([_dispersion_rows_np(alphas, kind) for kind in DISPERSION_KINDS], axis=1)
-    return alphas, mus, _SpecColumns.rotation(np.arange(count), draws, d_alpha)
-
-
-def _group_problems(n: int, alphas: np.ndarray, mus: np.ndarray, specs) -> list:
-    return [GroupProblem(n, alpha, mu, spec)
-            for alpha, mu, spec in zip(alphas, mus.tolist(), specs.specs())]
-
-
-def sample_ternary_problems(count: int, seed: int, m: int) -> list:
-    """The theorem suite's ternary problems drawn from `seed`."""
-    return _group_problems(3, *_ternary_columns(count, seed, m))
+    return alphas, mus, _rotation(np.arange(count), draws, alphas)
 
 
 # ---- expressivity separation ----
@@ -752,7 +688,7 @@ class _Rows(NamedTuple):
     case: np.ndarray        # per problem
     alphas: np.ndarray      # per problem: (problems, n)
     mus: np.ndarray         # per problem
-    labels: object          # () -> each problem's spec label, made when read
+    labels: str             # per problem: spec_label of its spec, one a line
     counts: np.ndarray      # per problem
     clause: np.ndarray      # per row: an index into _CLAUSES
     measured: np.ndarray
@@ -762,7 +698,7 @@ class _Rows(NamedTuple):
     def _per_problem(self) -> list:
         """The case, n, alpha, mu and spec columns, as values."""
         return [self.case.tolist(), [self.alphas.shape[1]] * len(self.case),
-                _alpha_text(self.alphas), self.mus.tolist(), self.labels()]
+                _alpha_text(self.alphas), self.mus.tolist(), self.labels.split("\n")]
 
     def rows(self) -> list:
         per_problem = list(zip(*self._per_problem()))
@@ -832,10 +768,10 @@ class SuiteReport:
 
 
 # ceilings on the theorem suite's counts, 5,000 times the defaults: the
-# report keeps about 0.1 KB of columns per binary problem until it is
+# report keeps about 0.11 KB of columns per binary problem until it is
 # written, and each ternary problem is a Python loop (on one core of a
 # 2-vCPU host, `verify --suite theorem --binary-count 1000000
-# --ternary-count 0` takes about 25 s at 139 MB peak RSS, and 10**4
+# --ternary-count 0` takes about 26 s at 158 MB peak RSS, and 10**4
 # ternary problems take about 3.5 s)
 MAX_BINARY_COUNT = 10**6
 MAX_TERNARY_COUNT = 10**5
@@ -859,7 +795,7 @@ def run_theorem_suite(binary_count: int = 200, ternary_count: int = 20,
     if ternary_count:
         grid = SimplexGrid.build(3, 300)
         alphas, mus, specs = _ternary_columns(ternary_count, seed + 1, grid.m)
-        suite.blocks += [_verify_cases(grid, alphas[rows], mus[rows], specs.take(rows))
+        suite.blocks += [_verify_cases(grid, alphas[rows], mus[rows], specs[rows])
                          for rows in map(slice, range(0, ternary_count, _SUITE_BLOCK),
                                          range(_SUITE_BLOCK, ternary_count + _SUITE_BLOCK,
                                                _SUITE_BLOCK))]

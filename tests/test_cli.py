@@ -13,6 +13,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -306,13 +307,16 @@ def test_cost_edgeless_equality(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def checkpoints(small_graph_path):
-    """Untrained weak, gcn and gcn_skip checkpoint documents for the small graph."""
+    """Untrained weak, gcn and gcn_skip checkpoint documents for the small
+    graph, their parameters as nested lists, as a checkpoint file reads."""
     graph = load_graph(small_graph_path)
-    return {kind: expert_to_document(init_expert(
-                ExpertArch(kind, layers, 4), graph.num_features, graph.num_classes, 0))
+
+    def document(arch, classes):
+        doc = expert_to_document(init_expert(arch, graph.num_features, classes, 0))
+        return json.loads(json.dumps(doc, default=np.ndarray.tolist))
+    return {kind: document(ExpertArch(kind, layers, 4), graph.num_classes)
             for kind, layers in (("weak", 1), ("gcn", 2), ("gcn_skip", 2))} | {
-        "weak_3_classes": expert_to_document(init_expert(
-            ExpertArch("weak", 1), graph.num_features, 3, 0))}
+        "weak_3_classes": document(ExpertArch("weak", 1), 3)}
 
 
 def _write(tmp_path, name, doc):

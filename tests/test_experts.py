@@ -201,7 +201,8 @@ def test_save_expert_bytes_equal_whole_document(tmp_path, kind, layers):
     model = init_expert(ExpertArch(kind, layers, 300), 7, 3, seed=21)
     path = tmp_path / "expert.json"
     save_expert(model, path)
-    want = json.dumps(expert_to_document(model), separators=(",", ":")) + "\n"
+    want = json.dumps(expert_to_document(model), separators=(",", ":"),
+                      default=np.ndarray.tolist) + "\n"
     assert path.read_bytes() == want.encode("utf-8")
 
 

@@ -17,13 +17,12 @@ from confmix.errors import ConfigError, DomainError, GraphValidationError
 from confmix.experts import forward
 from confmix.graphs import build_blindspot_graph
 from confmix.theory import (_BRANCH_FLOOR, _DRAW_HIGHS, _DRAW_LOWS, BinaryBounds, ClauseResult,
-                            GroupProblem, SimplexGrid, SuiteReport, _binary_loss,
-                            _branch_inverse, _compositions, _SpecColumns, alpha_loss,
-                            binary_bounds, build_root_separator, delta, group_min,
-                            resolvable_mu_cap, run_theorem_suite, sample_binary_problems,
-                            sample_ternary_problems, spec_label, verify_binary_corollary,
-                            verify_blindspot, verify_step_tightness, verify_theorem_case,
-                            verify_tightness)
+                            GroupProblem, SimplexGrid, SuiteReport, _binary_block,
+                            _binary_loss, _branch_inverse, _compositions, _rotation,
+                            _ternary_columns, alpha_loss, binary_bounds, build_root_separator,
+                            delta, group_min, resolvable_mu_cap, run_theorem_suite, spec_label,
+                            verify_binary_corollary, verify_blindspot, verify_step_tightness,
+                            verify_theorem_case, verify_tightness)
 
 STEP_VAR = ConfidenceSpec("variance", StepGate(0.0))
 
@@ -177,11 +176,21 @@ def test_fixed_spec_draws_all_six():
     alpha = np.array([0.7, 0.3])
     want = _six_specs(alpha, np.random.default_rng(9))
     draws = np.random.default_rng(9).uniform(_DRAW_LOWS, _DRAW_HIGHS)
-    d_alpha = np.stack([_dispersion_rows_np(alpha[None, :], kind)
-                        for kind in ("variance", "neg_entropy")], axis=1)
-    got = _SpecColumns.rotation(np.arange(8), np.repeat(draws[None], 8, axis=0),
-                                np.repeat(d_alpha, 8, axis=0))
-    assert list(got.specs()) == [want[index % 6] for index in range(8)]
+    got = _rotation(np.arange(8), np.repeat(draws[None], 8, axis=0),
+                    np.repeat(alpha[None], 8, axis=0))
+    assert got == [want[index % 6] for index in range(8)]
+
+
+def sample_binary_problems(count, seed, m):
+    """The theorem suite's first `count` binary problems from `seed`, as GroupProblems."""
+    alphas, mus, specs = _binary_block(np.random.default_rng(seed), 0, count, m)
+    return [GroupProblem(2, *problem) for problem in zip(alphas, mus.tolist(), specs)]
+
+
+def sample_ternary_problems(count, seed, m):
+    """The theorem suite's `count` ternary problems from `seed`, as GroupProblems."""
+    alphas, mus, specs = _ternary_columns(count, seed, m)
+    return [GroupProblem(3, *problem) for problem in zip(alphas, mus.tolist(), specs)]
 
 
 def _reference_binary_problems(count, seed, m):
@@ -440,7 +449,7 @@ def test_theorem_suite_peak_memory_bounded():
 def test_theorem_report_memory_bounded_at_20000_problems():
     """20,000 binary problems are drawn and verified a block at a time and
     the report keeps each one's columns, not rows: the traced peak is
-    4.5 MiB, where a report of per-row tuples peaks at 26 MiB."""
+    5.2 MiB, where a report of per-row tuples peaks at 26 MiB."""
     tracemalloc.start()
     try:
         run_theorem_suite(20_000, 0, 0)
