@@ -13,7 +13,7 @@ the fixed shapes.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -130,8 +130,6 @@ class LearnableGate:
     output in (0, 1) using only the engine's primitives.
     """
     model: ExpertModel
-    # the head column's (row, column) index pair per row count, built once
-    _heads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, seed: int, hidden: int = 8):
@@ -141,9 +139,7 @@ class LearnableGate:
     def forward(self, pair: T.Tensor) -> T.Tensor:
         """Confidence rows from an (n, 2) tensor of dispersion pairs."""
         n = pair.shape[0]
-        if n not in self._heads:
-            self._heads[n] = (np.arange(n), np.zeros(n, dtype=np.intp))
-        return T.take_rows(weak_forward(self.model, pair), *self._heads[n])
+        return T.take_rows(weak_forward(self.model, pair), np.arange(n), np.zeros(n, dtype=np.intp))
 
 
 GATE_NAMES = {"step": StepGate, "two_level": TwoLevelGate,

@@ -370,7 +370,9 @@ def validate_blindspot(instance: BlindspotInstance):
     image[list(instance.node_map)] = list(instance.node_map.values())
     lo, hi = g.edge_arrays()
     a, b = np.sort([image[lo], image[hi]], axis=0)
-    broken = (a >= 0) & ((b >= n) | ~np.isin(a * n + b, lo * n + hi))
+    # edge_arrays' keys lo * n + hi increase; a -1 after them ends each search
+    keys = np.append(lo * n + hi, -1)
+    broken = (a >= 0) & ((b >= n) | (keys[np.searchsorted(keys[:-1], a * n + b)] != a * n + b))
     if broken.any():
         k = int(np.argmax(broken))
         raise GraphValidationError(f"mapping breaks edge ({lo[k]}, {hi[k]})")

@@ -142,7 +142,7 @@ class GroupProblem:
         alpha = np.asarray(self.alpha, dtype=np.float64)
         if alpha.shape != (self.n,):
             raise ConfigError(f"alpha must have shape ({self.n},), got {alpha.shape}")
-        values = alpha.tolist()   # plain floats: a suite builds thousands
+        values = alpha.tolist()   # plain floats: the suites build 120
         if not all(0.0 < a < 1.0 for a in values):
             raise ConfigError("alpha must be strictly interior to the simplex")
         if not abs(sum(values) - 1.0) <= 1e-9:
@@ -198,9 +198,9 @@ class ClauseResult(NamedTuple):
     passed: bool
 
     @classmethod
-    def at_most(cls, clause: str, measured: float, tolerance: float) -> "ClauseResult":
-        """The clause `measured <= tolerance`, which a NaN fails."""
-        return cls(clause, measured, tolerance, bool(measured <= tolerance))
+    def at_most(cls, clause: str, measured, tolerance) -> "ClauseResult":
+        """The clause `measured <= tolerance` (over arrays, elementwise), which a NaN fails."""
+        return cls(clause, measured, tolerance, measured <= tolerance)
 
 
 def spec_label(spec: ConfidenceSpec) -> str:
@@ -222,12 +222,6 @@ def _gates(specs: list, x: np.ndarray) -> np.ndarray:
     return np.array([spec.gate(xi) for spec, xi in zip(specs, x.tolist())])
 
 
-def _clause(name: str, measured: np.ndarray, tolerance, passed=None) -> tuple:
-    """A clause over a case's problems: a scalar tolerance is shared, and
-    `passed` defaults to measured <= tolerance, which a NaN fails."""
-    return name, measured, tolerance, measured <= tolerance if passed is None else passed
-
-
 def verify_theorem_case(problem: GroupProblem, grid: SimplexGrid) -> tuple:
     """(case, clauses): the minimizer clauses of whichever case delta-vs-mu selects.
 
@@ -244,10 +238,6 @@ def verify_theorem_case(problem: GroupProblem, grid: SimplexGrid) -> tuple:
 # bytes of each (problems x grid) array of the case-3 clauses: 32 binary
 # problems or 1 ternary one at a time
 _BLOCK_BYTES = 1 << 19
-# the theorem clauses' names, which the report keeps as indices
-_CLAUSES = ("objective_zero", "minimizer_uniform", "confidence_zero",
-            "minimizer_alpha_or_uniform", "minimizer_in_strict_sublevel",
-            "confidence_at_least_at_alpha", "confidence_below_levelset_cap")
 
 
 def _verify_cases(grid: SimplexGrid, alphas: np.ndarray, mus: np.ndarray,
@@ -290,7 +280,7 @@ def _verify_cases(grid: SimplexGrid, alphas: np.ndarray, mus: np.ndarray,
         for i, row in zip(block.tolist(), losses):
             minimize(i, np.matmul(grid.neg_logs, alphas[i], out=row))
         floors[rows] = _sublevel_floor(grid, losses <= mus[block, None])
-        if np.isinf(floors[rows]).any():
+        if (floors[rows] == np.inf).any():
             raise ConfigError("empty sublevel set at mu on this grid")
         if grid.n != 2:
             off_level = np.abs(losses - mus[block, None])
@@ -318,20 +308,22 @@ def _verify_cases(grid: SimplexGrid, alphas: np.ndarray, mus: np.ndarray,
         cap = _gates(spec3, kind_dispersion(level).max(axis=0) + k_disp * 1e-8)
     else:
         cap = _gates(spec3, d_band + 10.0 * k_disp / grid.m)
+    at_most = ClauseResult.at_most
     columns = {
-        1: [_clause("objective_zero", np.abs(value[one]), 0.0),
-            _clause("minimizer_uniform", off_uniform[one], 0.0),
-            _clause("confidence_zero", conf[one], 0.0, conf[one] == 0.0)],
+        1: [at_most("objective_zero", np.abs(value[one]), 0.0),
+            at_most("minimizer_uniform", off_uniform[one], 0.0),
+            ClauseResult("confidence_zero", conf[one], 0.0, conf[one] == 0.0)],
         # the loss at the alpha grid point and mu = delta(alpha) come
         # from two dot-product kernels that may differ in the last ulp
-        2: [_clause("objective_zero", np.abs(value[two]),
+        2: [at_most("objective_zero", np.abs(value[two]),
                     16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(mus[two]))),
-            _clause("minimizer_alpha_or_uniform", np.minimum(
+            at_most("minimizer_alpha_or_uniform", np.minimum(
                 np.abs(point[two] - alphas[two]).max(axis=1), off_uniform[two]), grid.spacing)],
-        3: [_clause("minimizer_in_strict_sublevel", loss3 - mu3, 0.0, loss3 - mu3 < 0.0),
-            _clause("confidence_at_least_at_alpha", _gates(spec3, kind_dispersion(alpha3)) - conf3,
+        3: [ClauseResult("minimizer_in_strict_sublevel", loss3 - mu3, 0.0, loss3 - mu3 < 0.0),
+            at_most("confidence_at_least_at_alpha", _gates(spec3, kind_dispersion(alpha3)) - conf3,
                     tol_obj / np.maximum(mu3 - loss3, tol_obj)),
-            _clause("confidence_below_levelset_cap", conf3 - cap, 0.0)]}
+            at_most("confidence_below_levelset_cap", conf3 - cap, 0.0)]}
+    names = tuple(dict.fromkeys(c.clause for case in columns.values() for c in case))
     # a problem's rows are its case's clauses, at `first` on
     counts = np.array([0, *map(len, columns.values())], dtype=np.int8)[cases]
     first = np.cumsum(counts) - counts
@@ -341,9 +333,9 @@ def _verify_cases(grid: SimplexGrid, alphas: np.ndarray, mus: np.ndarray,
     for index, case in zip((one, two, three), columns.values()):
         for j, (name, m, t, p) in enumerate(case):
             at = first[index] + j
-            clause[at], measured[at], tolerance[at], passed[at] = _CLAUSES.index(name), m, t, p
+            clause[at], measured[at], tolerance[at], passed[at] = names.index(name), m, t, p
     return _Rows(cases.astype(np.int8), alphas, mus, "\n".join(map(spec_label, specs)), counts,
-                 clause, measured, tolerance, passed)
+                 names, clause, measured, tolerance, passed)
 
 
 def resolvable_mu_cap(alpha, m: int) -> float:
@@ -676,21 +668,23 @@ def verify_blindspot(instance: BlindspotInstance, n_weight_draws: int,
 
 def _alpha_text(alphas: np.ndarray) -> list:
     """The report's alpha cell of each row of alphas: coordinates at 6
-    significant digits, joined by '/'."""
+    significant digits joined by '/', or empty with no coordinates."""
     if not alphas.shape[1]:
         return [""] * len(alphas)
     return list(map("/".join(["{:.6g}"] * alphas.shape[1]).format, *alphas.T.tolist()))
 
 
 class _Rows(NamedTuple):
-    """Theorem report rows as columns, problem by problem: problem i owns
-    the next counts[i] rows."""
+    """Report rows as columns, problem by problem: problem i owns the next
+    counts[i] rows. An `add` block's problems are its (label, clauses)
+    pairs, of case 0 with no alpha and mu 0."""
     case: np.ndarray        # per problem
     alphas: np.ndarray      # per problem: (problems, n)
     mus: np.ndarray         # per problem
-    labels: str             # per problem: spec_label of its spec, one a line
+    labels: str             # per problem: a spec_label or a pair's label, one a line
     counts: np.ndarray      # per problem
-    clause: np.ndarray      # per row: an index into _CLAUSES
+    names: tuple            # the clause names
+    clause: np.ndarray      # per row: an index into names
     measured: np.ndarray
     tolerance: np.ndarray
     passed: np.ndarray
@@ -703,35 +697,18 @@ class _Rows(NamedTuple):
     def rows(self) -> list:
         per_problem = list(zip(*self._per_problem()))
         owner = np.repeat(np.arange(len(self.case)), self.counts).tolist()
-        return [(*per_problem[o], _CLAUSES[c], m, t, p) for o, c, m, t, p in zip(
+        return [(*per_problem[o], self.names[c], m, t, p) for o, c, m, t, p in zip(
             owner, self.clause.tolist(), self.measured.tolist(), self.tolerance.tolist(),
             self.passed.tolist())]
 
-    def cells(self):
+    def cells(self) -> list:
         """The rows as one write_csv_cells block: each problem's cells are
         formatted once for all its rows."""
         owner = np.repeat(np.arange(len(self.case)), self.counts)
-        names = np.array(cells(_CLAUSES), dtype=object)
-        yield ([np.array(cells(column), dtype=object)[owner].tolist()
-                for column in self._per_problem()] + [names[self.clause].tolist()]
-               + [cells(column) for column in (self.measured, self.tolerance, self.passed)])
-
-    def tally(self) -> tuple:
-        return self.passed.size, int(np.count_nonzero(~self.passed))
-
-
-class _Listed(list):
-    """Report rows as the tuples SuiteReport.add appends."""
-
-    def rows(self) -> list:
-        return self
-
-    def cells(self):
-        if self:
-            yield [cells(column) for column in zip(*self)]
-
-    def tally(self) -> tuple:
-        return len(self), sum(not row[-1] for row in self)
+        names = np.array(cells(self.names), dtype=object)
+        return ([np.array(cells(column), dtype=object)[owner].tolist()
+                 for column in self._per_problem()] + [names[self.clause].tolist()]
+                + [cells(column) for column in (self.measured, self.tolerance, self.passed)])
 
 
 _HEADER = ["case", "n", "alpha", "mu", "spec", "clause", "measured", "tolerance", "pass"]
@@ -739,18 +716,23 @@ _HEADER = ["case", "n", "alpha", "mu", "spec", "clause", "measured", "tolerance"
 
 @dataclass
 class SuiteReport:
-    """Clause rows in blocks: a theorem block's columns (_Rows), or the
-    tuples of consecutive `add` calls (_Listed)."""
+    """Clause rows in blocks of columns (_Rows)."""
     blocks: list = field(default_factory=list)
 
-    def add(self, label: str, clauses: list, case: int = 0,
-            problem: GroupProblem | None = None):
-        """One row per clause; a theorem case also records its case and problem."""
-        n, alpha, mu = ((problem.n, _alpha_text(problem.alpha[None])[0], problem.mu)
-                        if problem else (0, "", 0.0))
-        if not (self.blocks and isinstance(self.blocks[-1], _Listed)):
-            self.blocks.append(_Listed())
-        self.blocks[-1] += [(case, n, alpha, mu, label, *c) for c in clauses]
+    def add(self, pairs: list) -> "SuiteReport":
+        """One block of a builder's (label, clauses) pairs, a row per clause
+        under its pair's label (no clause, no block); returns the report."""
+        flat = [c for _, clauses in pairs for c in clauses]
+        if flat:
+            labels, groups = zip(*pairs)
+            names = tuple(dict.fromkeys(c.clause for c in flat))
+            clause, measured, tolerance, passed = zip(*flat)
+            self.blocks.append(_Rows(
+                np.zeros(len(pairs), np.int8), np.empty((len(pairs), 0)), np.zeros(len(pairs)),
+                "\n".join(labels), np.array(list(map(len, groups))), names,
+                np.array(list(map(names.index, clause))), np.array(measured, dtype=float),
+                np.array(tolerance, dtype=float), np.array(passed, dtype=bool)))
+        return self
 
     @property
     def rows(self) -> list:
@@ -759,12 +741,11 @@ class SuiteReport:
 
     def tally(self) -> tuple:
         """(clauses, failed clauses)."""
-        tallies = [block.tally() for block in self.blocks]
-        return sum(t[0] for t in tallies), sum(t[1] for t in tallies)
+        return (sum(block.passed.size for block in self.blocks),
+                sum(int(np.count_nonzero(~block.passed)) for block in self.blocks))
 
     def write_csv(self, path):
-        write_csv_cells(path, _HEADER, (columns for block in self.blocks
-                                        for columns in block.cells()))
+        write_csv_cells(path, _HEADER, (block.cells() for block in self.blocks))
 
 
 # ceilings on the theorem suite's counts, 5,000 times the defaults: the
@@ -807,7 +788,7 @@ def run_theorem_suite(binary_count: int = 200, ternary_count: int = 20,
 def tightness_suite(seed: int) -> SuiteReport:
     """50 step-gate problems drawn from `seed`, then 20 two-level window
     problems (eta = 0.05, resolution 5000) drawn from seed + 1."""
-    suite = SuiteReport()
+    pairs = []
     rng = np.random.default_rng(seed)
     grid = SimplexGrid.build(2, 2000)
     for i in range(50):
@@ -815,42 +796,41 @@ def tightness_suite(seed: int) -> SuiteReport:
         alpha = np.array([a1, 1.0 - a1])
         mu = delta(alpha) + float(rng.uniform(0.08, 1.0))
         kind = ("variance", "neg_entropy")[i % 2]
-        suite.add(f"step_tightness[{i}]", verify_step_tightness(alpha, mu, grid, kind))
+        pairs.append((f"step_tightness[{i}]", verify_step_tightness(alpha, mu, grid, kind)))
     grid5 = SimplexGrid.build(2, 5000)
     eta = 0.05
     problems = sample_tightness_problems(20, seed + 1, m=5000, eta=eta)
     for i, (alpha, mu, kind) in enumerate(problems):
         beta = 0.5 * eta / (mu - delta(alpha))
-        suite.add(f"window_tightness[{i}]",
-                  verify_tightness(alpha, mu, eta, beta, grid5, kind))
-    return suite
+        pairs.append((f"window_tightness[{i}]",
+                      verify_tightness(alpha, mu, eta, beta, grid5, kind)))
+    return SuiteReport().add(pairs)
 
 
 def binary_suite(seed: int) -> SuiteReport:
     """50 binary corollary problems with alpha1 on the resolution-2000 grid."""
-    suite = SuiteReport()
     rng = np.random.default_rng(seed)
     grid = SimplexGrid.build(2, 2000)
-    pairs = []
+    problems, pairs = [], []
     for _ in range(50):
         a1 = int(round(rng.uniform(0.55, 0.95) * grid.m)) / grid.m
-        pairs.append((a1, delta(np.array([a1, 1.0 - a1])) + float(rng.uniform(0.08, 1.0))))
-    for i, ((_, mu), bounds) in enumerate(zip(pairs, _binary_bounds(pairs))):
+        problems.append((a1, delta(np.array([a1, 1.0 - a1])) + float(rng.uniform(0.08, 1.0))))
+    for i, ((_, mu), bounds) in enumerate(zip(problems, _binary_bounds(problems))):
         kind = ("variance", "neg_entropy")[i % 2]
         spec = ConfidenceSpec(kind, CappedLinearGate(1.5 if kind == "variance" else 1.0))
-        suite.add(f"binary_corollary[{i}]", _corollary_clauses(bounds, mu, grid, spec))
-    return suite
+        pairs.append((f"binary_corollary[{i}]", _corollary_clauses(bounds, mu, grid, spec)))
+    return SuiteReport().add(pairs)
 
 
 def quasiconvexity_suite(seed: int, specs: list) -> SuiteReport:
     """10,000 random mixtures per (label, spec) and n in (2, 3)."""
-    suite = SuiteReport()
+    pairs = []
     for n in (2, 3):
         for label, spec in specs:
             margin = quasiconvexity_witness_search(spec, 10_000, seed, n=n)
-            suite.add(label, [ClauseResult.at_most(f"quasiconvex_margin_n{n}",
-                                                   margin, 1e-12)])
-    return suite
+            pairs.append((label, [ClauseResult.at_most(f"quasiconvex_margin_n{n}",
+                                                       margin, 1e-12)]))
+    return SuiteReport().add(pairs)
 
 
 _FIXED_SPECS = [
@@ -872,11 +852,11 @@ _PLANTED_FAULT = {"dispersion": "variance", "gate": {"kind": "learnable", "weigh
 def blindspot_suite(seed: int) -> SuiteReport:
     """Blindspot instances k = 1, 2 built from seed + k, with 50 weight
     draws from seed + 10 + k."""
-    suite = SuiteReport()
+    pairs = []
     for k in (1, 2):
         instance = build_blindspot_graph(k, 6, seed + k)
-        suite.add(f"blindspot_k{k}", verify_blindspot(instance, 50, seed + 10 + k))
-    return suite
+        pairs.append((f"blindspot_k{k}", verify_blindspot(instance, 50, seed + 10 + k)))
+    return SuiteReport().add(pairs)
 
 
 # suite name -> builder of the run seed. Each suite draws from its own

@@ -229,6 +229,38 @@ def test_verify_report_structure_is_pinned(tmp_path):
     assert digest.hexdigest() == REPORT_STRUCTURE_SHA256
 
 
+# sha256 of theorem_report.csv for verify runs at seed 0. Both hold the
+# scalar suites' rows, whose case, n, alpha and mu cells read 0, 0, "" and
+# 0. The float cells' last digits follow the platform's log kernel, and
+# the blindspot gap the float order of the aggregation.
+REPORT_SHA256 = {
+    ("all", "--binary-count", "60", "--ternary-count", "6"):
+        "b81027041c1ff11535a1acd6f8d44101c99921ae570a1468685d0d7da77d9b45",
+    ("planted_fault",):
+        "e8151c0f5627b5efcf35bcd21c9acdc0a0cb9141efa7ea236f065f608f6d9f18",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(REPORT_SHA256))
+def test_verify_report_bytes_are_pinned(tmp_path, suite):
+    run_cli(["verify", "--suite", *suite, "--seed", "0", "--out", str(tmp_path)])
+    digest = hashlib.sha256((tmp_path / "theorem_report.csv").read_bytes()).hexdigest()
+    assert digest == REPORT_SHA256[suite]
+
+
+def test_verify_does_not_import_numpy_ma(tmp_path):
+    """The blindspot check's edge lookup is a sorted search: the command
+    never loads numpy.ma, which np.isin's np.unique imports."""
+    src = str(Path(cli.__file__).parents[1])
+    script = ("import sys; from confmix.cli import main; code = main(sys.argv[1:]); "
+              "print('numpy.ma' in sys.modules); sys.exit(code)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script, "verify", "--suite", "blindspot",
+                           "--seed", "0", "--out", str(tmp_path)],
+                          env=env, check=True, capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_suite_choices_follow_registry():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions
@@ -243,9 +275,7 @@ def test_verify_all_runs_every_suite_but_planted_fault(tmp_path, monkeypatch):
     def fake(name):
         def build(seed):
             ran.append(name)
-            suite = SuiteReport()
-            suite.add(name, [ClauseResult.at_most("ran", 0.0, 0.0)])
-            return suite
+            return SuiteReport().add([(name, [ClauseResult.at_most("ran", 0.0, 0.0)])])
         return build
 
     for name in SUITES:

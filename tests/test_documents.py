@@ -63,7 +63,7 @@ def test_write_csv_equals_csv_writer(tmp_path, header, rows):
 
 def test_write_csv_takes_a_generator_of_rows(tmp_path):
     """Rows from a zip, as predictions.csv passes them, over more than one
-    4,096-row block."""
+    512-row block."""
     rows = [ADVERSARIAL[i % len(ADVERSARIAL)] for i in range(9000)]
     path = tmp_path / "t.csv"
     write_csv(path, HEADER6, zip(*zip(*rows)))

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from confmix import tensor as T
 from confmix.errors import (ConfigError, GraphFormatError, GraphValidationError)
-from confmix.graphs import (ARCHITECTURES, MAX_FEATURE_ENTRIES, blindspot_cancellation_gap,
-                            build_blindspot_graph, build_graph, conv_rows, cost_estimate,
+from confmix.graphs import (ARCHITECTURES, MAX_FEATURE_ENTRIES, BlindspotInstance,
+                            blindspot_cancellation_gap, build_blindspot_graph, build_graph,
+                            conv_rows, cost_estimate,
                             generate_specialization_graph, graph_from_document,
                             graph_to_document, khop_neighborhood, khop_sizes,
                             load_graph, save_graph, specialization_groups,
@@ -526,6 +527,36 @@ def test_blindspot_broken_mapping_rejected():
     fmap[0], fmap[1] = fmap[1], fmap[0]
     with pytest.raises(GraphValidationError, match=r"mapping breaks edge \(0, 2\)"):
         validate_blindspot(dataclasses.replace(instance, node_map=fmap))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_blindspot_mapping_check_matches_edge_set_reference(seed):
+    """A map of a few nodes, onto nodes or past the last one, breaks the
+    first edge (in edge_arrays order) whose two mapped ends are no edge."""
+    instance = build_blindspot_graph(2, 4, seed=6)
+    n = instance.graph.num_nodes
+    lo, hi = instance.graph.edge_arrays()
+    rng = np.random.default_rng(seed)
+    mapped = rng.choice(n, size=int(rng.integers(2, 5)), replace=False).tolist()
+    fmap = dict(zip(mapped, rng.integers(0, n + 2, len(mapped)).tolist()))
+    edges = set(zip(lo.tolist(), hi.tolist()))
+    broken = [(x, y) for x, y in edges if x in fmap and y in fmap
+              and tuple(sorted((fmap[x], fmap[y]))) not in edges]
+    replaced = dataclasses.replace(instance, node_map=fmap)
+    if broken:
+        with pytest.raises(GraphValidationError,
+                           match=r"mapping breaks edge \(%d, %d\)" % min(broken)):
+            validate_blindspot(replaced)
+    else:
+        validate_blindspot(replaced)
+
+
+def test_blindspot_mapping_check_on_an_edgeless_graph():
+    """No edge, nothing to break: the check goes on to the cancellation gap."""
+    g = build_graph(2, 2, [[1.0], [2.0]], [0, 1], [], {})
+    instance = BlindspotInstance(g, 0, 1, 1, {0: 1})
+    with pytest.raises(GraphValidationError, match="cancellation gap"):
+        validate_blindspot(instance)
 
 
 def test_blindspot_roots_distinct():

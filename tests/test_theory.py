@@ -16,9 +16,9 @@ from confmix.confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
 from confmix.errors import ConfigError, DomainError, GraphValidationError
 from confmix.experts import forward
 from confmix.graphs import build_blindspot_graph
-from confmix.theory import (_BRANCH_FLOOR, _DRAW_HIGHS, _DRAW_LOWS, BinaryBounds, ClauseResult,
-                            GroupProblem, SimplexGrid, SuiteReport, _binary_block,
-                            _binary_loss, _branch_inverse, _compositions, _rotation,
+from confmix.theory import (_BRANCH_FLOOR, _DRAW_HIGHS, _DRAW_LOWS, SUITES, BinaryBounds,
+                            ClauseResult, GroupProblem, SimplexGrid, SuiteReport, _binary_block,
+                            _binary_loss, _branch_inverse, _compositions, _Rows, _rotation,
                             _ternary_columns, alpha_loss, binary_bounds, build_root_separator,
                             delta, group_min, resolvable_mu_cap, run_theorem_suite, spec_label,
                             verify_binary_corollary, verify_blindspot, verify_step_tightness,
@@ -408,29 +408,69 @@ def _reference_case(problem, grid):
                              float(result.conf - upper_cap), 0.0)]
 
 
+def _reference_rows(problems, grid) -> list:
+    """The report rows of _reference_case over problems, as tuples of the
+    nine columns, with the alpha cell at 6 significant digits."""
+    rows = []
+    for problem in problems:
+        case, clauses = _reference_case(problem, grid)
+        alpha = "/".join(f"{a:.6g}" for a in problem.alpha.tolist())
+        rows += [(case, problem.n, alpha, problem.mu, spec_label(problem.spec), *clause)
+                 for clause in clauses]
+    return rows
+
+
 @pytest.mark.parametrize("seed", [0, 13])
 def test_theorem_suite_rows_equal_per_problem_reference(seed, grid2, grid3):
-    want = SuiteReport()
-    for problems, grid in ((sample_binary_problems(60, seed, 2000), grid2),
-                           (sample_ternary_problems(12, seed + 1, 300), grid3)):
-        for problem in problems:
-            case, clauses = _reference_case(problem, grid)
-            want.add(spec_label(problem.spec), clauses, case, problem)
+    want = (_reference_rows(sample_binary_problems(60, seed, 2000), grid2)
+            + _reference_rows(sample_ternary_problems(12, seed + 1, 300), grid3))
     got = run_theorem_suite(60, 12, seed).rows
     assert {row[0] for row in got} == {1, 2, 3}
-    assert got == want.rows
+    assert got == want
 
 
 def test_theorem_suite_rows_equal_reference_at_benchmark_size(grid2, grid3):
     """The benchmark's 2,000 binary and 200 ternary problems, the binary
     ones from the scalar-draw sampler, each verified on its own."""
-    want = SuiteReport()
-    for problems, grid in ((_reference_binary_problems(2000, 0, 2000), grid2),
-                           (sample_ternary_problems(200, 1, 300), grid3)):
-        for problem in problems:
-            case, clauses = _reference_case(problem, grid)
-            want.add(spec_label(problem.spec), clauses, case, problem)
-    assert run_theorem_suite(2000, 200, 0).rows == want.rows
+    want = (_reference_rows(_reference_binary_problems(2000, 0, 2000), grid2)
+            + _reference_rows(sample_ternary_problems(200, 1, 300), grid3))
+    assert run_theorem_suite(2000, 200, 0).rows == want
+
+
+def test_suite_report_add_writes_one_case_zero_block():
+    """add's pairs are one block whose rows are (0, 0, "", 0.0, label,
+    clause, measured, tolerance, passed); a NaN measurement fails, and
+    pairs without a clause add no block."""
+    nan, inf = float("nan"), float("inf")
+    pairs = [("a", [ClauseResult.at_most("x", 0.5, 1.0), ClauseResult.at_most("y", nan, 1.0)]),
+             ("b[1]", [ClauseResult.at_most("x", 2.0, 1.0)]),
+             ("c", []),
+             ("d+e(f=1,g=2)", [ClauseResult("z", -inf, inf, True),
+                               ClauseResult.at_most("y", inf, 1.0),
+                               ClauseResult.at_most("x", -inf, 0.0)])]
+    want = [(0, 0, "", 0.0, label, *clause) for label, clauses in pairs for clause in clauses]
+    suite = SuiteReport().add(pairs).add([]).add([("empty", [])])
+    assert len(suite.blocks) == 1 and isinstance(suite.blocks[0], _Rows)
+    got = suite.rows
+    # a NaN equals nothing, so the rows are compared by their reprs
+    assert list(map(repr, got)) == list(map(repr, want))
+    assert [type(row[-1]) for row in got] == [bool] * 6
+    assert [row[-1] for row in got] == [True, False, False, True, False, True]
+    assert suite.tally() == (6, 3)
+
+
+def test_clause_at_most_on_floats_is_a_bool():
+    for measured, tolerance, passed in ((1.0, 2.0, True), (2.0, 1.0, False),
+                                        (float("nan"), 1.0, False), (-math.inf, 0.0, True)):
+        assert ClauseResult.at_most("c", measured, tolerance).passed is passed
+    over = ClauseResult.at_most("c", np.array([0.0, np.nan, 2.0]), 1.0).passed
+    assert over.tolist() == [True, False, False]
+
+
+def test_every_suite_report_block_is_columns():
+    for suite in (run_theorem_suite(6, 3, 0), SUITES["planted_fault"](0),
+                  SUITES["quasiconvexity"](0)):
+        assert suite.blocks and all(isinstance(block, _Rows) for block in suite.blocks)
 
 
 def test_theorem_suite_peak_memory_bounded():
