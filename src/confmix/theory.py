@@ -294,10 +294,6 @@ def _verify_cases(grid: SimplexGrid, alphas: np.ndarray, mus: np.ndarray,
     off_uniform = np.abs(point - 1.0 / grid.n).max(axis=1)
     spec3 = [specs[i] for i in three.tolist()]
     variance = np.array([spec.dispersion == "variance" for spec in spec3], dtype=bool)
-
-    def kind_dispersion(rows):   # each row's dispersion of its problem's kind
-        return np.where(variance, *(_dispersion_rows_np(rows, kind) for kind in DISPERSION_KINDS))
-
     alpha3, mu3, loss3, conf3 = alphas[three], mus[three], loss[three], conf[three]
     tol_obj = 10.0 * (alpha3 / floors).max(axis=1) / grid.m
     k_disp = np.where(variance, 2.0, 1.0 + np.abs(np.log(floors.min(axis=1))))
@@ -305,7 +301,7 @@ def _verify_cases(grid: SimplexGrid, alphas: np.ndarray, mus: np.ndarray,
         # exact level set from the independent bisection oracle
         qs, ps = _branch_inverse(np.stack([1.0 - alpha3[:, 0], alpha3[:, 0]]), mu3)
         level = np.array([[1.0 - qs, qs], [ps, 1.0 - ps]]).transpose(0, 2, 1)
-        cap = _gates(spec3, kind_dispersion(level).max(axis=0) + k_disp * 1e-8)
+        cap = _gates(spec3, _dispersion_of(level, variance).max(axis=0) + k_disp * 1e-8)
     else:
         cap = _gates(spec3, d_band + 10.0 * k_disp / grid.m)
     at_most = ClauseResult.at_most
@@ -320,7 +316,8 @@ def _verify_cases(grid: SimplexGrid, alphas: np.ndarray, mus: np.ndarray,
             at_most("minimizer_alpha_or_uniform", np.minimum(
                 np.abs(point[two] - alphas[two]).max(axis=1), off_uniform[two]), grid.spacing)],
         3: [ClauseResult("minimizer_in_strict_sublevel", loss3 - mu3, 0.0, loss3 - mu3 < 0.0),
-            at_most("confidence_at_least_at_alpha", _gates(spec3, kind_dispersion(alpha3)) - conf3,
+            at_most("confidence_at_least_at_alpha",
+                    _gates(spec3, _dispersion_of(alpha3, variance)) - conf3,
                     tol_obj / np.maximum(mu3 - loss3, tol_obj)),
             at_most("confidence_below_levelset_cap", conf3 - cap, 0.0)]}
     names = tuple(dict.fromkeys(c.clause for case in columns.values() for c in case))
@@ -491,14 +488,10 @@ def _binary_bounds(pairs: list) -> list:
             for (alpha1, mu), q in zip(pairs, qs)]
 
 
-def verify_binary_corollary(alpha1: float, mu: float, grid: SimplexGrid,
+def verify_binary_corollary(bounds: BinaryBounds, mu: float, grid: SimplexGrid,
                             spec: ConfidenceSpec) -> list:
-    """Grid minimizer's first coordinate against the bisection bounds."""
-    return _corollary_clauses(binary_bounds(alpha1, mu), mu, grid, spec)
-
-
-def _corollary_clauses(bounds: BinaryBounds, mu: float, grid: SimplexGrid,
-                       spec: ConfidenceSpec) -> list:
+    """Grid minimizer's first coordinate against the bisection bounds of
+    (alpha1, mu), as binary_bounds or _binary_bounds solved them."""
     alpha1 = bounds.lower
     problem = GroupProblem(2, np.array([alpha1, 1.0 - alpha1]), mu, spec)
     result = group_min(problem, grid)
@@ -519,6 +512,11 @@ def _corollary_clauses(bounds: BinaryBounds, mu: float, grid: SimplexGrid,
 _DRAW_LOWS, _DRAW_HIGHS = np.array([(0.3, 0.2, 0.5) * 2, (1.7, 0.8, 3.0) * 2])
 
 
+def _dispersion_of(rows: np.ndarray, variance: np.ndarray) -> np.ndarray:
+    """Each row's dispersion of its kind: variance where `variance` is set."""
+    return np.where(variance, *(_dispersion_rows_np(rows, kind) for kind in DISPERSION_KINDS))
+
+
 def _rotation(index: np.ndarray, draws: np.ndarray, alphas: np.ndarray) -> list:
     """Spec `index` (mod 6) of a rotation of conforming fixed specs, per
     problem, sized to its alpha: step, two-level, then capped-linear gates
@@ -528,8 +526,7 @@ def _rotation(index: np.ndarray, draws: np.ndarray, alphas: np.ndarray) -> list:
     which, shape = np.divmod(index % 6, 3)
     lane = np.arange(index.size)
     factor, beta, slope = (draws[lane, 3 * which + k] for k in range(3))
-    d_alpha = np.stack([_dispersion_rows_np(alphas, kind) for kind in DISPERSION_KINDS], axis=1)
-    d_max = factor * np.maximum(d_alpha[lane, which], 1e-6)
+    d_max = factor * np.maximum(_dispersion_of(alphas, which == 0), 1e-6)
     return [ConfidenceSpec(DISPERSION_KINDS[w], StepGate(0.0) if s == 0 else
                            TwoLevelGate(d, b) if s == 1 else CappedLinearGate(k))
             for w, s, d, b, k in zip(which.tolist(), shape.tolist(), d_max.tolist(),
@@ -564,14 +561,14 @@ def _binary_block(rng, start: int, count: int, m: int) -> tuple:
     return alphas, mus, _rotation(index, draws, alphas)
 
 
-def _ternary_columns(count: int, seed: int, m: int) -> tuple:
-    """Random ternary problems cycling case 1/2/3 and the fixed specs, as
-    _verify_cases takes them: (alphas, mus, specs). Problem i draws alpha
-    until one is far enough from uniform (and, in case 3, resolvable),
-    then its mu unless it is case 2, then the six spec draws."""
-    rng = np.random.default_rng(seed)
+def _ternary_block(rng, start: int, count: int, m: int) -> tuple:
+    """Ternary problems start to start + count - 1, as _binary_block gives
+    binary ones. Problem i draws alpha until one is far enough from
+    uniform (and, in case 3, resolvable), then its mu unless it is case 2,
+    then the six spec draws, continuing the stream where i - 1 left it."""
+    index = np.arange(start, start + count)
     alphas, mus, draws = np.empty((count, 3)), np.empty(count), np.empty((count, 6))
-    for i in range(count):
+    for k, i in enumerate(index.tolist()):
         case = i % 3 + 1
         while True:
             raw = rng.exponential(scale=1.0, size=3)
@@ -596,8 +593,8 @@ def _ternary_columns(count: int, seed: int, m: int) -> tuple:
             # dispersion-cap clause checks something real
             hi = min(gap + 1.0, resolvable_mu_cap(alpha, m) - 0.02)
             mu = gap + float(rng.uniform(0.05, hi - gap))
-        alphas[i], mus[i], draws[i] = alpha, mu, rng.uniform(_DRAW_LOWS, _DRAW_HIGHS)
-    return alphas, mus, _rotation(np.arange(count), draws, alphas)
+        alphas[k], mus[k], draws[k] = alpha, mu, rng.uniform(_DRAW_LOWS, _DRAW_HIGHS)
+    return alphas, mus, _rotation(index, draws, alphas)
 
 
 # ---- expressivity separation ----
@@ -756,8 +753,8 @@ class SuiteReport:
 # ternary problems take about 3.5 s)
 MAX_BINARY_COUNT = 10**6
 MAX_TERNARY_COUNT = 10**5
-# problems verified, and kept in one report block, at a time; binary
-# problems are also drawn a block at a time
+# problems drawn, verified and kept in one report block at a time, on
+# either grid
 _SUITE_BLOCK = 1 << 12
 
 
@@ -768,18 +765,13 @@ def run_theorem_suite(binary_count: int = 200, ternary_count: int = 20,
     check_range("binary_count", binary_count, 0, MAX_BINARY_COUNT)
     check_range("ternary_count", ternary_count, 0, MAX_TERNARY_COUNT)
     suite = SuiteReport()
-    if binary_count:
-        grid, rng = SimplexGrid.build(2, 2000), np.random.default_rng(seed)
-        suite.blocks += [_verify_cases(grid, *_binary_block(
-            rng, start, min(_SUITE_BLOCK, binary_count - start), grid.m))
-            for start in range(0, binary_count, _SUITE_BLOCK)]
-    if ternary_count:
-        grid = SimplexGrid.build(3, 300)
-        alphas, mus, specs = _ternary_columns(ternary_count, seed + 1, grid.m)
-        suite.blocks += [_verify_cases(grid, alphas[rows], mus[rows], specs[rows])
-                         for rows in map(slice, range(0, ternary_count, _SUITE_BLOCK),
-                                         range(_SUITE_BLOCK, ternary_count + _SUITE_BLOCK,
-                                               _SUITE_BLOCK))]
+    for count, n, m, sample, stream in ((binary_count, 2, 2000, _binary_block, seed),
+                                        (ternary_count, 3, 300, _ternary_block, seed + 1)):
+        if count:
+            grid, rng = SimplexGrid.build(n, m), np.random.default_rng(stream)
+            for start in range(0, count, _SUITE_BLOCK):
+                block = sample(rng, start, min(_SUITE_BLOCK, count - start), m)
+                suite.blocks.append(_verify_cases(grid, *block))
     return suite
 
 
@@ -818,7 +810,7 @@ def binary_suite(seed: int) -> SuiteReport:
     for i, ((_, mu), bounds) in enumerate(zip(problems, _binary_bounds(problems))):
         kind = ("variance", "neg_entropy")[i % 2]
         spec = ConfidenceSpec(kind, CappedLinearGate(1.5 if kind == "variance" else 1.0))
-        pairs.append((f"binary_corollary[{i}]", _corollary_clauses(bounds, mu, grid, spec)))
+        pairs.append((f"binary_corollary[{i}]", verify_binary_corollary(bounds, mu, grid, spec)))
     return SuiteReport().add(pairs)
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confmix import tensor as T
+from confmix import theory
 from confmix.confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
                                 StepGate, TwoLevelGate, _dispersion_rows_np,
                                 confidence_batch)
@@ -19,10 +20,11 @@ from confmix.graphs import build_blindspot_graph
 from confmix.theory import (_BRANCH_FLOOR, _DRAW_HIGHS, _DRAW_LOWS, SUITES, BinaryBounds,
                             ClauseResult, GroupProblem, SimplexGrid, SuiteReport, _binary_block,
                             _binary_loss, _branch_inverse, _compositions, _Rows, _rotation,
-                            _ternary_columns, alpha_loss, binary_bounds, build_root_separator,
-                            delta, group_min, resolvable_mu_cap, run_theorem_suite, spec_label,
-                            verify_binary_corollary, verify_blindspot, verify_step_tightness,
-                            verify_theorem_case, verify_tightness)
+                            _ternary_block, alpha_loss, binary_bounds, binary_suite,
+                            build_root_separator, delta, group_min, resolvable_mu_cap,
+                            run_theorem_suite, spec_label, verify_binary_corollary,
+                            verify_blindspot, verify_step_tightness, verify_theorem_case,
+                            verify_tightness)
 
 STEP_VAR = ConfidenceSpec("variance", StepGate(0.0))
 
@@ -189,7 +191,7 @@ def sample_binary_problems(count, seed, m):
 
 def sample_ternary_problems(count, seed, m):
     """The theorem suite's `count` ternary problems from `seed`, as GroupProblems."""
-    alphas, mus, specs = _ternary_columns(count, seed, m)
+    alphas, mus, specs = _ternary_block(np.random.default_rng(seed), 0, count, m)
     return [GroupProblem(3, *problem) for problem in zip(alphas, mus.tolist(), specs)]
 
 
@@ -271,6 +273,18 @@ def test_ternary_sampler_equals_per_problem_draws(seed):
         for a, b in zip(got, want):
             assert a.alpha.tobytes() == b.alpha.tobytes()
             assert (a.mu, a.spec) == (b.mu, b.spec)
+
+
+@pytest.mark.parametrize("seed", [1, 6])
+def test_ternary_blocks_continue_one_stream(seed):
+    """Problems [0, 13) then [13, 20) from one generator are the problems
+    [0, 20) of one call: 13 ends mid-cycle of both the cases and the specs."""
+    rng = np.random.default_rng(seed)
+    head, tail = _ternary_block(rng, 0, 13, 300), _ternary_block(rng, 13, 7, 300)
+    alphas, mus, specs = _ternary_block(np.random.default_rng(seed), 0, 20, 300)
+    assert np.concatenate([head[0], tail[0]]).tobytes() == alphas.tobytes()
+    assert np.concatenate([head[1], tail[1]]).tobytes() == mus.tobytes()
+    assert head[2] + tail[2] == specs
 
 
 def test_delta_values():
@@ -429,6 +443,17 @@ def test_theorem_suite_rows_equal_per_problem_reference(seed, grid2, grid3):
     assert got == want
 
 
+@pytest.mark.parametrize("seed", [0, 13])
+def test_theorem_suite_rows_keep_their_stream_across_blocks(seed, monkeypatch):
+    """Blocks of 7 split both grids' problems mid-cycle and give the rows
+    of one block per grid."""
+    want = run_theorem_suite(10, 20, seed).rows
+    monkeypatch.setattr(theory, "_SUITE_BLOCK", 7)
+    suite = run_theorem_suite(10, 20, seed)
+    assert len(suite.blocks) == 5
+    assert suite.rows == want
+
+
 def test_theorem_suite_rows_equal_reference_at_benchmark_size(grid2, grid3):
     """The benchmark's 2,000 binary and 200 ternary problems, the binary
     ones from the scalar-draw sampler, each verified on its own."""
@@ -584,11 +609,27 @@ def test_binary_bounds_domain_errors():
 
 
 def test_binary_corollary_cross_check(grid2):
-    clauses = verify_binary_corollary(0.9, 0.6, grid2, STEP_VAR)
+    clauses = verify_binary_corollary(binary_bounds(0.9, 0.6), 0.6, grid2, STEP_VAR)
     assert all(c.passed for c in clauses)
     result = group_min(GroupProblem(2, np.array([0.9, 0.1]), 0.6, STEP_VAR), grid2)
     bounds = binary_bounds(0.9, 0.6)
     assert bounds.lower <= result.point[0] < bounds.upper
+
+
+@pytest.mark.parametrize("seed", [2, 202])
+def test_binary_suite_calls_its_public_verifier(seed, monkeypatch):
+    """The suite runs theory.verify_binary_corollary, the name a tracer
+    wraps, once per problem."""
+    want = binary_suite(seed).rows
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return verify_binary_corollary(*args)
+
+    monkeypatch.setattr(theory, "verify_binary_corollary", counting)
+    assert binary_suite(seed).rows == want
+    assert len(calls) == 50
 
 
 def test_grid_soundness_under_refinement():
