@@ -24,8 +24,8 @@ import numpy as np
 
 from . import tensor as T
 from .confidence import (DISPERSION_KINDS, CappedLinearGate, ConfidenceSpec, StepGate,
-                         TwoLevelGate, _dispersion_rows_np, _gate_kind, confidence_batch,
-                         on_simplex, quasiconvexity_witness_search, spec_from_document)
+                         TwoLevelGate, _dispersion_rows_np, _gate_kind, _witness_margins,
+                         confidence_batch, on_simplex, spec_from_document)
 from .documents import cells, write_csv_cells
 from .errors import ConfigError, DomainError, check_range
 from .experts import ExpertArch, ExpertModel, Layer, gcn_forward, init_expert
@@ -409,7 +409,7 @@ def sample_tightness_problems(count: int, seed: int, m: int,
     while len(out) < count:
         a1 = float(rng.uniform(0.55, 0.95))
         alpha = np.array([a1, 1.0 - a1])
-        gap = delta(alpha)
+        gap = float(_loss_at(alpha, alpha))
         cap = resolvable_mu_cap(alpha, m)
         if cap - gap < eta + 0.1:
             continue
@@ -786,14 +786,14 @@ def tightness_suite(seed: int) -> SuiteReport:
     for i in range(50):
         a1 = float(rng.uniform(0.55, 0.95))
         alpha = np.array([a1, 1.0 - a1])
-        mu = delta(alpha) + float(rng.uniform(0.08, 1.0))
+        mu = float(_loss_at(alpha, alpha)) + float(rng.uniform(0.08, 1.0))
         kind = ("variance", "neg_entropy")[i % 2]
         pairs.append((f"step_tightness[{i}]", verify_step_tightness(alpha, mu, grid, kind)))
     grid5 = SimplexGrid.build(2, 5000)
     eta = 0.05
     problems = sample_tightness_problems(20, seed + 1, m=5000, eta=eta)
     for i, (alpha, mu, kind) in enumerate(problems):
-        beta = 0.5 * eta / (mu - delta(alpha))
+        beta = 0.5 * eta / (mu - float(_loss_at(alpha, alpha)))
         pairs.append((f"window_tightness[{i}]",
                       verify_tightness(alpha, mu, eta, beta, grid5, kind)))
     return SuiteReport().add(pairs)
@@ -806,7 +806,8 @@ def binary_suite(seed: int) -> SuiteReport:
     problems, pairs = [], []
     for _ in range(50):
         a1 = int(round(rng.uniform(0.55, 0.95) * grid.m)) / grid.m
-        problems.append((a1, delta(np.array([a1, 1.0 - a1])) + float(rng.uniform(0.08, 1.0))))
+        alpha = np.array([a1, 1.0 - a1])
+        problems.append((a1, float(_loss_at(alpha, alpha)) + float(rng.uniform(0.08, 1.0))))
     for i, ((_, mu), bounds) in enumerate(zip(problems, _binary_bounds(problems))):
         kind = ("variance", "neg_entropy")[i % 2]
         spec = ConfidenceSpec(kind, CappedLinearGate(1.5 if kind == "variance" else 1.0))
@@ -815,11 +816,12 @@ def binary_suite(seed: int) -> SuiteReport:
 
 
 def quasiconvexity_suite(seed: int, specs: list) -> SuiteReport:
-    """10,000 random mixtures per (label, spec) and n in (2, 3)."""
+    """10,000 random mixtures for each n in (2, 3), drawn once and scored
+    under every (label, spec)."""
     pairs = []
     for n in (2, 3):
-        for label, spec in specs:
-            margin = quasiconvexity_witness_search(spec, 10_000, seed, n=n)
+        margins = _witness_margins([spec for _, spec in specs], 10_000, seed, n)
+        for (label, _), margin in zip(specs, margins):
             pairs.append((label, [ClauseResult.at_most(f"quasiconvex_margin_n{n}",
                                                        margin, 1e-12)]))
     return SuiteReport().add(pairs)

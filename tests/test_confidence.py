@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from confmix import tensor as T
 from confmix.confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
-                                StepGate, TwoLevelGate, confidence,
+                                StepGate, TwoLevelGate, _witness_margins, confidence,
                                 confidence_batch, confidence_rows, default_spec,
                                 dispersion, dispersion_rows,
                                 quasiconvexity_witness_search,
@@ -14,7 +14,7 @@ from confmix.confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
 from confmix.documents import read_json, write_json
 from confmix.errors import ConfigError, DomainError
 from confmix.mixture import infer_stochastic, mixture_loss
-from confmix.theory import GroupProblem, alpha_loss
+from confmix.theory import _FIXED_SPECS, _PLANTED_FAULT, GroupProblem, alpha_loss
 
 FIXED_SPECS = [
     ConfidenceSpec("variance", StepGate(0.0)),
@@ -139,6 +139,23 @@ def test_quasiconvexity_fixed_specs():
         for n in (2, 3):
             margin = quasiconvexity_witness_search(spec, 10_000, seed=i, n=n)
             assert margin <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_witness_margins_match_a_search_per_spec(n):
+    """One shared draw scores each spec as its own search does, bit for
+    bit, with the dispersion kinds interleaved and a learnable spec among
+    the fixed ones."""
+    fixed = [spec for _, spec in _FIXED_SPECS]   # variance and neg_entropy in turn
+    specs = [*fixed[:3], spec_from_document(_PLANTED_FAULT), *fixed[3:]]
+    want = [quasiconvexity_witness_search(spec, 10_000, 303, n=n) for spec in specs]
+    assert _witness_margins(specs, 10_000, 303, n) == want
+
+
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_witness_search_rejects_simplices_below_two_points(n):
+    with pytest.raises(ConfigError, match="n must be >= 2"):
+        quasiconvexity_witness_search(FIXED_SPECS[0], 10, 0, n=n)
 
 
 def test_strict_quasiconvexity_of_dispersions():

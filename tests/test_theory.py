@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -630,6 +631,22 @@ def test_binary_suite_calls_its_public_verifier(seed, monkeypatch):
     monkeypatch.setattr(theory, "verify_binary_corollary", counting)
     assert binary_suite(seed).rows == want
     assert len(calls) == 50
+
+
+def test_quasiconvexity_suite_draws_once_per_simplex(monkeypatch):
+    """Each n's draw is scored under all six fixed specs: the mixtures and
+    both endpoints get one dispersion pass per kind, 12 in all, where a
+    search per spec makes 36."""
+    want = SUITES["quasiconvexity"](0).rows
+    calls = []
+
+    def counting(rows, kind):
+        calls.append(kind)
+        return _dispersion_rows_np(rows, kind)
+
+    monkeypatch.setattr(sys.modules["confmix.confidence"], "_dispersion_rows_np", counting)
+    assert SUITES["quasiconvexity"](0).rows == want
+    assert len(calls) == 12
 
 
 def test_grid_soundness_under_refinement():
