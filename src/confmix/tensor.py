@@ -203,13 +203,14 @@ def _make(values, op, parents, backward) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray):
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False):
     if not t.requires_grad:
         return
     if t.grad is None:
-        # a new array: g may be another node's grad or a view of one.
+        # a new array, unless the closure made g (`fresh`, and not a 0-d
+        # numpy scalar): else g may be another node's grad or a view of one.
         # Adding 0.0 turns -0.0 into 0.0, as accumulating onto zeros does.
-        t.grad = g + 0.0
+        t.grad = np.add(g, 0.0, out=g) if fresh and g.ndim else g + 0.0
     else:
         t.grad += g
 
@@ -262,7 +263,11 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b, bias=None) -> Tensor:
-    """a @ b, plus `bias` on every row when given: a layer's affine map."""
+    """a @ b, plus `bias` on every row when given: a layer's affine map.
+    If a is a record of c @ x, c constant, with no bias, and b narrows
+    (fewer columns than rows), x's gradient d/dx (c·x)·b = cᵀ·g·bᵀ is
+    taken as (cᵀ·g)·bᵀ, the product by c at b's narrow width, skipping
+    a's record; another consumer of a still reaches x through it."""
     a, b = _coerce(a), _coerce(b)
     if a.values.ndim != 2 or b.values.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
@@ -276,15 +281,21 @@ def matmul(a, b, bias=None) -> Tensor:
             raise ShapeError(f"matmul: bias {bias.shape} does not fit {values.shape}")
         values += bias.values
         parents = (a, b, bias)
+    # a narrow record's first parent x needs a gradient, so it is never skipped
+    c, x = a._parents if a._op == "matmul" and len(a._parents) == 2 else (None, None)
+    if x is not None and not c.requires_grad and b.shape[1] < b.shape[0]:
+        parents = (x, *parents[1:])
 
     def backward(out):
         # a constant operand, such as the coefficient matrix, costs no product
-        if a.requires_grad:
-            _accum(a, out.grad @ b.values.T)
+        if parents[0] is x:
+            _accum(x, (c.values.T @ out.grad) @ b.values.T, fresh=True)
+        elif a.requires_grad:
+            _accum(a, out.grad @ b.values.T, fresh=True)
         if b.requires_grad:
-            _accum(b, a.values.T @ out.grad)
+            _accum(b, a.values.T @ out.grad, fresh=True)
         if bias is not None and bias.requires_grad:
-            _accum(bias, out.grad.sum(axis=0))
+            _accum(bias, out.grad.sum(axis=0), fresh=True)
 
     return _make(values, "matmul", parents, backward)
 
@@ -294,7 +305,7 @@ def relu(a) -> Tensor:
     values = np.maximum(a.values, 0.0)
 
     def backward(out):
-        _accum(a, out.grad * (a.values > 0.0))
+        _accum(a, out.grad * (a.values > 0.0), fresh=True)
 
     return _make(values, "relu", (a,), backward)
 
@@ -326,7 +337,7 @@ def softmax_rows(a) -> Tensor:
     def backward(out):
         s = out.values
         g = out.grad
-        _accum(a, s * (g - (g * s).sum(axis=1, keepdims=True)))
+        _accum(a, s * (g - (g * s).sum(axis=1, keepdims=True)), fresh=True)
 
     return _make(values, "softmax_rows", (a,), backward)
 
@@ -362,7 +373,7 @@ def mean_rows(a, ids) -> Tensor:
     def backward(out):
         g = np.zeros_like(a.values)
         g[ids] = out.grad / ids.size
-        _accum(a, g)
+        _accum(a, g, fresh=True)
 
     return _make(np.asarray(a.values[ids].mean()), "mean_rows", (a,), backward)
 
@@ -382,7 +393,7 @@ def nll_rows(p, labels) -> Tensor:
         inside = (picked > LOG_FLOOR) & (picked < LOG_CEIL)
         g = np.zeros_like(p.values)
         g[rows, labels] = out.grad * -1.0 * inside / picked
-        _accum(p, g)
+        _accum(p, g, fresh=True)
 
     return _make(-np.log(picked), "nll_rows", (p,), backward)
 
@@ -402,7 +413,7 @@ def take_rows(a, index, cols=None) -> Tensor:
     def backward(out):
         g = np.zeros_like(a.values)
         np.add.at(g, idx, out.grad)
-        _accum(a, g)
+        _accum(a, g, fresh=True)
 
     return _make(a.values[idx], "take_rows", (a,), backward)
 

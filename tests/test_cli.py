@@ -115,7 +115,7 @@ def test_train_byte_identical_runs(tmp_path, small_graph_path):
 
 # sha256 of each train output in the two cases of
 # test_train_bytes_do_not_depend_on_blas_threads, and of predictions.csv
-# from `infer --seed 1` on the dense case's experts. As in the verify
+# from `infer --seed 1` on each case's experts. As in the verify
 # reports, the last digits follow the platform's log kernel and the float
 # order of its BLAS.
 TRAIN_SHA256 = {
@@ -123,8 +123,8 @@ TRAIN_SHA256 = {
         "loss.csv": "ad16ba91982dc1d826f1a3dc145c7755bc6832f061d3f6b19320bb4f369069d1",
         "metrics.csv": "a2b3d014917a9873f7d000f2667f1c2d80f597f20ec293bb0f2c64fba1bce6cc",
         "confidence_hist.csv": "f3c6bb2b1446b30a146f78d1b71b80da798785f5d5012d902822c96df9888893",
-        "weak.json": "99e4531a49e6735a80d5e28943e2bcda2ead836a6351c19799f605620c94f988",
-        "strong.json": "7ff78b778d74938f277774d9e70189f90ab65c5adbed79be534bcdde29e5c4a9",
+        "weak.json": "d0bdbea164e80fcf80f533ffc46a9d7290125cc08f808658619593f55cd8ed8f",
+        "strong.json": "d52d79d25b33528e992b823eac56c4c4454686cf2f22d66658f3b0e4b38fb614",
         "confidence.json": "6dde2931538f058f425e20dde23ac1c7e09a5bceca203fac5aa594bc263c2022",
     },
     "sparse": {
@@ -132,11 +132,14 @@ TRAIN_SHA256 = {
         "metrics.csv": "fd4434f3cb156b9b4c81cd91716ed76d0d1d9f44543aa072a7de7eebc85bc16e",
         "confidence_hist.csv": "5984e20093030649dfc74733e68f4d3adc759222444699347ae534fc21763b6e",
         "weak.json": "904c83a9bb5a3acfe1c5fb6d2ad7311edc5f843d875a9a363376257bfbbc9c37",
-        "strong.json": "2b64f5f0a9fb8797813bd6395c3756ea04d30f48b2387e871241c7796ec7fb88",
+        "strong.json": "9cce9626ab889af8f55d73feed0658b52e62121a17384ab11a9b46b2089c3287",
         "confidence.json": "6dde2931538f058f425e20dde23ac1c7e09a5bceca203fac5aa594bc263c2022",
     },
 }
-PREDICTIONS_SHA256 = "946cfd63fa61794ed0cc9224271bd29323347c797bde8081cfd712416c693443"
+PREDICTIONS_SHA256 = {
+    "dense": "946cfd63fa61794ed0cc9224271bd29323347c797bde8081cfd712416c693443",
+    "sparse": "9c8794cb7983b39b79c2b23d817a7912150ca6de7c0558d5959ae39e1a91b2aa",
+}
 
 
 def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -166,13 +169,14 @@ def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert outputs[0] == outputs[1], case
         assert {name: hashlib.sha256(data).hexdigest()
                 for name, data in outputs[0].items()} == TRAIN_SHA256[case], case
-    experts = tmp_path / "dense" / "threads_1"
-    assert run_cli(["infer", "--data", str(tmp_path / "dense" / "specialization.json"),
-                    "--weak", str(experts / "weak.json"), "--strong", str(experts / "strong.json"),
-                    "--spec", str(experts / "confidence.json"), "--seed", "1",
-                    "--out", str(tmp_path / "infer")]) == 0
-    predictions = (tmp_path / "infer" / "predictions.csv").read_bytes()
-    assert hashlib.sha256(predictions).hexdigest() == PREDICTIONS_SHA256
+        experts = data / "threads_1"
+        assert run_cli(["infer", "--data", str(data / "specialization.json"),
+                        "--weak", str(experts / "weak.json"),
+                        "--strong", str(experts / "strong.json"),
+                        "--spec", str(experts / "confidence.json"), "--seed", "1",
+                        "--out", str(data / "infer")]) == 0
+        predictions = (data / "infer" / "predictions.csv").read_bytes()
+        assert hashlib.sha256(predictions).hexdigest() == PREDICTIONS_SHA256[case], case
 
 
 def test_infer_byte_identical_runs(tmp_path, small_graph_path):

@@ -102,6 +102,40 @@ def test_second_forward_reuses_first_aggregation(monkeypatch):
     assert g.feature_tensor.values is g.features and not g.features.flags.writeable
 
 
+def test_backward_aggregates_at_the_output_width(monkeypatch):
+    """The reverse twin of the test above: layer 2 narrows 4 → 2, so its
+    input's gradient goes through the operator at width 2 and its
+    aggregation record is skipped; the first layer's cached aggregation is
+    a constant and costs no backward product."""
+    rng = np.random.default_rng(23)
+    n = 6
+    g = build_graph(n, 2, rng.standard_normal((n, 3)), [0, 1, 0, 1, 0, 1],
+                    [(i, (i + 1) % n) for i in range(n)],
+                    {"train": [0], "val": [], "test": []})
+    model = init_expert(ExpertArch("gcn_skip", 2, 4), 3, 2, seed=24)
+    aggregations, widths = [], []
+    matmul, times = T.matmul, T.SymmetricRows.times
+
+    def recorded_matmul(a, b, bias=None):
+        out = matmul(a, b, bias)
+        if a.shape == (n, n):
+            aggregations.append(out)
+        return out
+
+    def recorded_times(op, h):
+        widths.append(h.shape[1])
+        return times(op, h)
+
+    monkeypatch.setattr(T, "matmul", recorded_matmul)
+    out = gcn_forward(model, g)
+    monkeypatch.setattr(T.SymmetricRows, "times", recorded_times)
+    T.backward(T.mean_all(out * rng.standard_normal(out.shape)))
+    assert widths == [2]
+    assert [a.grad for a in aggregations] == [None, None]
+    assert all(t.grad is not None for layer in model.layers
+               for t in (layer.weight, layer.bias, layer.skip_weight))
+
+
 def test_gcn_two_node_hand_computation():
     g = two_node_graph()
     model = init_expert(ExpertArch("gcn", 1), 2, 2, seed=4)

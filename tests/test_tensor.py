@@ -3,6 +3,7 @@ tape invariants, and contract errors."""
 
 import ast
 import inspect
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +372,113 @@ def test_shared_operand_gets_both_contributions_without_aliasing():
     T.backward(total(out))
     assert np.array_equal(h.grad, weights + 1.0)
     assert np.array_equal(out.grad, np.ones((2, 2)))
+
+
+def test_fresh_gradients_are_adopted_without_aliasing():
+    """A closure's own product becomes a node's first gradient in place:
+    later contributions add onto it, no two nodes' gradients share memory,
+    and relu's masked -0.0 still lands as 0.0."""
+    x = T.Tensor([[-1.0, 2.0], [0.5, -3.0]], requires_grad=True)
+    w = T.Tensor([[1.0, -2.0], [-0.5, 1.5]], requires_grad=True)
+    weights = np.array([[-1.0, 2.0], [3.0, -4.0]])
+    h = T.relu(x)
+    # h and w feed two products; the one recorded last is accumulated first
+    loss = total(T.matmul(h, w) * weights + T.matmul(h, w, [0.5, -1.0]))
+    tape = T.Tape.from_output(loss)
+    T.backward(loss)
+    grads = [t.grad for t in tape.records + tape.leaves() if t.grad is not None]
+    assert len(grads) == len(tape.records) + 2
+    assert not any(np.shares_memory(p, q) for p, q in itertools.combinations(grads, 2))
+    want_h = np.ones((2, 2)) @ w.values.T + weights @ w.values.T
+    assert same_bits(h.grad, want_h)
+    assert same_bits(w.grad, h.values.T @ np.ones((2, 2)) + h.values.T @ weights)
+    assert np.signbit(want_h * (x.values > 0.0)).sum() == 2
+    assert same_bits(x.grad, want_h * (x.values > 0.0) + 0.0)
+    assert not np.signbit(x.grad).any()
+
+
+# the constant left factor c of (c @ x) @ w: the rows kernel cut into
+# several tiles, the dense kernel, and a plain (unsymmetric) array
+NARROW_KINDS = ("rows", "dense", "array")
+
+
+def narrow_left(kind, n, rng, monkeypatch):
+    """A constant n×n left factor as a tensor."""
+    if kind == "array":
+        return T.constant(rng.uniform(-1.0, 1.0, (n, n)))
+    scale, i = rng.uniform(0.5, 1.5, n), np.arange(n)
+    if kind == "dense":
+        return T.constant(T.SymmetricRows(i * n, np.tile(i, n), scale))
+    # a ring's closed neighbourhoods, two rows to a tile
+    monkeypatch.setattr(T, "SPARSE_DENSITY", 1.0)
+    monkeypatch.setattr(T, "_TILE_ENTRIES", 6)
+    op = T.SymmetricRows(3 * i, np.stack([i, (i - 1) % n, (i + 1) % n], 1).ravel(), scale)
+    assert op.dense is None and len(op.tiles) > 1
+    return T.constant(op)
+
+
+@pytest.mark.parametrize("kind", NARROW_KINDS)
+def test_narrow_route_gradient_matches_central_differences(kind, monkeypatch):
+    """(c @ x) @ w with w narrowing 3 → 2, with and without an outer bias,
+    and with c @ x also consumed by a second record."""
+    rng = np.random.default_rng(len(kind))
+    c = narrow_left(kind, 8, rng, monkeypatch)
+    other = rng.uniform(-2.0, 2.0, (8, 3))
+    for bias, shared in itertools.product((False, True), repeat=2):
+        inputs = [T.Tensor(rng.uniform(-2.0, 2.0, s), requires_grad=True)
+                  for s in [(8, 3), (3, 2), (2,)][:2 + bias]]
+
+        def fn(ins):
+            agg = T.matmul(c, ins[0])
+            out = T.matmul(agg, *ins[1:])
+            assert out._parents[0] is ins[0]
+            loss = square_total(out)
+            return loss + total(agg * other) if shared else loss
+
+        assert T.check_gradient(fn, inputs, 1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("kind", NARROW_KINDS)
+def test_narrow_route_applies_c_at_the_output_width(kind, monkeypatch):
+    """x's gradient is (cᵀ·g)·wᵀ bit for bit, w's is aggᵀ·g as for any
+    product, and the skipped c @ x record gets no gradient."""
+    rng = np.random.default_rng(10 + len(kind))
+    c = narrow_left(kind, 8, rng, monkeypatch)
+    x = T.Tensor(rng.uniform(-2.0, 2.0, (8, 4)), requires_grad=True)
+    w = T.Tensor(rng.uniform(-2.0, 2.0, (4, 2)), requires_grad=True)
+    g = rng.uniform(-2.0, 2.0, (8, 2))
+    agg = T.matmul(c, x)
+    out = T.matmul(agg, w)
+    T.backward(total(out * g))
+    assert out._parents == (x, w) and agg.grad is None
+    assert np.array_equal(x.grad, (c.values.T @ g) @ w.values.T)
+    assert np.array_equal(w.grad, agg.values.T @ g)
+
+
+# (right operand shape, inner bias, c requires a gradient): products of
+# c @ x the narrow route leaves to c @ x's own record
+KEPT_CASES = {
+    "widening": ((4, 6), False, False),
+    "square": ((4, 4), False, False),
+    "inner_bias": ((4, 2), True, False),
+    "variable_c": ((4, 2), False, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_CASES))
+def test_narrow_route_keeps_the_record_otherwise(name):
+    right, inner_bias, c_grad = KEPT_CASES[name]
+    rng = np.random.default_rng(len(name))
+    c = T.Tensor(rng.uniform(-1.0, 1.0, (8, 8)), requires_grad=c_grad)
+    x = T.Tensor(rng.uniform(-2.0, 2.0, (8, 4)), requires_grad=True)
+    w = rng.uniform(-2.0, 2.0, right)
+    g = rng.uniform(-2.0, 2.0, (8, right[1]))
+    agg = T.matmul(c, x, rng.uniform(-1.0, 1.0, 4) if inner_bias else None)
+    out = T.matmul(agg, T.Tensor(w, requires_grad=True))
+    T.backward(total(out * g))
+    assert out._parents[0] is agg
+    assert same_bits(agg.grad, g @ w.T)
+    assert same_bits(x.grad, c.values.T @ (g @ w.T))
 
 
 # right operand shape; the left operand of each product `left @ right`;
