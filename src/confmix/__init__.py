@@ -8,9 +8,8 @@ optimization theory behind the gate with independent brute-force
 oracles on the probability simplex.
 """
 
-from .confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
-                         StepGate, TwoLevelGate, confidence, default_spec,
-                         dispersion, quasiconvexity_witness_search)
+from .confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate, StepGate,
+                         TwoLevelGate, confidence, default_spec, dispersion)
 from .errors import (ConfigError, ContractError, DomainError, GraphFormatError,
                      GraphValidationError, ShapeError, TapeStateError,
                      TrainingDivergedError)
@@ -22,9 +21,9 @@ from .graphs import (BlindspotInstance, Graph, build_blindspot_graph,
 from .mixture import (blend_loss, infer_expected, infer_stochastic,
                       mixture_loss, multi_expert_loss)
 from .tensor import Tensor, backward, check_gradient
-from .theory import (GroupProblem, SimplexGrid, alpha_loss, binary_bounds,
-                     delta, group_min, run_theorem_suite, verify_blindspot,
-                     verify_theorem_case, verify_tightness)
+from .theory import (GroupProblem, SimplexGrid, alpha_loss, binary_bounds, delta,
+                     group_min, quasiconvexity_witness_search, run_theorem_suite,
+                     verify_blindspot, verify_theorem_case, verify_tightness)
 from .training import (TrainConfig, TrainReport, TrainResult, evaluate,
                        pretrain_expert, train)
 

@@ -26,10 +26,8 @@ from .graphs import (ARCHITECTURES, build_blindspot_graph, cost_estimate,
                      generate_specialization_graph, graph_to_document, khop_sizes,
                      load_graph, save_graph)
 from .mixture import infer_expected, infer_stochastic, write_predictions_csv
-from .theory import SUITES, SuiteReport, run_theorem_suite
+from .theory import SUITE_CHOICES, run_suites
 from .training import MODES, PRETRAIN_CHOICES, TrainConfig, predict, train
-
-SUITE_CHOICES = ("all",) + tuple(SUITES)
 
 
 def _merge(args: argparse.Namespace, config: dict, key: str, default=None,
@@ -90,18 +88,14 @@ def cmd_gen(args, config):
     out = _outdir(args, config)
     kind = _merge(args, config, "kind", "specialization")
     path = os.path.join(out, _merge(args, config, "name", f"{kind}.json"))
+    # every option is cast before the kind picks the ones it builds from
+    n_per_group = _merge(args, config, "n-per-group", 100)
+    noise, k = _merge(args, config, "noise", 0.1), _merge(args, config, "k", 1)
+    features = _merge(args, config, "features", 6 if kind == "blindspot" else 8)
     if kind == "specialization":
-        graph = generate_specialization_graph(
-            _merge(args, config, "n-per-group", 100),
-            _merge(args, config, "features", 8),
-            _merge(args, config, "noise", 0.1),
-            seed)
-        save_graph(graph, path)
+        save_graph(generate_specialization_graph(n_per_group, features, noise, seed), path)
     elif kind == "blindspot":
-        instance = build_blindspot_graph(
-            _merge(args, config, "k", 1),
-            _merge(args, config, "features", 6),
-            seed)
+        instance = build_blindspot_graph(k, features, seed)
         doc = {"u": instance.u, "v": instance.v, "k": instance.k,
                "node_map": {str(a): b for a, b in instance.node_map.items()},
                "graph": graph_to_document(instance.graph)}
@@ -187,17 +181,10 @@ def cmd_infer(args, config):
 def cmd_verify(args, config):
     seed = _require_seed(args, config)
     out = _outdir(args, config)
-    suite_name = _merge(args, config, "suite", "all")
-    if suite_name not in SUITE_CHOICES:
-        raise ConfigError(f"suite must be one of {SUITE_CHOICES}, got {suite_name!r}")
-    builders = dict(SUITES, theorem=lambda suite_seed: run_theorem_suite(
-        _merge(args, config, "binary-count", 200),
-        _merge(args, config, "ternary-count", 20),
-        suite_seed))
-    suite = SuiteReport()
-    for name, build in builders.items():
-        if suite_name == name or (suite_name == "all" and name != "planted_fault"):
-            suite.blocks += build(seed).blocks
+    # every count is cast before a suite runs, whichever suites run
+    suite = run_suites(_merge(args, config, "suite", "all"), seed,
+                       _merge(args, config, "binary-count", 200),
+                       _merge(args, config, "ternary-count", 20))
     path = os.path.join(out, "theorem_report.csv")
     suite.write_csv(path)
     clauses, failed = suite.tally()
@@ -226,10 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="confidence-gated weak/strong expert mixtures on graphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=True):
         p.add_argument("--config", help="JSON config with per-command defaults")
-        p.add_argument("--seed", help="run seed (required)")
-        p.add_argument("--out", help="output directory (default .)")
+        if seeded:
+            p.add_argument("--seed", help="run seed (required)")
+            p.add_argument("--out", help="output directory (default .)")
 
     p = sub.add_parser("gen", help="generate a synthetic graph document")
     common(p)
@@ -261,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ternary-count")
 
     p = sub.add_parser("cost", help="inference cost table for a graph")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--data")
     p.add_argument("--features")
     p.add_argument("--layers")

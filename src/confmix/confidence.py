@@ -214,36 +214,6 @@ def confidence_rows(rows: T.Tensor, spec: ConfidenceSpec) -> T.Tensor:
     return T.constant(gate(d.values))
 
 
-def quasiconvexity_witness_search(spec: ConfidenceSpec, trials: int, seed: int,
-                                  n: int = 2) -> float:
-    """Worst violation of C(mix) <= max(C(p), C(p')) over random triples.
-
-    Returns max over trials of C(lam*p + (1-lam)*p') - max(C(p), C(p'));
-    a quasiconvex confidence keeps this at or below zero (1e-12 noise).
-    """
-    return _witness_margins([spec], trials, seed, n)[0]
-
-
-def _witness_margins(specs: list, trials: int, seed: int, n: int) -> list:
-    """quasiconvexity_witness_search's margin for each spec, in order, all
-    scored on one draw: a fixed spec's dispersions come once per kind."""
-    check_range("trials", trials, 1)
-    check_range("n", n, 2)
-    rng = np.random.default_rng(seed)
-    p = rng.dirichlet(np.ones(n), size=trials)
-    q = rng.dirichlet(np.ones(n), size=trials)
-    lam = rng.uniform(0.0, 1.0, size=trials)
-    triple = (lam[:, None] * p + (1.0 - lam[:, None]) * q, p, q)
-    dispersions = {kind: [_dispersion_rows_np(rows, kind) for rows in triple]
-                   for kind in {spec.dispersion for spec in specs if spec.is_fixed}}
-    margins = []
-    for spec in specs:
-        c_mix, c_p, c_q = ([spec.gate(d) for d in dispersions[spec.dispersion]] if spec.is_fixed
-                           else [confidence_batch(rows, spec) for rows in triple])
-        margins.append(float((c_mix - np.maximum(c_p, c_q)).max()))
-    return margins
-
-
 # ---- serialization (embedded in run configurations) ----
 
 def spec_to_document(spec: ConfidenceSpec) -> dict:

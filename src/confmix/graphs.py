@@ -358,39 +358,6 @@ def khop_neighborhood(graph: Graph, v: int, k: int) -> set:
     return set().union(*islice(_frontiers(graph, v), k + 1))
 
 
-def validate_blindspot(instance: BlindspotInstance):
-    """Check the construction invariants; raises GraphValidationError."""
-    g, u, v, k = instance.graph, instance.u, instance.v, instance.k
-    hood_u = khop_neighborhood(g, u, k)
-    hood_v = khop_neighborhood(g, v, k)
-    if hood_u & hood_v:
-        raise GraphValidationError("k-hop neighborhoods of u and v overlap")
-    n = g.num_nodes
-    image = np.full(n, -1)
-    image[list(instance.node_map)] = list(instance.node_map.values())
-    lo, hi = g.edge_arrays()
-    a, b = np.sort([image[lo], image[hi]], axis=0)
-    # edge_arrays' keys lo * n + hi increase; a -1 after them ends each search
-    keys = np.append(lo * n + hi, -1)
-    broken = (a >= 0) & ((b >= n) | (keys[np.searchsorted(keys[:-1], a * n + b)] != a * n + b))
-    if broken.any():
-        k = int(np.argmax(broken))
-        raise GraphValidationError(f"mapping breaks edge ({lo[k]}, {hi[k]})")
-    if np.array_equal(g.features[u], g.features[v]):
-        raise GraphValidationError("u and v must have distinct features")
-    gap = blindspot_cancellation_gap(instance)
-    if gap >= 1e-10:
-        raise GraphValidationError(f"cancellation gap {gap:.3e} >= 1.0e-10")
-
-
-def blindspot_cancellation_gap(instance: BlindspotInstance) -> float:
-    """Max infinity-norm of the normalized closed-neighborhood sums."""
-    g, k = instance.graph, instance.k
-    required = sorted(khop_neighborhood(g, instance.u, k - 1)
-                      | khop_neighborhood(g, instance.v, k - 1))
-    return float(np.abs(g.first_aggregation.values[required]).max())
-
-
 # ---- neighborhood statistics and cost model ----
 
 def khop_sizes(graph: Graph, num_layers: int):

@@ -255,9 +255,9 @@ def mul(a, b) -> Tensor:
 
     def backward(out):
         if a.requires_grad:
-            _accum(a, _unbroadcast(out.grad * b.values, a.shape))
+            _accum(a, _unbroadcast(out.grad * b.values, a.shape), fresh=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(out.grad * a.values, b.shape))
+            _accum(b, _unbroadcast(out.grad * a.values, b.shape), fresh=True)
 
     return _make(values, "mul", (a, b), backward)
 
@@ -321,7 +321,7 @@ def log(a) -> Tensor:
 
     def backward(out):
         inside = (a.values > LOG_FLOOR) & (a.values < LOG_CEIL)
-        _accum(a, out.grad * inside / np.clip(a.values, LOG_FLOOR, LOG_CEIL))
+        _accum(a, out.grad * inside / np.clip(a.values, LOG_FLOOR, LOG_CEIL), fresh=True)
 
     return _make(values, "log", (a,), backward)
 

@@ -1,10 +1,10 @@
-"""Brute-force and analytic oracles for the optimization theory.
+"""Every verification suite, and the oracles for the theory they check.
 
 The simplex oracles work on plain numpy arrays, independent of the
 differentiation engine, so they can sit on the other side of dual-route
-checks. The blindspot check is the exception: it runs the experts and
-`training.predict` on the engine, since what it checks is what a
-convolution can tell apart. The central tool is exhaustive search over a
+checks. Two checks run models on the engine: the blindspot check, since
+what it checks is what a convolution can tell apart, and the witness
+search of a learnable gate. The central tool is exhaustive search over a
 rational grid on the probability simplex; tolerances are derived from
 the grid spacing via data-driven gradient bounds on the sublevel set
 actually explored. The theorem suite runs only that search per problem;
@@ -24,12 +24,12 @@ import numpy as np
 
 from . import tensor as T
 from .confidence import (DISPERSION_KINDS, CappedLinearGate, ConfidenceSpec, StepGate,
-                         TwoLevelGate, _dispersion_rows_np, _gate_kind, _witness_margins,
-                         confidence_batch, on_simplex, spec_from_document)
+                         TwoLevelGate, _dispersion_rows_np, _gate_kind, confidence_batch,
+                         on_simplex, spec_from_document)
 from .documents import cells, write_csv_cells
-from .errors import ConfigError, DomainError, check_range
+from .errors import ConfigError, DomainError, GraphValidationError, check_range
 from .experts import ExpertArch, ExpertModel, Layer, gcn_forward, init_expert
-from .graphs import BlindspotInstance, build_blindspot_graph, validate_blindspot
+from .graphs import BlindspotInstance, build_blindspot_graph, khop_neighborhood
 from .mixture import infer_expected
 from .training import predict
 
@@ -599,6 +599,37 @@ def _ternary_block(rng, start: int, count: int, m: int) -> tuple:
 
 # ---- expressivity separation ----
 
+def validate_blindspot(instance: BlindspotInstance):
+    """Check the construction invariants; raises GraphValidationError."""
+    g, u, v, k = instance.graph, instance.u, instance.v, instance.k
+    if khop_neighborhood(g, u, k) & khop_neighborhood(g, v, k):
+        raise GraphValidationError("k-hop neighborhoods of u and v overlap")
+    n = g.num_nodes
+    image = np.full(n, -1)
+    image[list(instance.node_map)] = list(instance.node_map.values())
+    lo, hi = g.edge_arrays()
+    a, b = np.sort([image[lo], image[hi]], axis=0)
+    # edge_arrays' keys lo * n + hi increase; a -1 after them ends each search
+    keys = np.append(lo * n + hi, -1)
+    broken = (a >= 0) & ((b >= n) | (keys[np.searchsorted(keys[:-1], a * n + b)] != a * n + b))
+    if broken.any():
+        k = int(np.argmax(broken))
+        raise GraphValidationError(f"mapping breaks edge ({lo[k]}, {hi[k]})")
+    if np.array_equal(g.features[u], g.features[v]):
+        raise GraphValidationError("u and v must have distinct features")
+    gap = blindspot_cancellation_gap(instance)
+    if gap >= 1e-10:
+        raise GraphValidationError(f"cancellation gap {gap:.3e} >= 1.0e-10")
+
+
+def blindspot_cancellation_gap(instance: BlindspotInstance) -> float:
+    """Max infinity-norm of the normalized closed-neighborhood sums."""
+    g, k = instance.graph, instance.k
+    required = sorted(khop_neighborhood(g, instance.u, k - 1)
+                      | khop_neighborhood(g, instance.v, k - 1))
+    return float(np.abs(g.first_aggregation.values[required]).max())
+
+
 def build_root_separator(instance: BlindspotInstance) -> ExpertModel:
     """Two-layer relu witness: non-uniform exactly on the two roots.
 
@@ -815,6 +846,36 @@ def binary_suite(seed: int) -> SuiteReport:
     return SuiteReport().add(pairs)
 
 
+def quasiconvexity_witness_search(spec: ConfidenceSpec, trials: int, seed: int,
+                                  n: int = 2) -> float:
+    """Worst violation of C(mix) <= max(C(p), C(p')) over random triples.
+
+    Returns max over trials of C(lam*p + (1-lam)*p') - max(C(p), C(p'));
+    a quasiconvex confidence keeps this at or below zero (1e-12 noise).
+    """
+    return _witness_margins([spec], trials, seed, n)[0]
+
+
+def _witness_margins(specs: list, trials: int, seed: int, n: int) -> list:
+    """quasiconvexity_witness_search's margin for each spec, in order, all
+    scored on one draw: a fixed spec's dispersions come once per kind."""
+    check_range("trials", trials, 1)
+    check_range("n", n, 2)
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(n), size=trials)
+    q = rng.dirichlet(np.ones(n), size=trials)
+    lam = rng.uniform(0.0, 1.0, size=trials)
+    triple = (lam[:, None] * p + (1.0 - lam[:, None]) * q, p, q)
+    dispersions = {kind: [_dispersion_rows_np(rows, kind) for rows in triple]
+                   for kind in {spec.dispersion for spec in specs if spec.is_fixed}}
+    margins = []
+    for spec in specs:
+        c_mix, c_p, c_q = ([spec.gate(d) for d in dispersions[spec.dispersion]] if spec.is_fixed
+                           else [confidence_batch(rows, spec) for rows in triple])
+        margins.append(float((c_mix - np.maximum(c_p, c_q)).max()))
+    return margins
+
+
 def quasiconvexity_suite(seed: int, specs: list) -> SuiteReport:
     """10,000 random mixtures for each n in (2, 3), drawn once and scored
     under every (label, spec)."""
@@ -854,8 +915,7 @@ def blindspot_suite(seed: int) -> SuiteReport:
 
 
 # suite name -> builder of the run seed. Each suite draws from its own
-# offset of that seed; "all" runs every suite but planted_fault, whose
-# clauses are meant to fail.
+# offset of that seed.
 SUITES = {
     "theorem": lambda seed: run_theorem_suite(seed=seed),
     "tightness": lambda seed: tightness_suite(seed + 101),
@@ -865,3 +925,19 @@ SUITES = {
     "planted_fault": lambda seed: quasiconvexity_suite(
         seed + 303, [("corrupted+learnable", spec_from_document(_PLANTED_FAULT))]),
 }
+SUITE_CHOICES = ("all",) + tuple(SUITES)
+
+
+def run_suites(name: str, seed: int, binary_count: int = 200,
+               ternary_count: int = 20) -> SuiteReport:
+    """Suite `name`, or for "all" every suite but planted_fault (its clauses
+    are meant to fail), in SUITES order; the theorem suite draws the counts."""
+    if name not in SUITE_CHOICES:
+        raise ConfigError(f"suite must be one of {SUITE_CHOICES}, got {name!r}")
+    builders = dict(SUITES, theorem=lambda suite_seed: run_theorem_suite(
+        binary_count, ternary_count, suite_seed))
+    report = SuiteReport()
+    for suite, build in builders.items():
+        if name == suite or (name == "all" and suite != "planted_fault"):
+            report.blocks += build(seed).blocks
+    return report

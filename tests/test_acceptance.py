@@ -6,16 +6,15 @@ import numpy as np
 
 from confmix.confidence import (CappedLinearGate, ConfidenceSpec, StepGate,
                                 TwoLevelGate, confidence_batch,
-                                confidence_rows, dispersion,
-                                quasiconvexity_witness_search)
+                                confidence_rows, dispersion)
 from confmix.experts import ExpertArch, forward, init_expert
 from confmix.graphs import (build_blindspot_graph, build_graph, cost_estimate,
                             generate_specialization_graph, khop_sizes,
                             specialization_groups)
 from confmix.mixture import blend_loss, infer_stochastic, mixture_loss
 from confmix.tensor import check_gradient, nll_rows
-from confmix.theory import (binary_suite, delta, run_theorem_suite, tightness_suite,
-                            verify_blindspot)
+from confmix.theory import (binary_suite, delta, quasiconvexity_witness_search,
+                            run_theorem_suite, tightness_suite, verify_blindspot)
 from confmix.training import TrainConfig, evaluate, single_expert_baseline, train
 
 

@@ -17,14 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from confmix import cli
+from confmix import cli, theory
 from confmix.confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
                                 StepGate, TwoLevelGate, spec_to_document)
 from confmix.errors import TrainingDivergedError, as_type
 from confmix.experts import ExpertArch, expert_to_document, init_expert
-from confmix.graphs import (BlindspotInstance, graph_from_document, load_graph,
-                            validate_blindspot)
-from confmix.theory import SUITES, ClauseResult, SuiteReport
+from confmix.graphs import BlindspotInstance, graph_from_document, load_graph
+from confmix.theory import SUITES, ClauseResult, SuiteReport, validate_blindspot
 from confmix.training import TrainConfig
 
 
@@ -50,6 +49,25 @@ def test_gen_blindspot_roundtrip(tmp_path):
         {int(a): b for a, b in doc["node_map"].items()})
     validate_blindspot(instance)
     assert instance.k == 2
+
+
+@pytest.mark.parametrize("kind, flag", [("blindspot", "--n-per-group"), ("blindspot", "--noise"),
+                                        ("specialization", "--k")])
+def test_gen_casts_every_option_whatever_the_kind(kind, flag, tmp_path, capsys):
+    """An option the kind does not build from is still cast, and refused
+    before anything is written."""
+    assert run_cli(["gen", "--kind", kind, "--seed", "0", flag, "zz",
+                    "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag[2:]} must be ")
+    assert not any(tmp_path.iterdir())
+
+
+def test_gen_features_default_follows_the_kind(tmp_path):
+    for kind, features in (("specialization", 8), ("blindspot", 6)):
+        assert run_cli(["gen", "--kind", kind, "--seed", "0", "--n-per-group", "20",
+                        "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / f"{kind}.json").read_text())
+        assert len(doc.get("graph", doc)["features"][0]) == features
 
 
 def test_missing_seed_exits_2(tmp_path, capsys):
@@ -319,11 +337,25 @@ def test_verify_all_runs_every_suite_but_planted_fault(tmp_path, monkeypatch):
 
     for name in SUITES:
         monkeypatch.setitem(SUITES, name, fake(name))
-    monkeypatch.setattr(cli, "run_theorem_suite",
+    monkeypatch.setattr(theory, "run_theorem_suite",
                         lambda binary, ternary, seed: fake("theorem")(seed))
     assert run_cli(["verify", "--suite", "all", "--seed", "0",
                     "--out", str(tmp_path)]) == 0
     assert sorted(ran) == sorted(set(SUITES) - {"planted_fault"})
+
+
+def test_verify_casts_both_counts_whatever_the_suite(tmp_path, capsys):
+    """The counts size only the theorem suite, yet a malformed one, from a
+    flag or a config, is refused before any suite runs; their ranges are
+    the theorem suite's to check."""
+    assert run_cli(["verify", "--suite", "blindspot", "--seed", "0", "--binary-count", "abc",
+                    "--ternary-count", "-5", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: binary-count must be an integer, got 'abc'\n"
+    config = _write(tmp_path, "run.json", {"ternary-count": 1.5})
+    assert run_cli(["verify", "--suite", "quasiconvexity", "--seed", "0", "--config", config,
+                    "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: ternary-count must be an integer, got 1.5\n"
+    assert not (tmp_path / "theorem_report.csv").exists()
 
 
 def test_verify_with_no_clause_exits_1(tmp_path, capsys):
@@ -372,6 +404,21 @@ def test_cost_edgeless_equality(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     table = {line.split(",")[0]: line.split(",")[1] for line in out[1:]}
     assert table["gcn"] == table["weak"]
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--out"])
+def test_cost_takes_no_seed_or_out(flag, tmp_path, small_graph_path, capsys):
+    """cost draws nothing and writes no file: its flags are --config,
+    --data, --features and --layers. A config's seed and out keys stay
+    legal, since other commands read them."""
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(["cost", "--data", str(small_graph_path), flag, "1"])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    config = _write(tmp_path, "run.json", {"seed": "x", "out": str(tmp_path / "none")})
+    assert run_cli(["cost", "--data", str(small_graph_path), "--config", config]) == 0
+    assert capsys.readouterr().out.startswith("architecture,macs,")
+    assert not (tmp_path / "none").exists()
 
 
 @pytest.fixture(scope="module")
@@ -694,7 +741,8 @@ NAMED_IN_ERROR = {"checkpoint_not_json": "malformed checkpoint document at byte 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2(case, tmp_path, small_graph_path, checkpoints, capsys):
     argv = BAD_INPUTS[case](tmp_path, str(small_graph_path), checkpoints)
-    assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+    # cost prints its table and writes no file, so it takes no --out
+    assert run_cli(argv + ([] if argv[0] == "cost" else ["--out", str(tmp_path)])) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "Traceback" not in err
@@ -941,8 +989,9 @@ def test_mutated_graph_exits_0_or_2(data, tmp_path, small_graph_doc, checkpoints
     graph = _write(tmp_path, "graph.json", data.draw(mutated_graphs(small_graph_doc)))
     budget = {"train": ["--rounds", "1", "--max-epochs", "1", "--pretrain-epochs", "0"]}
     for command, argv in GRAPH_COMMANDS.items():
-        _assert_exits_0_or_2(argv(tmp_path, graph, checkpoints) + budget.get(command, [])
-                             + ["--out", str(tmp_path)])
+        # cost writes no file, so it takes no --out
+        out = [] if command == "cost" else ["--out", str(tmp_path)]
+        _assert_exits_0_or_2(argv(tmp_path, graph, checkpoints) + budget.get(command, []) + out)
 
 
 # a fixed set, so that no retyped count or width makes a run grow: 2**62 is
@@ -1014,13 +1063,13 @@ def test_mutated_config_exits_0_or_2(data, tmp_path, small_graph_path, monkeypat
     _check_mutated_config(doc, _valid_train_config(None), ("seed", "data"), code, err)
 
 
-# small valid configs holding every key their command reads: each runs in
-# tens of milliseconds
+# small valid configs holding every key their command reads (gen reads
+# every gen key, whichever kind it builds): each runs in tens of milliseconds
 VALID_OTHER_CONFIGS = [
     ("gen", {"seed": 3, "out": "run", "kind": "specialization", "name": "g.json",
-             "n-per-group": 20, "features": 2, "noise": 0.1}),
+             "n-per-group": 20, "features": 2, "noise": 0.1, "k": 1}),
     ("gen", {"seed": 3, "out": "run", "kind": "blindspot", "name": "g.json", "k": 1,
-             "features": 2}),
+             "features": 2, "n-per-group": 20, "noise": 0.1}),
     ("verify", {"seed": 3, "out": "run", "suite": "theorem", "binary-count": 20,
                 "ternary-count": 20}),
 ]

@@ -6,15 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from confmix import tensor as T
 from confmix.confidence import (CappedLinearGate, ConfidenceSpec, LearnableGate,
-                                StepGate, TwoLevelGate, _witness_margins, confidence,
-                                confidence_batch, confidence_rows, default_spec,
-                                dispersion, dispersion_rows,
-                                quasiconvexity_witness_search,
+                                StepGate, TwoLevelGate, confidence, confidence_batch,
+                                confidence_rows, default_spec, dispersion, dispersion_rows,
                                 spec_from_document, spec_to_document)
 from confmix.documents import read_json, write_json
 from confmix.errors import ConfigError, DomainError
 from confmix.mixture import infer_stochastic, mixture_loss
-from confmix.theory import _FIXED_SPECS, _PLANTED_FAULT, GroupProblem, alpha_loss
+from confmix.theory import (_FIXED_SPECS, _PLANTED_FAULT, GroupProblem, _witness_margins,
+                            alpha_loss, quasiconvexity_witness_search)
 
 FIXED_SPECS = [
     ConfidenceSpec("variance", StepGate(0.0)),

@@ -13,12 +13,11 @@ from hypothesis import given, settings, strategies as st
 from confmix import tensor as T
 from confmix.errors import (ConfigError, GraphFormatError, GraphValidationError)
 from confmix.graphs import (ARCHITECTURES, MAX_FEATURE_ENTRIES, BlindspotInstance,
-                            blindspot_cancellation_gap, build_blindspot_graph, build_graph,
-                            conv_rows, cost_estimate,
+                            build_blindspot_graph, build_graph, conv_rows, cost_estimate,
                             generate_specialization_graph, graph_from_document,
                             graph_to_document, khop_neighborhood, khop_sizes,
-                            load_graph, save_graph, specialization_groups,
-                            validate_blindspot)
+                            load_graph, save_graph, specialization_groups)
+from confmix.theory import blindspot_cancellation_gap, validate_blindspot
 from helpers import dense_coefficients, same_bits
 
 

@@ -374,16 +374,27 @@ def test_shared_operand_gets_both_contributions_without_aliasing():
     assert np.array_equal(out.grad, np.ones((2, 2)))
 
 
-def test_fresh_gradients_are_adopted_without_aliasing():
+def test_fresh_gradients_are_adopted_without_aliasing(monkeypatch):
     """A closure's own product becomes a node's first gradient in place:
     later contributions add onto it, no two nodes' gradients share memory,
-    and relu's masked -0.0 still lands as 0.0."""
+    relu's masked -0.0 still lands as 0.0, and no first gradient that
+    relu, matmul, mul or log made is copied."""
+    copied = []
+    accum = T._accum
+
+    def counted(t, g, fresh=False):
+        if t.requires_grad and t.grad is None and not fresh:
+            copied.append(t)
+        accum(t, g, fresh)
+
+    monkeypatch.setattr(T, "_accum", counted)
     x = T.Tensor([[-1.0, 2.0], [0.5, -3.0]], requires_grad=True)
     w = T.Tensor([[1.0, -2.0], [-0.5, 1.5]], requires_grad=True)
     weights = np.array([[-1.0, 2.0], [3.0, -4.0]])
     h = T.relu(x)
     # h and w feed two products; the one recorded last is accumulated first
-    loss = total(T.matmul(h, w) * weights + T.matmul(h, w, [0.5, -1.0]))
+    product = T.matmul(h, w)
+    loss = total(product * weights + T.matmul(h, w, [0.5, -1.0]))
     tape = T.Tape.from_output(loss)
     T.backward(loss)
     grads = [t.grad for t in tape.records + tape.leaves() if t.grad is not None]
@@ -395,6 +406,21 @@ def test_fresh_gradients_are_adopted_without_aliasing():
     assert np.signbit(want_h * (x.values > 0.0)).sum() == 2
     assert same_bits(x.grad, want_h * (x.values > 0.0) + 0.0)
     assert not np.signbit(x.grad).any()
+    assert not any(t is c for t in (x, w, h, product) for c in copied)
+
+    # a's first gradient is log's, then a * b's adds on; b's and the
+    # product's are mul's
+    a = T.Tensor([[0.5, 0.125], [0.75, 0.25]], requires_grad=True)
+    b = T.Tensor([[-2.0], [3.0]], requires_grad=True)
+    scaled = a * b
+    loss = total(scaled * weights + T.log(a))
+    tape = T.Tape.from_output(loss)
+    T.backward(loss)
+    grads = [t.grad for t in tape.records + tape.leaves() if t.grad is not None]
+    assert not any(np.shares_memory(p, q) for p, q in itertools.combinations(grads, 2))
+    assert same_bits(a.grad, 1.0 / a.values + weights * b.values)
+    assert same_bits(b.grad, (weights * a.values).sum(axis=1, keepdims=True))
+    assert not any(t is c for t in (a, b, scaled) for c in copied)
 
 
 # the constant left factor c of (c @ x) @ w: the rows kernel cut into

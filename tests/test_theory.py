@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -644,9 +643,35 @@ def test_quasiconvexity_suite_draws_once_per_simplex(monkeypatch):
         calls.append(kind)
         return _dispersion_rows_np(rows, kind)
 
-    monkeypatch.setattr(sys.modules["confmix.confidence"], "_dispersion_rows_np", counting)
+    monkeypatch.setattr(theory, "_dispersion_rows_np", counting)
     assert SUITES["quasiconvexity"](0).rows == want
     assert len(calls) == 12
+
+
+@pytest.mark.parametrize("name, engine", [
+    ("theorem", False), ("tightness", False), ("binary", False), ("quasiconvexity", False),
+    ("planted_fault", True), ("blindspot", True)])
+def test_only_engine_suites_create_tensors(name, engine, monkeypatch):
+    """The numpy oracles stay independent of the autodiff engine, the point
+    of the dual-route checks: those suites create no tensor, while the
+    planted fault's learnable gate and the blindspot check's convolutions
+    do."""
+    created = []
+    make, init = T._make, T.Tensor.__init__
+
+    def counted_make(*args):
+        created.append("_make")
+        return make(*args)
+
+    def counted_init(tensor, *args, **kwargs):
+        created.append("__init__")
+        init(tensor, *args, **kwargs)
+
+    monkeypatch.setattr(T, "_make", counted_make)
+    monkeypatch.setattr(T.Tensor, "__init__", counted_init)
+    build = SUITES[name] if name != "theorem" else lambda seed: run_theorem_suite(12, 3, seed)
+    assert build(0).tally()[0] > 0
+    assert bool(created) is engine
 
 
 def test_grid_soundness_under_refinement():
